@@ -36,8 +36,9 @@ let obs_bytes name n =
         (Registry.counter r ~help:"Artifact-cache bytes moved" name)
         n)
 
-(* bump to invalidate every existing entry at once (key-space version) *)
-let cache_version = 1
+(* bump to invalidate every existing entry at once (key-space version);
+   2: run entries carry the cycle-accounting [stall] object *)
+let cache_version = 2
 
 let metrics_schema = 5 (* the Metrics.to_json "schema" this build writes *)
 
@@ -183,7 +184,7 @@ let trace_or_generate cache ~profile ~length =
 
 (* ----- run metrics ----- *)
 
-(* Rebuild a Metrics.t from its schema-4 JSON. Every stored field is an
+(* Rebuild a Metrics.t from its schema-5 JSON. Every stored field is an
    int (the floats in the file — cycles, ipc — are derived), so the
    reconstruction is exact; the caller double-checks by re-serializing. *)
 

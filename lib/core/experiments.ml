@@ -444,35 +444,22 @@ let bottleneck_schemes =
   [ "baseline"; "8_8_8"; "+BR"; "+CR"; "+IR"; "static_888"; "static_bidir" ]
 
 let bottleneck runs =
-  (* accounting-enabled simulations bypass the memoized metrics cache
-     (same pattern as the ICS'05 comparator): the cached campaign numbers
-     stay untouched by the instrumented runs. Policies are resolved
-     sequentially first — [static_info] is memoized per trace and the
-     oracle needs it — then the 72 cells fan out on the pool. *)
-  Runs.ensure_traces runs spec;
-  let cells =
-    List.concat_map
-      (fun scheme ->
-        List.map
-          (fun p ->
-            let tr = Runs.trace runs p in
-            let cfg, decide =
-              Runs.resolve_policy ~static:(Runs.static_info runs tr) ~scheme
-            in
-            (scheme, cfg, decide, tr))
-          spec)
-      bottleneck_schemes
+  (* every Runs cell carries its cycle-accounting totals, so the
+     breakdowns are reads of the campaign cells (memoized or cached),
+     not a second simulation of them *)
+  Runs.ensure_spec runs bottleneck_schemes;
+  let stall scheme (p : Profile.t) =
+    match (Runs.metrics runs ~scheme p).Metrics.stall with
+    | Some s -> s
+    | None ->
+      failwith
+        (Printf.sprintf "bottleneck: the %s run of %s carries no stall breakdown"
+           scheme p.Profile.name)
   in
   let results =
-    Domain_pool.map_list (Domain_pool.get ())
-      (fun (scheme, cfg, decide, tr) ->
-        let a =
-          Accounting.create ~issue_width:cfg.Config.issue_width
-            ~commit_width:cfg.Config.commit_width ()
-        in
-        ignore (Pipeline.run ~accounting:a ~cfg ~decide ~scheme_name:scheme tr);
-        (scheme, Accounting.totals a))
-      cells
+    List.concat_map
+      (fun scheme -> List.map (fun p -> (scheme, stall scheme p)) spec)
+      bottleneck_schemes
   in
   (* the partition must be exact on every single run before any share is
      worth reading *)
@@ -581,8 +568,7 @@ let fig14_speedups ?apps_per_category ?(length = 8_000) () =
       (p, Metrics.speedup_pct ~baseline:base ir))
     (suite_profiles ?apps_per_category ())
 
-let fig14_category_rows ?apps_per_category ?length () =
-  let speedups = fig14_speedups ?apps_per_category ?length () in
+let fig14_category_rows speedups =
   List.map
     (fun (e : Workloads.entry) ->
       let cat = e.Workloads.category in
@@ -595,22 +581,17 @@ let fig14_category_rows ?apps_per_category ?length () =
       (Profile.category_to_string cat, Summary.arithmetic_mean own))
     Workloads.table2
 
-let fig14_curve ?apps_per_category ?length () =
-  fig14_speedups ?apps_per_category ?length ()
-  |> List.map (fun (_, s) -> 1. +. (s /. 100.))
-  |> List.sort Float.compare
+let fig14_curve speedups =
+  List.map (fun (_, s) -> 1. +. (s /. 100.)) speedups |> List.sort Float.compare
 
-let fig14 _runs =
-  (* the suite is independent of the SPEC run cache; subsample for the
-     default rendering and let the bench harness run it in full *)
-  let apps_per_category = 12 in
-  let rows = fig14_category_rows ~apps_per_category () in
+let fig14_render speedups =
+  let rows = fig14_category_rows speedups in
   let table = Table.create [ "category"; "+IR speedup (%)" ] in
   List.iter (fun (c, s) -> Table.add_row table [ c; f1 s ]) rows;
   Table.add_separator table;
   let overall = avg rows in
   Table.add_row table [ "AVG"; f1 overall ];
-  let curve = fig14_curve ~apps_per_category () in
+  let curve = fig14_curve speedups in
   let n = List.length curve in
   let pick q = List.nth curve (min (n - 1) (int_of_float (q *. float_of_int n))) in
   let curve_line =
@@ -622,6 +603,12 @@ let fig14 _runs =
   ( Table.render table ^ "\n" ^ curve_line,
     [ { label = "avg speedup across the suite (%)"; paper = 11.0;
         measured = overall } ] )
+
+let fig14 _runs =
+  (* the suite is independent of the SPEC run cache; subsample for the
+     default rendering and let the bench harness run it in full. One
+     simulated suite feeds both the category table and the S-curve. *)
+  fig14_render (fig14_speedups ~apps_per_category:12 ())
 
 (* ----- steering attribution: why each helper-cluster commit is there ----- *)
 

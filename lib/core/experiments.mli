@@ -22,8 +22,8 @@ type t = {
 
 val all : t list
 (** Every experiment, in paper order: fig1, opmix, fig5, fig6, fig7, fig8,
-    fig9, fig11, fig12, fig13, cp, ir, related (the §4 comparator), tab2,
-    fig14. *)
+    fig9, fig11, fig12, fig13, cp, ir, attrib, headroom, related (the §4
+    comparator), bottleneck, tab2, fig14. *)
 
 val find : string -> t
 (** @raise Not_found for an unknown id. *)
@@ -54,13 +54,35 @@ val fig12_rows : Runs.t -> (string * float * float) list
 val fig13_rows : Runs.t -> (string * float) list
 (** benchmark → mean producer–consumer distance. *)
 
-val fig14_category_rows :
-  ?apps_per_category:int -> ?length:int -> unit -> (string * float) list
-(** category → average +IR speedup %% over baseline, on the Table-2 suite
-    (optionally subsampled to [apps_per_category] apps per category for
-    quick runs). *)
+val bottleneck_schemes : string list
+(** The schemes the bottleneck experiment breaks down (Runs scheme names,
+    including the ["static_888"] and ["static_bidir"] oracles). Each
+    (scheme, SPEC profile) breakdown is the [stall] field of that cell's
+    {!Runs.metrics}: the campaign's own run, memoized or cached, not a
+    second simulation. The experiment fails with [Failure] naming the
+    scheme and profile if a cell carries no [stall]. *)
 
-val fig14_curve :
-  ?apps_per_category:int -> ?length:int -> unit -> float list
+val fig14_speedups :
+  ?apps_per_category:int ->
+  ?length:int ->
+  unit ->
+  (Hc_trace.Profile.t * float) list
+(** Simulate the Table-2 application suite (optionally subsampled to
+    [apps_per_category] apps per category; [length] uops per app, default
+    [8_000]) under baseline and +IR: app → +IR speedup %% over baseline,
+    in suite order. The only simulating Fig 14 entry point; everything
+    below is a pure function of its result. *)
+
+val fig14_category_rows :
+  (Hc_trace.Profile.t * float) list -> (string * float) list
+(** category → average +IR speedup %% over baseline, from
+    {!fig14_speedups}. *)
+
+val fig14_curve : (Hc_trace.Profile.t * float) list -> float list
 (** The Fig 14 S-curve: per-app speedup factors (baseline = 1.0), sorted
-    ascending, over the same suite. *)
+    ascending, from {!fig14_speedups}. *)
+
+val fig14_render :
+  (Hc_trace.Profile.t * float) list -> string * headline list
+(** The fig14 experiment's text and headlines, from one
+    {!fig14_speedups} list: the category table and the S-curve line. *)

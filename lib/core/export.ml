@@ -125,7 +125,8 @@ let write_all runs ~dir =
       (csv_line [ "category"; "speedup_pct" ]
       :: List.map
            (fun (c, v) -> csv_line [ c; f2 v ])
-           (Experiments.fig14_category_rows ~apps_per_category:12
-              ~length:6_000 ()))
+           (Experiments.fig14_category_rows
+              (Experiments.fig14_speedups ~apps_per_category:12 ~length:6_000
+                 ())))
   in
   [ meta; fig1; fig5; fig6; fig7; fig8_9; fig11; fig12; fig13; stack; fig14 ]

@@ -93,7 +93,10 @@ let resolve_policy ~(static : Hc_analysis.Static.bidir) ~scheme =
 (* One simulation of one (scheme, trace) cell. Every run — oracle or not —
    carries the trace's static steering bound in its metrics, so exported
    JSON and the attribution tables can show predictor results next to the
-   provable headroom. With telemetry configured, the run gets an
+   provable headroom, and its cycle-accounting totals in [stall], so the
+   bottleneck breakdown reads the same cell every other experiment does
+   (accounting leaves every other field bit-identical, see
+   test_accounting.ml). With telemetry configured, the run gets an
    interval-sampling sink and leaves its time series and metrics JSON
    behind in the telemetry directory; observation never changes the
    returned metrics (bit-identical, see test_obs.ml), so the memo tables
@@ -138,6 +141,10 @@ let simulate ?telemetry ~(static : Hc_analysis.Static.bidir) ~scheme tr =
     ~meta:[ ("benchmark", tr.Trace.name); ("scheme", scheme) ]
   @@ fun () ->
   let cfg, decide = resolve_policy ~static ~scheme in
+  let accounting =
+    Hc_sim.Accounting.create ~issue_width:cfg.Config.issue_width
+      ~commit_width:cfg.Config.commit_width ()
+  in
   let attach m =
     {
       m with
@@ -150,10 +157,14 @@ let simulate ?telemetry ~(static : Hc_analysis.Static.bidir) ~scheme tr =
   in
   let m =
     match telemetry with
-    | None -> attach (Pipeline.run ~cfg ~decide ~scheme_name:scheme tr)
+    | None ->
+      attach (Pipeline.run ~accounting ~cfg ~decide ~scheme_name:scheme tr)
     | Some { Telemetry.dir; interval } ->
       let sink = Hc_obs.Sink.create ~interval ~tracing:false () in
-      let m = attach (Pipeline.run ~sink ~cfg ~decide ~scheme_name:scheme tr) in
+      let m =
+        attach
+          (Pipeline.run ~sink ~accounting ~cfg ~decide ~scheme_name:scheme tr)
+      in
       let base =
         Filename.concat dir
           (Telemetry.run_basename ~scheme ~name:tr.Trace.name)

@@ -22,9 +22,11 @@ val create :
     cache executes: each (scheme, benchmark) cell leaves
     [<scheme>__<benchmark>.intervals.csv] and
     [<scheme>__<benchmark>.metrics.json] in [telemetry.dir] (created,
-    with parents, up front). Metrics are bit-identical with or without
-    telemetry, and the parallel fan-out writes distinct files per cell,
-    so the option composes with {!ensure}.
+    with parents, up front); the metrics JSON carries the ["stall"]
+    object like every other run of this cache. Metrics are
+    bit-identical with or without telemetry, and the parallel fan-out
+    writes distinct files per cell, so the option composes with
+    {!ensure}.
 
     [cache] attaches the on-disk {!Artifact_cache}: traces load from
     (and publish to) their content-addressed binary entries instead of
@@ -81,8 +83,11 @@ val metrics : t -> scheme:string -> Hc_trace.Profile.t -> Hc_sim.Metrics.t
     (respectively bidirectional) static width-inference proof — both
     zero-recovery steering bounds by construction. Every returned
     metrics record carries
-    [static_narrow_bound = Some (static_info _ tr).base.steerable_count]
-    and [static_bidir_bound = Some (static_info _ tr).bidir_steerable_count].
+    [static_narrow_bound = Some (static_info _ tr).base.steerable_count],
+    [static_bidir_bound = Some (static_info _ tr).bidir_steerable_count]
+    and the run's cycle-accounting totals in [stall] (every simulation
+    runs with {!Hc_sim.Accounting} attached, which leaves the other
+    fields bit-identical; cached entries round-trip [stall] exactly).
     @raise Not_found for an unknown scheme name. *)
 
 val speedup_pct : t -> scheme:string -> Hc_trace.Profile.t -> float
@@ -97,8 +102,7 @@ val resolve_policy :
     ["static_bidir"] pseudo-schemes — the 8_8_8 machine steered by
     {!Hc_steering.Policy.static_oracle} over the forward (respectively
     bidirectional) proof in [static]. For callers that drive
-    {!Hc_sim.Pipeline.run} directly (e.g. accounting-enabled experiment
-    fan-outs that must not pollute the metrics memo/cache).
+    {!Hc_sim.Pipeline.run} directly, outside the memo and the cache.
     @raise Not_found for an unknown scheme name. *)
 
 val spec_profiles : Hc_trace.Profile.t list

@@ -167,6 +167,44 @@ dune exec bin/hc_cache.exe -- stats --cache-dir "$CACHE_DIR" --json \
 ocaml scripts/check_json.ml "$SMOKE_DIR/cache_stats.json"
 echo "cache gate OK"
 
+echo "== warm bottleneck gate =="
+# Every campaign cell carries its cycle-accounting totals, so bottleneck
+# reads its stall breakdowns from the run cache: once a cold run has
+# filled the cache, a warm rerun simulates nothing. Its output must be
+# byte-identical, the cache must gain no run entry (hc_cache stats --json
+# unchanged), and its registry dump must show run-cache hits and no
+# simulation.
+BN_DIR="$SMOKE_DIR/bottleneck_cache"
+bottleneck_run() {
+  dune exec bin/hc_experiments.exe -- bottleneck --length 3000 \
+    --cache-dir "$BN_DIR" --prom-out "$SMOKE_DIR/bottleneck_$1.prom" \
+    > "$SMOKE_DIR/bottleneck_$1.txt"
+  dune exec bin/hc_cache.exe -- stats --cache-dir "$BN_DIR" --json \
+    > "$SMOKE_DIR/bottleneck_$1.stats.json"
+}
+bottleneck_warm_ok() {
+  cmp -s "$SMOKE_DIR/bottleneck_cold.txt" "$SMOKE_DIR/bottleneck_$1.txt" &&
+    cmp -s "$SMOKE_DIR/bottleneck_cold.stats.json" \
+      "$SMOKE_DIR/bottleneck_$1.stats.json" &&
+    grep -q '^hc_cache_hits_total{kind="run"} 84$' \
+      "$SMOKE_DIR/bottleneck_$1.prom" &&
+    ! grep -q '^hc_sim_runs_total' "$SMOKE_DIR/bottleneck_$1.prom"
+}
+bottleneck_run cold
+grep -q 'partition invariant: exact' "$SMOKE_DIR/bottleneck_cold.txt"
+grep -q '"run_entries":84,' "$SMOKE_DIR/bottleneck_cold.stats.json"
+bottleneck_run warm
+bottleneck_warm_ok warm
+# ...and prove the gate can fail: drop one run entry, and the rerun must
+# simulate that cell again
+rm "$(ls "$BN_DIR"/runs/*.json | head -n 1)"
+bottleneck_run healed
+if bottleneck_warm_ok healed; then
+  echo "FAIL: the warm bottleneck gate missed a re-simulated cell"
+  exit 1
+fi
+echo "warm bottleneck gate OK"
+
 echo "== binary trace gate =="
 # A binary trace must load and lint exactly like its text twin, and a
 # truncated binary file must surface as lint error E108, not a crash.

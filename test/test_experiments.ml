@@ -100,17 +100,152 @@ let test_helper_beats_baseline_on_average () =
   Alcotest.(check bool) "8_8_8 positive on average" true (avg "8_8_8" > 0.);
   Alcotest.(check bool) "+CR above 8_8_8" true (avg "+CR" > avg "8_8_8")
 
+let fig14_sample () =
+  Experiments.fig14_speedups ~apps_per_category:2 ~length:2_000 ()
+
+(* fig14 simulates its suite once: the category rows, the S-curve and the
+   rendered text are pure functions of one speedup list, and they equal
+   what two separate simulations of the suite (one for the rows, one for
+   the curve) produce *)
 let test_fig14_subsample () =
-  let rows = Experiments.fig14_category_rows ~apps_per_category:2 ~length:2_000 () in
+  let speedups = fig14_sample () in
+  let rows = Experiments.fig14_category_rows speedups in
   Alcotest.(check int) "seven categories" 7 (List.length rows);
   List.iter
     (fun (cat, v) ->
       Alcotest.(check bool) (cat ^ " finite") true (Float.is_finite v))
     rows;
-  let curve = Experiments.fig14_curve ~apps_per_category:2 ~length:2_000 () in
+  let curve = Experiments.fig14_curve speedups in
   Alcotest.(check int) "curve covers apps" 14 (List.length curve);
   let sorted = List.sort Float.compare curve in
-  Alcotest.(check bool) "curve ascending" true (curve = sorted)
+  Alcotest.(check bool) "curve ascending" true (curve = sorted);
+  Alcotest.(check (list (pair string (float 0.))))
+    "rows match a separate suite simulation" rows
+    (Experiments.fig14_category_rows (fig14_sample ()));
+  Alcotest.(check (list (float 0.)))
+    "curve matches a separate suite simulation" curve
+    (Experiments.fig14_curve (fig14_sample ()));
+  let text, headlines = Experiments.fig14_render speedups in
+  let lines = String.split_on_char '\n' text in
+  List.iter
+    (fun (cat, v) ->
+      Alcotest.(check bool)
+        (cat ^ " row rendered") true
+        (List.exists
+           (fun l ->
+             let words = String.split_on_char ' ' l in
+             List.mem cat words && List.mem (Printf.sprintf "%.1f" v) words)
+           lines))
+    rows;
+  let n = List.length curve in
+  Alcotest.(check bool)
+    "S-curve line from the same list" true
+    (List.exists
+       (String.equal
+          (Printf.sprintf
+             "S-curve (baseline=1.0): p10=%.2f p25=%.2f median=%.2f p75=%.2f \
+              p90=%.2f max=%.2f"
+             (List.nth curve (n / 10)) (List.nth curve (n / 4))
+             (List.nth curve (n / 2)) (List.nth curve (3 * n / 4))
+             (List.nth curve (9 * n / 10)) (List.nth curve (n - 1))))
+       lines);
+  match headlines with
+  | [ h ] ->
+    Alcotest.(check (float 0.)) "headline is the category average"
+      (Hc_stats.Summary.arithmetic_mean (List.map snd rows))
+      h.Experiments.measured
+  | _ -> Alcotest.fail "fig14 has one headline"
+
+(* ----- bottleneck reads its breakdowns from the campaign cells ----- *)
+
+module Accounting = Hc_sim.Accounting
+module Pipeline = Hc_sim.Pipeline
+module Artifact_cache = Hc_core.Artifact_cache
+
+let bottleneck_length = 2_000
+
+let bottleneck_text runs = fst ((Experiments.find "bottleneck").Experiments.run runs)
+
+(* every (scheme, profile) cell the bottleneck table reads carries, in its
+   Runs metrics, exactly the totals of a fresh accounting run of the same
+   cell; with [stall] stripped, the metrics JSON is byte-identical to an
+   accounting-off run of that cell *)
+let test_bottleneck_stall_from_runs () =
+  Test_cache.with_root (fun root ->
+      let runs =
+        Runs.create ~length:bottleneck_length
+          ~cache:(Artifact_cache.create ~root ()) ()
+      in
+      Runs.ensure_spec runs Experiments.bottleneck_schemes;
+      List.iter
+        (fun scheme ->
+          List.iter
+            (fun (p : Profile.t) ->
+              let cell = Printf.sprintf "%s/%s" scheme p.Profile.name in
+              let m = Runs.metrics runs ~scheme p in
+              let tr = Runs.trace runs p in
+              let static = Runs.static_info runs tr in
+              let cfg, decide = Runs.resolve_policy ~static ~scheme in
+              let a =
+                Accounting.create ~issue_width:cfg.Hc_sim.Config.issue_width
+                  ~commit_width:cfg.Hc_sim.Config.commit_width ()
+              in
+              ignore
+                (Pipeline.run ~accounting:a ~cfg ~decide ~scheme_name:scheme tr);
+              Alcotest.(check bool)
+                (cell ^ " stall == fresh accounting totals") true
+                (m.Metrics.stall = Some (Accounting.totals a));
+              let plain =
+                Pipeline.run ~cfg ~decide ~scheme_name:scheme tr
+              in
+              Alcotest.(check string)
+                (cell ^ " stall-stripped JSON == accounting-off JSON")
+                (Metrics.to_json
+                   {
+                     plain with
+                     Metrics.static_narrow_bound =
+                       Some
+                         static.Hc_analysis.Static.base
+                           .Hc_analysis.Static.steerable_count;
+                     static_bidir_bound =
+                       Some static.Hc_analysis.Static.bidir_steerable_count;
+                   })
+                (Metrics.to_json { m with Metrics.stall = None }))
+            Runs.spec_profiles)
+        Experiments.bottleneck_schemes)
+
+(* a warm cache serves bottleneck without simulating: a second Runs over
+   the same cache directory renders the same text with 0 run misses; a
+   stall-less entry (written by a build that did not account cycles)
+   fails loudly, naming its cell *)
+let test_bottleneck_warm_cache () =
+  Test_cache.with_root (fun root ->
+      let fresh () =
+        let cache = Artifact_cache.create ~root () in
+        (cache, Runs.create ~length:bottleneck_length ~cache ())
+      in
+      let _, cold = fresh () in
+      let cold_text = bottleneck_text cold in
+      let warm_cache, warm = fresh () in
+      Alcotest.(check string) "warm text == cold text" cold_text
+        (bottleneck_text warm);
+      let c = Artifact_cache.counts warm_cache in
+      Alcotest.(check int) "every cell read from the run cache"
+        (List.length Experiments.bottleneck_schemes
+        * List.length Runs.spec_profiles)
+        c.Artifact_cache.run_hits;
+      Alcotest.(check int) "warm run misses" 0 c.Artifact_cache.run_misses;
+      Alcotest.(check int) "warm trace misses" 0 c.Artifact_cache.trace_misses;
+      let gcc = Profile.find_spec_int "gcc" in
+      Artifact_cache.store_metrics warm_cache ~scheme:"+BR" ~profile:gcc
+        ~length:bottleneck_length
+        { (Runs.metrics warm ~scheme:"+BR" gcc) with Metrics.stall = None };
+      let _, stale = fresh () in
+      match bottleneck_text stale with
+      | _ -> Alcotest.fail "a stall-less run entry was accepted"
+      | exception Failure msg ->
+        Alcotest.(check string) "failure names the cell"
+          "bottleneck: the +BR run of gcc carries no stall breakdown" msg)
 
 let suite =
   ( "experiments",
@@ -126,4 +261,7 @@ let suite =
       Alcotest.test_case "helper beats baseline" `Quick
         test_helper_beats_baseline_on_average;
       Alcotest.test_case "fig14 subsample" `Slow test_fig14_subsample;
+      Alcotest.test_case "bottleneck stall from Runs cells" `Slow
+        test_bottleneck_stall_from_runs;
+      Alcotest.test_case "bottleneck warm cache" `Slow test_bottleneck_warm_cache;
     ] )
