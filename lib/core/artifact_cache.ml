@@ -36,7 +36,8 @@ let obs_bytes name n =
         (Registry.counter r ~help:"Artifact-cache bytes moved" name)
         n)
 
-(* bump to invalidate every existing entry at once (key-space version);
+(* bump to invalidate every existing entry at once, traces included
+   (key-space version, in both key kinds);
    2: run entries carry the cycle-accounting [stall] object *)
 let cache_version = 2
 

@@ -17,24 +17,26 @@ let is_binary s =
 
 (* ----- name tables ----- *)
 
-let reg_names =
-  lazy
-    (let h = Hashtbl.create (2 * Reg.count) in
-     for i = 0 to Reg.count - 1 do
-       let r = Reg.of_index i in
-       Hashtbl.replace h (Reg.to_string r) r
-     done;
-     h)
+(* This module's tables are built at initialisation, not lazily: trace
+   loads run on several domains at once, and a [Lazy.t] forced from two
+   domains concurrently raises [CamlinternalLazy.Undefined]. *)
 
-let reg_of_name n = Hashtbl.find_opt (Lazy.force reg_names) n
+let reg_names =
+  let h = Hashtbl.create (2 * Reg.count) in
+  for i = 0 to Reg.count - 1 do
+    let r = Reg.of_index i in
+    Hashtbl.replace h (Reg.to_string r) r
+  done;
+  h
+
+let reg_of_name n = Hashtbl.find_opt reg_names n
 
 let op_names =
-  lazy
-    (let h = Hashtbl.create 64 in
-     List.iter (fun op -> Hashtbl.replace h (Opcode.to_string op) op) Opcode.all;
-     h)
+  let h = Hashtbl.create 64 in
+  List.iter (fun op -> Hashtbl.replace h (Opcode.to_string op) op) Opcode.all;
+  h
 
-let op_of_name n = Hashtbl.find_opt (Lazy.force op_names) n
+let op_of_name n = Hashtbl.find_opt op_names n
 
 (* ----- CRC-32 (IEEE 802.3, reflected, 0xEDB88320) ----- *)
 
@@ -42,25 +44,24 @@ let op_of_name n = Hashtbl.find_opt (Lazy.force op_names) n
    step instead of 1, which matters because the CRC pass touches every
    byte of every cache reload. *)
 let crc_tables =
-  lazy
-    (let t = Array.make (4 * 256) 0 in
-     for n = 0 to 255 do
-       let c = ref n in
-       for _ = 0 to 7 do
-         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-       done;
-       t.(n) <- !c
-     done;
-     for k = 1 to 3 do
-       for n = 0 to 255 do
-         let prev = t.(((k - 1) * 256) + n) in
-         t.((k * 256) + n) <- t.(prev land 0xFF) lxor (prev lsr 8)
-       done
-     done;
-     t)
+  let t = Array.make (4 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 3 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- t.(prev land 0xFF) lxor (prev lsr 8)
+    done
+  done;
+  t
 
 let crc32 s ~pos ~len =
-  let tbl = Lazy.force crc_tables in
+  let tbl = crc_tables in
   let c = ref 0xFFFF_FFFF in
   let i = ref pos in
   let stop = pos + len in

@@ -1,43 +1,38 @@
 #!/bin/sh
-# Interleaved A/B run of the benchmark: a base commit (default: the parent
-# of HEAD) against this checkout as it stands, on one perfbench workload.
+# Interleaved A/B run of the benchmark: the parent of HEAD against this
+# checkout as it stands, on one perfbench workload.
 #
 #   ./scripts/ab.sh --workload paper-cold
-#   ./scripts/ab.sh --workload sim-steady --base main --seconds 10
+#   ./scripts/ab.sh --workload sim-steady --runs 10
 #   ./scripts/ab.sh --workload reload-sim --parent-dir ../other-checkout
 #
-# The base is checked out and built in a temporary git worktree (removed
-# at exit) unless --parent-dir names an existing checkout to use instead.
-# Pair i runs `perfbench/run.sh --workload W --seed i --seconds S
-# --trace 0` once per side, alternating which side goes first, so slow
-# drift of a shared host lands on both sides alike. For every end-to-end
-# metric BENCHMARK.json declares, it prints each side's median and
-# interquartile range, the change of the medians, and how many pairs
-# moved in the metric's better direction; then each side's output
-# digests and failed runs. Single-shot numbers on a shared host swing
-# by ±20 %: compare medians of interleaved runs, never two lone runs.
+# The parent (HEAD~1) is checked out and built in a temporary git
+# worktree (removed at exit) unless --parent-dir names an existing
+# checkout to use instead. Pair i runs `perfbench/run.sh --workload W
+# --seed i --seconds S --trace 0` once per side, with S the
+# `run_seconds` BENCHMARK.json declares, alternating which side goes
+# first, so slow drift of a shared host lands on both sides alike. For
+# every end-to-end metric BENCHMARK.json declares, it prints each side's
+# median and interquartile range, the change of the medians, and how
+# many pairs moved in the metric's better direction; then each side's
+# output digests and failed runs. Single-shot numbers on a shared host
+# swing by ±20 %: compare medians of interleaved runs, never two lone
+# runs.
 #
 # Options: --workload W (default paper-cold), --runs N pairs (default 10),
-# --seconds S per run (default 10), --base REV (default HEAD~1),
-# --parent-dir DIR, --keep DIR (keep every run's output in DIR).
+# --parent-dir DIR.
 set -eu
 cd "$(dirname "$0")/.."
 HEAD_DIR=$(pwd)
 
 WORKLOAD=paper-cold
 RUNS=10
-SECONDS_PER_RUN=10
-BASE=HEAD~1
 PARENT_DIR=
-KEEP=
 while [ $# -gt 0 ]; do
   case "$1" in
     --workload) WORKLOAD=$2; shift 2 ;;
     --runs) RUNS=$2; shift 2 ;;
-    --seconds) SECONDS_PER_RUN=$2; shift 2 ;;
-    --base) BASE=$2; shift 2 ;;
     --parent-dir) PARENT_DIR=$2; shift 2 ;;
-    --keep) KEEP=$2; shift 2 ;;
     *) echo "ab.sh: unknown argument $1 (see the header of $0)" >&2; exit 2 ;;
   esac
 done
@@ -58,9 +53,9 @@ trap cleanup EXIT INT TERM
 
 if [ -z "$PARENT_DIR" ]; then
   WORKTREE="$TMP/base"
-  git worktree add --quiet --detach "$WORKTREE" "$BASE"
+  git worktree add --quiet --detach "$WORKTREE" HEAD~1
   PARENT_DIR=$WORKTREE
-  BASE_LABEL=$(git rev-parse --short "$BASE")
+  BASE_LABEL=$(git rev-parse --short HEAD~1)
 else
   PARENT_DIR=$(cd "$PARENT_DIR" && pwd)
   BASE_LABEL=$PARENT_DIR
@@ -70,7 +65,13 @@ if [ ! -f "$PARENT_DIR/perfbench/run.sh" ]; then
   exit 2
 fi
 
-# the end-to-end metrics, in declaration order: "<name> <better>" lines
+# the per-run seconds the benchmark fixes, and its end-to-end metrics in
+# declaration order as "<name> <better>" lines
+SECONDS_PER_RUN=$(sed -n 's/^ *"run_seconds": *\([0-9][0-9]*\).*/\1/p' BENCHMARK.json)
+if [ -z "$SECONDS_PER_RUN" ]; then
+  echo "ab.sh: BENCHMARK.json declares no run_seconds" >&2
+  exit 2
+fi
 awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
   on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
   on && /"better"/ { gsub(/[",]/, "", $2); print name, $2 }' \
@@ -103,10 +104,6 @@ while [ "$i" -le "$RUNS" ]; do
   fi
   i=$((i + 1))
 done
-if [ -n "$KEEP" ]; then
-  mkdir -p "$KEEP"
-  cp "$TMP"/*.out "$TMP"/*.err "$KEEP"/
-fi
 
 # value of metric $1 in run output $2 (empty when the run printed none)
 metric() {
@@ -124,7 +121,7 @@ quartiles() {
 }
 
 echo
-echo "workload $WORKLOAD, $RUNS interleaved pairs; base $BASE_LABEL, head $HEAD_DIR"
+echo "workload $WORKLOAD, $RUNS interleaved pairs of ${SECONDS_PER_RUN} s runs; base $BASE_LABEL, head $HEAD_DIR"
 printf '%-14s %12s %21s %12s %21s %9s %6s\n' metric "base median" "base [q1, q3]" \
   "head median" "head [q1, q3]" "change" better
 while read -r name better; do
