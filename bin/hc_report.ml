@@ -4,6 +4,7 @@
      hc_report attrib m_888.json m_cr.json m_ir.json
      hc_report diff BENCH_1.json BENCH_3.json --tol kernels_ns_per_run.=0.30
      hc_report baseline smoke.json        # vs baselines/gcc_smoke.json
+     hc_report validate --jsonl spans.jsonl
 
    Everything is read from disk through lib/report's dependency-free
    JSON/CSV loaders — this binary never runs a simulation. diff/baseline
@@ -15,6 +16,7 @@ module Loader = Hc_report.Loader
 module Diff = Hc_report.Diff
 module Render = Hc_report.Render
 module Sparkline = Hc_report.Sparkline
+module Prom = Hc_obs.Prom
 
 open Cmdliner
 
@@ -482,6 +484,82 @@ let baseline_cmd =
   Cmd.v (Cmd.info "baseline" ~doc)
     Term.(const run $ cand $ baseline $ tols_arg $ default_tol_arg $ all_arg)
 
+(* ---- validate ---- *)
+
+(* Strict well-formedness of telemetry artifacts on the readers the tools
+   themselves use, so a truncated traceEvents array, a span-log line cut
+   mid-object or an exposition sample with a bad metric name all fail. *)
+let validate_cmd =
+  let check mode s =
+    match mode with
+    | `Json -> (
+      match Json.parse s with
+      | Ok _ -> Ok (Printf.sprintf "valid JSON (%d bytes)" (String.length s))
+      | Error at -> Error (Printf.sprintf "INVALID JSON at byte %d" at) )
+    | `Jsonl ->
+      (* exactly one object per line; a trailing newline is allowed *)
+      let lines = String.split_on_char '\n' s in
+      let lines =
+        match List.rev lines with "" :: rest -> List.rev rest | _ -> lines
+      in
+      let rec go n = function
+        | [] when n = 0 -> Error "EMPTY JSONL stream"
+        | [] -> Ok (Printf.sprintf "valid JSONL (%d records)" n)
+        | line :: rest -> (
+          match Json.parse line with
+          | Ok (Json.Object _) when line.[0] = '{' -> go (n + 1) rest
+          | Ok _ -> Error (Printf.sprintf "INVALID JSONL at line %d byte 0" (n + 1))
+          | Error at ->
+            Error (Printf.sprintf "INVALID JSONL at line %d byte %d" (n + 1) at) )
+      in
+      go 0 lines
+    | `Prom -> (
+      match Prom.parse s with
+      | Ok [] -> Error "EMPTY exposition (no samples)"
+      | Ok entries ->
+        Ok (Printf.sprintf "valid exposition (%d samples)" (List.length entries))
+      | Error msg -> Error ("INVALID exposition at " ^ msg) )
+  in
+  let run mode files =
+    if files = [] then begin
+      prerr_endline "usage: hc_report validate [--json|--jsonl|--prom] FILE...";
+      exit 2
+    end;
+    let ok =
+      List.fold_left
+        (fun ok path ->
+          match In_channel.with_open_bin path In_channel.input_all with
+          | exception Sys_error e ->
+            prerr_endline e;
+            false
+          | s -> (
+            match check mode s with
+            | Ok msg ->
+              Printf.printf "%s: %s\n" path msg;
+              ok
+            | Error msg ->
+              Printf.eprintf "%s: %s\n" path msg;
+              false ))
+        true files
+    in
+    if not ok then exit 1
+  in
+  let mode =
+    Arg.(
+      value
+      & vflag `Json
+          [ (`Json, info [ "json" ] ~doc:"Each FILE is one JSON value (default).");
+            (`Jsonl, info [ "jsonl" ] ~doc:"Each FILE holds one JSON object per line.");
+            ( `Prom,
+              info [ "prom" ] ~doc:"Each FILE is a Prometheus text exposition." ) ])
+  in
+  let files = Arg.(value & pos_all string [] & info [] ~docv:"FILE") in
+  let doc =
+    "check telemetry artifacts are well formed; exit 1 naming the file and \
+     byte offset or line of the first offence, 2 without files"
+  in
+  Cmd.v (Cmd.info "validate" ~doc) Term.(const run $ mode $ files)
+
 let () =
   let doc = "read, summarise and diff helper-cluster run artifacts" in
   let info = Cmd.info "hc_report" ~doc in
@@ -489,4 +567,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ report_cmd; attrib_cmd; topdown_cmd; trend_cmd; spans_cmd;
-            diff_cmd; baseline_cmd ]))
+            diff_cmd; baseline_cmd; validate_cmd ]))

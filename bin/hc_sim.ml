@@ -26,29 +26,6 @@ open Cmdliner
 
 let scheme_names = List.map fst Hc_steering.Policy.stack @ [ "ics05" ]
 
-(* the interval series must re-add to exactly the end-of-run metrics;
-   checked here so the CLI surfaces a telemetry bug immediately *)
-let totals_match (a : Sample.totals) (m : Metrics.t) =
-  a.Sample.committed = m.Metrics.committed
-  && a.Sample.steered_narrow = m.Metrics.steered_narrow
-  && a.Sample.copies = m.Metrics.copies
-  && a.Sample.split_uops = m.Metrics.split_uops
-  && a.Sample.steered_888 = m.Metrics.steered_888
-  && a.Sample.steered_br = m.Metrics.steered_br
-  && a.Sample.steered_cr = m.Metrics.steered_cr
-  && a.Sample.steered_ir = m.Metrics.steered_ir
-  && a.Sample.steered_other = m.Metrics.steered_other
-  && a.Sample.wide_default = m.Metrics.wide_default
-  && a.Sample.wide_demoted = m.Metrics.wide_demoted
-  && a.Sample.wpred_correct = m.Metrics.wpred_correct
-  && a.Sample.wpred_fatal = m.Metrics.wpred_fatal
-  && a.Sample.wpred_nonfatal = m.Metrics.wpred_nonfatal
-  && a.Sample.prefetch_copies = m.Metrics.prefetch_copies
-  && a.Sample.prefetch_useful = m.Metrics.prefetch_useful
-  && a.Sample.nready_w2n = m.Metrics.nready_w2n
-  && a.Sample.nready_n2w = m.Metrics.nready_n2w
-  && a.Sample.issued_total = m.Metrics.issued_total
-
 (* per-lane top-down table: slot counts and % shares for every category,
    plus the partition check (sum == width x rounds, exact) *)
 let print_topdown (s : Accounting.totals) =
@@ -91,8 +68,8 @@ let obs_nready samples =
       in
       List.iter
         (fun (s : Sample.t) ->
-          Registry.observe w2n s.Sample.d.Sample.nready_w2n;
-          Registry.observe n2w s.Sample.d.Sample.nready_n2w)
+          Registry.observe w2n s.Sample.d.(Hc_obs.Counts.nready_w2n);
+          Registry.observe n2w s.Sample.d.(Hc_obs.Counts.nready_n2w))
         samples)
 
 let run benchmark scheme length power compare_baseline jobs trace_out
@@ -201,7 +178,7 @@ let run benchmark scheme length power compare_baseline jobs trace_out
         "intervals: wrote %s (%d samples of %d ticks; aggregate %s final \
          metrics)@."
         written (List.length samples) (Sink.interval sink)
-        (if totals_match (Sample.aggregate samples) m then "==" else "<> (BUG)")
+        (if Sample.aggregate samples = m.Metrics.counts then "==" else "<> (BUG)")
     end );
   ( match accounting with
   | None -> ()

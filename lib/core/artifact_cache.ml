@@ -3,7 +3,7 @@ module Trace = Hc_trace.Trace
 module Codec = Hc_trace.Codec
 module Generator = Hc_trace.Generator
 module Metrics = Hc_sim.Metrics
-module Counter = Hc_stats.Counter
+module Counts = Hc_obs.Counts
 module Json = Hc_report.Json
 
 module Registry = Hc_obs.Registry
@@ -185,9 +185,11 @@ let trace_or_generate cache ~profile ~length =
 
 (* ----- run metrics ----- *)
 
-(* Rebuild a Metrics.t from its schema-5 JSON. Every stored field is an
-   int (the floats in the file — cycles, ipc — are derived), so the
-   reconstruction is exact; the caller double-checks by re-serializing. *)
+(* Rebuild a Metrics.t from its schema-5 JSON by walking the counter
+   table. Every stored count is an int (the floats in the file — cycles,
+   ipc — and the top-level ticks and issued_total are derived from the
+   table's slots), so the reconstruction is exact; the caller
+   double-checks by re-serializing. *)
 
 let stall_of_json j =
   let module Acc = Hc_sim.Accounting in
@@ -228,55 +230,48 @@ let metrics_of_json j =
     | None -> failwith ("metrics JSON: missing string field " ^ name)
   in
   if int "schema" <> metrics_schema then failwith "metrics JSON: wrong schema";
-  let counters = Counter.create () in
+  let counts = Counts.make () in
+  List.iter (fun id -> counts.(id) <- int (Counts.key id)) Counts.results;
+  (* the "counters" object holds exactly the activity entries: every
+     always-present one, each at most once, and nothing undeclared *)
+  let seen = Array.make Counts.n false in
   ( match Json.member "counters" j with
   | Some (Json.Object members) ->
     List.iter
       (fun (name, v) ->
-        match v with
-        | Json.Number raw -> Counter.add counters (Json.unescape name) (int_of_string raw)
-        | _ -> failwith "metrics JSON: non-numeric counter")
+        let name = Json.unescape name in
+        match (Counts.find Counts.Activity name, v) with
+        | None, _ -> failwith ("metrics JSON: unknown counter " ^ name)
+        | Some id, _ when seen.(id) ->
+          failwith ("metrics JSON: duplicate counter " ^ name)
+        | Some id, Json.Number raw ->
+          seen.(id) <- true;
+          counts.(id) <- int_of_string raw
+        | Some _, _ -> failwith "metrics JSON: non-numeric counter")
       members
   | Some _ | None -> failwith "metrics JSON: missing counters" );
+  List.iter
+    (fun id ->
+      if (not seen.(id)) && Counts.table.(id).Counts.presence = Counts.Always then
+        failwith ("metrics JSON: missing counter " ^ Counts.key id))
+    Counts.activity;
+  let bound name =
+    match Json.member name j with
+    | Some (Json.Number raw) -> Some (int_of_string raw)
+    | Some _ -> failwith ("metrics JSON: bad " ^ name)
+    | None -> None
+  in
   {
-    Metrics.name = str "name";
-    scheme_name = str "scheme";
-    committed = int "committed";
-    ticks = int "ticks";
-    copies = int "copies";
-    steered_narrow = int "steered_narrow";
-    split_uops = int "split_uops";
-    steered_888 = int "steered_888";
-    steered_br = int "steered_br";
-    steered_cr = int "steered_cr";
-    steered_ir = int "steered_ir";
-    steered_other = int "steered_other";
-    wide_default = int "wide_default";
-    wide_demoted = int "wide_demoted";
-    wpred_correct = int "wpred_correct";
-    wpred_fatal = int "wpred_fatal";
-    wpred_nonfatal = int "wpred_nonfatal";
-    prefetch_copies = int "prefetch_copies";
-    prefetch_useful = int "prefetch_useful";
-    nready_w2n = int "nready_w2n";
-    nready_n2w = int "nready_n2w";
-    issued_total = int "issued_total";
-    static_narrow_bound =
-      (match Json.member "static_narrow_bound" j with
-      | Some (Json.Number raw) -> Some (int_of_string raw)
-      | Some _ -> failwith "metrics JSON: bad static_narrow_bound"
-      | None -> None);
-    static_bidir_bound =
-      (match Json.member "static_bidir_bound" j with
-      | Some (Json.Number raw) -> Some (int_of_string raw)
-      | Some _ -> failwith "metrics JSON: bad static_bidir_bound"
-      | None -> None);
-    stall =
-      (match Json.member "stall" j with
-      | Some (Json.Object _ as o) -> Some (stall_of_json o)
-      | Some _ -> failwith "metrics JSON: bad stall"
-      | None -> None);
-    counters;
+    (Metrics.of_counts ~name:(str "name") ~scheme_name:(str "scheme")
+       ?stall:
+         (match Json.member "stall" j with
+         | Some (Json.Object _ as o) -> Some (stall_of_json o)
+         | Some _ -> failwith "metrics JSON: bad stall"
+         | None -> None)
+       counts)
+    with
+    Metrics.static_narrow_bound = bound "static_narrow_bound";
+    static_bidir_bound = bound "static_bidir_bound";
   }
 
 let decode_metrics data =

@@ -419,12 +419,11 @@ let related runs =
     [ "recoveries per 1k uops";
       f2 (stat ours (fun m ->
               1000.
-              *. float_of_int
-                   (Hc_stats.Counter.get m.Metrics.counters "width_flush")
+              *. float_of_int m.Metrics.counts.(Hc_obs.Counts.width_flush)
               /. float_of_int (max 1 m.Metrics.committed)));
       f2 (stat theirs (fun m ->
               1000.
-              *. float_of_int (Hc_stats.Counter.get m.Metrics.counters "replay")
+              *. float_of_int m.Metrics.counts.(Hc_obs.Counts.replay)
               /. float_of_int (max 1 m.Metrics.committed))) ];
   Table.add_row table
     [ "energy-delay2 vs baseline (%)"; f2 (ed2 8 ours); f2 (ed2 20 theirs) ];
@@ -663,7 +662,7 @@ let attrib runs =
    the predictors' steered share each tier of static proof can certify
    with zero recoveries. *)
 let headroom runs =
-  let flushes m = Hc_stats.Counter.get m.Metrics.counters "width_flush" in
+  let flushes m = m.Metrics.counts.(Hc_obs.Counts.width_flush) in
   let rows =
     List.map
       (fun p ->

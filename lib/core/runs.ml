@@ -132,8 +132,8 @@ let obs_nready samples =
       in
       List.iter
         (fun (s : Hc_obs.Sample.t) ->
-          Registry.observe w2n s.Hc_obs.Sample.d.Hc_obs.Sample.nready_w2n;
-          Registry.observe n2w s.Hc_obs.Sample.d.Hc_obs.Sample.nready_n2w)
+          Registry.observe w2n s.Hc_obs.Sample.d.(Hc_obs.Counts.nready_w2n);
+          Registry.observe n2w s.Hc_obs.Sample.d.(Hc_obs.Counts.nready_n2w))
         samples)
 
 let simulate ?telemetry ~(static : Hc_analysis.Static.bidir) ~scheme tr =

@@ -171,8 +171,8 @@ let to_buffer ?ring ?(stage_spans = []) buf ~events ~samples =
          tracks it explains *)
       counter em ~ts:s.Sample.t_end ~name:"nready"
         ~pairs:
-          [ ("w2n", string_of_int s.Sample.d.Sample.nready_w2n);
-            ("n2w", string_of_int s.Sample.d.Sample.nready_n2w) ])
+          [ ("w2n", string_of_int s.Sample.d.(Counts.nready_w2n));
+            ("n2w", string_of_int s.Sample.d.(Counts.nready_n2w)) ])
     samples;
   Buffer.add_string buf "\n  ]\n}\n"
 

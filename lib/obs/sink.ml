@@ -2,7 +2,7 @@ type t = {
   ring : Event.t Ring.t option;
   interval : int;
   mutable prev_tick : int;
-  mutable prev : Sample.totals;
+  mutable prev : int array;
   mutable samples_rev : Sample.t list;
   mutable sample_count : int;
 }
@@ -12,7 +12,7 @@ let create ?(ring_capacity = 65_536) ?(interval = 0) ~tracing () =
     ring = (if tracing then Some (Ring.create ~capacity:ring_capacity ~dummy:Event.dummy) else None);
     interval = max 0 interval;
     prev_tick = 0;
-    prev = Sample.zero_totals;
+    prev = Counts.make ();
     samples_rev = [];
     sample_count = 0;
   }
@@ -29,15 +29,15 @@ let events_dropped t = match t.ring with Some r -> Ring.dropped r | None -> 0
 
 let events_pushed t = match t.ring with Some r -> Ring.pushed r | None -> 0
 
-let sample t ~tick ~iq_wide ~iq_narrow ~rob totals =
+let sample t ~tick ~iq_wide ~iq_narrow ~rob counts =
   if tick > t.prev_tick then begin
-    let d = Sample.sub_totals totals t.prev in
+    let d = Counts.sub counts t.prev in
     t.samples_rev <-
       Sample.make ~t_start:t.prev_tick ~t_end:tick ~iq_wide ~iq_narrow ~rob d
       :: t.samples_rev;
     t.sample_count <- t.sample_count + 1;
     t.prev_tick <- tick;
-    t.prev <- totals
+    t.prev <- Array.copy counts
   end
 
 let samples t = List.rev t.samples_rev

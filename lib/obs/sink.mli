@@ -30,10 +30,12 @@ val events_dropped : t -> int
 
 val events_pushed : t -> int
 
-val sample : t -> tick:int -> iq_wide:int -> iq_narrow:int -> rob:int -> Sample.totals -> unit
-(** Close the open interval at [tick] with the cumulative [totals]; the
-    sink stores the delta against the previous snapshot. Ignored when
-    [tick] has not advanced past the previous snapshot. *)
+val sample : t -> tick:int -> iq_wide:int -> iq_narrow:int -> rob:int -> int array -> unit
+(** Close the open interval at [tick] with the cumulative count vector
+    (by {!Counts} id); the sink stores the delta against the previous
+    snapshot and keeps its own copy, so the caller may go on mutating
+    the vector. Ignored when [tick] has not advanced past the previous
+    snapshot. *)
 
 val samples : t -> Sample.t list
 (** Chronological interval series. *)

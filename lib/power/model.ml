@@ -1,5 +1,5 @@
 module Metrics = Hc_sim.Metrics
-module Counter = Hc_stats.Counter
+module Counts = Hc_obs.Counts
 
 (* Per-event energies in normalized units. Width scaling: the 8-bit
    backend's array structures (register file, ALU, AGU, scheduler CAM)
@@ -8,37 +8,37 @@ module Counter = Hc_stats.Counter
    memory) are shared and identical. *)
 let table =
   [
-    ("dispatch_wide", 1.0);
-    ("dispatch_narrow", 1.0);  (* rename/steer work is frontend-side *)
-    ("split_dispatched", 1.6);  (* cracking into four lanes costs decode *)
-    ("issue_wide", 1.6);
-    ("issue_narrow", 0.7);
-    ("regread_wide", 1.0);
-    ("regread_narrow", 0.25);
-    ("regwrite_wide", 1.2);
-    ("regwrite_narrow", 0.3);
-    ("alu_wide", 4.0);
-    ("alu_narrow", 1.0);
-    ("agu_wide", 2.0);
-    ("agu_narrow", 0.5);
-    ("mul_wide", 12.0);
-    ("fpu_wide", 16.0);
-    ("mem_dl0", 8.0);
-    ("mem_ul1", 30.0);
-    ("mem_main", 180.0);
-    ("copy_dispatched", 0.5);
-    ("copy_completed", 1.5);  (* inter-cluster wire hop *)
-    ("lr_replicated", 0.3);  (* the extra 8-bit register-file write *)
-    ("wpred_lookup", 0.12);
-    ("wpred_update", 0.12);
-    ("width_flush", 40.0);  (* squash, rollback and refetch churn *)
-    ("cycle_wide", 6.0);  (* wide-cluster clock tree, per slow cycle *)
-    ("cycle_narrow", 1.1);  (* 8-bit cluster clock tree, per fast tick *)
-    ("committed", 0.4);
+    (Counts.dispatch_wide, 1.0);
+    (Counts.dispatch_narrow, 1.0);  (* rename/steer work is frontend-side *)
+    (Counts.split_dispatched, 1.6);  (* cracking into four lanes costs decode *)
+    (Counts.issue_wide, 1.6);
+    (Counts.issue_narrow, 0.7);
+    (Counts.regread_wide, 1.0);
+    (Counts.regread_narrow, 0.25);
+    (Counts.regwrite_wide, 1.2);
+    (Counts.regwrite_narrow, 0.3);
+    (Counts.alu_wide, 4.0);
+    (Counts.alu_narrow, 1.0);
+    (Counts.agu_wide, 2.0);
+    (Counts.agu_narrow, 0.5);
+    (Counts.mul_wide, 12.0);
+    (Counts.fpu_wide, 16.0);
+    (Counts.mem_dl0, 8.0);
+    (Counts.mem_ul1, 30.0);
+    (Counts.mem_main, 180.0);
+    (Counts.copy_dispatched, 0.5);
+    (Counts.copy_completed, 1.5);  (* inter-cluster wire hop *)
+    (Counts.lr_replicated, 0.3);  (* the extra 8-bit register-file write *)
+    (Counts.wpred_lookup, 0.12);
+    (Counts.wpred_update, 0.12);
+    (Counts.width_flush, 40.0);  (* squash, rollback and refetch churn *)
+    (Counts.cycle_wide, 6.0);  (* wide-cluster clock tree, per slow cycle *)
+    (Counts.cycle_narrow, 1.1);  (* 8-bit cluster clock tree, per fast tick *)
+    (Counts.rob_committed, 0.4);
   ]
 
-let event_energy name =
-  match List.assoc_opt name table with Some e -> e | None -> 0.
+let event_energy id =
+  match List.assoc_opt id table with Some e -> e | None -> 0.
 
 type report = {
   total : float;
@@ -57,8 +57,8 @@ let estimate ?(narrow_bits = 8) (m : Metrics.t) =
   let width_scale = float_of_int narrow_bits /. 8. in
   let breakdown =
     List.filter_map
-      (fun (name, unit_energy) ->
-        let n = Counter.get m.Metrics.counters name in
+      (fun (id, unit_energy) ->
+        let name = Counts.key id and n = m.Metrics.counts.(id) in
         let unit_energy =
           if is_narrow_structure name then unit_energy *. width_scale
           else unit_energy

@@ -33,6 +33,6 @@ val ed2_improvement_pct :
 (** §3.7: how much more energy-delay² efficient a run is than the
     baseline, in percent (positive = better than baseline). *)
 
-val event_energy : string -> float
-(** The per-event energy assigned to a counter name (0. for counters the
+val event_energy : Hc_obs.Counts.id -> float
+(** The per-event energy assigned to a counter (0. for counters the
     model does not price). Exposed for tests and ablations. *)

@@ -8,9 +8,9 @@ type t =
 
 exception Bad of int
 
-(* Same grammar as scripts/check_json.ml, but every production returns
-   the value it scanned. Raw lexemes are sliced straight out of the
-   input so nothing is normalised away. *)
+(* A strict RFC 8259 grammar in which every production returns the
+   value it scanned. Raw lexemes are sliced straight out of the input so
+   nothing is normalised away. *)
 let parse (s : string) : (t, int) result =
   let n = String.length s in
   let pos = ref 0 in

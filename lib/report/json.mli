@@ -1,9 +1,8 @@
 (** Dependency-free RFC 8259 JSON reader for run artifacts.
 
-    This is the promotion of the smoke-test well-formedness checker
-    ([scripts/check_json.ml]) into a real parser: same strict grammar
-    (one value, nothing after it), but it now builds a tree instead of
-    discarding what it scans.
+    A strict parser (one value, nothing after it) that builds a tree;
+    [hc_report validate] is the smoke tests' well-formedness check on
+    top of it.
 
     Lexemes are kept raw: a {!Number} holds the exact source spelling
     ("1.150", "0", "-3e2") and a {!String} holds the bytes between the

@@ -1,3 +1,5 @@
+module Counts = Hc_obs.Counts
+
 type t = {
   name : string;
   scheme_name : string;
@@ -24,8 +26,39 @@ type t = {
   static_narrow_bound : int option;
   static_bidir_bound : int option;
   stall : Accounting.totals option;
-  counters : Hc_stats.Counter.t;
+  counts : int array;
 }
+
+let of_counts ~name ~scheme_name ?stall counts =
+  let c id = counts.(id) in
+  {
+    name;
+    scheme_name;
+    committed = c Counts.committed;
+    ticks = c Counts.tick;
+    copies = c Counts.copies;
+    steered_narrow = c Counts.steered_narrow;
+    split_uops = c Counts.split_uops;
+    steered_888 = c Counts.steered_888;
+    steered_br = c Counts.steered_br;
+    steered_cr = c Counts.steered_cr;
+    steered_ir = c Counts.steered_ir;
+    steered_other = c Counts.steered_other;
+    wide_default = c Counts.wide_default;
+    wide_demoted = c Counts.wide_demoted;
+    wpred_correct = c Counts.wpred_correct;
+    wpred_fatal = c Counts.wpred_fatal;
+    wpred_nonfatal = c Counts.wpred_nonfatal;
+    prefetch_copies = c Counts.prefetch_copies;
+    prefetch_useful = c Counts.prefetch_useful;
+    nready_w2n = c Counts.nready_w2n;
+    nready_n2w = c Counts.nready_n2w;
+    issued_total = c Counts.issue_wide + c Counts.issue_narrow;
+    static_narrow_bound = None;
+    static_bidir_bound = None;
+    stall;
+    counts;
+  }
 
 let cycles t = float_of_int t.ticks /. 2.
 
@@ -73,10 +106,7 @@ let wide_demoted_pct t = pct_of_committed t t.wide_demoted
 let attrib_narrow_sum t =
   t.steered_888 + t.steered_br + t.steered_cr + t.steered_ir + t.steered_other
 
-let attrib_consistent t =
-  attrib_narrow_sum t = t.steered_narrow
-  && t.steered_ir = t.split_uops
-  && t.wide_default + t.wide_demoted = t.committed - t.steered_narrow
+let attrib_consistent t = Counts.attrib_consistent t.counts
 
 let stall_consistent t =
   match t.stall with None -> true | Some s -> Accounting.consistent s
@@ -106,23 +136,10 @@ let to_json t =
   p "\"ticks\":%d," t.ticks;
   p "\"cycles\":%.1f," (cycles t);
   p "\"ipc\":%.4f," (ipc t);
-  p "\"copies\":%d," t.copies;
-  p "\"steered_narrow\":%d," t.steered_narrow;
-  p "\"split_uops\":%d," t.split_uops;
-  p "\"steered_888\":%d," t.steered_888;
-  p "\"steered_br\":%d," t.steered_br;
-  p "\"steered_cr\":%d," t.steered_cr;
-  p "\"steered_ir\":%d," t.steered_ir;
-  p "\"steered_other\":%d," t.steered_other;
-  p "\"wide_default\":%d," t.wide_default;
-  p "\"wide_demoted\":%d," t.wide_demoted;
-  p "\"wpred_correct\":%d," t.wpred_correct;
-  p "\"wpred_fatal\":%d," t.wpred_fatal;
-  p "\"wpred_nonfatal\":%d," t.wpred_nonfatal;
-  p "\"prefetch_copies\":%d," t.prefetch_copies;
-  p "\"prefetch_useful\":%d," t.prefetch_useful;
-  p "\"nready_w2n\":%d," t.nready_w2n;
-  p "\"nready_n2w\":%d," t.nready_n2w;
+  List.iter
+    (fun id ->
+      if id <> Counts.committed then p "\"%s\":%d," (Counts.key id) t.counts.(id))
+    Counts.results;
   p "\"issued_total\":%d," t.issued_total;
   ( match t.static_narrow_bound with
   | Some b -> p "\"static_narrow_bound\":%d," b
@@ -134,14 +151,11 @@ let to_json t =
   | Some s -> p "\"stall\":%s," (Accounting.json_fragment s)
   | None -> () );
   p "\"counters\":{";
-  let names = Hc_stats.Counter.names t.counters in
+  let present = List.filter (Counts.present t.counts) Counts.activity in
   List.iteri
-    (fun i name ->
-      p "%s\"%s\":%d"
-        (if i = 0 then "" else ",")
-        (json_escape name)
-        (Hc_stats.Counter.get t.counters name))
-    names;
+    (fun i id ->
+      p "%s\"%s\":%d" (if i = 0 then "" else ",") (Counts.key id) t.counts.(id))
+    present;
   p "}}";
   Buffer.contents b
 

@@ -9,35 +9,26 @@
 type t = {
   name : string;  (** trace name *)
   scheme_name : string;
-  committed : int;  (** trace uops committed *)
-  ticks : int;  (** fast ticks elapsed (2 per wide cycle) *)
-  copies : int;  (** inter-cluster copy uops generated (demand + prefetch) *)
-  steered_narrow : int;  (** committed uops executed in the helper cluster *)
-  split_uops : int;  (** committed uops that were IR-split *)
+  committed : int;
+  ticks : int;  (** the [tick] counter: fast ticks, 2 per wide cycle *)
+  copies : int;
+  steered_narrow : int;
+  split_uops : int;
   steered_888 : int;
-      (** attribution: committed helper-cluster uops earned by the
-          all-narrow 8_8_8 rule (§3.2) *)
-  steered_br : int;  (** attribution: flag-dependent branches (BR, §3.3) *)
-  steered_cr : int;  (** attribution: carry-local one-wide-source uops (CR, §3.5) *)
+  steered_br : int;
+  steered_cr : int;
   steered_ir : int;
-      (** attribution: IR-split uops (§3.7); always equals [split_uops] *)
   steered_other : int;
-      (** attribution: helper-cluster uops steered narrow without a
-          recorded policy reason (only custom [decide] functions) *)
   wide_default : int;
-      (** committed wide-cluster uops that were steered wide at rename *)
   wide_demoted : int;
-      (** committed wide-cluster uops originally steered narrow and moved
-          wide by width-violation recovery (flush or replay) — the commit
-          cost of fatal width mispredictions *)
-  wpred_correct : int;  (** width predictions matching the actual width *)
-  wpred_fatal : int;  (** mispredictions that forced a squash-and-resteer *)
-  wpred_nonfatal : int;  (** missed opportunities: mispredicted but safe *)
-  prefetch_copies : int;  (** CP-injected copies *)
-  prefetch_useful : int;  (** CP copies that a consumer actually used *)
-  nready_w2n : int;  (** NREADY samples: ready in wide, idle slots in narrow *)
+  wpred_correct : int;
+  wpred_fatal : int;
+  wpred_nonfatal : int;
+  prefetch_copies : int;
+  prefetch_useful : int;
+  nready_w2n : int;
   nready_n2w : int;
-  issued_total : int;  (** issue slots actually used, both clusters *)
+  issued_total : int;  (** [issue_wide + issue_narrow]: used issue slots *)
   static_narrow_bound : int option;
       (** provably-narrow oracle steering bound of the trace this run
           simulated ([Hc_analysis.Static.steerable_count]): the
@@ -54,8 +45,18 @@ type t = {
       (** top-down cycle-accounting totals, present only when the run was
           simulated with [Pipeline.run ~accounting]; the partition
           invariant ({!Accounting.consistent}) holds exactly. *)
-  counters : Hc_stats.Counter.t;  (** raw activity counters for the power model *)
+  counts : int array;
+      (** every dynamic count of the run, indexed by {!Hc_obs.Counts} id;
+          the named int fields above are read-only views of it *)
 }
+(** The named count fields are documented on their {!Hc_obs.Counts}
+    entries and are set only by {!of_counts}; build a [t] through it so
+    they always agree with [counts]. *)
+
+val of_counts :
+  name:string -> scheme_name:string -> ?stall:Accounting.totals -> int array -> t
+(** The run record of a final count vector, with no static bounds
+    attached. *)
 
 val cycles : t -> float
 (** Elapsed wide-cluster (slow) cycles: [ticks / 2]. *)
@@ -110,7 +111,8 @@ val stall_consistent : t -> bool
 
 val to_json : t -> string
 (** The whole record as one JSON object — every dynamic count, the
-    derived IPC/cycles, and the raw activity counters keyed by name.
+    derived IPC/cycles, and the activity counters keyed by name, all
+    walked off the {!Hc_obs.Counts} table.
     Shared by the CSV/JSON export layer and the telemetry writers so a
     run's numbers serialize identically everywhere. Carries
     ["schema"]:5 (schema 2 added the steering-attribution columns;

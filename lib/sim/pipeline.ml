@@ -13,20 +13,27 @@ module Uop_soa = Hc_isa.Uop_soa
 module Value = Hc_isa.Value
 module Width = Hc_isa.Width
 module Trace = Hc_trace.Trace
-module Counter = Hc_stats.Counter
 module Bundle = Hc_predictors.Bundle
 module Width_predictor = Hc_predictors.Width_predictor
 module Carry_predictor = Hc_predictors.Carry_predictor
 module Copy_predictor = Hc_predictors.Copy_predictor
 module Sink = Hc_obs.Sink
 module Event = Hc_obs.Event
-module Sample = Hc_obs.Sample
+module Counts = Hc_obs.Counts
 
 type decide = Steer.decide
 
 let never = max_int
 
 let cluster_index = function Config.Wide -> 0 | Config.Narrow -> 1
+
+(* per-cluster-index counter ids *)
+let c_issue = [| Counts.issue_wide; Counts.issue_narrow |]
+let c_regread = [| Counts.regread_wide; Counts.regread_narrow |]
+let c_regwrite = [| Counts.regwrite_wide; Counts.regwrite_narrow |]
+let c_dispatch = [| Counts.dispatch_wide; Counts.dispatch_narrow |]
+let c_alu = [| Counts.alu_wide; Counts.alu_narrow |]
+let c_agu = [| Counts.agu_wide; Counts.agu_narrow |]
 
 (* ----- renamed values -----
 
@@ -406,7 +413,7 @@ type state = {
   trace_len : int;
   decide : decide;
   preds : Bundle.t;
-  counters : Counter.t;
+  counts : int array;  (* every dynamic count, by Counts id *)
   sink : Sink.t option;
       (* telemetry; [None] keeps every instrumentation point a single
          field test and the hot path allocation-free *)
@@ -437,35 +444,6 @@ type state = {
   gshare : Branch_predictor.t;
   tcache : Trace_cache.t;
   regfile : Regfile.t;
-  (* cached cells of the per-tick counters, so the hot loop skips the
-     string-keyed hashtable *)
-  c_tick : int ref;
-  c_cycle_wide : int ref;
-  c_cycle_narrow : int ref;
-  c_issue : int ref array;  (* per cluster-index *)
-  c_regread : int ref array;
-  c_committed : int ref;
-  (* lazy cells for the event-driven counters: the key appears in the
-     metrics JSON on the first increment, exactly like the string-keyed
-     Counter.incr calls they replace, so counter sets stay identical *)
-  c_copy_dispatched : Counter.lcell;
-  c_split_dispatched : Counter.lcell;
-  c_dispatch : Counter.lcell array;  (* per cluster-index *)
-  c_wpred_lookup : Counter.lcell;
-  c_wpred_update : Counter.lcell;
-  c_tc_miss : Counter.lcell;
-  c_copy_completed : Counter.lcell;
-  c_regwrite : Counter.lcell array;
-  c_alu : Counter.lcell array;
-  c_mul_wide : Counter.lcell;
-  c_agu : Counter.lcell array;
-  c_fpu_wide : Counter.lcell;
-  c_mem_dl0 : Counter.lcell;
-  c_mem_ul1 : Counter.lcell;
-  c_mem_main : Counter.lcell;
-  c_lr_replicated : Counter.lcell;
-  c_width_flush : Counter.lcell;
-  c_replay : Counter.lcell;
   mutable next_node_id : int;
   mutable now : int;
   (* per-round scratch results: stage walks report through these fields
@@ -476,28 +454,13 @@ type state = {
   mutable dis_demand_n : int;
   mutable rsteer_n : int;  (* live prefix of sc.resteer *)
   mutable split_prev : vstate;  (* previous lane while cracking a split *)
-  (* results *)
-  mutable committed : int;
-  mutable copies : int;
-  mutable steered_narrow : int;
-  mutable split_uops : int;
-  (* steering attribution: who earned each committed uop (see Metrics) *)
-  mutable steered_888 : int;
-  mutable steered_br : int;
-  mutable steered_cr : int;
-  mutable steered_ir : int;
-  mutable steered_other : int;
-  mutable wide_default : int;
-  mutable wide_demoted : int;
-  mutable wpred_correct : int;
-  mutable wpred_fatal : int;
-  mutable wpred_nonfatal : int;
-  mutable prefetch_copies : int;
-  mutable prefetch_useful : int;
-  mutable nready_w2n : int;
-  mutable nready_n2w : int;
-  mutable issued_total : int;
 }
+
+let bump_by st id n =
+  let c = st.counts in
+  c.(id) <- c.(id) + n
+
+let bump st id = bump_by st id 1
 
 let fresh_node_id st =
   let id = st.next_node_id in
@@ -627,32 +590,9 @@ let emit st kind (node : node) ~a ~b =
           cluster = cluster_index node.n_cluster;
           name = node_event_name node; a; b }
 
-let current_totals st =
-  {
-    Sample.committed = st.committed;
-    steered_narrow = st.steered_narrow;
-    copies = st.copies;
-    split_uops = st.split_uops;
-    steered_888 = st.steered_888;
-    steered_br = st.steered_br;
-    steered_cr = st.steered_cr;
-    steered_ir = st.steered_ir;
-    steered_other = st.steered_other;
-    wide_default = st.wide_default;
-    wide_demoted = st.wide_demoted;
-    wpred_correct = st.wpred_correct;
-    wpred_fatal = st.wpred_fatal;
-    wpred_nonfatal = st.wpred_nonfatal;
-    prefetch_copies = st.prefetch_copies;
-    prefetch_useful = st.prefetch_useful;
-    nready_w2n = st.nready_w2n;
-    nready_n2w = st.nready_n2w;
-    issued_total = st.issued_total;
-  }
-
 let take_sample st sink =
   Sink.sample sink ~tick:st.now ~iq_wide:st.iq.(0).iq_len
-    ~iq_narrow:st.iq.(1).iq_len ~rob:st.rob_count (current_totals st)
+    ~iq_narrow:st.iq.(1).iq_len ~rob:st.rob_count st.counts
 
 (* ----- latency model ----- *)
 
@@ -740,7 +680,6 @@ let create ?sink ?accounting cfg decide trace =
   ( match Config.validate cfg with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Pipeline: " ^ msg) );
-  let counters = Counter.create () in
   let sc = Domain.DLS.get scratch_key in
   reset_scratch sc ~rob_size:cfg.Config.rob_size;
   let uarr = Trace.uops trace in
@@ -757,7 +696,7 @@ let create ?sink ?accounting cfg decide trace =
       stall_src = Sr_none;
       wflush_until = 0;
       preds = Bundle.create ~entries:cfg.Config.wpred_entries ~conf_bits:cfg.Config.conf_bits ();
-      counters;
+      counts = Counts.make ();
       fetch_idx = 0; fetch_resume = 0;
       (* sized for the worst realistic forced-wide set of a 30k-uop window
          so population never rehashes; lookups are also length-guarded in
@@ -780,51 +719,12 @@ let create ?sink ?accounting cfg decide trace =
       regfile =
         Regfile.create ~wide_regs:cfg.Config.wide_regs
           ~narrow_regs:cfg.Config.narrow_regs ();
-      c_tick = Counter.cell counters "tick";
-      c_cycle_wide = Counter.cell counters "cycle_wide";
-      c_cycle_narrow = Counter.cell counters "cycle_narrow";
-      c_issue =
-        [| Counter.cell counters "issue_wide"; Counter.cell counters "issue_narrow" |];
-      c_regread =
-        [| Counter.cell counters "regread_wide";
-           Counter.cell counters "regread_narrow" |];
-      c_committed = Counter.cell counters "committed";
-      c_copy_dispatched = Counter.lcell counters "copy_dispatched";
-      c_split_dispatched = Counter.lcell counters "split_dispatched";
-      c_dispatch =
-        [| Counter.lcell counters "dispatch_wide";
-           Counter.lcell counters "dispatch_narrow" |];
-      c_wpred_lookup = Counter.lcell counters "wpred_lookup";
-      c_wpred_update = Counter.lcell counters "wpred_update";
-      c_tc_miss = Counter.lcell counters "tc_miss";
-      c_copy_completed = Counter.lcell counters "copy_completed";
-      c_regwrite =
-        [| Counter.lcell counters "regwrite_wide";
-           Counter.lcell counters "regwrite_narrow" |];
-      c_alu =
-        [| Counter.lcell counters "alu_wide"; Counter.lcell counters "alu_narrow" |];
-      c_mul_wide = Counter.lcell counters "mul_wide";
-      c_agu =
-        [| Counter.lcell counters "agu_wide"; Counter.lcell counters "agu_narrow" |];
-      c_fpu_wide = Counter.lcell counters "fpu_wide";
-      c_mem_dl0 = Counter.lcell counters "mem_dl0";
-      c_mem_ul1 = Counter.lcell counters "mem_ul1";
-      c_mem_main = Counter.lcell counters "mem_main";
-      c_lr_replicated = Counter.lcell counters "lr_replicated";
-      c_width_flush = Counter.lcell counters "width_flush";
-      c_replay = Counter.lcell counters "replay";
       next_node_id = 0;
       now = 0;
       iss_issued = 0; iss_ready = 0;
       dis_demand_w = 0; dis_demand_n = 0;
       rsteer_n = 0;
       split_prev = null_vstate;
-      committed = 0; copies = 0; steered_narrow = 0; split_uops = 0;
-      steered_888 = 0; steered_br = 0; steered_cr = 0; steered_ir = 0;
-      steered_other = 0; wide_default = 0; wide_demoted = 0;
-      wpred_correct = 0; wpred_fatal = 0; wpred_nonfatal = 0;
-      prefetch_copies = 0; prefetch_useful = 0;
-      nready_w2n = 0; nready_n2w = 0; issued_total = 0;
     }
   in
   (* the steering context is one record of closures over [st], built once
@@ -920,11 +820,11 @@ let make_copy st ~(cv : vstate) ~target ~prefetch ~publishes =
   set_v_copy_inflight cv ti true;
   if prefetch then begin
     set_v_prefetched cv ti true;
-    st.prefetch_copies <- st.prefetch_copies + 1
+    bump st Counts.prefetch_copies
   end
   else cv.v_demand_copied <- true;
-  st.copies <- st.copies + 1;
-  Counter.lincr st.c_copy_dispatched;
+  bump st Counts.copies;
+  bump st Counts.copy_dispatched;
   enqueue_iq st source_cluster node
 
 (* Train the CP predictor with the dying value's copy history on a
@@ -948,7 +848,7 @@ let credit_prefetch_deps st cluster =
     if v_prefetched v i && (not (v_prefetch_used v i)) && v.v_cluster <> cluster
     then begin
       set_v_prefetch_used v i true;
-      st.prefetch_useful <- st.prefetch_useful + 1
+      bump st Counts.prefetch_useful
     end
   done
 
@@ -1049,7 +949,7 @@ let dispatch_split st (u : Uop.t) ~trace_idx ~pred_narrow =
           ~publishes:(k = slices - 1)
       done
   end;
-  Counter.lincr st.c_split_dispatched
+  bump st Counts.split_dispatched
 
 let dispatch_steered st (u : Uop.t) ~trace_idx ~pred_narrow ~pred_confident
     ~cluster ~reason =
@@ -1154,7 +1054,7 @@ let dispatch_steered st (u : Uop.t) ~trace_idx ~pred_narrow ~pred_confident
       && iq_free st Config.Wide > 0
     then make_copy st ~cv:dest ~target:Config.Narrow ~prefetch:true ~publishes:true
   end;
-  Counter.lincr st.c_dispatch.(ci)
+  bump st c_dispatch.(ci)
 
 let dispatch_uop st ~forced_wide (u : Uop.t) ~trace_idx =
   let scheme = st.cfg.Config.scheme in
@@ -1162,7 +1062,7 @@ let dispatch_uop st ~forced_wide (u : Uop.t) ~trace_idx =
   let pred_confident =
     Width_predictor.predict_confident st.preds.Bundle.width u.Uop.pc
   in
-  Counter.lincr st.c_wpred_lookup;
+  bump st Counts.wpred_lookup;
   let decision =
     if forced_wide || not scheme.Config.helper then Steer.steer_wide
     else st.decide (get_ctx st) u
@@ -1188,7 +1088,7 @@ let rec frontend_loop st budget =
       if not (Trace_cache.lookup st.tcache u.Uop.pc) then begin
         (* build the trace line from the UL1 instruction stream *)
         st.fetch_resume <- st.now + (2 * st.cfg.Config.ul1_latency);
-        Counter.lincr st.c_tc_miss;
+        bump st Counts.tc_miss;
         raise Fetch_miss
       end );
     let forced_wide =
@@ -1233,7 +1133,7 @@ let deps_ready st cluster (node : node) =
 let dead_copy (node : node) =
   node.n_kind = k_copy && node.n_cv.v_epoch <> node.n_copy_epoch
 
-let rec issue_walk st cluster q width c_regread c_issue s (node : node) issued
+let rec issue_walk st cluster q width regread_id issue_id s (node : node) issued
     ready =
   if node == s then begin
     st.iss_issued <- issued;
@@ -1243,24 +1143,23 @@ let rec issue_walk st cluster q width c_regread c_issue s (node : node) issued
     let next = node.n_next in
     if node.n_squashed || dead_copy node then begin
       iq_unlink q node;
-      issue_walk st cluster q width c_regread c_issue s next issued ready
+      issue_walk st cluster q width regread_id issue_id s next issued ready
     end
     else if deps_ready st cluster node then begin
       if issued < width then begin
         node.n_issued <- true;
         node.n_issue_tick <- st.now;
         emit st Event.Issue node ~a:node.n_disp_tick ~b:0;
-        st.issued_total <- st.issued_total + 1;
-        c_regread := !c_regread + node.n_ndeps;
-        incr c_issue;
+        bump_by st regread_id node.n_ndeps;
+        bump st issue_id;
         iq_unlink q node;
         schedule st node (st.now + exec_ticks st cluster node);
-        issue_walk st cluster q width c_regread c_issue s next (issued + 1) ready
+        issue_walk st cluster q width regread_id issue_id s next (issued + 1) ready
       end
       else
-        issue_walk st cluster q width c_regread c_issue s next issued (ready + 1)
+        issue_walk st cluster q width regread_id issue_id s next issued (ready + 1)
     end
-    else issue_walk st cluster q width c_regread c_issue s next issued ready
+    else issue_walk st cluster q width regread_id issue_id s next issued ready
   end
 
 (* One issue round; results land in [iss_issued] (slots that did work)
@@ -1268,8 +1167,8 @@ let rec issue_walk st cluster q width c_regread c_issue s (node : node) issued
 let issue_cluster st cluster =
   let i = cluster_index cluster in
   let q = st.iq.(i) in
-  issue_walk st cluster q st.cfg.Config.issue_width st.c_regread.(i)
-    st.c_issue.(i) q.iq_sent q.iq_sent.n_next 0 0;
+  issue_walk st cluster q st.cfg.Config.issue_width c_regread.(i)
+    c_issue.(i) q.iq_sent q.iq_sent.n_next 0 0;
   st.backlog.(i) <- st.iss_ready;
   st.backlog_ewma.(i) <-
     (0.9 *. st.backlog_ewma.(i)) +. (0.1 *. float_of_int st.iss_ready)
@@ -1532,7 +1431,7 @@ let flush_from st (offender : node) =
   st.fetch_resume <- max st.fetch_resume (st.now + (2 * cfg.Config.width_flush_penalty));
   st.wflush_until <- max st.wflush_until (st.now + (2 * cfg.Config.width_flush_penalty));
   emit st Event.Flush offender ~a:n_rest ~b:0;
-  Counter.lincr st.c_width_flush
+  bump st Counts.width_flush
 
 (* ICS'05-style replay: only the offending uop re-executes, in the wide
    cluster; consumers simply wait for the value to be re-produced. Much
@@ -1574,7 +1473,7 @@ let replay st (node : node) =
      wired copy-free (the value used to live beside them) - send it back *)
   if dest != null_vstate && not st.cfg.Config.replicated_regfile then
     make_copy st ~cv:dest ~target:Config.Narrow ~prefetch:false ~publishes:true;
-  Counter.lincr st.c_replay
+  bump st Counts.replay
 
 (* Did this narrow-steered uop actually need the wide datapath? The
    ground-truth width checks read the SoA shape columns directly. *)
@@ -1604,7 +1503,7 @@ let train_predictors st (u : Uop.t) idx =
   if Uop.has_dest u || Uop.writes_flags u then begin
     Width_predictor.update st.preds.Bundle.width u.Uop.pc
       ~narrow:(Width.is_narrow_bits ~bits u.Uop.result);
-    Counter.lincr st.c_wpred_update
+    bump st Counts.wpred_update
   end;
   if
     st.cfg.Config.scheme.Config.cr
@@ -1620,9 +1519,9 @@ let classify_prediction st (node : node) (u : Uop.t) ~fatal =
     let predicted =
       if node.n_dest != null_vstate then node.n_dest.v_pred_narrow else narrow
     in
-    if fatal then st.wpred_fatal <- st.wpred_fatal + 1
-    else if predicted = narrow then st.wpred_correct <- st.wpred_correct + 1
-    else st.wpred_nonfatal <- st.wpred_nonfatal + 1
+    if fatal then bump st Counts.wpred_fatal
+    else if predicted = narrow then bump st Counts.wpred_correct
+    else bump st Counts.wpred_nonfatal
   end
 
 let complete_copy st (node : node) =
@@ -1630,8 +1529,8 @@ let complete_copy st (node : node) =
   if cv.v_epoch = node.n_copy_epoch then begin
     let i = node.n_copy_target in
     if node.n_copy_publishes then set_v_avail cv i (min (v_avail cv i) st.now);
-    Counter.lincr st.c_copy_completed;
-    Counter.lincr st.c_regwrite.(i)
+    bump st Counts.copy_completed;
+    bump st c_regwrite.(i)
   end
 
 let complete_slice st (node : node) =
@@ -1641,24 +1540,24 @@ let complete_slice st (node : node) =
     v.v_avail1 <- st.now;
     if node.n_slice_final && st.cfg.Config.replicated_regfile then begin
       v.v_avail0 <- min v.v_avail0 (st.now + 2);
-      Counter.lincr st.c_regwrite.(0)
+      bump st c_regwrite.(0)
     end
   end;
   if node.n_slice_final then begin
     classify_prediction st node node.n_uop ~fatal:false;
     train_predictors st node.n_uop node.n_trace_idx
   end;
-  Counter.lincr st.c_alu.(1);
-  Counter.lincr st.c_regwrite.(1)
+  bump st c_alu.(1);
+  bump st c_regwrite.(1)
 
 let complete_normal st (node : node) =
   let u = node.n_uop in
   if node.n_is_mem then begin
     st.mob_count <- st.mob_count - 1;
-    Counter.lincr
+    bump st
       ( if u.Uop.dl0_miss then
-          if u.Uop.ul1_miss then st.c_mem_main else st.c_mem_ul1
-        else st.c_mem_dl0 )
+          if u.Uop.ul1_miss then Counts.mem_main else Counts.mem_ul1
+        else Counts.mem_dl0 )
   end;
   let fatal = node.n_cluster = Config.Narrow && narrow_execution_wrong st node in
   classify_prediction st node u ~fatal;
@@ -1680,7 +1579,7 @@ let complete_normal st (node : node) =
       if st.cfg.Config.replicated_regfile then begin
         let oth = 1 - own in
         set_v_avail v oth (min (v_avail v oth) (st.now + 2));
-        Counter.lincr st.c_regwrite.(oth)
+        bump st c_regwrite.(oth)
       end;
       (* LR (§3.4): the shared MOB fills both register files. The replica of
          an actually-wide value carries a truncated pattern; a narrow
@@ -1689,16 +1588,16 @@ let complete_normal st (node : node) =
       if node.n_lr_replicate then begin
         let oth = 1 - own in
         set_v_avail v oth (st.now + 2);
-        if v.v_narrow then Counter.lincr st.c_lr_replicated;
-        Counter.lincr st.c_regwrite.(oth)
+        if v.v_narrow then bump st Counts.lr_replicated;
+        bump st c_regwrite.(oth)
       end
     end;
-    Counter.lincr st.c_regwrite.(own);
+    bump st c_regwrite.(own);
     ( match Opcode.exec_class u.Uop.op with
-    | Opcode.Int_alu | Opcode.Ctrl -> Counter.lincr st.c_alu.(own)
-    | Opcode.Int_mul -> Counter.lincr st.c_mul_wide
-    | Opcode.Mem -> Counter.lincr st.c_agu.(own)
-    | Opcode.Fp -> Counter.lincr st.c_fpu_wide );
+    | Opcode.Int_alu | Opcode.Ctrl -> bump st c_alu.(own)
+    | Opcode.Int_mul -> bump st Counts.mul_wide
+    | Opcode.Mem -> bump st c_agu.(own)
+    | Opcode.Fp -> bump st Counts.fpu_wide );
     if node.n_br_mispredicted then
       st.fetch_resume <-
         max st.fetch_resume (st.now + (2 * st.cfg.Config.branch_penalty))
@@ -1796,36 +1695,36 @@ let rec commit_loop st budget =
           Regfile.release st.regfile
             (if head.n_alloc = 0 then Config.Wide else Config.Narrow) );
       ( if head.n_kind = k_normal then begin
-          st.committed <- st.committed + 1;
+          bump st Counts.committed;
           if head.n_cluster = Config.Narrow then begin
-            st.steered_narrow <- st.steered_narrow + 1;
+            bump st Counts.steered_narrow;
             let r = head.n_reason in
             (* r_live is the static oracle's dead-width variant of the 888
                rule; it shares the 888 attribution bucket so the sample
                schema stays fixed across schemes *)
-            if r = r_888 || r = r_live then st.steered_888 <- st.steered_888 + 1
-            else if r = r_br then st.steered_br <- st.steered_br + 1
-            else if r = r_cr then st.steered_cr <- st.steered_cr + 1
-            else if r = r_ir then st.steered_ir <- st.steered_ir + 1
-            else st.steered_other <- st.steered_other + 1
+            if r = r_888 || r = r_live then bump st Counts.steered_888
+            else if r = r_br then bump st Counts.steered_br
+            else if r = r_cr then bump st Counts.steered_cr
+            else if r = r_ir then bump st Counts.steered_ir
+            else bump st Counts.steered_other
           end
           else if
             (* a retained reason on a wide-cluster uop means recovery
                demoted it there after a narrow steering decision *)
             head.n_reason <> r_none
-          then st.wide_demoted <- st.wide_demoted + 1
-          else st.wide_default <- st.wide_default + 1
+          then bump st Counts.wide_demoted
+          else bump st Counts.wide_default
         end
         else if head.n_kind = k_slice then begin
           if head.n_slice_final then begin
-            st.committed <- st.committed + 1;
-            st.steered_narrow <- st.steered_narrow + 1;
-            st.split_uops <- st.split_uops + 1;
-            st.steered_ir <- st.steered_ir + 1
+            bump st Counts.committed;
+            bump st Counts.steered_narrow;
+            bump st Counts.split_uops;
+            bump st Counts.steered_ir
           end
         end
         else assert false (* copies never enter the ROB *) );
-      incr st.c_committed;
+      bump st Counts.rob_committed;
       emit st Event.Commit head ~a:0 ~b:0;
       commit_loop st (budget - 1)
     end
@@ -1879,10 +1778,10 @@ let run ?(max_ticks = 200_000_000) ?sink ?accounting ~cfg ~decide ~scheme_name
         let spare_w = cfg.Config.issue_width - issued_w in
         if spare_n > 0 && leftover_w > 0 then begin
           let capable = count_ready_narrow_capable st in
-          st.nready_w2n <- st.nready_w2n + min capable spare_n
+          bump_by st Counts.nready_w2n (min capable spare_n)
         end;
         if spare_w > 0 && leftover_n > 0 then
-          st.nready_n2w <- st.nready_n2w + min leftover_n spare_w
+          bump_by st Counts.nready_n2w (min leftover_n spare_w)
       end
     end
     else if helper && cfg.Config.helper_fast_clock then begin
@@ -1891,10 +1790,10 @@ let run ?(max_ticks = 200_000_000) ?sink ?accounting ~cfg ~decide ~scheme_name
       | Some a -> account_issue_round st a Config.Narrow ~issued:st.iss_issued
       | None -> ()
     end;
-    incr st.c_tick;
-    if even then incr st.c_cycle_wide;
+    bump st Counts.tick;
+    if even then bump st Counts.cycle_wide;
     if helper && (even || cfg.Config.helper_fast_clock) then
-      incr st.c_cycle_narrow;
+      bump st Counts.cycle_narrow;
     if sample_every > 0 && st.now > 0 && st.now mod sample_every = 0 then begin
       ( match st.sink with
       | Some sink -> take_sample st sink
@@ -1917,34 +1816,6 @@ let run ?(max_ticks = 200_000_000) ?sink ?accounting ~cfg ~decide ~scheme_name
   ( match st.acct with
   | Some a -> Accounting.snapshot a ~tick:st.now
   | None -> () );
-  {
-    Metrics.name = trace.Trace.name;
-    scheme_name;
-    committed = st.committed;
-    ticks = st.now;
-    copies = st.copies;
-    steered_narrow = st.steered_narrow;
-    split_uops = st.split_uops;
-    steered_888 = st.steered_888;
-    steered_br = st.steered_br;
-    steered_cr = st.steered_cr;
-    steered_ir = st.steered_ir;
-    steered_other = st.steered_other;
-    wide_default = st.wide_default;
-    wide_demoted = st.wide_demoted;
-    wpred_correct = st.wpred_correct;
-    wpred_fatal = st.wpred_fatal;
-    wpred_nonfatal = st.wpred_nonfatal;
-    prefetch_copies = st.prefetch_copies;
-    prefetch_useful = st.prefetch_useful;
-    nready_w2n = st.nready_w2n;
-    nready_n2w = st.nready_n2w;
-    issued_total = st.issued_total;
-    static_narrow_bound = None;
-    static_bidir_bound = None;
-    stall =
-      ( match st.acct with
-      | Some a -> Some (Accounting.totals a)
-      | None -> None );
-    counters = st.counters;
-  }
+  Metrics.of_counts ~name:trace.Trace.name ~scheme_name
+    ?stall:(Option.map Accounting.totals st.acct)
+    st.counts

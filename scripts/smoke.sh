@@ -27,7 +27,7 @@ echo "allocation gate OK"
 
 echo "== telemetry: trace + interval series =="
 # A small traced run: Chrome trace JSON + interval CSV, then validate
-# every JSON artifact with the dependency-free checker. The CLI itself
+# every JSON artifact with hc_report's strict reader. The CLI itself
 # asserts aggregate(intervals) == final metrics (prints "==" vs "BUG").
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
@@ -35,8 +35,15 @@ dune exec bin/hc_sim.exe -- --benchmark gcc --scheme +IR --length 5000 \
   --trace-out "$SMOKE_DIR/smoke_trace.json" --metrics-interval 500 \
   | tee "$SMOKE_DIR/smoke_out.txt"
 grep -q 'aggregate == final metrics' "$SMOKE_DIR/smoke_out.txt"
-ocaml scripts/check_json.ml "$SMOKE_DIR/smoke_trace.json" BENCH_smoke.json
+dune exec bin/hc_report.exe -- validate "$SMOKE_DIR/smoke_trace.json" BENCH_smoke.json
 test -s "$SMOKE_DIR/smoke_trace.intervals.csv"
+# ...and prove the JSON check can fail: a Chrome trace cut mid-array
+head -c 2000 "$SMOKE_DIR/smoke_trace.json" > "$SMOKE_DIR/smoke_trace_cut.json"
+if dune exec bin/hc_report.exe -- validate "$SMOKE_DIR/smoke_trace_cut.json" \
+    > /dev/null 2>&1; then
+  echo "FAIL: validate --json accepted a truncated Chrome trace"
+  exit 1
+fi
 echo "telemetry OK"
 
 echo "== hc_report regression gate =="
@@ -164,7 +171,7 @@ dune exec bin/hc_cache.exe -- stats --cache-dir "$CACHE_DIR"
 # machine-readable stats must be one well-formed JSON object
 dune exec bin/hc_cache.exe -- stats --cache-dir "$CACHE_DIR" --json \
   > "$SMOKE_DIR/cache_stats.json"
-ocaml scripts/check_json.ml "$SMOKE_DIR/cache_stats.json"
+dune exec bin/hc_report.exe -- validate "$SMOKE_DIR/cache_stats.json"
 echo "cache gate OK"
 
 echo "== warm bottleneck gate =="
@@ -223,15 +230,15 @@ echo "binary trace gate OK"
 echo "== observability gate =="
 # A traced run with the full observability surface on: --obs stage-span
 # stderr table, --span-log structured JSONL, --prom-out registry dump.
-# Both sidecars must pass the dependency-free strict checkers AND the
+# Both sidecars must pass hc_report validate's strict checks AND the
 # real readers (hc_report spans re-parses every line; hc_metrics show
 # re-parses the exposition) — then both checkers must provably trip on
 # a corrupted file.
 dune exec bin/hc_sim.exe -- --benchmark gzip --scheme 8_8_8 --length 4000 \
   --compare false --obs --span-log "$SMOKE_DIR/obs_spans.jsonl" \
   --prom-out "$SMOKE_DIR/obs_sim.prom" > /dev/null
-ocaml scripts/check_json.ml --jsonl "$SMOKE_DIR/obs_spans.jsonl"
-ocaml scripts/check_json.ml --prom "$SMOKE_DIR/obs_sim.prom"
+dune exec bin/hc_report.exe -- validate --jsonl "$SMOKE_DIR/obs_spans.jsonl"
+dune exec bin/hc_report.exe -- validate --prom "$SMOKE_DIR/obs_sim.prom"
 dune exec bin/hc_report.exe -- spans "$SMOKE_DIR/obs_spans.jsonl"
 dune exec bin/hc_metrics.exe -- show "$SMOKE_DIR/obs_sim.prom" > /dev/null
 # a traced sweep with the live progress line, then a per-series diff of
@@ -239,21 +246,21 @@ dune exec bin/hc_metrics.exe -- show "$SMOKE_DIR/obs_sim.prom" > /dev/null
 dune exec bin/hc_experiments.exe -- fig6 --length 3000 --progress \
   --span-log "$SMOKE_DIR/obs_fig6.jsonl" \
   --prom-out "$SMOKE_DIR/obs_fig6.prom" > /dev/null
-ocaml scripts/check_json.ml --jsonl "$SMOKE_DIR/obs_fig6.jsonl"
-ocaml scripts/check_json.ml --prom "$SMOKE_DIR/obs_fig6.prom"
+dune exec bin/hc_report.exe -- validate --jsonl "$SMOKE_DIR/obs_fig6.jsonl"
+dune exec bin/hc_report.exe -- validate --prom "$SMOKE_DIR/obs_fig6.prom"
 dune exec bin/hc_metrics.exe -- diff "$SMOKE_DIR/obs_sim.prom" \
   "$SMOKE_DIR/obs_fig6.prom"
 # ...and prove both gates can fail: a span line truncated mid-object and
 # an exposition sample with an illegal metric name must be rejected
 head -c 40 "$SMOKE_DIR/obs_spans.jsonl" > "$SMOKE_DIR/obs_bad.jsonl"
-if ocaml scripts/check_json.ml --jsonl "$SMOKE_DIR/obs_bad.jsonl" \
+if dune exec bin/hc_report.exe -- validate --jsonl "$SMOKE_DIR/obs_bad.jsonl" \
     > /dev/null 2>&1; then
   echo "FAIL: --jsonl accepted a truncated span-log line"
   exit 1
 fi
 { cat "$SMOKE_DIR/obs_sim.prom"; echo '!bad name 1'; } \
   > "$SMOKE_DIR/obs_bad.prom"
-if ocaml scripts/check_json.ml --prom "$SMOKE_DIR/obs_bad.prom" \
+if dune exec bin/hc_report.exe -- validate --prom "$SMOKE_DIR/obs_bad.prom" \
     > /dev/null 2>&1; then
   echo "FAIL: --prom accepted a malformed exposition line"
   exit 1
@@ -272,7 +279,7 @@ dune exec bin/hc_sim.exe -- --benchmark gcc --scheme +IR --length 5000 \
   --metrics-out "$SMOKE_DIR/acct_metrics.json" \
   | tee "$SMOKE_DIR/acct_out.txt"
 grep -q 'partition invariant: exact' "$SMOKE_DIR/acct_out.txt"
-ocaml scripts/check_json.ml "$SMOKE_DIR/acct_metrics.json"
+dune exec bin/hc_report.exe -- validate "$SMOKE_DIR/acct_metrics.json"
 grep -q '"stall":{' "$SMOKE_DIR/acct_metrics.json"
 test -s "$SMOKE_DIR/acct_stalls.csv"
 dune exec bin/hc_report.exe -- topdown "$SMOKE_DIR/acct_metrics.json" \

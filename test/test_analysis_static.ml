@@ -11,7 +11,7 @@ module Generator = Hc_trace.Generator
 module Trace = Hc_trace.Trace
 module Config = Hc_sim.Config
 module Metrics = Hc_sim.Metrics
-module Counter = Hc_stats.Counter
+module Counts = Hc_obs.Counts
 module Absval = Hc_analysis.Absval
 module Static = Hc_analysis.Static
 module Lint = Hc_analysis.Lint
@@ -410,7 +410,7 @@ let test_oracle_zero_recoveries () =
   Hc_core.Runs.ensure runs [ ("8_8_8", p); ("static_888", p) ];
   let oracle = Hc_core.Runs.metrics runs ~scheme:"static_888" p in
   Alcotest.(check int) "zero width flushes" 0
-    (Counter.get oracle.Metrics.counters "width_flush");
+    (oracle.Metrics.counts.(Counts.width_flush));
   Alcotest.(check int) "zero demotions" 0 oracle.Metrics.wide_demoted;
   Alcotest.(check bool) "attribution consistent" true
     (Metrics.attrib_consistent oracle);
@@ -436,7 +436,7 @@ let test_bidir_oracle_zero_recoveries () =
   let fwd = Hc_core.Runs.metrics runs ~scheme:"static_888" p in
   let oracle = Hc_core.Runs.metrics runs ~scheme:"static_bidir" p in
   Alcotest.(check int) "zero width flushes" 0
-    (Counter.get oracle.Metrics.counters "width_flush");
+    (oracle.Metrics.counts.(Counts.width_flush));
   Alcotest.(check int) "zero demotions" 0 oracle.Metrics.wide_demoted;
   Alcotest.(check bool) "attribution consistent" true
     (Metrics.attrib_consistent oracle);

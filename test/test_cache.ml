@@ -160,6 +160,59 @@ let test_metrics_corrupt_is_miss () =
       Alcotest.(check bool) "corrupt metrics deleted" false
         (Sys.file_exists entry))
 
+(* A run entry whose "counters" object the counter table does not
+   describe must self-heal, even when it would re-serialize to its own
+   bytes: an undeclared key (sorted last, so the old hashtable decoder
+   round-tripped it), a missing always-present key, a duplicate key. *)
+let test_doctored_counters_heal () =
+  (* add a member at the end of the "counters" object, the entry's last *)
+  let append member s =
+    let n = String.length s in
+    if n < 2 || String.sub s (n - 2) 2 <> "}}" then
+      Alcotest.fail "run entry does not end in its counters object";
+    String.sub s 0 (n - 2) ^ "," ^ member ^ "}}"
+  in
+  (* the span [i, j) of the member "tick":N in [s] *)
+  let tick_span s =
+    let key = "\"tick\":" in
+    let i = ref 0 in
+    while String.sub s !i (String.length key) <> key do incr i done;
+    let j = ref (!i + String.length key) in
+    while s.[!j] >= '0' && s.[!j] <= '9' do incr j done;
+    (!i, !j)
+  in
+  List.iter
+    (fun (what, doctor) ->
+      with_root (fun root ->
+          let cache = Artifact_cache.create ~root () in
+          let runs = Runs.create ~length:1_500 ~cache () in
+          ignore (Runs.metrics runs ~scheme:"baseline" mcf);
+          let runs_dir = Filename.concat root "runs" in
+          let entry = Filename.concat runs_dir (Sys.readdir runs_dir).(0) in
+          let data = In_channel.with_open_bin entry In_channel.input_all in
+          Out_channel.with_open_bin entry (fun oc ->
+              output_string oc (doctor data));
+          let before = Artifact_cache.counts cache in
+          Alcotest.(check bool) (what ^ ": read as a miss") true
+            (Artifact_cache.find_metrics cache ~scheme:"baseline" ~profile:mcf
+               ~length:1_500
+            = None);
+          let after = Artifact_cache.counts cache in
+          Alcotest.(check int) (what ^ ": one self-heal")
+            (before.Artifact_cache.run_heals + 1) after.Artifact_cache.run_heals;
+          Alcotest.(check bool) (what ^ ": entry deleted") false
+            (Sys.file_exists entry)))
+    [ ("undeclared counter", append "\"zz_extra\":5");
+      ( "missing always-present counter",
+        fun s ->
+          (* drop the member and the comma before it *)
+          let i, j = tick_span s in
+          String.sub s 0 (i - 1) ^ String.sub s j (String.length s - j) );
+      ( "duplicate counter",
+        fun s ->
+          let i, j = tick_span s in
+          append (String.sub s i (j - i)) s ) ]
+
 let test_unknown_scheme_raises_warm () =
   with_root (fun root ->
       let make () =
@@ -231,6 +284,8 @@ let suite =
         test_trace_self_heal;
       Alcotest.test_case "corrupt metrics entry is a miss" `Quick
         test_metrics_corrupt_is_miss;
+      Alcotest.test_case "doctored counters entry self-heals" `Quick
+        test_doctored_counters_heal;
       Alcotest.test_case "unknown scheme raises warm" `Quick
         test_unknown_scheme_raises_warm;
       Alcotest.test_case "verify, gc, publish hygiene" `Quick

@@ -6,7 +6,10 @@
 module Config = Hc_sim.Config
 module Pipeline = Hc_sim.Pipeline
 module Metrics = Hc_sim.Metrics
-module Counter = Hc_stats.Counter
+module Counts = Hc_obs.Counts
+module Sample = Hc_obs.Sample
+module Sink = Hc_obs.Sink
+module Artifact_cache = Hc_core.Artifact_cache
 module Profile = Hc_trace.Profile
 module Generator = Hc_trace.Generator
 
@@ -70,8 +73,8 @@ let prop_simulator_total =
           trace
       in
       let fatal_recoveries =
-        Counter.get m.Metrics.counters "width_flush"
-        + Counter.get m.Metrics.counters "replay"
+        m.Metrics.counts.(Counts.width_flush)
+        + m.Metrics.counts.(Counts.replay)
       in
       m.Metrics.committed = Hc_trace.Trace.length trace
       && m.Metrics.steered_narrow <= m.Metrics.committed
@@ -79,6 +82,53 @@ let prop_simulator_total =
       && m.Metrics.wpred_fatal = fatal_recoveries
       && (not cfg.Config.replicated_regfile || m.Metrics.copies = 0)
       && m.Metrics.ticks > 0)
+
+(* The exact invariants off the seeds: with an interval sink attached,
+   the interval deltas re-add to the run's whole count vector (activity
+   counters included), every interval satisfies the attribution
+   partition, and the metrics survive an artifact-cache round trip
+   byte-for-byte. *)
+let prop_counts_invariants =
+  QCheck.Test.make ~name:"aggregate == counts, partition, cache round trip"
+    ~count:30
+    (QCheck.make
+       ~print:(fun (case, interval) ->
+         Printf.sprintf "%s interval=%d" (print_case case) interval)
+       QCheck.Gen.(pair (pair config_gen bench_gen) (int_range 50 2_000)))
+    (fun ((cfg, bench), interval) ->
+      let sink = Sink.create ~interval ~tracing:false () in
+      let m =
+        Pipeline.run ~sink ~cfg ~decide:Hc_steering.Policy.decide
+          ~scheme_name:"fuzz" (trace_of bench)
+      in
+      let samples = Sink.samples sink in
+      if Sample.aggregate samples <> m.Metrics.counts then
+        QCheck.Test.fail_reportf "interval aggregate differs from the counts";
+      List.iter
+        (fun (s : Sample.t) ->
+          if not (Counts.attrib_consistent s.Sample.d) then
+            QCheck.Test.fail_reportf "attribution partition broken in [%d, %d)"
+              s.Sample.t_start s.Sample.t_end)
+        samples;
+      let root = Filename.temp_file "hc_fuzz_cache" "" in
+      Sys.remove root;
+      let cache = Artifact_cache.create ~root () in
+      let profile = Profile.find_spec_int bench in
+      Artifact_cache.store_metrics cache ~scheme:"fuzz" ~profile ~length:1_500 m;
+      let back =
+        Artifact_cache.find_metrics cache ~scheme:"fuzz" ~profile ~length:1_500
+      in
+      let rec rm_rf path =
+        if Sys.is_directory path then begin
+          Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+          Sys.rmdir path
+        end
+        else Sys.remove path
+      in
+      rm_rf root;
+      match back with
+      | Some b -> Metrics.to_json b = Metrics.to_json m
+      | None -> QCheck.Test.fail_reportf "stored metrics did not reload")
 
 let prop_monolithic_ignores_helper_knobs =
   (* with the helper disabled, narrow-side knobs must not change results *)
@@ -245,6 +295,7 @@ let suite =
   ( "fuzz",
     [
       QCheck_alcotest.to_alcotest prop_simulator_total;
+      QCheck_alcotest.to_alcotest prop_counts_invariants;
       QCheck_alcotest.to_alcotest prop_monolithic_ignores_helper_knobs;
       QCheck_alcotest.to_alcotest prop_transfer_sound;
       QCheck_alcotest.to_alcotest prop_const_transfer_exact;

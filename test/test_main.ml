@@ -36,6 +36,7 @@ let () =
       Test_fuzz.suite;
       Test_parallel.suite;
       Test_obs.suite;
+      Test_golden.suite;
     Test_registry.suite;
       Test_report.suite;
     ]

@@ -1,38 +1,22 @@
 (* Tests for metrics arithmetic on hand-built records. *)
 
 module Metrics = Hc_sim.Metrics
+module Counts = Hc_obs.Counts
 
 let mk ?(committed = 1000) ?(ticks = 2000) ?(copies = 100) ?(steered = 200)
     ?(correct = 900) ?(fatal = 10) ?(nonfatal = 90) ?(pf = 50) ?(useful = 40)
     ?(w2n = 30) ?(n2w = 5) ?(issued = 1500) () =
-  {
-    Metrics.name = "synthetic";
-    scheme_name = "test";
-    committed;
-    ticks;
-    copies;
-    steered_narrow = steered;
-    split_uops = 0;
-    steered_888 = steered;
-    steered_br = 0;
-    steered_cr = 0;
-    steered_ir = 0;
-    steered_other = 0;
-    wide_default = committed - steered;
-    wide_demoted = 0;
-    wpred_correct = correct;
-    wpred_fatal = fatal;
-    wpred_nonfatal = nonfatal;
-    prefetch_copies = pf;
-    prefetch_useful = useful;
-    nready_w2n = w2n;
-    nready_n2w = n2w;
-    issued_total = issued;
-    static_narrow_bound = None;
-    static_bidir_bound = None;
-    stall = None;
-    counters = Hc_stats.Counter.create ();
-  }
+  let v = Counts.make () in
+  List.iter
+    (fun (id, n) -> v.(id) <- n)
+    [ (Counts.committed, committed); (Counts.tick, ticks);
+      (Counts.copies, copies); (Counts.steered_narrow, steered);
+      (Counts.steered_888, steered); (Counts.wide_default, committed - steered);
+      (Counts.wpred_correct, correct); (Counts.wpred_fatal, fatal);
+      (Counts.wpred_nonfatal, nonfatal); (Counts.prefetch_copies, pf);
+      (Counts.prefetch_useful, useful); (Counts.nready_w2n, w2n);
+      (Counts.nready_n2w, n2w); (Counts.issue_wide, issued) ];
+  Metrics.of_counts ~name:"synthetic" ~scheme_name:"test" v
 
 let close = Alcotest.(check (float 1e-9))
 

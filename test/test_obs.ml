@@ -16,7 +16,7 @@ module Generator = Hc_trace.Generator
 module Config = Hc_sim.Config
 module Pipeline = Hc_sim.Pipeline
 module Metrics = Hc_sim.Metrics
-module Counter = Hc_stats.Counter
+module Counts = Hc_obs.Counts
 
 (* ----- a minimal JSON validator (no dependencies): accepts exactly the
    RFC 8259 grammar we emit, rejects trailing garbage ----- *)
@@ -185,16 +185,21 @@ let test_ring_partial () =
 (* ----- sample algebra ----- *)
 
 let test_sample_algebra () =
+  let vec pairs =
+    let v = Counts.make () in
+    List.iter (fun (id, n) -> v.(id) <- n) pairs;
+    v
+  in
   let t1 =
-    { Sample.zero_totals with Sample.committed = 10; copies = 3; issued_total = 12 }
+    vec Counts.[ (committed, 10); (copies, 3); (issue_wide, 8); (issue_narrow, 4) ]
   in
   let t2 =
-    { Sample.zero_totals with Sample.committed = 25; copies = 7; issued_total = 30 }
+    vec Counts.[ (committed, 25); (copies, 7); (issue_wide, 20); (issue_narrow, 10) ]
   in
-  let d = Sample.sub_totals t2 t1 in
-  Alcotest.(check int) "delta committed" 15 d.Sample.committed;
-  Alcotest.(check int) "delta copies" 4 d.Sample.copies;
-  let back = Sample.add_totals t1 d in
+  let d = Counts.sub t2 t1 in
+  Alcotest.(check int) "delta committed" 15 d.(Counts.committed);
+  Alcotest.(check int) "delta copies" 4 d.(Counts.copies);
+  let back = Counts.add t1 d in
   Alcotest.(check bool) "add inverts sub" true (back = t2);
   let s1 = Sample.make ~t_start:0 ~t_end:100 ~iq_wide:2 ~iq_narrow:1 ~rob:5 t1 in
   let s2 = Sample.make ~t_start:100 ~t_end:200 ~iq_wide:0 ~iq_narrow:0 ~rob:0 d in
@@ -206,7 +211,46 @@ let test_sample_algebra () =
   let cols s = List.length (String.split_on_char ',' s) in
   Alcotest.(check int) "csv columns" (cols Sample.csv_header)
     (cols (Sample.to_csv_row s1));
-  Alcotest.(check bool) "sample json valid" true (json_valid (Sample.to_json s1))
+  Alcotest.(check bool) "sample json valid" true (json_valid (Sample.to_json s1));
+  (* issued_total is derived: the sum of the two issue counters *)
+  let field row name =
+    let header = String.split_on_char ',' Sample.csv_header in
+    let rec go = function
+      | h :: hs, c :: cs -> if h = name then c else go (hs, cs)
+      | _ -> Alcotest.failf "no column %s" name
+    in
+    go (header, String.split_on_char ',' row)
+  in
+  Alcotest.(check string) "issued_total column" "12"
+    (field (Sample.to_csv_row s1) "issued_total")
+
+(* ----- the counter table ----- *)
+
+let test_counter_table () =
+  let keys group = List.map Counts.key (Counts.ids group) in
+  let activity = keys Counts.Activity and results = keys Counts.Result in
+  (* the "counters" object is written in table order, which must be the
+     sorted key order the format has always had *)
+  Alcotest.(check (list string)) "activity keys sorted and unique"
+    (List.sort_uniq String.compare activity) activity;
+  Alcotest.(check int) "result keys unique" (List.length results)
+    (List.length (List.sort_uniq String.compare results));
+  Alcotest.(check int) "groups partition the table" Counts.n
+    (List.length activity + List.length results);
+  Alcotest.(check bool) "every result always present" true
+    (List.for_all
+       (fun id -> Counts.table.(id).Counts.presence = Counts.Always)
+       Counts.results);
+  List.iter
+    (fun group ->
+      List.iter
+        (fun id ->
+          Alcotest.(check (option int)) ("find " ^ Counts.key id) (Some id)
+            (Counts.find group (Counts.key id)))
+        (Counts.ids group))
+    [ Counts.Result; Counts.Activity ];
+  Alcotest.(check (option int)) "find unknown" None
+    (Counts.find Counts.Activity "no_such_counter")
 
 (* ----- pipeline instrumentation ----- *)
 
@@ -223,32 +267,10 @@ let run_scheme ?sink scheme =
 
 let metrics_equal ~cell (a : Metrics.t) (b : Metrics.t) =
   let check what x y = Alcotest.(check int) (cell ^ ": " ^ what) x y in
-  check "committed" a.Metrics.committed b.Metrics.committed;
-  check "ticks" a.Metrics.ticks b.Metrics.ticks;
-  check "copies" a.Metrics.copies b.Metrics.copies;
-  check "steered_narrow" a.Metrics.steered_narrow b.Metrics.steered_narrow;
-  check "split_uops" a.Metrics.split_uops b.Metrics.split_uops;
-  check "steered_888" a.Metrics.steered_888 b.Metrics.steered_888;
-  check "steered_br" a.Metrics.steered_br b.Metrics.steered_br;
-  check "steered_cr" a.Metrics.steered_cr b.Metrics.steered_cr;
-  check "steered_ir" a.Metrics.steered_ir b.Metrics.steered_ir;
-  check "steered_other" a.Metrics.steered_other b.Metrics.steered_other;
-  check "wide_default" a.Metrics.wide_default b.Metrics.wide_default;
-  check "wide_demoted" a.Metrics.wide_demoted b.Metrics.wide_demoted;
-  check "wpred_correct" a.Metrics.wpred_correct b.Metrics.wpred_correct;
-  check "wpred_fatal" a.Metrics.wpred_fatal b.Metrics.wpred_fatal;
-  check "wpred_nonfatal" a.Metrics.wpred_nonfatal b.Metrics.wpred_nonfatal;
-  check "prefetch_copies" a.Metrics.prefetch_copies b.Metrics.prefetch_copies;
-  check "prefetch_useful" a.Metrics.prefetch_useful b.Metrics.prefetch_useful;
-  check "nready_w2n" a.Metrics.nready_w2n b.Metrics.nready_w2n;
-  check "nready_n2w" a.Metrics.nready_n2w b.Metrics.nready_n2w;
-  check "issued_total" a.Metrics.issued_total b.Metrics.issued_total;
-  List.iter
-    (fun name ->
-      check ("counter " ^ name)
-        (Counter.get a.Metrics.counters name)
-        (Counter.get b.Metrics.counters name))
-    (Counter.names a.Metrics.counters)
+  Array.iteri
+    (fun id (e : Counts.entry) ->
+      check e.Counts.key a.Metrics.counts.(id) b.Metrics.counts.(id))
+    Counts.table
 
 let test_observation_is_free () =
   (* the whole point of the sink design: attaching full tracing AND the
@@ -273,25 +295,11 @@ let test_interval_aggregate_equals_metrics () =
       let agg = Sample.aggregate (Sink.samples sink) in
       let cell = Printf.sprintf "interval=%d" interval in
       Alcotest.(check bool) (cell ^ ": sampled") true (Sink.sample_count sink > 0);
-      Alcotest.(check int) (cell ^ ": committed") m.Metrics.committed
-        agg.Sample.committed;
-      Alcotest.(check int) (cell ^ ": steered") m.Metrics.steered_narrow
-        agg.Sample.steered_narrow;
-      Alcotest.(check int) (cell ^ ": copies") m.Metrics.copies agg.Sample.copies;
-      Alcotest.(check int) (cell ^ ": splits") m.Metrics.split_uops
-        agg.Sample.split_uops;
-      Alcotest.(check int) (cell ^ ": wpred_correct") m.Metrics.wpred_correct
-        agg.Sample.wpred_correct;
-      Alcotest.(check int) (cell ^ ": wpred_fatal") m.Metrics.wpred_fatal
-        agg.Sample.wpred_fatal;
-      Alcotest.(check int) (cell ^ ": wpred_nonfatal") m.Metrics.wpred_nonfatal
-        agg.Sample.wpred_nonfatal;
-      Alcotest.(check int) (cell ^ ": nready_w2n") m.Metrics.nready_w2n
-        agg.Sample.nready_w2n;
-      Alcotest.(check int) (cell ^ ": nready_n2w") m.Metrics.nready_n2w
-        agg.Sample.nready_n2w;
-      Alcotest.(check int) (cell ^ ": issued") m.Metrics.issued_total
-        agg.Sample.issued_total;
+      Array.iteri
+        (fun id (e : Counts.entry) ->
+          Alcotest.(check int) (cell ^ ": " ^ e.Counts.key)
+            m.Metrics.counts.(id) agg.(id))
+        Counts.table;
       (* monotone, contiguous, non-empty intervals *)
       let rec contiguous = function
         | a :: (b :: _ as rest) ->
@@ -415,6 +423,8 @@ let suite =
       Alcotest.test_case "ring wrap-around" `Quick test_ring_wrap;
       Alcotest.test_case "ring partial fill" `Quick test_ring_partial;
       Alcotest.test_case "sample delta algebra" `Quick test_sample_algebra;
+      Alcotest.test_case "counter table declared order" `Quick
+        test_counter_table;
       Alcotest.test_case "tracing leaves metrics bit-identical" `Slow
         test_observation_is_free;
       Alcotest.test_case "interval aggregate == final metrics" `Slow

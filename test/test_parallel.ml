@@ -7,7 +7,7 @@ module Runs = Hc_core.Runs
 module Profile = Hc_trace.Profile
 module Trace = Hc_trace.Trace
 module Metrics = Hc_sim.Metrics
-module Counter = Hc_stats.Counter
+module Counts = Hc_obs.Counts
 
 (* ----- the pool ----- *)
 
@@ -58,29 +58,10 @@ let metrics_equal ~cell (a : Metrics.t) (b : Metrics.t) =
   Alcotest.(check string) (cell ^ ": name") a.Metrics.name b.Metrics.name;
   Alcotest.(check string)
     (cell ^ ": scheme") a.Metrics.scheme_name b.Metrics.scheme_name;
-  check "committed" a.Metrics.committed b.Metrics.committed;
-  check "ticks" a.Metrics.ticks b.Metrics.ticks;
-  check "copies" a.Metrics.copies b.Metrics.copies;
-  check "steered_narrow" a.Metrics.steered_narrow b.Metrics.steered_narrow;
-  check "split_uops" a.Metrics.split_uops b.Metrics.split_uops;
-  check "wpred_correct" a.Metrics.wpred_correct b.Metrics.wpred_correct;
-  check "wpred_fatal" a.Metrics.wpred_fatal b.Metrics.wpred_fatal;
-  check "wpred_nonfatal" a.Metrics.wpred_nonfatal b.Metrics.wpred_nonfatal;
-  check "prefetch_copies" a.Metrics.prefetch_copies b.Metrics.prefetch_copies;
-  check "prefetch_useful" a.Metrics.prefetch_useful b.Metrics.prefetch_useful;
-  check "nready_w2n" a.Metrics.nready_w2n b.Metrics.nready_w2n;
-  check "nready_n2w" a.Metrics.nready_n2w b.Metrics.nready_n2w;
-  check "issued_total" a.Metrics.issued_total b.Metrics.issued_total;
-  Alcotest.(check (list string))
-    (cell ^ ": counter names")
-    (Counter.names a.Metrics.counters)
-    (Counter.names b.Metrics.counters);
-  List.iter
-    (fun name ->
-      check ("counter " ^ name)
-        (Counter.get a.Metrics.counters name)
-        (Counter.get b.Metrics.counters name))
-    (Counter.names a.Metrics.counters)
+  Array.iteri
+    (fun id (e : Counts.entry) ->
+      check e.Counts.key a.Metrics.counts.(id) b.Metrics.counts.(id))
+    Counts.table
 
 let schemes = [ "baseline"; "8_8_8"; "+CR"; "+IR" ]
 let length = 3_000

@@ -4,7 +4,7 @@
 module Config = Hc_sim.Config
 module Pipeline = Hc_sim.Pipeline
 module Metrics = Hc_sim.Metrics
-module Counter = Hc_stats.Counter
+module Counts = Hc_obs.Counts
 module Generator = Hc_trace.Generator
 module Profile = Hc_trace.Profile
 module Trace = Hc_trace.Trace
@@ -40,7 +40,7 @@ let test_baseline_is_monolithic () =
   Alcotest.(check int) "no splits" 0 m.Metrics.split_uops;
   Alcotest.(check int) "no fatal mispredictions" 0 m.Metrics.wpred_fatal;
   Alcotest.(check int) "no narrow issues" 0
-    (Counter.get m.Metrics.counters "issue_narrow");
+    (m.Metrics.counts.(Counts.issue_narrow));
   Alcotest.(check int) "no imbalance samples" 0
     (m.Metrics.nready_w2n + m.Metrics.nready_n2w)
 
@@ -70,7 +70,7 @@ let test_fatal_matches_flushes () =
       Alcotest.(check int)
         (scheme ^ " one flush per fatal misprediction")
         m.Metrics.wpred_fatal
-        (Counter.get m.Metrics.counters "width_flush"))
+        (m.Metrics.counts.(Counts.width_flush)))
     [ "8_8_8"; "+CR"; "+IR" ]
 
 let test_prefetch_accounting () =

@@ -2,7 +2,7 @@
 
 module Model = Hc_power.Model
 module Metrics = Hc_sim.Metrics
-module Counter = Hc_stats.Counter
+module Counts = Hc_obs.Counts
 module Config = Hc_sim.Config
 module Pipeline = Hc_sim.Pipeline
 
@@ -17,15 +17,15 @@ let trace =
 
 let test_event_energies () =
   Alcotest.(check bool) "known counter priced" true
-    (Model.event_energy "alu_wide" > 0.);
-  Alcotest.(check (float 1e-9)) "unknown counter free" 0.
-    (Model.event_energy "nonexistent");
+    (Model.event_energy Counts.alu_wide > 0.);
+  Alcotest.(check (float 1e-9)) "unpriced counter free" 0.
+    (Model.event_energy Counts.tc_miss);
   Alcotest.(check bool) "narrow regfile cheaper than wide" true
-    (Model.event_energy "regread_narrow" < Model.event_energy "regread_wide");
+    (Model.event_energy Counts.regread_narrow < Model.event_energy Counts.regread_wide);
   Alcotest.(check bool) "narrow ALU cheaper than wide" true
-    (Model.event_energy "alu_narrow" < Model.event_energy "alu_wide");
+    (Model.event_energy Counts.alu_narrow < Model.event_energy Counts.alu_wide);
   Alcotest.(check bool) "main memory most expensive access" true
-    (Model.event_energy "mem_main" > Model.event_energy "mem_ul1")
+    (Model.event_energy Counts.mem_main > Model.event_energy Counts.mem_ul1)
 
 let test_breakdown_sums () =
   let m = run "+CR" (Lazy.force trace) in
@@ -66,14 +66,7 @@ let test_ed2_definition () =
 
 let test_estimate_ignores_zero_counters () =
   let m =
-    { Metrics.name = "empty"; scheme_name = "none"; committed = 0; ticks = 0;
-      copies = 0; steered_narrow = 0; split_uops = 0; steered_888 = 0;
-      steered_br = 0; steered_cr = 0; steered_ir = 0; steered_other = 0;
-      wide_default = 0; wide_demoted = 0; wpred_correct = 0;
-      wpred_fatal = 0; wpred_nonfatal = 0; prefetch_copies = 0;
-      prefetch_useful = 0; nready_w2n = 0; nready_n2w = 0; issued_total = 0;
-      static_narrow_bound = None; static_bidir_bound = None; stall = None;
-      counters = Counter.create () }
+    Metrics.of_counts ~name:"empty" ~scheme_name:"none" (Counts.make ())
   in
   let report = Model.estimate m in
   Alcotest.(check (float 1e-9)) "empty run has zero energy" 0. report.Model.total;

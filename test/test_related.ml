@@ -4,7 +4,7 @@
 module Config = Hc_sim.Config
 module Pipeline = Hc_sim.Pipeline
 module Metrics = Hc_sim.Metrics
-module Counter = Hc_stats.Counter
+module Counts = Hc_obs.Counts
 
 let trace =
   lazy
@@ -35,12 +35,12 @@ let test_replication_kills_copies () =
 let test_replay_instead_of_flush () =
   let m = run Config.ics05 "ics05" in
   Alcotest.(check int) "no flushes" 0
-    (Counter.get m.Metrics.counters "width_flush");
+    (m.Metrics.counts.(Counts.width_flush));
   (* ungated 20-bit prediction mispredicts sometimes: replays must occur *)
   Alcotest.(check bool) "some replays" true
-    (Counter.get m.Metrics.counters "replay" > 0);
+    (m.Metrics.counts.(Counts.replay) > 0);
   Alcotest.(check bool) "replays match fatal classifications" true
-    (Counter.get m.Metrics.counters "replay" = m.Metrics.wpred_fatal)
+    (m.Metrics.counts.(Counts.replay) = m.Metrics.wpred_fatal)
 
 let test_replay_cheaper_than_flush () =
   (* same machine and steering, only the recovery scheme differs *)

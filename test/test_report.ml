@@ -111,13 +111,13 @@ let test_attrib_sums_all_schemes () =
           Alcotest.(check bool)
             (cell "interval attribution consistent")
             true
-            (Sample.attrib_consistent s.Sample.d))
+            (Hc_obs.Counts.attrib_consistent s.Sample.d))
         (Sink.samples sink);
       let agg = Sample.aggregate (Sink.samples sink) in
       Alcotest.(check int) (cell "aggregate steered_888")
-        m.Metrics.steered_888 agg.Sample.steered_888;
+        m.Metrics.steered_888 agg.(Hc_obs.Counts.steered_888);
       Alcotest.(check int) (cell "aggregate wide_demoted")
-        m.Metrics.wide_demoted agg.Sample.wide_demoted)
+        m.Metrics.wide_demoted agg.(Hc_obs.Counts.wide_demoted))
     Hc_steering.Policy.stack
 
 (* ----- diff engine ----- *)

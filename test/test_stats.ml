@@ -1,34 +1,8 @@
-(* Tests for counters, histograms, summaries and table rendering. *)
+(* Tests for histograms, summaries and table rendering. *)
 
-module Counter = Hc_stats.Counter
 module Histogram = Hc_stats.Histogram
 module Summary = Hc_stats.Summary
 module Table = Hc_stats.Table
-
-let test_counter_basics () =
-  let c = Counter.create () in
-  Alcotest.(check int) "untouched is zero" 0 (Counter.get c "x");
-  Counter.incr c "x";
-  Counter.incr c "x";
-  Counter.add c "y" 5;
-  Alcotest.(check int) "incr" 2 (Counter.get c "x");
-  Alcotest.(check int) "add" 5 (Counter.get c "y");
-  Counter.add c "y" (-2);
-  Alcotest.(check int) "negative add" 3 (Counter.get c "y");
-  Alcotest.(check (list string)) "names sorted" [ "x"; "y" ] (Counter.names c);
-  Alcotest.(check (float 1e-9)) "ratio" (2. /. 3.) (Counter.ratio c "x" "y");
-  Alcotest.(check (float 1e-9)) "ratio by zero" 0. (Counter.ratio c "x" "zero");
-  Counter.reset c;
-  Alcotest.(check int) "reset" 0 (Counter.get c "x")
-
-let test_counter_merge () =
-  let a = Counter.create () and b = Counter.create () in
-  Counter.add a "x" 1;
-  Counter.add b "x" 2;
-  Counter.add b "y" 3;
-  Counter.merge_into ~dst:a b;
-  Alcotest.(check int) "merged x" 3 (Counter.get a "x");
-  Alcotest.(check int) "merged y" 3 (Counter.get a "y")
 
 let test_histogram () =
   let h = Histogram.create () in
@@ -127,8 +101,6 @@ let test_table_float_row () =
 let suite =
   ( "stats",
     [
-      Alcotest.test_case "counter basics" `Quick test_counter_basics;
-      Alcotest.test_case "counter merge" `Quick test_counter_merge;
       Alcotest.test_case "histogram" `Quick test_histogram;
       Alcotest.test_case "histogram errors" `Quick test_histogram_errors;
       Alcotest.test_case "summary means" `Quick test_summary_means;

@@ -173,7 +173,7 @@ let test_trace_cache_model_completes () =
   let m = run { full_cr with Config.frontend_model = Config.Fe_trace_cache } in
   Alcotest.(check int) "commits all" 4_000 m.Metrics.committed;
   Alcotest.(check bool) "some tc misses recorded" true
-    (Hc_stats.Counter.get m.Metrics.counters "tc_miss" > 0);
+    (m.Metrics.counts.(Hc_obs.Counts.tc_miss) > 0);
   (* a realistic frontend can only slow things down *)
   let ideal = run full_cr in
   Alcotest.(check bool) "not faster than ideal frontend" true
