@@ -22,8 +22,9 @@
 
    Flags: --micro (kernels only), --tables (regeneration only),
    --json <path>, --jobs <n> (domain-pool size; HC_JOBS works too),
-   --alloc-gate (measure per-uop minor allocation of the untraced sim
-   and exit nonzero if it is not zero — the CI perf gate). *)
+   --alloc-gate (measure per-uop minor allocation of the untraced sim,
+   warm and as decode plus first run, and exit nonzero if either is not
+   zero — the CI perf gate). *)
 
 module Experiments = Hc_core.Experiments
 module Runs = Hc_core.Runs
@@ -41,6 +42,7 @@ module Pipeline = Hc_sim.Pipeline
 module Accounting = Hc_sim.Accounting
 module Static = Hc_analysis.Static
 module Width_predictor = Hc_predictors.Width_predictor
+module Uop_soa = Hc_isa.Uop_soa
 module Registry = Hc_obs.Registry
 module Span = Hc_obs.Span
 
@@ -113,14 +115,14 @@ let sim_kernel scheme () =
        (Lazy.force sim_trace))
 
 let predictor_kernel () =
-  let t = Lazy.force bench_trace in
+  let soa = Hc_trace.Trace.soa (Lazy.force bench_trace) in
   let pred = Width_predictor.create () in
-  Hc_trace.Trace.iter
-    (fun u ->
-      ignore (Width_predictor.predict pred u.Hc_isa.Uop.pc);
-      Width_predictor.update pred u.Hc_isa.Uop.pc
-        ~narrow:(Hc_isa.Width.is_narrow u.Hc_isa.Uop.result))
-    t
+  for i = 0 to Uop_soa.length soa - 1 do
+    let pc = Uop_soa.pc soa i in
+    ignore (Width_predictor.predict pred pc);
+    Width_predictor.update pred pc
+      ~narrow:(Hc_isa.Width.is_narrow (Uop_soa.result soa i))
+  done
 
 (* Observability overhead kernels. Ambient observability is OFF for the
    whole bench process (no --obs here), so the *-off kernels measure
@@ -365,7 +367,7 @@ let run_bechamel () =
 (* ----- part 2b: per-uop allocation measurement ----- *)
 
 (* Marginal minor-heap allocation of the untraced simulator, in words
-   per uop. Two warm runs over traces of different lengths cancel every
+   per uop. Two runs over traces of different lengths cancel every
    per-run fixed cost (the Metrics record, counter tables, first-run
    scratch-arena growth), leaving only what scales with the uop count —
    which on the SoA hot path must be zero. [Gc.minor_words] counts
@@ -373,6 +375,9 @@ let run_bechamel () =
    timing statistic. *)
 let alloc_trace_long =
   lazy (Generator.generate_sliced ~length:4_000 (Profile.find_spec_int "gcc"))
+
+let alloc_trace_longer =
+  lazy (Generator.generate_sliced ~length:8_000 (Profile.find_spec_int "gcc"))
 
 type alloc_measure = {
   a_uops_short : int;
@@ -382,27 +387,23 @@ type alloc_measure = {
   a_words_per_uop : float;
 }
 
-let measure_alloc () =
+let run_888 tr =
   let cfg = Config.with_scheme Config.default (Config.find_scheme "8_8_8") in
-  let run tr =
-    ignore
-      (Pipeline.run ~cfg ~decide:Hc_steering.Policy.decide ~scheme_name:"8_8_8"
-         tr)
-  in
-  let short = Lazy.force sim_trace in
-  let long = Lazy.force alloc_trace_long in
-  (* warm runs size the per-domain scratch arenas once *)
-  run short;
-  run long;
-  let words tr =
+  ignore
+    (Pipeline.run ~cfg ~decide:Hc_steering.Policy.decide ~scheme_name:"8_8_8" tr)
+
+(* [work] runs once on each (uop count, input) pair, after one untimed
+   warm-up call each that sizes the per-domain scratch arenas *)
+let marginal_words work (uops_short, short) (uops_long, long) =
+  work short;
+  work long;
+  let words x =
     let w0 = Gc.minor_words () in
-    run tr;
+    work x;
     Gc.minor_words () -. w0
   in
   let words_short = words short in
   let words_long = words long in
-  let uops_short = Hc_trace.Trace.length short in
-  let uops_long = Hc_trace.Trace.length long in
   {
     a_uops_short = uops_short;
     a_words_short = words_short;
@@ -412,12 +413,38 @@ let measure_alloc () =
       (words_long -. words_short) /. float_of_int (uops_long - uops_short);
   }
 
+(* Warm runs on a generated trace. *)
+let measure_alloc () =
+  let sized tr = (Hc_trace.Trace.length tr, tr) in
+  marginal_words run_888
+    (sized (Lazy.force sim_trace))
+    (sized (Lazy.force alloc_trace_long))
+
+(* The cache-reload path: decode a trace's HCTB bytes, then simulate the
+   decoded trace once. Anything the first run rebuilds per uop (a record
+   view, say) shows here. Both lengths keep every decoded column above
+   the minor heap's large-block threshold, so the columns go straight to
+   the major heap and cancel like any fixed cost. *)
+let measure_decode_alloc () =
+  let profile = Profile.find_spec_int "gcc" in
+  let encoded tr = (Hc_trace.Trace.length tr, Codec.encode tr) in
+  marginal_words
+    (fun bytes -> run_888 (Codec.decode ~profile bytes))
+    (encoded (Lazy.force alloc_trace_long))
+    (encoded (Lazy.force alloc_trace_longer))
+
 let alloc_gate () =
-  let m = measure_alloc () in
-  Printf.printf "alloc-gate: %d uops -> %.0f minor words, %d uops -> %.0f minor words\n"
-    m.a_uops_short m.a_words_short m.a_uops_long m.a_words_long;
-  Printf.printf "alloc-gate: marginal %.4f minor words/uop\n" m.a_words_per_uop;
-  if m.a_words_per_uop > 0. then begin
+  let check label m =
+    Printf.printf
+      "alloc-gate: %s: %d uops -> %.0f minor words, %d uops -> %.0f minor words\n"
+      label m.a_uops_short m.a_words_short m.a_uops_long m.a_words_long;
+    Printf.printf "alloc-gate: %s: marginal %.4f minor words/uop\n" label
+      m.a_words_per_uop;
+    m.a_words_per_uop <= 0.
+  in
+  let warm_ok = check "warm run" (measure_alloc ()) in
+  let decode_ok = check "decode + first run" (measure_decode_alloc ()) in
+  if not (warm_ok && decode_ok) then begin
     prerr_endline
       "alloc-gate: FAIL - untraced sim allocates on the per-uop path";
     exit 1

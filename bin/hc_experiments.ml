@@ -89,7 +89,10 @@ let main list_flag ablations csv_dir length jobs telemetry_dir
   let obs_t = Obs_setup.setup ~obs ?span_log ?prom_out () in
   ( match jobs with
   | Some n when n > 0 -> Domain_pool.set_jobs n
-  | Some _ | None -> () );
+  | Some _ ->
+    prerr_endline "--jobs expects a positive integer";
+    exit 1
+  | None -> () );
   let telemetry =
     Option.map
       (fun dir -> { Hc_core.Telemetry.dir; interval = metrics_interval })

@@ -78,7 +78,10 @@ let run benchmark scheme length power compare_baseline jobs trace_out
   let obs_t = Obs_setup.setup ~obs ?span_log ?prom_out () in
   ( match jobs with
   | Some n when n > 0 -> Domain_pool.set_jobs n
-  | Some _ | None -> () );
+  | Some _ ->
+    prerr_endline "--jobs expects a positive integer";
+    exit 1
+  | None -> () );
   let profile =
     try Profile.find_spec_int benchmark
     with Not_found ->

@@ -63,7 +63,7 @@ let dump file head =
   let trace = Trace_io.load file in
   let n = min head (Trace.length trace) in
   for i = 0 to n - 1 do
-    Format.printf "%a@." Hc_isa.Uop.pp (Trace.get trace i)
+    Format.printf "%a@." Hc_isa.Uop.pp (Hc_isa.Uop_soa.to_uop (Trace.soa trace) i)
   done
 
 let stats file =

@@ -13,7 +13,6 @@ module Config = Hc_sim.Config
    Every check has a stable code so scripts and CI can match on it:
 
      E101  uop ids not dense (id must increase by exactly 1)
-     E102  immediate operand disagrees with its recorded source value
      E103  def-use mismatch: a register read observes a value different
            from the one its last in-window writer produced
      E104  flag pairing: a conditional branch's sources are not exactly
@@ -93,16 +92,6 @@ let catalogue =
       i_example =
         "error[E101] gcc.trace:uop-4107: uop id 4107 follows 4099 (ids \
          must be dense)" };
-    { i_code = "E102"; i_severity = Error;
-      i_summary = "immediate operand disagrees with its recorded source value";
-      i_detail =
-        "An immediate operand is its own ground truth: the recorded \
-         source value in src_vals must equal the immediate bit for bit. \
-         A mismatch means the value flow of the trace was corrupted \
-         after generation.";
-      i_example =
-        "error[E102] gcc.trace:uop-212: immediate operand 0x40 but \
-         recorded source value 0x41" };
     { i_code = "E103"; i_severity = Error;
       i_summary = "register read disagrees with its last in-window writer";
       i_detail =
@@ -168,7 +157,7 @@ let catalogue =
       i_summary = "forward width-analysis soundness violation";
       i_detail =
         "A uop the forward known-bits pass classified provably narrow \
-         has wide ground-truth values (Uop.is_888_bits fails). The \
+         has wide ground-truth values (Uop_soa.is_888_bits fails). The \
          abstract domain's contract — abstract values contain the \
          concrete ones — is broken; this is a hard analysis bug, never a \
          property of the trace.";
@@ -297,11 +286,7 @@ let check_sources e (u : Uop.t) (vals : Value.t option array) =
   List.iter2
     (fun src v ->
       match src with
-      | Uop.Imm imm ->
-        if imm <> v then
-          emit e ~code:"E102" ~severity:Error ~loc:(uop_loc e u)
-            "immediate operand %s but recorded source value %s"
-            (Value.to_hex imm) (Value.to_hex v)
+      | Uop.Imm _ -> ()
       | Uop.Reg r -> (
         match vals.(Reg.to_index r) with
         | Some w when w <> v ->
@@ -414,7 +399,8 @@ let check_trace ?(file = "<trace>") ?expected_profile ?(bits = 8) tr =
   let e = emitter file in
   let vals = Array.make Reg.count None in
   let prev_id = ref None in
-  Trace.iter
+  (* the per-uop checks are written over records: convert once *)
+  Array.iter
     (fun u ->
       ( match !prev_id with
       | Some p when u.Uop.id <> p + 1 ->
@@ -423,7 +409,7 @@ let check_trace ?(file = "<trace>") ?expected_profile ?(bits = 8) tr =
       | Some _ | None -> () );
       prev_id := Some u.Uop.id;
       check_uop e u vals)
-    tr;
+    (Trace.uops tr);
   analysis_checks e (Static.analyze_bidir ~bits tr) tr;
   ( match expected_profile with
   | Some p -> check_mix e p tr

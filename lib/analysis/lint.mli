@@ -4,7 +4,6 @@
     location. Codes:
 
     - [E101] uop ids not dense
-    - [E102] immediate operand disagrees with its recorded source value
     - [E103] def-use mismatch (register read differs from its last
       in-window writer's result)
     - [E104] flag producer/consumer pairing broken (structure or value)

@@ -182,10 +182,11 @@ type violation = {
    load address, store, branch, fp) reads a differing register, or any
    difference survives to the trace exit. The replay stops as soon as
    the overlay drains — overwrites kill taint — which keeps the sweep
-   near-linear on real traces. *)
-let check_mutation (tr : Trace.t) ~index ~flipped =
-  let n = Trace.length tr in
-  let u0 = Trace.get tr index in
+   near-linear on real traces. The replay re-evaluates whole operand
+   lists, so it runs over the record form of the trace. *)
+let check_mutation (uops : Uop.t array) ~index ~flipped =
+  let n = Array.length uops in
+  let u0 = uops.(index) in
   let taint : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let set_taint r v truth =
     if v land mask32 = truth land mask32 then Hashtbl.remove taint r
@@ -200,7 +201,7 @@ let check_mutation (tr : Trace.t) ~index ~flipped =
   let result = ref None in
   let j = ref (index + 1) in
   while !result = None && Hashtbl.length taint > 0 && !j < n do
-    let u = Trace.get tr !j in
+    let u = uops.(!j) in
     let reads_tainted =
       List.exists
         (function
@@ -253,13 +254,14 @@ let check_mutation (tr : Trace.t) ~index ~flipped =
     if Hashtbl.length taint > 0 then Some n else None
 
 let soundness_violations t (tr : Trace.t) =
+  let uops = Trace.uops tr in
   let acc = ref [] in
-  for i = Trace.length tr - 1 downto 0 do
-    let u = Trace.get tr i in
+  for i = Array.length uops - 1 downto 0 do
+    let u = uops.(i) in
     if Uop.has_dest u || Uop.writes_flags u then begin
       let flipped = dead_high t ~index:i in
       if flipped <> 0 then
-        match check_mutation tr ~index:i ~flipped with
+        match check_mutation uops ~index:i ~flipped with
         | Some c -> acc := { index = i; uop = u; consumer_index = c; flipped } :: !acc
         | None -> ()
     end

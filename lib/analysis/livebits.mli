@@ -57,7 +57,7 @@ val live_mask : t -> index:int -> int
 
 val dead_high : t -> index:int -> int
 (** Bits at or above the narrow cut that the analysis claims dead:
-    [hi_mask land lnot live]. The mutation check flips exactly these. *)
+    [hi_mask land lnot live]. {!soundness_violations} flips exactly these. *)
 
 val hi_mask : bits:int -> int
 (** Mask of positions at or above [bits] ([0] when [bits >= 32]). *)
@@ -71,16 +71,14 @@ type violation = {
   flipped : int;  (** the claimed-dead bit mask that was flipped *)
 }
 
-val check_mutation : Hc_trace.Trace.t -> index:int -> flipped:int -> int option
-(** Flip [flipped] in uop [index]'s result and replay downstream with
-    [Semantics.eval], tracking only registers that now differ from
-    ground truth (taint dies on overwrite, so the replay is short).
-    [Some c] when a full-width consumer at position [c] observed the
-    difference or ([c] = trace length) it survived to the exit; [None]
-    when the mutation was unobservable. *)
-
 val soundness_violations : t -> Hc_trace.Trace.t -> violation list
 (** Every uop whose claimed-dead high bits are observable downstream —
-    the live-bits dual of {!Static.soundness_violations}. Any entry is a
-    hard analysis bug: the linter (E111), the test suite and the smoke
-    gate all require this list to be empty. *)
+    the live-bits dual of {!Static.soundness_violations}. Each uop's
+    claimed-dead bits are flipped at once in its result and replayed
+    downstream with [Semantics.eval], tracking only registers that now
+    differ from ground truth; the mutation is observable when a
+    full-width consumer reads a differing register or the difference
+    survives to the trace exit. Any entry is a hard analysis bug: the
+    linter (E111), the test suite and the smoke gate all require this
+    list to be empty. The replay runs over the trace's records, built
+    once per call. *)

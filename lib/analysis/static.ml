@@ -12,8 +12,8 @@ module Trace = Hc_trace.Trace
    (immediates are singletons), the result comes from the per-opcode
    transfer function, and writeback mirrors the generator exactly —
    destination register first, then the flags for flag-writing opcodes,
-   both receiving the architected result. Ground-truth fields
-   ([Uop.result], [Uop.src_vals]) are never consulted, so the verdicts
+   both receiving the architected result. Ground-truth columns
+   ([Uop_soa.result], [Uop_soa.src_val]) are never consulted, so the verdicts
    are what a compile-time pass could prove from the instruction stream
    alone.
 
@@ -35,14 +35,8 @@ type t = {
    8_8_8 rule can reach in Policy.decide — helper-capable opcodes minus
    branches (they go through the BR path) and stores (the MOB keeps them
    wide). *)
-let oracle_eligible_op (op : Opcode.t) =
-  (match Opcode.exec_class op with
-  | Opcode.Int_alu | Opcode.Mem | Opcode.Ctrl -> true
-  | Opcode.Int_mul | Opcode.Fp -> false)
-  && (not (Opcode.is_branch op))
-  && op <> Opcode.Store
-
-let oracle_eligible (u : Uop.t) = oracle_eligible_op u.Uop.op
+let oracle_eligible (op : Opcode.t) =
+  Opcode.helper_capable op && (not (Opcode.is_branch op)) && op <> Opcode.Store
 
 (* Analysis-pass instrumentation behind the ambient obs opt-in: the same
    one-atomic-load guard every other instrumentation point uses, so the
@@ -116,7 +110,7 @@ let analyze_fwd ?(bits = 8) ~facts (tr : Trace.t) =
       | Some a -> a
       | None -> Absval.top
     in
-    (* the 8-8-8 shape of Uop.is_888_bits, proven instead of observed:
+    (* the 8-8-8 shape of Uop_soa.is_888_bits, proven instead of observed:
        every source narrow, and a narrow result whenever the uop produces
        anything observable *)
     let srcs_narrow = ref true in
@@ -133,7 +127,7 @@ let analyze_fwd ?(bits = 8) ~facts (tr : Trace.t) =
     in
     provable.(i) <- p;
     if p then incr provable_count;
-    if p && oracle_eligible_op op then begin
+    if p && oracle_eligible op then begin
       steerable.(i) <- true;
       incr steerable_count
     end;
@@ -161,24 +155,26 @@ let analyze ?(bits = 8) (tr : Trace.t) =
     ~elapsed_ns:ns;
   t
 
-let index_of t (u : Uop.t) =
-  let i = u.Uop.id - t.first_id in
-  if i >= 0 && i < Array.length t.provable then Some i else None
+(* Queries are keyed by dynamic uop id. Sliced traces start at a nonzero
+   first_id, so the position is [id - first_id], or -1 outside the
+   analyzed window — a foreign id must not read as a wide verdict. *)
+let index_of t id =
+  let i = id - t.first_id in
+  if i >= 0 && i < Array.length t.provable then i else -1
 
-let in_range t u = Option.is_some (index_of t u)
+let in_range t id = index_of t id >= 0
 
-(* Verdict lookups distinguish "analyzed and wide" from "outside the
-   analyzed window" (sliced traces start at a nonzero first_id, and a
-   foreign uop id must not read as a wide verdict). *)
-let verdict t u = Option.map (fun i -> t.provable.(i)) (index_of t u)
+let verdict t id =
+  let i = index_of t id in
+  if i < 0 then None else Some t.provable.(i)
 
-let steerable_verdict t u = Option.map (fun i -> t.steerable.(i)) (index_of t u)
+let provably_narrow t id =
+  let i = index_of t id in
+  i >= 0 && t.provable.(i)
 
-let provably_narrow t u =
-  match verdict t u with Some p -> p | None -> false
-
-let steerable_uop t u =
-  match steerable_verdict t u with Some s -> s | None -> false
+let steerable_uop t id =
+  let i = index_of t id in
+  i >= 0 && t.steerable.(i)
 
 type violation = {
   index : int;
@@ -193,7 +189,7 @@ let soundness_violations t (tr : Trace.t) =
   let acc = ref [] in
   for i = Uop_soa.length soa - 1 downto 0 do
     if t.provable.(i) && not (Uop_soa.is_888_bits ~bits:t.bits soa i) then
-      acc := { index = i; uop = Trace.get tr i } :: !acc
+      acc := { index = i; uop = Uop_soa.to_uop soa i } :: !acc
   done;
   !acc
 
@@ -271,7 +267,7 @@ let analyze_bidir ?(bits = 8) (tr : Trace.t) =
           assert ((not base.provable.(i)) || safe);
           bidir_provable.(i) <- safe;
           if safe then incr pc;
-          if safe && oracle_eligible_op op then begin
+          if safe && oracle_eligible op then begin
             bidir_steerable.(i) <- true;
             incr sc
           end
@@ -283,13 +279,10 @@ let analyze_bidir ?(bits = 8) (tr : Trace.t) =
     ~provable:bd.bidir_provable_count ~elapsed_ns:bwd_ns;
   bd
 
-let bidir_verdict b u =
-  Option.map (fun i -> b.bidir_provable.(i)) (index_of b.base u)
+let bidir_verdict b id =
+  let i = index_of b.base id in
+  if i < 0 then None else Some b.bidir_provable.(i)
 
-let bidir_provable_uop b u =
-  match bidir_verdict b u with Some p -> p | None -> false
-
-let bidir_steerable_uop b u =
-  match index_of b.base u with
-  | Some i -> b.bidir_steerable.(i)
-  | None -> false
+let bidir_provable_uop b id =
+  let i = index_of b.base id in
+  i >= 0 && b.bidir_provable.(i)

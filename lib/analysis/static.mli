@@ -16,7 +16,7 @@ type t = {
   first_id : int;  (** id of the first uop (sliced traces start offset) *)
   provable : bool array;
       (** by trace position: provably satisfies the 8-8-8 shape of
-          [Uop.is_888_bits] (all sources narrow; narrow result when one
+          [Uop_soa.is_888_bits] (all sources narrow; narrow result when one
           is observable) *)
   steerable : bool array;
       (** [provable] restricted to {!oracle_eligible} uops *)
@@ -26,8 +26,8 @@ type t = {
           sound policy can reach on this trace *)
 }
 
-val oracle_eligible : Hc_isa.Uop.t -> bool
-(** The uops the 8_8_8 steering rule can reach at all: helper-capable
+val oracle_eligible : Hc_isa.Opcode.t -> bool
+(** The opcodes the 8_8_8 steering rule can reach at all: helper-capable
     opcodes (no mul/div/fp) minus branches (BR path) and stores (the MOB
     keeps them wide). *)
 
@@ -35,25 +35,29 @@ val analyze : ?bits:int -> Hc_trace.Trace.t -> t
 (** Run the pass ([bits] defaults to 8, the paper's helper width). Cost
     is one linear scan with constant per-uop work. *)
 
-val in_range : t -> Hc_isa.Uop.t -> bool
-(** Does this uop's id fall inside the analyzed window? Sliced traces
+(** {1 Verdict queries}
+
+    Keyed by dynamic uop id ({!Hc_isa.Uop_soa.id}), not trace position,
+    and allocation-free except for {!verdict}'s option. *)
+
+val in_range : t -> int -> bool
+(** Does this uop id fall inside the analyzed window? Sliced traces
     start at a nonzero [first_id], so ids below it (or past the end) have
     no verdict at all — they are neither proven narrow nor proven wide. *)
 
-val verdict : t -> Hc_isa.Uop.t -> bool option
+val verdict : t -> int -> bool option
 (** Three-valued verdict lookup: [Some true] provably narrow, [Some
     false] analyzed but not provable, [None] outside the analyzed
     window. *)
 
-val steerable_verdict : t -> Hc_isa.Uop.t -> bool option
-
-val provably_narrow : t -> Hc_isa.Uop.t -> bool
+val provably_narrow : t -> int -> bool
 (** [verdict] collapsed for steering predicates: [false] both for
     analyzed-but-unprovable uops and for out-of-window ids (a sound
     default — never steer what was never proven). Use {!verdict} when
     the distinction matters. *)
 
-val steerable_uop : t -> Hc_isa.Uop.t -> bool
+val steerable_uop : t -> int -> bool
+(** [steerable] by uop id; [false] outside the window. *)
 
 type violation = {
   index : int;  (** trace position *)
@@ -62,7 +66,7 @@ type violation = {
 
 val soundness_violations : t -> Hc_trace.Trace.t -> violation list
 (** Every uop classified provably narrow whose ground-truth values fail
-    [Uop.is_888_bits] — the one place ground truth is consulted. Any
+    [Uop_soa.is_888_bits] — the one place ground truth is consulted. Any
     entry is a hard analysis bug; the linter (E110), the test suite and
     the smoke gate all require this list to be empty. *)
 
@@ -101,10 +105,9 @@ val analyze_bidir : ?bits:int -> Hc_trace.Trace.t -> bidir
     shift amounts), backward pass seeded with the forward shift
     constants, then the per-uop join above. Two linear scans. *)
 
-val bidir_verdict : bidir -> Hc_isa.Uop.t -> bool option
-(** Three-valued, like {!verdict}. *)
+val bidir_verdict : bidir -> int -> bool option
+(** Three-valued, like {!verdict}, by uop id. *)
 
-val bidir_provable_uop : bidir -> Hc_isa.Uop.t -> bool
-
-val bidir_steerable_uop : bidir -> Hc_isa.Uop.t -> bool
-(** The [static_bidir] oracle's steering predicate. *)
+val bidir_provable_uop : bidir -> int -> bool
+(** The [static_bidir] oracle's steering predicate, by uop id: [false]
+    outside the window. *)

@@ -4,7 +4,8 @@ module Config = Hc_sim.Config
 module Pipeline = Hc_sim.Pipeline
 module Metrics = Hc_sim.Metrics
 module Steer = Hc_sim.Steer
-module Uop = Hc_isa.Uop
+module Uop_soa = Hc_isa.Uop_soa
+module Trace = Hc_trace.Trace
 module Opcode = Hc_isa.Opcode
 module Width = Hc_isa.Width
 module Table = Hc_stats.Table
@@ -25,7 +26,9 @@ type t = {
   run : length:int -> row list;
 }
 
-let measure ~length ~variant ?(decide = Hc_steering.Policy.decide) cfg =
+(* [decide] is built per trace, so an oracle can be handed that trace's
+   ground truth *)
+let measure ~length ~variant ?(decide = fun _ -> Hc_steering.Policy.decide) cfg =
   (* one task per benchmark: trace generation and both simulations are
      self-contained, so the twelve benchmarks fan out across the pool *)
   let per_bench =
@@ -36,7 +39,9 @@ let measure ~length ~variant ?(decide = Hc_steering.Policy.decide) cfg =
           Pipeline.run ~cfg:Config.baseline ~decide:Hc_steering.Policy.decide
             ~scheme_name:"baseline" tr
         in
-        let m = Pipeline.run ~cfg ~decide ~scheme_name:variant tr in
+        let m =
+          Pipeline.run ~cfg ~decide:(decide (Trace.soa tr)) ~scheme_name:variant tr
+        in
         ( Metrics.speedup_pct ~baseline:base m,
           Metrics.steered_pct m,
           Metrics.copy_pct m,
@@ -76,33 +81,30 @@ let confidence ~length =
   ]
 
 (* Oracle steering: replace the predictor-driven 8-8-8 and CR tests with
-   ground truth (the policy still respects structural restrictions). This
-   bounds what a perfect width predictor could buy. *)
-let oracle_decide (ctx : Steer.ctx) (u : Uop.t) =
+   the trace's ground truth, handed in as [soa] (the policy still respects
+   structural restrictions). This bounds what a perfect width predictor
+   could buy. *)
+let oracle_decide soa (ctx : Steer.ctx) i =
   let cfg = ctx.Steer.cfg in
   let scheme = cfg.Config.scheme in
   let bits = cfg.Config.narrow_bits in
-  let helper_capable =
-    match Opcode.exec_class u.Uop.op with
-    | Opcode.Int_alu | Opcode.Mem | Opcode.Ctrl -> true
-    | Opcode.Int_mul | Opcode.Fp -> false
-  in
-  if not (scheme.Config.helper && helper_capable) then Steer.Steer Config.Wide
-  else if Opcode.is_branch u.Uop.op then begin
-    if scheme.Config.br && Uop.reads_flags u && ctx.Steer.flags_in_narrow ()
-    then Steer.Steer_narrow Steer.Rbr
-    else Steer.Steer Config.Wide
+  let op = Steer.op ctx i in
+  if not (scheme.Config.helper && Opcode.helper_capable op) then Steer.steer_wide
+  else if Opcode.is_branch op then begin
+    if scheme.Config.br && Steer.reads_flags ctx i && ctx.Steer.flags_in_narrow ()
+    then Steer.steer_br
+    else Steer.steer_wide
   end
-  else if u.Uop.op = Opcode.Store then Steer.Steer Config.Wide
-  else if scheme.Config.s888 && Uop.is_888_bits ~bits u then
-    Steer.Steer_narrow Steer.R888
+  else if op = Opcode.Store then Steer.steer_wide
+  else if scheme.Config.s888 && Uop_soa.is_888_bits ~bits soa i then
+    Steer.steer_888
   else if
-    scheme.Config.cr && Uop.carry_not_propagated_bits ~bits u
-    && (u.Uop.op <> Opcode.Load || Width.is_narrow_bits ~bits u.Uop.result)
-  then Steer.Steer_narrow Steer.Rcr
+    scheme.Config.cr && Uop_soa.carry_not_propagated_bits ~bits soa i
+    && (op <> Opcode.Load || Width.is_narrow_bits ~bits (Uop_soa.result soa i))
+  then Steer.steer_cr
   else
     (* fall back to the real policy for the imbalance machinery *)
-    Hc_steering.Policy.decide ctx u
+    Hc_steering.Policy.decide ctx i
 
 let oracle ~length =
   [

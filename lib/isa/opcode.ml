@@ -17,6 +17,13 @@ let exec_class = function
   | Branch_cond | Branch_uncond -> Ctrl
   | Fp_add | Fp_mul | Fp_div -> Fp
 
+(* The helper cluster has 8-bit integer units only (§2.1): no
+   multiply/divide, no floating point. *)
+let helper_capable op =
+  match exec_class op with
+  | Int_alu | Mem | Ctrl -> true
+  | Int_mul | Fp -> false
+
 let latency = function
   | Add | Sub | And | Or | Xor | Shl | Shr | Cmp | Mov | Lea -> 1
   | Mul -> 4

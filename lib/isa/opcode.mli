@@ -27,6 +27,11 @@ type exec_class =
 
 val exec_class : t -> exec_class
 
+val helper_capable : t -> bool
+(** Can the 8-bit helper cluster execute this opcode at all? Integer
+    ALU, memory and control uops yes; multiply, divide and floating
+    point never (§2.1). *)
+
 val latency : t -> int
 (** Execution latency in wide-cluster (slow) cycles, excluding memory
     hierarchy time for loads. *)

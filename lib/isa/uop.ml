@@ -33,49 +33,6 @@ let has_dest u = Option.is_some u.dst
 
 let writes_flags u = Opcode.writes_flags u.op
 
-let reads_flags u = Opcode.reads_flags u.op
-
-let result_width u = Width.classify u.result
-
-let src_widths u = List.map Width.classify u.src_vals
-
-let all_srcs_narrow u = List.for_all Width.is_narrow u.src_vals
-
-(* Every source narrow, and - when the uop produces anything observable
-   (a destination register or the flags) - a narrow result too. *)
-let is_888_bits ~bits u =
-  List.for_all (Width.is_narrow_bits ~bits) u.src_vals
-  && ((not (has_dest u) && not (writes_flags u))
-     || Width.is_narrow_bits ~bits u.result)
-
-let is_888 u = is_888_bits ~bits:8 u
-
-(* For memory uops the "result" of the 8-32-32 shape is the AGU output —
-   the effective address (Fig 10) — not the loaded value. *)
-let shape_result u = if Opcode.is_memory u.op then u.mem_addr else u.result
-
-let is_8_32_32_bits ~bits u =
-  match u.src_vals with
-  | [ a; b ] ->
-    let na = Width.is_narrow_bits ~bits a and nb = Width.is_narrow_bits ~bits b in
-    (na <> nb) && not (Width.is_narrow_bits ~bits (shape_result u))
-  | [] | [ _ ] | _ :: _ :: _ -> false
-
-let is_8_32_32 u = is_8_32_32_bits ~bits:8 u
-
-let upper_bits_equal ~bits a b = a lsr bits = b lsr bits
-
-let carry_not_propagated_bits ~bits u =
-  if not (Opcode.carry_eligible u.op) then false
-  else
-    match u.src_vals with
-    | [ a; b ] when is_8_32_32_bits ~bits u ->
-      let wide = if Width.is_narrow_bits ~bits a then b else a in
-      upper_bits_equal ~bits (shape_result u) wide
-    | [] | [ _ ] | _ :: _ -> false
-
-let carry_not_propagated u = carry_not_propagated_bits ~bits:8 u
-
 let pp_operand ppf = function
   | Reg r -> Reg.pp ppf r
   | Imm v -> Value.pp ppf v

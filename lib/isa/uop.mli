@@ -6,7 +6,12 @@
     the memory address and the branch direction. The simulator's predictors
     see none of this directly — they are trained at writeback, exactly like
     the hardware tables of the paper — but the execution model uses it to
-    detect fatal width mispredictions and carry propagation. *)
+    detect fatal width mispredictions and carry propagation.
+
+    Records are the interchange form (the text format, the generator, the
+    linter's per-uop checks); the simulator and the analyses read the
+    packed columns of {!Uop_soa}, which also carries the ground-truth
+    width shapes ([is_888_bits], [is_8_32_32_bits], ...). *)
 
 type operand =
   | Reg of Reg.t
@@ -54,41 +59,6 @@ val make :
 val has_dest : t -> bool
 
 val writes_flags : t -> bool
-val reads_flags : t -> bool
-
-val result_width : t -> Width.t
-(** Width of the ground-truth result value. *)
-
-val src_widths : t -> Width.t list
-(** Widths of the concrete source values. *)
-
-val all_srcs_narrow : t -> bool
-(** Ground truth for the 8-8-8 condition on the source side. *)
-
-val is_888_bits : bits:int -> t -> bool
-(** {!is_888} against an arbitrary helper datapath width. *)
-
-val is_888 : t -> bool
-(** Ground truth 8-8-8 eligibility: every source value narrow and, when the
-    uop produces anything observable (a destination register or the flags),
-    a narrow result too. *)
-
-val is_8_32_32 : t -> bool
-(** Ground truth CR-shape: two sources, exactly one wide, with a wide
-    result (the 8-32-32 pattern of §3.5). For memory uops the "result" is
-    the effective address — the AGU output of Fig 10 — not the loaded
-    value. *)
-
-val is_8_32_32_bits : bits:int -> t -> bool
-(** {!is_8_32_32} against an arbitrary helper width. *)
-
-val carry_not_propagated_bits : bits:int -> t -> bool
-(** {!carry_not_propagated} against an arbitrary helper width. *)
-
-val carry_not_propagated : t -> bool
-(** For an {!is_8_32_32} additive uop: did the traced execution leave the
-    upper 24 bits of the wide source unchanged (Fig 10)? [false] when the
-    shape or opcode does not apply. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -11,8 +11,8 @@
 
    [of_uops]/[to_uops] are exact inverses: [to_uops (of_uops a)] is
    structurally equal to [a] (proven by QCheck round-trip in
-   test_uop_soa.ml), so a consumer may switch between views freely
-   without changing any observable result. *)
+   test_uop_soa.ml). Records are built only at the edges that need
+   them — the text format, diagnostics, tests. *)
 
 type t = {
   len : int;
@@ -47,10 +47,6 @@ let result t i = Array.unsafe_get t.results i
 let mem_addr t i = Array.unsafe_get t.mem_addrs i
 
 let flag t i bit = Char.code (Bytes.unsafe_get t.flags i) land bit <> 0
-let taken t i = flag t i flag_taken
-let branch_mispredicted t i = flag t i flag_mispredicted
-let dl0_miss t i = flag t i flag_dl0
-let ul1_miss t i = flag t i flag_ul1
 
 let src_base t i = Array.unsafe_get t.src_off i
 let nsrcs t i = Array.unsafe_get t.src_off (i + 1) - Array.unsafe_get t.src_off i
@@ -61,13 +57,8 @@ let src_reg t j = Array.unsafe_get t.src_regs j
 let src_val t j = Array.unsafe_get t.src_vals j
 
 let writes_flags t i = Opcode.writes_flags (op t i)
-let reads_flags t i = Opcode.reads_flags (op t i)
 
-(* ----- ground-truth width shapes, column-driven -----
-
-   Exact mirrors of the [Uop] record versions (see uop.ml); the pipeline's
-   recovery check and the predictors' training walk these instead of the
-   record's operand lists. *)
+(* ----- ground-truth width shapes, column-driven ----- *)
 
 let all_srcs_narrow_bits ~bits t i =
   let lo = src_base t i and n = nsrcs t i in
@@ -146,31 +137,33 @@ let of_uops (uops : Uop.t array) =
   { len; ids; pcs; ops; dsts; results; mem_addrs; flags; src_off; src_regs;
     src_vals }
 
-let to_uops t =
-  Array.init t.len (fun i ->
-      let lo = t.src_off.(i) and hi = t.src_off.(i + 1) in
-      let srcs = ref [] and src_vals = ref [] in
-      for j = hi - 1 downto lo do
-        let v = t.src_vals.(j) in
-        ( match t.src_regs.(j) with
-        | -1 -> srcs := Uop.Imm v :: !srcs
-        | r -> srcs := Uop.Reg (Reg.of_index r) :: !srcs );
-        src_vals := v :: !src_vals
-      done;
-      {
-        Uop.id = t.ids.(i);
-        pc = t.pcs.(i);
-        op = Opcode.of_index t.ops.(i);
-        srcs = !srcs;
-        dst = (match t.dsts.(i) with -1 -> None | d -> Some (Reg.of_index d));
-        src_vals = !src_vals;
-        result = t.results.(i);
-        mem_addr = t.mem_addrs.(i);
-        taken = flag t i flag_taken;
-        branch_mispredicted = flag t i flag_mispredicted;
-        dl0_miss = flag t i flag_dl0;
-        ul1_miss = flag t i flag_ul1;
-      })
+let to_uop t i =
+  if i < 0 || i >= t.len then invalid_arg "Uop_soa.to_uop: out of bounds";
+  let lo = t.src_off.(i) and hi = t.src_off.(i + 1) in
+  let srcs = ref [] and src_vals = ref [] in
+  for j = hi - 1 downto lo do
+    let v = t.src_vals.(j) in
+    ( match t.src_regs.(j) with
+    | -1 -> srcs := Uop.Imm v :: !srcs
+    | r -> srcs := Uop.Reg (Reg.of_index r) :: !srcs );
+    src_vals := v :: !src_vals
+  done;
+  {
+    Uop.id = t.ids.(i);
+    pc = t.pcs.(i);
+    op = Opcode.of_index t.ops.(i);
+    srcs = !srcs;
+    dst = (match t.dsts.(i) with -1 -> None | d -> Some (Reg.of_index d));
+    src_vals = !src_vals;
+    result = t.results.(i);
+    mem_addr = t.mem_addrs.(i);
+    taken = flag t i flag_taken;
+    branch_mispredicted = flag t i flag_mispredicted;
+    dl0_miss = flag t i flag_dl0;
+    ul1_miss = flag t i flag_ul1;
+  }
+
+let to_uops t = Array.init t.len (to_uop t)
 
 (* Contiguous slice: uop columns narrow to the window and the operand
    offsets rebase to the sliced operand columns; ids are preserved, not

@@ -5,11 +5,14 @@
     destination-register indices, results, memory addresses and a packed
     flag byte per uop, with operands flattened into shared
     register-index/value columns addressed through a prefix-offset
-    column. The simulator, the static analyses and the HCTB codec walk
-    these columns without allocating or constructing [Uop.t] records.
+    column. This is the one trace representation the simulator, the
+    steering layer, the static analyses, the trace statistics and the
+    HCTB codec read: by trace index, without allocating or constructing
+    [Uop.t] records.
 
-    {!of_uops} and {!to_uops} are exact inverses, so the SoA view and
-    the record view of a trace are interchangeable. *)
+    {!of_uops} and {!to_uops} are exact inverses; records exist only at
+    the edges (the text format, the generator, the linter's per-uop
+    checks). *)
 
 type t = private {
   len : int;
@@ -45,12 +48,11 @@ val dst_index : t -> int -> int
 val has_dest : t -> int -> bool
 val result : t -> int -> int
 val mem_addr : t -> int -> int
-val taken : t -> int -> bool
-val branch_mispredicted : t -> int -> bool
-val dl0_miss : t -> int -> bool
-val ul1_miss : t -> int -> bool
 val writes_flags : t -> int -> bool
-val reads_flags : t -> int -> bool
+
+val flag : t -> int -> int -> bool
+(** [flag t i bit]: is [bit] (one of the [flag_] constants) set for uop
+    [i]. *)
 
 val src_base : t -> int -> int
 (** Absolute index of uop [i]'s first operand in the flattened columns. *)
@@ -66,13 +68,27 @@ val src_val : t -> int -> int
 
 (** {1 Ground-truth width shapes}
 
-    Column-driven mirrors of the [Uop.t] helpers used by the simulator's
-    width-misprediction check and predictor training. *)
+    Read by the simulator's width-misprediction check and predictor
+    training, the trace statistics and the analyses' soundness gates —
+    never by a steering policy. [bits] is the helper datapath width (8
+    in the paper). *)
 
 val all_srcs_narrow_bits : bits:int -> t -> int -> bool
+(** Every concrete source value narrow: the source side of 8-8-8. *)
+
 val is_888_bits : bits:int -> t -> int -> bool
+(** 8-8-8 eligibility: every source value narrow and, when the uop
+    produces anything observable (a destination register or the flags),
+    a narrow result too. *)
+
 val is_8_32_32_bits : bits:int -> t -> int -> bool
+(** CR shape (§3.5): two sources, exactly one wide, with a wide
+    {!shape_result}. *)
+
 val carry_not_propagated_bits : bits:int -> t -> int -> bool
+(** For a carry-eligible {!is_8_32_32_bits} uop: did the traced
+    execution leave the upper bits of the wide source unchanged
+    (Fig 10)? [false] when the shape or opcode does not apply. *)
 
 val shape_result : t -> int -> int
 (** The value whose width classifies the uop: AGU output for memory uops,
@@ -82,6 +98,10 @@ val shape_result : t -> int -> int
 
 val of_uops : Uop.t array -> t
 val to_uops : t -> Uop.t array
+
+val to_uop : t -> int -> Uop.t
+(** The record of one uop, for diagnostics that print or re-evaluate a
+    single instruction. *)
 
 val sub : t -> pos:int -> len:int -> t
 (** Contiguous slice with operand offsets rebased; ids are preserved.

@@ -4,11 +4,12 @@
    (value/node pools, intrusive issue queues, a ring-buffer ROB, an event
    wheel) reused across runs, and options/tuples/closures are replaced by
    sentinels and int codes. Accounting and event-sink paths may allocate;
-   they are guarded off the untraced run. The bench's --alloc-gate checks
-   the marginal minor-words-per-uop of a warm untraced run stays zero. *)
+   they are guarded off the untraced run. Nodes name their uop by trace
+   index; no uop record exists on this path. The bench's --alloc-gate
+   checks the marginal minor-words-per-uop of an untraced run stays zero,
+   both warm and as the first run on a freshly decoded trace. *)
 module Opcode = Hc_isa.Opcode
 module Reg = Hc_isa.Reg
-module Uop = Hc_isa.Uop
 module Uop_soa = Hc_isa.Uop_soa
 module Value = Hc_isa.Value
 module Width = Hc_isa.Width
@@ -142,13 +143,13 @@ let reason_code = function
   | Steer.Rir -> r_ir
   | Steer.Rlive -> r_live
 
-let null_uop =
-  Uop.make ~id:(-1) ~pc:0 ~op:Opcode.Nop ~srcs:[] ~dst:None ~src_vals:[] ()
-
 type node = {
   mutable n_id : int;  (* dispatch order, unique *)
-  mutable n_trace_idx : int;  (* position in the trace; -1 for copies *)
-  mutable n_uop : Uop.t;  (* [null_uop] for copies *)
+  mutable n_trace_idx : int;
+      (* position in the trace, the key to every uop column; -1 for copies *)
+  mutable n_op : Opcode.t;
+      (* decoded once at dispatch: latency, unit class and the width check
+         all key on it; [Nop] for copies *)
   mutable n_kind : int;  (* k_normal / k_copy / k_slice *)
   (* copy payload (valid when n_kind = k_copy) *)
   mutable n_cv : vstate;  (* the value being copied *)
@@ -199,7 +200,7 @@ type node = {
 let new_node () =
   let rec n =
     {
-      n_id = min_int; n_trace_idx = -1; n_uop = null_uop; n_kind = k_normal;
+      n_id = min_int; n_trace_idx = -1; n_op = Opcode.Nop; n_kind = k_normal;
       n_cv = null_vstate; n_copy_target = 0; n_copy_epoch = 0;
       n_copy_publishes = false; n_slice_final = false;
       n_cluster = Config.Wide; n_squashed = true; n_done = true;
@@ -367,8 +368,8 @@ let ensure_resteer_cap sc cap =
     sc.resteer <- arr
   end
 
-(* Drop every reference the previous run left behind (so its trace and
-   per-run structures become collectable), relink the sentinels, and make
+(* Drop every reference the previous run left behind (so its per-run
+   structures become collectable), relink the sentinels, and make
    sure the ROB ring fits this run's configuration. *)
 let reset_scratch sc ~rob_size =
   for k = 0 to wheel_size - 1 do
@@ -381,7 +382,6 @@ let reset_scratch sc ~rob_size =
   sc.due_len <- 0;
   for k = 0 to sc.p_ncur - 1 do
     let n = sc.p_nodes.(k) in
-    n.n_uop <- null_uop;
     n.n_prev <- n;
     n.n_next <- n
   done;
@@ -406,10 +406,7 @@ type stall_src = Sr_none | Sr_rob | Sr_iq | Sr_regfile | Sr_mob
 
 type state = {
   cfg : Config.t;
-  trace : Trace.t;
-  soa : Uop_soa.t;  (* the trace's packed columns: def-use and width
-                       checks read these instead of uop records *)
-  uarr : Uop.t array;  (* record view, forced once per trace *)
+  soa : Uop_soa.t;  (* the trace's packed columns, read by trace index *)
   trace_len : int;
   decide : decide;
   preds : Bundle.t;
@@ -500,7 +497,7 @@ let alloc_node st =
   sc.p_ncur <- sc.p_ncur + 1;
   n.n_id <- min_int;
   n.n_trace_idx <- -1;
-  n.n_uop <- null_uop;
+  n.n_op <- Opcode.Nop;
   n.n_kind <- k_normal;
   n.n_cv <- null_vstate;
   n.n_copy_target <- 0;
@@ -576,7 +573,7 @@ let schedule st node tick =
 let node_event_name (node : node) =
   if node.n_kind = k_copy then "copy"
   else if node.n_kind = k_slice then "slice"
-  else if node.n_trace_idx >= 0 then Opcode.to_string node.n_uop.Uop.op
+  else if node.n_trace_idx >= 0 then Opcode.to_string node.n_op
   else "?"
 
 let emit st kind (node : node) ~a ~b =
@@ -596,46 +593,59 @@ let take_sample st sink =
 
 (* ----- latency model ----- *)
 
-let mem_time st (u : Uop.t) =
+let mem_time st idx =
   let cfg = st.cfg in
   match cfg.Config.memory_model with
   | Config.Mem_trace_flags ->
-    if u.Uop.dl0_miss then
-      if u.Uop.ul1_miss then cfg.Config.mem_latency else cfg.Config.ul1_latency
+    if Uop_soa.flag st.soa idx Uop_soa.flag_dl0 then
+      if Uop_soa.flag st.soa idx Uop_soa.flag_ul1 then cfg.Config.mem_latency
+      else cfg.Config.ul1_latency
     else cfg.Config.dl0_latency
   | Config.Mem_cache_sim ->
     (* the latency triple lives in [st.lat3] so a cache-model access does
        not build a tuple per uop *)
-    Cache.Hierarchy.latency st.memory ~latencies:st.lat3 u.Uop.mem_addr
+    Cache.Hierarchy.latency st.memory ~latencies:st.lat3
+      (Uop_soa.mem_addr st.soa idx)
 
 let exec_ticks st cluster (node : node) =
   let cfg = st.cfg in
   if node.n_kind = k_copy then 2 * cfg.Config.copy_latency
   else if node.n_kind = k_slice then 1
   else begin
-    let u = node.n_uop in
-    let base = Opcode.latency u.Uop.op in
+    let idx = node.n_trace_idx in
+    let op = node.n_op in
+    let base = Opcode.latency op in
     match cluster with
     | Config.Wide ->
-      if u.Uop.op = Opcode.Load then (2 * base) + (2 * mem_time st u)
+      if op = Opcode.Load then (2 * base) + (2 * mem_time st idx)
       else 2 * base
     | Config.Narrow ->
       (* the 8-bit backend is clocked 2x: one slow-cycle op takes one tick;
          memory hierarchy time is absolute and unchanged *)
       let alu = if cfg.Config.helper_fast_clock then base else 2 * base in
-      if u.Uop.op = Opcode.Load then alu + (2 * mem_time st u) else alu
+      if op = Opcode.Load then alu + (2 * mem_time st idx) else alu
   end
 
 (* ----- rename-time width knowledge ----- *)
 
-let source_info st (operand : Uop.operand) =
-  match operand with
-  | Uop.Imm v ->
+(* Operand [k] of the uop at trace index [i]. An immediate's value is
+   architecturally visible at rename; a register operand reads the rename
+   table, never the trace's source-value column. The policy supplies [i]
+   and [k], and the columns are read unchecked, so both are checked
+   here. *)
+let source_info st i k =
+  if i < 0 || i >= Uop_soa.length st.soa || k < 0 || k >= Uop_soa.nsrcs st.soa i
+  then invalid_arg "Steer.source_info: operand out of range";
+  let j = Uop_soa.src_base st.soa i + k in
+  let r = Uop_soa.src_reg st.soa j in
+  if r < 0 then
     Steer.src_info_bits
-      ~narrow:(Width.is_narrow_bits ~bits:st.cfg.Config.narrow_bits v)
+      ~narrow:
+        (Width.is_narrow_bits ~bits:st.cfg.Config.narrow_bits
+           (Uop_soa.src_val st.soa j))
       ~known:true ~cluster_code:Steer.cluster_code_none
-  | Uop.Reg r ->
-    let v = st.rename.(Reg.to_index r) in
+  else begin
+    let v = st.rename.(r) in
     if v == null_vstate then
       (* architectural value from before the trace window: a long-ready,
          conservatively wide register *)
@@ -652,6 +662,7 @@ let source_info st (operand : Uop.operand) =
       else
         Steer.src_info_bits ~narrow:v.v_pred_narrow ~known:false ~cluster_code
     end
+  end
 
 let eflags_index = Reg.to_index Reg.Eflags
 
@@ -682,13 +693,11 @@ let create ?sink ?accounting cfg decide trace =
   | Error msg -> invalid_arg ("Pipeline: " ^ msg) );
   let sc = Domain.DLS.get scratch_key in
   reset_scratch sc ~rob_size:cfg.Config.rob_size;
-  let uarr = Trace.uops trace in
+  let soa = Trace.soa trace in
   let st =
     {
-      cfg; trace; decide; sink;
-      soa = Trace.soa trace;
-      uarr;
-      trace_len = Array.length uarr;
+      cfg; decide; sink; soa;
+      trace_len = Uop_soa.length soa;
       acct = accounting;
       sc;
       steer_ctx = None;
@@ -734,7 +743,8 @@ let create ?sink ?accounting cfg decide trace =
       {
         Steer.cfg = st.cfg;
         preds = st.preds;
-        source_info = source_info st;
+        uops = Steer.uops_of_soa soa;
+        source_info = (fun i k -> source_info st i k);
         flags_in_narrow = flags_in_narrow st;
         occupancy_lt = occupancy_lt st;
         ready_backlog = ready_backlog st;
@@ -750,13 +760,12 @@ let create ?sink ?accounting cfg decide trace =
    the seed built a [(vstate * int) list] per uop here. *)
 let collect_reg_deps st trace_idx =
   let sc = st.sc in
-  let soa = st.soa in
-  let lo = Uop_soa.src_base soa trace_idx in
-  let ns = Uop_soa.nsrcs soa trace_idx in
+  let lo = Uop_soa.src_base st.soa trace_idx in
+  let ns = Uop_soa.nsrcs st.soa trace_idx in
   sc.dp_n <- 0;
   ensure_dp_cap sc ns;
   for j = lo to lo + ns - 1 do
-    let r = Uop_soa.src_reg soa j in
+    let r = Uop_soa.src_reg st.soa j in
     if r >= 0 then begin
       let v = st.rename.(r) in
       if v != null_vstate then begin
@@ -830,13 +839,19 @@ let make_copy st ~(cv : vstate) ~target ~prefetch ~publishes =
 (* Train the CP predictor with the dying value's copy history on a
    rename-table overwrite. (The seed also kept an undo log here; nothing
    ever consumed it, so it is gone.) *)
-let rename_write st reg (v : vstate) =
-  let i = Reg.to_index reg in
+let rename_write st i (v : vstate) =
   let prev = st.rename.(i) in
   if prev != null_vstate && st.cfg.Config.scheme.Config.cp then
     Copy_predictor.update st.preds.Bundle.copy prev.v_pc
       ~copied:prev.v_demand_copied;
   st.rename.(i) <- v
+
+(* Point the uop's destination register, then the flags when it writes
+   them, at its new value — the generator's writeback order. *)
+let rename_dest st ~trace_idx ~op (v : vstate) =
+  let d = Uop_soa.dst_index st.soa trace_idx in
+  if d >= 0 then rename_write st d v;
+  if Opcode.writes_flags op then rename_write st eflags_index v
 
 (* Credit a consumed prefetch, once per (value, cluster), over the
    scratch dependences. *)
@@ -856,12 +871,13 @@ exception Dispatch_stall
 
 (* ----- dispatch ----- *)
 
-let dispatch_split st (u : Uop.t) ~trace_idx ~pred_narrow =
+let dispatch_split st ~trace_idx ~op ~pc ~pred_narrow =
   let cfg = st.cfg in
   let sc = st.sc in
+  let has_dest = Uop_soa.has_dest st.soa trace_idx in
   let slices = 4 in
-  let produces_value = Uop.has_dest u || Uop.writes_flags u in
-  let result_copies = if Uop.has_dest u then slices else 0 in
+  let produces_value = has_dest || Opcode.writes_flags op in
+  let result_copies = if has_dest then slices else 0 in
   (* the byte lanes read their sources as 8-bit slices through the same
      cross-cluster byte paths the CR tag scheme uses, so no source copies
      are charged - only queue slots, issue slots and the chained latency *)
@@ -880,15 +896,17 @@ let dispatch_split st (u : Uop.t) ~trace_idx ~pred_narrow =
   credit_prefetch_deps st Config.Narrow;
   let dest =
     if produces_value then
-      alloc_vstate st ~pc:u.Uop.pc
-        ~narrow:(Width.is_narrow_bits ~bits:cfg.Config.narrow_bits u.Uop.result)
+      alloc_vstate st ~pc
+        ~narrow:
+          (Width.is_narrow_bits ~bits:cfg.Config.narrow_bits
+             (Uop_soa.result st.soa trace_idx))
         ~pred_narrow ~cluster:Config.Narrow
     else null_vstate
   in
   (* carry-rippling ops chain lane k+1 on lane k's carry-out; bitwise,
      move and store lanes are independent byte operations *)
   let ripples =
-    match u.Uop.op with
+    match op with
     | Opcode.Add | Opcode.Sub | Opcode.Cmp -> true
     | Opcode.And | Opcode.Or | Opcode.Xor | Opcode.Mov | Opcode.Store
     | Opcode.Shl | Opcode.Shr | Opcode.Lea | Opcode.Mul | Opcode.Div
@@ -902,7 +920,7 @@ let dispatch_split st (u : Uop.t) ~trace_idx ~pred_narrow =
     let node = alloc_node st in
     node.n_id <- fresh_node_id st;
     node.n_trace_idx <- trace_idx;
-    node.n_uop <- u;
+    node.n_op <- op;
     node.n_kind <- k_slice;
     node.n_slice_final <- final;
     node.n_cluster <- Config.Narrow;
@@ -921,7 +939,7 @@ let dispatch_split st (u : Uop.t) ~trace_idx ~pred_narrow =
     let slice_dest =
       if final then dest
       else
-        alloc_vstate st ~pc:u.Uop.pc ~narrow:true ~pred_narrow:true
+        alloc_vstate st ~pc ~narrow:true ~pred_narrow:true
           ~cluster:Config.Narrow
     in
     node.n_dest <- slice_dest;
@@ -935,15 +953,12 @@ let dispatch_split st (u : Uop.t) ~trace_idx ~pred_narrow =
   done;
   st.split_prev <- null_vstate;
   if dest != null_vstate then begin
-    ( match u.Uop.dst with
-    | Some reg -> rename_write st reg dest
-    | None -> () );
-    if Uop.writes_flags u then rename_write st Reg.Eflags dest;
+    rename_dest st ~trace_idx ~op dest;
     (* publish the result to the wide cluster as a burst of byte copies;
        only the last one makes the value visible there (§3.7). A
        replicated register file publishes through its write ports
        instead. *)
-    if Uop.has_dest u && not cfg.Config.replicated_regfile then
+    if has_dest && not cfg.Config.replicated_regfile then
       for k = 0 to slices - 1 do
         make_copy st ~cv:dest ~target:Config.Wide ~prefetch:false
           ~publishes:(k = slices - 1)
@@ -951,12 +966,13 @@ let dispatch_split st (u : Uop.t) ~trace_idx ~pred_narrow =
   end;
   bump st Counts.split_dispatched
 
-let dispatch_steered st (u : Uop.t) ~trace_idx ~pred_narrow ~pred_confident
+let dispatch_steered st ~trace_idx ~op ~pc ~pred_narrow ~pred_confident
     ~cluster ~reason =
   let cfg = st.cfg in
   let scheme = cfg.Config.scheme in
   let sc = st.sc in
-  let produces_value = Uop.has_dest u || Uop.writes_flags u in
+  let has_dest = Uop_soa.has_dest st.soa trace_idx in
+  let produces_value = has_dest || Opcode.writes_flags op in
   let remote_reads = reason = r_cr in
   mark_copies_needed st ~cluster
     ~no_copies:(remote_reads || cfg.Config.replicated_regfile);
@@ -978,7 +994,7 @@ let dispatch_steered st (u : Uop.t) ~trace_idx ~pred_narrow ~pred_confident
     st.stall_src <- Sr_regfile;
     raise Dispatch_stall
   end;
-  let is_mem = u.Uop.op = Opcode.Load || u.Uop.op = Opcode.Store in
+  let is_mem = op = Opcode.Load || op = Opcode.Store in
   if is_mem then begin
     if st.mob_count >= cfg.Config.mob_size then begin
       st.stall_src <- Sr_mob;
@@ -994,32 +1010,35 @@ let dispatch_steered st (u : Uop.t) ~trace_idx ~pred_narrow ~pred_confident
   credit_prefetch_deps st cluster;
   let dest =
     if produces_value then
-      alloc_vstate st ~pc:u.Uop.pc
-        ~narrow:(Width.is_narrow_bits ~bits:cfg.Config.narrow_bits u.Uop.result)
+      alloc_vstate st ~pc
+        ~narrow:
+          (Width.is_narrow_bits ~bits:cfg.Config.narrow_bits
+             (Uop_soa.result st.soa trace_idx))
         ~pred_narrow ~cluster
     else null_vstate
   in
   let lr_replicate =
-    scheme.Config.lr && u.Uop.op = Opcode.Load && pred_narrow
+    scheme.Config.lr && op = Opcode.Load && pred_narrow
     && ((not cfg.Config.confidence_gate) || pred_confident)
   in
   (* resolve the direction prediction in program order, here at rename *)
   let br_mispredicted =
-    if u.Uop.op <> Opcode.Branch_cond then false
+    if op <> Opcode.Branch_cond then false
     else
       match cfg.Config.branch_model with
-      | Config.Br_trace_flags -> u.Uop.branch_mispredicted
+      | Config.Br_trace_flags -> Uop_soa.flag st.soa trace_idx Uop_soa.flag_mispredicted
       | Config.Br_gshare ->
-        Branch_predictor.update st.gshare u.Uop.pc ~taken:u.Uop.taken
+        Branch_predictor.update st.gshare pc
+          ~taken:(Uop_soa.flag st.soa trace_idx Uop_soa.flag_taken)
   in
   if dest != null_vstate then begin
     dest.v_lr <- lr_replicate;
-    dest.v_from_load <- u.Uop.op = Opcode.Load
+    dest.v_from_load <- op = Opcode.Load
   end;
   let node = alloc_node st in
   node.n_id <- fresh_node_id st;
   node.n_trace_idx <- trace_idx;
-  node.n_uop <- u;
+  node.n_op <- op;
   node.n_cluster <- cluster;
   ensure_node_dep_cap node sc.dp_n;
   for j = 0 to sc.dp_n - 1 do
@@ -1035,18 +1054,15 @@ let dispatch_steered st (u : Uop.t) ~trace_idx ~pred_narrow ~pred_confident
   node.n_remote_reads <- remote_reads;
   if dest != null_vstate then begin
     if Regfile.allocate st.regfile cluster then node.n_alloc <- ci;
-    ( match u.Uop.dst with
-    | Some reg -> rename_write st reg dest
-    | None -> () );
-    if Uop.writes_flags u then rename_write st Reg.Eflags dest
+    rename_dest st ~trace_idx ~op dest
   end;
   enqueue_iq st cluster node;
   rob_add st node;
   (* CP: producer-side copy prefetching (§3.6). Narrow producers prefetch
      predicted copies to the wide cluster; wide producers of predicted
      narrow values prefetch toward the helper. *)
-  if dest != null_vstate && scheme.Config.cp && Uop.has_dest u then begin
-    let cp_hit = Copy_predictor.predict st.preds.Bundle.copy u.Uop.pc in
+  if dest != null_vstate && scheme.Config.cp && has_dest then begin
+    let cp_hit = Copy_predictor.predict st.preds.Bundle.copy pc in
     if cluster = Config.Narrow && cp_hit && iq_free st Config.Narrow > 0 then
       make_copy st ~cv:dest ~target:Config.Wide ~prefetch:true ~publishes:true
     else if
@@ -1056,36 +1072,35 @@ let dispatch_steered st (u : Uop.t) ~trace_idx ~pred_narrow ~pred_confident
   end;
   bump st c_dispatch.(ci)
 
-let dispatch_uop st ~forced_wide (u : Uop.t) ~trace_idx =
+let dispatch_uop st ~forced_wide ~trace_idx =
   let scheme = st.cfg.Config.scheme in
-  let pred_narrow = Width_predictor.predict_narrow st.preds.Bundle.width u.Uop.pc in
-  let pred_confident =
-    Width_predictor.predict_confident st.preds.Bundle.width u.Uop.pc
-  in
+  let op = Uop_soa.op st.soa trace_idx and pc = Uop_soa.pc st.soa trace_idx in
+  let pred_narrow = Width_predictor.predict_narrow st.preds.Bundle.width pc in
+  let pred_confident = Width_predictor.predict_confident st.preds.Bundle.width pc in
   bump st Counts.wpred_lookup;
   let decision =
     if forced_wide || not scheme.Config.helper then Steer.steer_wide
-    else st.decide (get_ctx st) u
+    else st.decide (get_ctx st) trace_idx
   in
   collect_reg_deps st trace_idx;
   match decision with
-  | Steer.Split -> dispatch_split st u ~trace_idx ~pred_narrow
+  | Steer.Split -> dispatch_split st ~trace_idx ~op ~pc ~pred_narrow
   | Steer.Steer cluster ->
-    dispatch_steered st u ~trace_idx ~pred_narrow ~pred_confident ~cluster
-      ~reason:r_none
+    dispatch_steered st ~trace_idx ~op ~pc ~pred_narrow ~pred_confident
+      ~cluster ~reason:r_none
   | Steer.Steer_narrow reason ->
-    dispatch_steered st u ~trace_idx ~pred_narrow ~pred_confident
+    dispatch_steered st ~trace_idx ~op ~pc ~pred_narrow ~pred_confident
       ~cluster:Config.Narrow ~reason:(reason_code reason)
 
 exception Fetch_miss
 
 let rec frontend_loop st budget =
   if budget > 0 && st.fetch_idx < st.trace_len then begin
-    let u = st.uarr.(st.fetch_idx) in
     ( match st.cfg.Config.frontend_model with
     | Config.Fe_ideal -> ()
     | Config.Fe_trace_cache ->
-      if not (Trace_cache.lookup st.tcache u.Uop.pc) then begin
+      if not (Trace_cache.lookup st.tcache (Uop_soa.pc st.soa st.fetch_idx))
+      then begin
         (* build the trace line from the UL1 instruction stream *)
         st.fetch_resume <- st.now + (2 * st.cfg.Config.ul1_latency);
         bump st Counts.tc_miss;
@@ -1094,7 +1109,7 @@ let rec frontend_loop st budget =
     let forced_wide =
       Hashtbl.length st.force_wide > 0 && Hashtbl.mem st.force_wide st.fetch_idx
     in
-    dispatch_uop st ~forced_wide u ~trace_idx:st.fetch_idx;
+    dispatch_uop st ~forced_wide ~trace_idx:st.fetch_idx;
     st.fetch_idx <- st.fetch_idx + 1;
     frontend_loop st (budget - 1)
   end
@@ -1180,10 +1195,7 @@ let rec nready_walk st s (node : node) acc =
   else begin
     let capable =
       node.n_trace_idx < 0
-      ||
-      match Opcode.exec_class node.n_uop.Uop.op with
-      | Opcode.Int_alu | Opcode.Mem | Opcode.Ctrl -> true
-      | Opcode.Int_mul | Opcode.Fp -> false
+      || Opcode.helper_capable node.n_op
     in
     let acc =
       if
@@ -1483,12 +1495,10 @@ let narrow_execution_wrong st (node : node) =
   if idx < 0 then false
   else if node.n_reason = r_888 then
     not (Uop_soa.is_888_bits ~bits st.soa idx)
-  else if node.n_reason = r_cr then begin
-    if node.n_uop.Uop.op = Opcode.Load then
-      (not (Uop_soa.carry_not_propagated_bits ~bits st.soa idx))
-      || not (Width.is_narrow_bits ~bits node.n_uop.Uop.result)
-    else not (Uop_soa.carry_not_propagated_bits ~bits st.soa idx)
-  end
+  else if node.n_reason = r_cr then
+    (not (Uop_soa.carry_not_propagated_bits ~bits st.soa idx))
+    || (node.n_op = Opcode.Load
+       && not (Width.is_narrow_bits ~bits (Uop_soa.result st.soa idx)))
   else
     (* Rlive is proof-carried: the static bidirectional pass proved every
        bit above the narrow cut dead, so narrow execution is exact on all
@@ -1498,24 +1508,32 @@ let narrow_execution_wrong st (node : node) =
 
 (* ----- writeback / completion ----- *)
 
-let train_predictors st (u : Uop.t) idx =
+let produces_value st (node : node) =
+  Uop_soa.has_dest st.soa node.n_trace_idx || Opcode.writes_flags node.n_op
+
+let train_predictors st (node : node) =
   let bits = st.cfg.Config.narrow_bits in
-  if Uop.has_dest u || Uop.writes_flags u then begin
-    Width_predictor.update st.preds.Bundle.width u.Uop.pc
-      ~narrow:(Width.is_narrow_bits ~bits u.Uop.result);
+  let idx = node.n_trace_idx in
+  let pc = Uop_soa.pc st.soa idx in
+  if produces_value st node then begin
+    Width_predictor.update st.preds.Bundle.width pc
+      ~narrow:(Width.is_narrow_bits ~bits (Uop_soa.result st.soa idx));
     bump st Counts.wpred_update
   end;
   if
     st.cfg.Config.scheme.Config.cr
-    && Opcode.carry_eligible u.Uop.op
+    && Opcode.carry_eligible node.n_op
     && Uop_soa.nsrcs st.soa idx = 2
   then
-    Carry_predictor.update st.preds.Bundle.carry u.Uop.pc
+    Carry_predictor.update st.preds.Bundle.carry pc
       ~carry_local:(Uop_soa.carry_not_propagated_bits ~bits st.soa idx)
 
-let classify_prediction st (node : node) (u : Uop.t) ~fatal =
-  if Uop.has_dest u || Uop.writes_flags u then begin
-    let narrow = Width.is_narrow_bits ~bits:st.cfg.Config.narrow_bits u.Uop.result in
+let classify_prediction st (node : node) ~fatal =
+  if produces_value st node then begin
+    let narrow =
+      Width.is_narrow_bits ~bits:st.cfg.Config.narrow_bits
+        (Uop_soa.result st.soa node.n_trace_idx)
+    in
     let predicted =
       if node.n_dest != null_vstate then node.n_dest.v_pred_narrow else narrow
     in
@@ -1544,24 +1562,24 @@ let complete_slice st (node : node) =
     end
   end;
   if node.n_slice_final then begin
-    classify_prediction st node node.n_uop ~fatal:false;
-    train_predictors st node.n_uop node.n_trace_idx
+    classify_prediction st node ~fatal:false;
+    train_predictors st node
   end;
   bump st c_alu.(1);
   bump st c_regwrite.(1)
 
 let complete_normal st (node : node) =
-  let u = node.n_uop in
+  let idx = node.n_trace_idx in
   if node.n_is_mem then begin
     st.mob_count <- st.mob_count - 1;
     bump st
-      ( if u.Uop.dl0_miss then
-          if u.Uop.ul1_miss then Counts.mem_main else Counts.mem_ul1
+      ( if Uop_soa.flag st.soa idx Uop_soa.flag_dl0 then
+          if Uop_soa.flag st.soa idx Uop_soa.flag_ul1 then Counts.mem_main else Counts.mem_ul1
         else Counts.mem_dl0 )
   end;
   let fatal = node.n_cluster = Config.Narrow && narrow_execution_wrong st node in
-  classify_prediction st node u ~fatal;
-  train_predictors st u node.n_trace_idx;
+  classify_prediction st node ~fatal;
+  train_predictors st node;
   if fatal then begin
     if st.cfg.Config.replay_recovery then replay st node
     else
@@ -1593,7 +1611,7 @@ let complete_normal st (node : node) =
       end
     end;
     bump st c_regwrite.(own);
-    ( match Opcode.exec_class u.Uop.op with
+    ( match Opcode.exec_class node.n_op with
     | Opcode.Int_alu | Opcode.Ctrl -> bump st c_alu.(own)
     | Opcode.Int_mul -> bump st Counts.mul_wide
     | Opcode.Mem -> bump st c_agu.(own)

@@ -1,3 +1,5 @@
+module Uop_soa = Hc_isa.Uop_soa
+
 (* Rename-time source knowledge, packed into an immediate int so the
    per-uop steering path allocates nothing: bit 0 = believed narrow,
    bit 1 = belief is actual (producer done) rather than predicted,
@@ -30,6 +32,12 @@ let si_cluster (si : src_info) =
   | 2 -> Some Config.Narrow
   | _ -> None
 
+(* The view is the trace's columns themselves; only the interface makes
+   it abstract. *)
+type uops = Uop_soa.t
+
+let uops_of_soa soa = soa
+
 (* Occupancy-style signals are exposed as threshold tests instead of
    float-returning closures: a [float] coming back out of a closure call
    is boxed per call, while a [bool] is immediate. The float literals at
@@ -37,7 +45,8 @@ let si_cluster (si : src_info) =
 type ctx = {
   cfg : Config.t;
   preds : Hc_predictors.Bundle.t;
-  source_info : Hc_isa.Uop.operand -> src_info;
+  uops : uops;
+  source_info : int -> int -> src_info;
   flags_in_narrow : unit -> bool;
   occupancy_lt : Config.cluster -> float -> bool;
       (* issue-queue occupancy (len / iq_size) strictly below the bound *)
@@ -46,6 +55,21 @@ type ctx = {
       (* smoothed ready-backlog strictly above the bound *)
   rob_occupancy_lt : float -> bool;
 }
+
+(* The columns are read unchecked, so the index a policy passes is
+   checked against the view first. *)
+let index ctx i =
+  if i < 0 || i >= Uop_soa.length ctx.uops then
+    invalid_arg "Steer: trace index out of range";
+  i
+
+let id ctx i = Uop_soa.id ctx.uops (index ctx i)
+let pc ctx i = Uop_soa.pc ctx.uops (index ctx i)
+let op ctx i = Uop_soa.op ctx.uops (index ctx i)
+let nsrcs ctx i = Uop_soa.nsrcs ctx.uops (index ctx i)
+let has_dest ctx i = Uop_soa.has_dest ctx.uops (index ctx i)
+let writes_flags ctx i = Hc_isa.Opcode.writes_flags (op ctx i)
+let reads_flags ctx i = Hc_isa.Opcode.reads_flags (op ctx i)
 
 type reason = R888 | Rbr | Rcr | Rir | Rlive
 
@@ -72,7 +96,7 @@ let steer_narrow_of = function
   | Rir -> steer_ir
   | Rlive -> steer_live
 
-type decide = ctx -> Hc_isa.Uop.t -> decision
+type decide = ctx -> int -> decision
 
 let reason_to_string = function
   | R888 -> "888"

@@ -1,11 +1,18 @@
 (** The interface between the rename stage and a steering policy.
 
     At rename time the policy sees only what the hardware would see: the
-    prediction tables, the rename width table (actual widths for already
-    written-back producers, predictions otherwise), where each source value
-    currently lives, where the last flags writer went, and the issue-queue
-    occupancies. Ground-truth uop fields must not be consulted — the
-    pipeline discovers mispredictions at execute, not the policy.
+    uop's rename-visible shape (pc, opcode, operand count, destination and
+    flags use), the prediction tables, the rename width table (actual
+    widths for already written-back producers, predictions otherwise),
+    where each source value currently lives, where the last flags writer
+    went, and the issue-queue occupancies.
+
+    The type system enforces that contract: a policy names the uop by its
+    trace index and reads it through the abstract {!uops} view, which has
+    no accessor for the result, source values, memory address, branch
+    outcome or miss flags. The pipeline discovers mispredictions at
+    execute, not the policy. An oracle policy that wants ground truth
+    must be handed it explicitly when it is built.
 
     The context is built once per simulation and every query returns an
     immediate value (packed int or bool), so a steering decision allocates
@@ -37,10 +44,22 @@ val si_narrow : src_info -> bool
 val si_known : src_info -> bool
 val si_cluster : src_info -> Config.cluster option
 
+type uops
+(** The trace being steered, rename-visible fields only. *)
+
+val uops_of_soa : Hc_isa.Uop_soa.t -> uops
+(** The view over a trace's columns. There is no way back: a policy
+    holding a [uops] cannot reach the columns' ground truth. *)
+
 type ctx = {
   cfg : Config.t;
   preds : Hc_predictors.Bundle.t;
-  source_info : Hc_isa.Uop.operand -> src_info;
+  uops : uops;  (** the trace, for the per-uop accessors below *)
+  source_info : int -> int -> src_info;
+      (** [source_info i k]: rename-time knowledge about operand [k]
+          (0-based, in operand order) of the uop at trace index [i].
+          Raises [Invalid_argument] when [i] is outside the trace or [k]
+          outside [0 .. nsrcs - 1]. *)
   flags_in_narrow : unit -> bool;
       (** did the most recent flags-writing uop steer to the helper
           cluster (the BR condition of §3.3) *)
@@ -60,6 +79,21 @@ type ctx = {
           near 1.0 the machine is commit-blocked (typically on memory)
           and issue-bandwidth tricks like IR splitting cannot help *)
 }
+
+(** {1 Rename-visible uop fields}
+
+    Each takes the trace index the policy was called with, and raises
+    [Invalid_argument] on an index outside the trace. *)
+
+val id : ctx -> int -> int
+(** Dynamic sequence number (the ROB order), dense within a trace. *)
+
+val pc : ctx -> int -> int
+val op : ctx -> int -> Hc_isa.Opcode.t
+val nsrcs : ctx -> int -> int
+val has_dest : ctx -> int -> bool
+val writes_flags : ctx -> int -> bool
+val reads_flags : ctx -> int -> bool
 
 type reason =
   | R888  (** steered by the all-narrow rule *)
@@ -97,11 +131,11 @@ val steer_live : decision  (** [Steer_narrow Rlive] *)
 val steer_narrow_of : reason -> decision
 (** The shared [Steer_narrow] value for a reason. *)
 
-type decide = ctx -> Hc_isa.Uop.t -> decision
-(** A steering policy as the rename stage calls it. [Pipeline.run] takes
-    any [decide]; the paper's stack lives in [Hc_steering.Policy], and
-    oracle policies (e.g. the static-width bound) are just other values
-    of this type. *)
+type decide = ctx -> int -> decision
+(** A steering policy as the rename stage calls it, on the trace index
+    of the uop being renamed. [Pipeline.run] takes any [decide]; the
+    paper's stack lives in [Hc_steering.Policy], and oracle policies
+    (e.g. the static-width bound) are just other values of this type. *)
 
 val reason_to_string : reason -> string
 (** Short lowercase tag ("888", "br", "cr", "ir", "live") used by the

@@ -24,17 +24,18 @@
     Stores always steer wide (the MOB lives there); loads may steer narrow
     through 8-8-8 or CR. *)
 
-val decide : Hc_sim.Steer.ctx -> Hc_isa.Uop.t -> Hc_sim.Steer.decision
+val decide : Hc_sim.Steer.decide
 (** The policy used by every experiment; reads the scheme from
     [ctx.cfg.scheme]. *)
 
 val static_oracle :
   ?reason:Hc_sim.Steer.reason ->
-  provably_narrow:(Hc_isa.Uop.t -> bool) ->
+  provably_narrow:(int -> bool) ->
   Hc_sim.Steer.decide
 (** The static oracle family: steer to the helper cluster exactly the
-    uops [provably_narrow] accepts (a static width-inference proof from
-    [Hc_analysis.Static]), everything else wide. Branches and stores stay
+    uops whose id [provably_narrow] accepts (a static width-inference
+    proof from [Hc_analysis.Static]; ids outside the analyzed window
+    must answer [false], so they steer wide), everything else wide. Branches and stores stay
     wide, like the dynamic 8-8-8 rule's reachable set without BR/IR. When
     the predicate is sound the run has zero width-violation recoveries by
     construction, so its steered share is the headroom bound a perfect

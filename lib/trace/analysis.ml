@@ -1,16 +1,16 @@
 module Opcode = Hc_isa.Opcode
 module Reg = Hc_isa.Reg
-module Uop = Hc_isa.Uop
+module Uop_soa = Hc_isa.Uop_soa
 module Width = Hc_isa.Width
 module Histogram = Hc_stats.Histogram
 
-let reg_source_values ?(include_flags = false) (u : Uop.t) =
-  List.filter_map
-    (fun (src, v) ->
-      match src with
-      | Uop.Reg r when (not (Reg.equal r Reg.Eflags)) || include_flags -> Some v
-      | Uop.Reg _ | Uop.Imm _ -> None)
-    (List.combine u.Uop.srcs u.Uop.src_vals)
+(* Every statistic walks the trace's packed columns by index. *)
+
+let eflags = Reg.to_index Reg.Eflags
+
+(* regular integer-ALU uops: the population of Fig 1 and the §1 mix *)
+let regular_alu op =
+  Opcode.exec_class op = Opcode.Int_alu && op <> Opcode.Copy && op <> Opcode.Nop
 
 (* Fig 1 counts the register operands of regular (integer-ALU) uops: the
    paper pairs the figure with its ALU operand-width breakdown (39.4% one
@@ -18,17 +18,20 @@ let reg_source_values ?(include_flags = false) (u : Uop.t) =
    that reading. Address bases of loads/stores, flags reads and FP operands
    are outside the figure's scope. *)
 let narrow_dependence_pct t =
+  let soa = Trace.soa t in
   let total = ref 0 and narrow = ref 0 in
-  Trace.iter
-    (fun u ->
-      if Opcode.exec_class u.Uop.op = Opcode.Int_alu
-         && u.Uop.op <> Opcode.Copy && u.Uop.op <> Opcode.Nop then
-        List.iter
-          (fun v ->
-            incr total;
-            if Width.is_narrow v then incr narrow)
-          (reg_source_values u))
-    t;
+  for i = 0 to Uop_soa.length soa - 1 do
+    if regular_alu (Uop_soa.op soa i) then begin
+      let lo = Uop_soa.src_base soa i in
+      for j = lo to lo + Uop_soa.nsrcs soa i - 1 do
+        let r = Uop_soa.src_reg soa j in
+        if r >= 0 && r <> eflags then begin
+          incr total;
+          if Width.is_narrow (Uop_soa.src_val soa j) then incr narrow
+        end
+      done
+    end
+  done;
   if !total = 0 then 0. else 100. *. float_of_int !narrow /. float_of_int !total
 
 type operand_mix = {
@@ -38,19 +41,20 @@ type operand_mix = {
 }
 
 let operand_mix t =
+  let soa = Trace.soa t in
   let total = ref 0 and one = ref 0 and two_wide = ref 0 and two_narrow = ref 0 in
-  Trace.iter
-    (fun u ->
-      match Opcode.exec_class u.Uop.op, u.Uop.src_vals with
-      | Opcode.Int_alu, [ a; b ] when u.Uop.op <> Opcode.Copy && u.Uop.op <> Opcode.Nop ->
-        incr total;
-        let na = Width.is_narrow a and nb = Width.is_narrow b in
-        if na && nb then
-          if Width.is_narrow u.Uop.result then incr two_narrow else incr two_wide
-        else if na || nb then incr one
-      | (Opcode.Int_alu | Opcode.Int_mul | Opcode.Mem | Opcode.Ctrl | Opcode.Fp), _ ->
-        ())
-    t;
+  for i = 0 to Uop_soa.length soa - 1 do
+    if regular_alu (Uop_soa.op soa i) && Uop_soa.nsrcs soa i = 2 then begin
+      incr total;
+      let lo = Uop_soa.src_base soa i in
+      let na = Width.is_narrow (Uop_soa.src_val soa lo)
+      and nb = Width.is_narrow (Uop_soa.src_val soa (lo + 1)) in
+      if na && nb then
+        if Width.is_narrow (Uop_soa.result soa i) then incr two_narrow
+        else incr two_wide
+      else if na || nb then incr one
+    end
+  done;
   let pct c = if !total = 0 then 0. else 100. *. float_of_int c /. float_of_int !total in
   {
     one_narrow = pct !one;
@@ -59,19 +63,21 @@ let operand_mix t =
   }
 
 let carry_not_propagated_pct t ~arith =
-  let wanted (u : Uop.t) =
-    if arith then
-      Opcode.carry_eligible u.Uop.op && not (Opcode.is_memory u.Uop.op)
-    else u.Uop.op = Opcode.Load
+  let soa = Trace.soa t in
+  let wanted op =
+    if arith then Opcode.carry_eligible op && not (Opcode.is_memory op)
+    else op = Opcode.Load
   in
   let total = ref 0 and local = ref 0 in
-  Trace.iter
-    (fun u ->
-      if wanted u && Uop.is_8_32_32 u && Opcode.carry_eligible u.Uop.op then begin
-        incr total;
-        if Uop.carry_not_propagated u then incr local
-      end)
-    t;
+  for i = 0 to Uop_soa.length soa - 1 do
+    let op = Uop_soa.op soa i in
+    if wanted op && Opcode.carry_eligible op
+       && Uop_soa.is_8_32_32_bits ~bits:8 soa i
+    then begin
+      incr total;
+      if Uop_soa.carry_not_propagated_bits ~bits:8 soa i then incr local
+    end
+  done;
   if !total = 0 then 0. else 100. *. float_of_int !local /. float_of_int !total
 
 (* Producer -> first consumer: the distance that matters for copy
@@ -79,38 +85,42 @@ let carry_not_propagated_pct t ~arith =
    first use. Later re-reads of long-lived registers (stack/frame pointers)
    are irrelevant to the prefetch window and would swamp the tail. *)
 let distance_histogram t =
+  let soa = Trace.soa t in
   let h = Histogram.create () in
   let pending = Array.make Reg.count (-1) in
-  Trace.iter
-    (fun u ->
-      List.iter
-        (fun src ->
-          match src with
-          | Uop.Reg r when not (Reg.equal r Reg.Eflags) ->
-            let i = Reg.to_index r in
-            if pending.(i) >= 0 then begin
-              Histogram.observe h (u.Uop.id - pending.(i));
-              pending.(i) <- -1
-            end
-          | Uop.Reg _ | Uop.Imm _ -> ())
-        u.Uop.srcs;
-      match u.Uop.dst with
-      | Some d -> pending.(Reg.to_index d) <- u.Uop.id
-      | None -> ())
-    t;
+  for i = 0 to Uop_soa.length soa - 1 do
+    let id = Uop_soa.id soa i in
+    let lo = Uop_soa.src_base soa i in
+    for j = lo to lo + Uop_soa.nsrcs soa i - 1 do
+      let r = Uop_soa.src_reg soa j in
+      if r >= 0 && r <> eflags && pending.(r) >= 0 then begin
+        Histogram.observe h (id - pending.(r));
+        pending.(r) <- -1
+      end
+    done;
+    let d = Uop_soa.dst_index soa i in
+    if d >= 0 then pending.(d) <- id
+  done;
   h
 
 let mean_distance t = Histogram.mean (distance_histogram t)
 
 let mix_digest t =
+  let soa = Trace.soa t in
   let n = float_of_int (max 1 (Trace.length t)) in
-  let count pred = float_of_int (Trace.fold (fun acc u -> if pred u then acc + 1 else acc) 0 t) /. n in
+  let count pred =
+    let c = ref 0 in
+    for i = 0 to Uop_soa.length soa - 1 do
+      if pred (Uop_soa.op soa i) then incr c
+    done;
+    float_of_int !c /. n
+  in
   [
-    ("load", count (fun u -> u.Uop.op = Opcode.Load));
-    ("store", count (fun u -> u.Uop.op = Opcode.Store));
-    ("branch", count (fun u -> Opcode.is_branch u.Uop.op));
-    ("mul_div", count (fun u -> u.Uop.op = Opcode.Mul || u.Uop.op = Opcode.Div));
-    ("fp", count (fun u -> Opcode.is_fp u.Uop.op));
-    ("alu", count (fun u ->
-         Opcode.exec_class u.Uop.op = Opcode.Int_alu && not (Opcode.is_branch u.Uop.op)));
+    ("load", count (fun op -> op = Opcode.Load));
+    ("store", count (fun op -> op = Opcode.Store));
+    ("branch", count Opcode.is_branch);
+    ("mul_div", count (fun op -> op = Opcode.Mul || op = Opcode.Div));
+    ("fp", count Opcode.is_fp);
+    ("alu", count (fun op ->
+         Opcode.exec_class op = Opcode.Int_alu && not (Opcode.is_branch op)));
   ]

@@ -200,9 +200,20 @@ let read_varint r = read_varint_at r 0 0
 
 let read_svarint r = unzigzag (read_varint r)
 
+(* A count read off the wire, bounded by what the remaining bytes could
+   encode at [min_bytes] per item — checked before anything is allocated,
+   so a corrupt count can neither exhaust memory nor reach [Array.make]
+   out of range. *)
+let read_count r ~what ~min_bytes =
+  let n = read_varint r in
+  if n < 0 || n > (r.limit - r.pos) / min_bytes then
+    corrupt "implausible %s %d at byte %d (%d bytes left)" what n r.pos
+      (r.limit - r.pos);
+  n
+
 let read_string r =
   let len = read_varint r in
-  if len < 0 || r.pos + len > r.limit then
+  if len < 0 || len > r.limit - r.pos then
     corrupt "truncated string at byte %d" r.pos;
   let s = String.sub r.s r.pos len in
   r.pos <- r.pos + len;
@@ -235,11 +246,14 @@ let decode ?profile s =
       stored actual;
   let r = { s; pos = hdr; limit = total - 4 } in
   let name = read_string r in
-  let count = read_varint r in
+  (* every uop takes at least 8 bytes: id, pc, opcode, destination, flag
+     byte, operand count, result and address codes; every table name at
+     least its length byte *)
+  let count = read_count r ~what:"uop count" ~min_bytes:8 in
   (* the header tables map wire indices to this build's dense enum
      indices — the columns store enum indices directly, so the rest of
      decode never touches an [Opcode.t] or [Reg.t] value *)
-  let nops = read_varint r in
+  let nops = read_count r ~what:"opcode table size" ~min_bytes:1 in
   let ops =
     Array.init nops (fun _ ->
         let n = read_string r in
@@ -247,7 +261,7 @@ let decode ?profile s =
         | Some op -> Opcode.to_index op
         | None -> corrupt "unknown opcode %S in header table" n)
   in
-  let nregs = read_varint r in
+  let nregs = read_count r ~what:"register table size" ~min_bytes:1 in
   let regs =
     Array.init nregs (fun _ ->
         let n = read_string r in

@@ -1,4 +1,3 @@
-module Uop = Hc_isa.Uop
 module Uop_soa = Hc_isa.Uop_soa
 module Width = Hc_isa.Width
 
@@ -6,43 +5,19 @@ type t = {
   name : string;
   profile : Profile.t;
   soa : Uop_soa.t;
-  mutable memo : Uop.t array option;
-      (* lazily-forced record view of [soa]; both views are immutable once
-         built, and a racing double-force computes identical arrays, so the
-         benign write-write race is safe *)
 }
 
-let make ~name ~profile uops =
-  { name; profile; soa = Uop_soa.of_uops uops; memo = Some uops }
+let make ~name ~profile uops = { name; profile; soa = Uop_soa.of_uops uops }
 
-let of_soa ~name ~profile soa = { name; profile; soa; memo = None }
+let of_soa ~name ~profile soa = { name; profile; soa }
 
 let soa t = t.soa
 
-let uops t =
-  match t.memo with
-  | Some a -> a
-  | None ->
-      let a = Uop_soa.to_uops t.soa in
-      t.memo <- Some a;
-      a
+let uops t = Uop_soa.to_uops t.soa
 
 let length t = Uop_soa.length t.soa
 
-let get t i =
-  if i < 0 || i >= length t then invalid_arg "Trace.get: out of bounds";
-  (uops t).(i)
-
-let iter f t = Array.iter f (uops t)
-
-let fold f init t = Array.fold_left f init (uops t)
-
-let sub t ~pos ~len =
-  {
-    t with
-    soa = Uop_soa.sub t.soa ~pos ~len;
-    memo = (match t.memo with Some a -> Some (Array.sub a pos len) | None -> None);
-  }
+let sub t ~pos ~len = { t with soa = Uop_soa.sub t.soa ~pos ~len }
 
 let narrow_result_fraction t =
   let soa = t.soa in

@@ -4,42 +4,32 @@
     dynamic uops with concrete values (the ground truth produced by
     {!Generator}).
 
-    Storage is a packed structure-of-arrays ({!Hc_isa.Uop_soa.t}) — the
-    hot paths (simulator, codec, static analyses) walk its columns
-    without allocating. A boxed {!Hc_isa.Uop.t} record view is
-    materialized lazily on first use of {!get}/{!iter}/{!fold}/{!uops}
-    and memoized, so record-based consumers pay the conversion once per
-    trace, not per run. *)
+    Storage is one packed structure-of-arrays ({!Hc_isa.Uop_soa.t}); the
+    simulator, the steering layer, the static analyses, the trace
+    statistics and the codec all read its columns by trace index. No
+    record view is kept: {!uops} builds one afresh for the edges that
+    need records (the text format, diagnostics, tests). *)
 
 type t = private {
   name : string;
   profile : Profile.t;  (** the profile the trace was generated from *)
   soa : Hc_isa.Uop_soa.t;
-  mutable memo : Hc_isa.Uop.t array option;  (** use {!uops}, not this *)
 }
 
 val make : name:string -> profile:Profile.t -> Hc_isa.Uop.t array -> t
-(** Build from a record array (packs it; the array is also retained as
-    the memoized record view, so it must not be mutated afterwards). *)
+(** Build from a record array by packing it into columns; the array is
+    not retained. *)
 
 val of_soa : name:string -> profile:Profile.t -> Hc_isa.Uop_soa.t -> t
-(** Build from packed columns without materializing any records — the
-    codec's zero-copy decode path. *)
+(** Build from packed columns — the codec's zero-copy decode path. *)
 
 val soa : t -> Hc_isa.Uop_soa.t
 
 val uops : t -> Hc_isa.Uop.t array
-(** The record view; forced and memoized on first call. Do not mutate. *)
+(** A fresh record array of the whole trace, built on every call — a
+    converter for the record-based edges, not a cached view. *)
 
 val length : t -> int
-
-val get : t -> int -> Hc_isa.Uop.t
-(** [get t i] is the [i]-th dynamic uop. @raise Invalid_argument when out
-    of bounds. *)
-
-val iter : (Hc_isa.Uop.t -> unit) -> t -> unit
-
-val fold : ('a -> Hc_isa.Uop.t -> 'a) -> 'a -> t -> 'a
 
 val sub : t -> pos:int -> len:int -> t
 (** Contiguous sub-trace (uop ids are preserved, not renumbered). *)

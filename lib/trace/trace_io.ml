@@ -43,7 +43,7 @@ let save (t : Trace.t) path =
     (fun () ->
       Printf.fprintf oc "helper-cluster-trace v1 %s %d\n" t.Trace.name
         (Trace.length t);
-      Trace.iter (fun u -> output_string oc (uop_to_line u ^ "\n")) t)
+      Array.iter (fun u -> output_string oc (uop_to_line u ^ "\n")) (Trace.uops t))
 
 let save_binary = Codec.save
 
@@ -136,11 +136,4 @@ let load ?profile path =
   if Codec.is_binary content then Codec.decode ~profile content
   else load_text ~profile content
 
-let roundtrip_equal (a : Trace.t) (b : Trace.t) =
-  Trace.length a = Trace.length b
-  &&
-  let equal = ref true in
-  for i = 0 to Trace.length a - 1 do
-    if Trace.get a i <> Trace.get b i then equal := false
-  done;
-  !equal
+let roundtrip_equal (a : Trace.t) (b : Trace.t) = Trace.soa a = Trace.soa b

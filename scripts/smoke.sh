@@ -19,11 +19,30 @@ dune exec bench/main.exe -- --micro --json BENCH_smoke.json
 
 echo "== allocation gate =="
 # The untraced SoA simulator must stay allocation-free per uop: the gate
-# runs the fig6 (8_8_8) kernel warm over two trace lengths and fails if
-# the marginal Gc.minor_words per uop exceeds zero. Deterministic (it
-# counts words, not time), so zero tolerance is safe.
-dune exec bench/main.exe -- --alloc-gate
+# runs the fig6 (8_8_8) kernel over two trace lengths, warm and as the
+# decode of an HCTB trace plus its first run (the cache-reload path), and
+# fails if either marginal Gc.minor_words per uop exceeds zero.
+# Deterministic (it counts words, not time), so zero tolerance is safe.
+ALLOC_OUT=$(mktemp)
+dune exec bench/main.exe -- --alloc-gate | tee "$ALLOC_OUT"
+grep -q '^alloc-gate: warm run: marginal 0.0000 minor words/uop$' "$ALLOC_OUT"
+grep -q '^alloc-gate: decode + first run: marginal 0.0000 minor words/uop$' \
+  "$ALLOC_OUT"
+rm -f "$ALLOC_OUT"
 echo "allocation gate OK"
+
+echo "== CLI argument gate =="
+# a non-positive pool size is an error (exit 1), not a silent fallback
+for cmd in "hc_sim.exe -- --jobs 0 --length 100" \
+    "hc_experiments.exe -- --jobs 0 --length 100 fig6"; do
+  status=0
+  dune exec bin/$cmd > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "FAIL: bin/$cmd exited $status, expected 1"
+    exit 1
+  fi
+done
+echo "CLI argument gate OK"
 
 echo "== telemetry: trace + interval series =="
 # A small traced run: Chrome trace JSON + interval CSV, then validate
@@ -100,7 +119,7 @@ echo "== bidirectional analysis gate =="
 # regression gate above already proved the complement: a run that never
 # touches the new scheme diffs bit-identically against the committed
 # baseline.
-for code in E101 E102 E103 E104 E105 E106 E107 E108 E110 E111 \
+for code in E101 E103 E104 E105 E106 E107 E108 E110 E111 \
     W201 E201 W202 W203; do
   dune exec bin/hc_lint.exe -- explain "$code" > /dev/null
 done

@@ -4,6 +4,7 @@
 module Detector = Hc_isa.Detector
 module Width = Hc_isa.Width
 module Uop = Hc_isa.Uop
+module Uop_soa = Hc_isa.Uop_soa
 module Opcode = Hc_isa.Opcode
 module Reg = Hc_isa.Reg
 module Config = Hc_sim.Config
@@ -40,18 +41,18 @@ let test_uop_bits () =
       ~srcs:[ Uop.Reg Reg.Eax; Uop.Imm 0x1000 ]
       ~dst:(Some Reg.Eax) ~src_vals:[ 0x200; 0x1000 ] ()
   in
-  Alcotest.(check bool) "not 8-8-8 at 8 bits" false (Uop.is_888_bits ~bits:8 u);
-  Alcotest.(check bool) "16-16-16 at 16 bits" true (Uop.is_888_bits ~bits:16 u);
+  Alcotest.(check bool) "not 8-8-8 at 8 bits" false (Uop_soa.is_888_bits ~bits:8 (Uop_soa.of_uops [| u |]) 0);
+  Alcotest.(check bool) "16-16-16 at 16 bits" true (Uop_soa.is_888_bits ~bits:16 (Uop_soa.of_uops [| u |]) 0);
   let cr =
     Uop.make ~id:1 ~pc:0 ~op:Opcode.Add
       ~srcs:[ Uop.Reg Reg.Esi; Uop.Imm 0x20 ]
       ~dst:(Some Reg.Eax) ~src_vals:[ 0x0800_0000; 0x20 ] ()
   in
-  Alcotest.(check bool) "8-32-32 at 8" true (Uop.is_8_32_32_bits ~bits:8 cr);
+  Alcotest.(check bool) "8-32-32 at 8" true (Uop_soa.is_8_32_32_bits ~bits:8 (Uop_soa.of_uops [| cr |]) 0);
   Alcotest.(check bool) "carry local at 8" true
-    (Uop.carry_not_propagated_bits ~bits:8 cr);
+    (Uop_soa.carry_not_propagated_bits ~bits:8 (Uop_soa.of_uops [| cr |]) 0);
   Alcotest.(check bool) "carry local at 16" true
-    (Uop.carry_not_propagated_bits ~bits:16 cr)
+    (Uop_soa.carry_not_propagated_bits ~bits:16 (Uop_soa.of_uops [| cr |]) 0)
 
 let test_wider_helper_steers_more () =
   let p = Hc_trace.Profile.find_spec_int "gcc" in

@@ -5,6 +5,7 @@
 module Opcode = Hc_isa.Opcode
 module Reg = Hc_isa.Reg
 module Uop = Hc_isa.Uop
+module Uop_soa = Hc_isa.Uop_soa
 module Semantics = Hc_isa.Semantics
 module Profile = Hc_trace.Profile
 module Generator = Hc_trace.Generator
@@ -125,11 +126,10 @@ let test_verdict_lookup () =
   let p = Profile.find_spec_int "gcc" in
   let tr = Generator.generate_sliced ~length:4_000 p in
   let st = Static.analyze tr in
-  let in_window = Trace.get tr 0 in
+  let in_window = Uop_soa.id (Trace.soa tr) 0 in
   Alcotest.(check bool) "first uop has a verdict" true
-    (Static.provably_narrow st in_window
-    || not (Static.provably_narrow st in_window));
-  let foreign = { in_window with Uop.id = in_window.Uop.id + 1_000_000 } in
+    (Static.verdict st in_window <> None);
+  let foreign = in_window + 1_000_000 in
   Alcotest.(check bool) "out-of-window uop is never provable" false
     (Static.provably_narrow st foreign);
   Alcotest.(check bool) "out-of-window uop is never steerable" false
@@ -150,28 +150,29 @@ let test_sliced_window_lookup () =
   let sliced = Trace.sub base ~pos ~len in
   let st = Static.analyze sliced in
   let bd = Static.analyze_bidir sliced in
+  let id tr i = Uop_soa.id (Trace.soa tr) i in
   Alcotest.(check int) "first_id is the slice's first uop id"
-    (Trace.get sliced 0).Uop.id st.Static.first_id;
-  let before = Trace.get base (pos - 1) in
+    (id sliced 0) st.Static.first_id;
+  let before = id base (pos - 1) in
   Alcotest.(check bool) "uop before the window is not in range" false
     (Static.in_range st before);
   Alcotest.(check (option bool)) "uop before the window has no verdict" None
     (Static.verdict st before);
   Alcotest.(check (option bool)) "nor a bidir verdict" None
     (Static.bidir_verdict bd before);
-  let first = Trace.get sliced 0 and last = Trace.get sliced (len - 1) in
+  let first = id sliced 0 and last = id sliced (len - 1) in
   Alcotest.(check bool) "first uop of the window is in range" true
     (Static.in_range st first);
   Alcotest.(check bool) "last uop of the window is in range" true
     (Static.in_range st last);
-  let after = Trace.get base (pos + len) in
+  let after = id base (pos + len) in
   Alcotest.(check bool) "uop just past the window is not in range" false
     (Static.in_range st after);
   Alcotest.(check (option bool)) "uop just past the window has no verdict"
     None (Static.verdict st after);
   (* the in-window verdicts agree between the lookups and the arrays *)
   for i = 0 to len - 1 do
-    let u = Trace.get sliced i in
+    let u = id sliced i in
     if Static.verdict st u <> Some st.Static.provable.(i) then
       Alcotest.failf "verdict lookup disagrees with the array at %d" i;
     if Static.bidir_verdict bd u <> Some bd.Static.bidir_provable.(i) then
@@ -190,7 +191,7 @@ let test_empty_trace () =
   Alcotest.(check int) "no livebits violations" 0
     (List.length
        (Hc_analysis.Livebits.soundness_violations bd.Static.livebits empty));
-  let stray = Trace.get (Generator.generate_sliced ~length:50 p) 0 in
+  let stray = Uop_soa.id (Trace.soa (Generator.generate_sliced ~length:50 p)) 0 in
   Alcotest.(check (option bool)) "any uop is out of the empty window" None
     (Static.verdict st stray);
   Alcotest.(check bool) "empty trace lints clean" false
@@ -282,7 +283,7 @@ let test_lint_ul1_monotonicity () =
 
 let test_lint_id_density () =
   let tr = Lazy.force gcc_trace in
-  let u = Trace.get tr 100 in
+  let u = (Trace.uops tr).(100) in
   let bad = with_uop tr 100 { u with Uop.id = u.Uop.id + 7 } in
   Alcotest.(check bool) "E101 reported" true
     (has_error "E101" (Lint.check_trace bad))

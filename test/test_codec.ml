@@ -168,6 +168,108 @@ let test_corrupt_through_loader () =
   | _ -> Alcotest.fail "expected Failure from text path"
   | exception Failure _ -> Sys.remove (temp "hc_codec_nottext.trace")
 
+(* Re-seal a body (everything before the trailer) with a fresh CRC, so a
+   mutation reaches the parser instead of stopping at the checksum. *)
+let seal body =
+  let hdr = String.length Codec.magic + 1 in
+  let crc = Codec.crc32 body ~pos:hdr ~len:(String.length body - hdr) in
+  body ^ String.init 4 (fun i -> Char.chr ((crc lsr (8 * i)) land 0xFF))
+
+let rec varint n =
+  if n land lnot 0x7F = 0 then String.make 1 (Char.chr n)
+  else String.make 1 (Char.chr (0x80 lor (n land 0x7F))) ^ varint (n lsr 7)
+
+let test_oversized_counts () =
+  (* CRC-valid headers whose counts claim far more items than the bytes
+     left could encode: rejected before anything is allocated *)
+  let prefix = Codec.magic ^ String.make 1 (Char.chr Codec.schema_version) ^ "\001x" in
+  List.iter
+    (fun count ->
+      expect_corrupt (Printf.sprintf "uop count %d" count)
+        (seal (prefix ^ varint count ^ "\000\000")))
+    [ 1 lsl 40; 1 lsl 61; 3 ];
+  expect_corrupt "opcode table size 2^40"
+    (seal (prefix ^ varint 0 ^ varint (1 lsl 40) ^ "\000"));
+  expect_corrupt "register table size 2^40"
+    (seal (prefix ^ varint 0 ^ varint 0 ^ varint (1 lsl 40) ^ "\000"));
+  expect_corrupt "string length 2^62 - 1"
+    (seal (Codec.magic ^ String.make 1 (Char.chr Codec.schema_version)
+           ^ varint max_int ^ "x"))
+
+(* ----- property: arbitrary bytes decode or raise Corrupt ----- *)
+
+(* Two kinds of input: raw random bytes (almost all stop at the magic or
+   the CRC), and byte mutations of a valid encoding — overwrites, a
+   truncation, an insertion — re-sealed with a fresh CRC so they reach
+   every field of the body. Either way the decoder must return a trace or
+   raise [Codec.Corrupt]: no other exception, and no hang (each decode is
+   held to a generous wall-clock bound). *)
+let fuzz_base = lazy (Codec.encode (gen_trace 40 "gzip"))
+
+type fuzz_input = Raw of string | Mutated of (int * int) list * int option
+
+let fuzz_bytes = function
+  | Raw s -> s
+  | Mutated (edits, cut) ->
+    let base = Lazy.force fuzz_base in
+    let hdr = String.length Codec.magic + 1 in
+    let body = Bytes.of_string (String.sub base 0 (String.length base - 4)) in
+    let n = Bytes.length body - hdr in
+    List.iter
+      (fun (pos, byte) -> Bytes.set body (hdr + (pos mod n)) (Char.chr byte))
+      edits;
+    let body = Bytes.to_string body in
+    let body =
+      match cut with
+      | None -> body
+      | Some k when k mod 2 = 0 -> String.sub body 0 (hdr + (k mod n))
+      | Some k ->
+        (* insert a byte instead of cutting *)
+        let at = hdr + (k mod n) in
+        String.sub body 0 at ^ String.make 1 (Char.chr (k land 0xFF))
+        ^ String.sub body at (String.length body - at)
+    in
+    seal body
+
+let fuzz_gen =
+  let open QCheck.Gen in
+  let byte = int_bound 255 in
+  frequency
+    [
+      (1, map (fun s -> Raw s) (string_size ~gen:char (int_bound 300)));
+      ( 1,
+        map (fun s -> Raw (Codec.magic ^ s)) (string_size ~gen:char (int_bound 60))
+      );
+      ( 6,
+        map2
+          (fun edits cut -> Mutated (edits, cut))
+          (list_size (int_range 1 6) (pair (int_bound 100_000) byte))
+          (option (int_bound 100_000)) );
+    ]
+
+let print_fuzz = function
+  | Raw s -> Printf.sprintf "raw %S" s
+  | Mutated (edits, cut) ->
+    Printf.sprintf "mutations [%s]%s"
+      (String.concat "; "
+         (List.map (fun (p, b) -> Printf.sprintf "%d:=0x%02x" p b) edits))
+      (match cut with Some k -> Printf.sprintf " cut/insert %d" k | None -> "")
+
+let prop_decode_total =
+  QCheck.Test.make ~name:"decode returns a trace or raises Corrupt" ~count:1000
+    (QCheck.make ~print:print_fuzz fuzz_gen)
+    (fun input ->
+      let data = fuzz_bytes input in
+      let t0 = Unix.gettimeofday () in
+      ( match Codec.decode ~profile:gcc data with
+      | _ -> ()
+      | exception Codec.Corrupt _ -> ()
+      | exception e ->
+        QCheck.Test.fail_reportf "escaped %s" (Printexc.to_string e) );
+      let dt = Unix.gettimeofday () -. t0 in
+      if dt > 2.0 then QCheck.Test.fail_reportf "decode took %.1f s" dt;
+      true)
+
 let test_crc_stability () =
   (* pinned value so an accidental polynomial / table change cannot pass
      as a "both sides updated" refactor *)
@@ -190,4 +292,6 @@ let suite =
       Alcotest.test_case "corruption through Trace_io.load" `Quick
         test_corrupt_through_loader;
       Alcotest.test_case "crc32 known vector" `Quick test_crc_stability;
+      Alcotest.test_case "oversized counts rejected" `Quick test_oversized_counts;
+      QCheck_alcotest.to_alcotest prop_decode_total;
     ] )

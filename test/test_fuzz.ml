@@ -130,6 +130,80 @@ let prop_counts_invariants =
       | Some b -> Metrics.to_json b = Metrics.to_json m
       | None -> QCheck.Test.fail_reportf "stored metrics did not reload")
 
+(* Obs-on bit-identity off the seeds: with a tracing, sampling sink
+   attached the metrics JSON equals the untraced run's, a second traced
+   run produces a byte-identical Chrome trace, and every opcode-named
+   event carries the opcode the trace's records give its index (the
+   pipeline reads names from the columns). *)
+let prop_tracing_bit_identical =
+  QCheck.Test.make ~name:"tracing leaves metrics and Chrome trace identical"
+    ~count:20
+    (QCheck.make
+       ~print:(fun (case, interval) ->
+         Printf.sprintf "%s interval=%d" (print_case case) interval)
+       QCheck.Gen.(pair (pair config_gen bench_gen) (int_range 50 2_000)))
+    (fun ((cfg, bench), interval) ->
+      let trace = trace_of bench in
+      let run sink =
+        Pipeline.run ?sink ~cfg ~decide:Hc_steering.Policy.decide
+          ~scheme_name:"fuzz" trace
+      in
+      let plain = run None in
+      let traced () =
+        let sink = Sink.create ~interval ~tracing:true () in
+        let m = run (Some sink) in
+        let chrome =
+          Hc_obs.Chrome_trace.to_string
+            ~ring:(Sink.events_pushed sink, Sink.events_dropped sink)
+            ~events:(Sink.events sink) ~samples:(Sink.samples sink) ()
+        in
+        (m, chrome, Sink.events sink)
+      in
+      let m1, chrome1, events = traced () in
+      let _, chrome2, _ = traced () in
+      if Metrics.to_json m1 <> Metrics.to_json plain then
+        QCheck.Test.fail_reportf "traced metrics differ from the untraced run";
+      if chrome1 <> chrome2 then
+        QCheck.Test.fail_reportf "two traced runs wrote different Chrome traces";
+      let records = Hc_trace.Trace.uops trace in
+      List.iter
+        (fun (e : Hc_obs.Event.t) ->
+          if e.Hc_obs.Event.trace_idx >= 0
+             && e.Hc_obs.Event.name <> "slice"
+             && e.Hc_obs.Event.name
+                <> Hc_isa.Opcode.to_string records.(e.Hc_obs.Event.trace_idx).Hc_isa.Uop.op
+          then
+            QCheck.Test.fail_reportf "event %s at trace index %d names the wrong opcode"
+              e.Hc_obs.Event.name e.Hc_obs.Event.trace_idx)
+        events;
+      events <> [])
+
+(* bidir ⊇ forward off the seeds: on random workloads and lengths, every
+   forward-provable uop is bidirectionally provable (and steerable stays
+   a superset too), position by position. *)
+let prop_bidir_contains_forward =
+  QCheck.Test.make ~name:"bidir provable set contains the forward set"
+    ~count:25
+    (QCheck.make
+       ~print:(fun (bench, len) -> Printf.sprintf "%s len=%d" bench len)
+       QCheck.Gen.(pair (oneofl Profile.spec_int_names) (int_range 1 3_000)))
+    (fun (bench, length) ->
+      let bd =
+        Hc_analysis.Static.analyze_bidir
+          (Generator.generate_sliced ~length (Profile.find_spec_int bench))
+      in
+      let fwd = bd.Hc_analysis.Static.base in
+      Array.iteri
+        (fun i p ->
+          if p && not bd.Hc_analysis.Static.bidir_provable.(i) then
+            QCheck.Test.fail_reportf "uop %d forward-provable only" i;
+          if fwd.Hc_analysis.Static.steerable.(i)
+             && not bd.Hc_analysis.Static.bidir_steerable.(i)
+          then QCheck.Test.fail_reportf "uop %d forward-steerable only" i)
+        fwd.Hc_analysis.Static.provable;
+      bd.Hc_analysis.Static.bidir_steerable_count
+      >= fwd.Hc_analysis.Static.steerable_count)
+
 let prop_monolithic_ignores_helper_knobs =
   (* with the helper disabled, narrow-side knobs must not change results *)
   QCheck.Test.make ~name:"baseline invariant to helper knobs" ~count:20
@@ -296,6 +370,8 @@ let suite =
     [
       QCheck_alcotest.to_alcotest prop_simulator_total;
       QCheck_alcotest.to_alcotest prop_counts_invariants;
+      QCheck_alcotest.to_alcotest prop_tracing_bit_identical;
+      QCheck_alcotest.to_alcotest prop_bidir_contains_forward;
       QCheck_alcotest.to_alcotest prop_monolithic_ignores_helper_knobs;
       QCheck_alcotest.to_alcotest prop_transfer_sound;
       QCheck_alcotest.to_alcotest prop_const_transfer_exact;

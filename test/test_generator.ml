@@ -5,11 +5,15 @@ module Generator = Hc_trace.Generator
 module Profile = Hc_trace.Profile
 module Trace = Hc_trace.Trace
 module Uop = Hc_isa.Uop
+module Uop_soa = Hc_isa.Uop_soa
 module Opcode = Hc_isa.Opcode
 module Reg = Hc_isa.Reg
 module Semantics = Hc_isa.Semantics
 
 let small_trace ?(length = 5_000) name = Generator.generate ~length (Profile.find_spec_int name)
+
+(* the generator's invariants are stated over records: convert once *)
+let iter_uops f t = Array.iter f (Trace.uops t)
 
 let test_length () =
   let t = small_trace "gcc" in
@@ -17,10 +21,10 @@ let test_length () =
   Alcotest.(check string) "named" "gcc" t.Trace.name
 
 let test_determinism () =
-  let a = small_trace "gzip" and b = small_trace "gzip" in
-  Trace.iter
+  let a = small_trace "gzip" and b = Trace.uops (small_trace "gzip") in
+  iter_uops
     (fun u ->
-      let v = Trace.get b u.Uop.id in
+      let v = b.(u.Uop.id) in
       Alcotest.(check bool)
         (Printf.sprintf "uop %d identical" u.Uop.id)
         true
@@ -28,20 +32,20 @@ let test_determinism () =
     a
 
 let test_ids_dense () =
-  let t = small_trace "vpr" in
-  for i = 0 to Trace.length t - 1 do
-    Alcotest.(check int) "id matches position" i (Trace.get t i).Uop.id
-  done
+  let t = Trace.uops (small_trace "vpr") in
+  Array.iteri
+    (fun i (u : Uop.t) -> Alcotest.(check int) "id matches position" i u.Uop.id)
+    t
 
 let test_cmp_precedes_branch () =
   (* every conditional branch is immediately preceded by its flag-producing
      cmp (the generator emits the pair back to back) *)
-  let t = small_trace "parser" in
-  for i = 0 to Trace.length t - 1 do
-    let u = Trace.get t i in
+  let t = Trace.uops (small_trace "parser") in
+  for i = 0 to Array.length t - 1 do
+    let u = t.(i) in
     if u.Uop.op = Opcode.Branch_cond then begin
       Alcotest.(check bool) "branch not first" true (i > 0);
-      let prev = Trace.get t (i - 1) in
+      let prev = t.(i - 1) in
       Alcotest.(check bool)
         (Printf.sprintf "uop %d: cmp before jcc" i)
         true
@@ -54,7 +58,7 @@ let test_value_flow_consistency () =
      must carry the value its most recent writer produced *)
   let t = small_trace "crafty" in
   let regs = Array.make Reg.count (-1) in
-  Trace.iter
+  iter_uops
     (fun u ->
       List.iter2
         (fun src v ->
@@ -79,7 +83,7 @@ let test_value_flow_consistency () =
 let test_alu_results_evaluate () =
   (* two-source ALU results follow the concrete semantics *)
   let t = small_trace "gap" in
-  Trace.iter
+  iter_uops
     (fun u ->
       match u.Uop.op, u.Uop.src_vals with
       | (Opcode.Add | Opcode.Sub | Opcode.And | Opcode.Or | Opcode.Xor), [ a; b ]
@@ -95,7 +99,7 @@ let test_alu_results_evaluate () =
 
 let test_memory_ops_have_addresses () =
   let t = small_trace "mcf" in
-  Trace.iter
+  iter_uops
     (fun u ->
       if Opcode.is_memory u.Uop.op then
         Alcotest.(check bool)
@@ -105,7 +109,7 @@ let test_memory_ops_have_addresses () =
 
 let test_miss_flags_only_on_loads () =
   let t = small_trace "mcf" in
-  Trace.iter
+  iter_uops
     (fun u ->
       if u.Uop.op <> Opcode.Load then begin
         Alcotest.(check bool) "no dl0 miss" false u.Uop.dl0_miss;
@@ -136,13 +140,13 @@ let test_sliced_skips_warmup () =
   let sliced = Generator.generate_sliced ~length:2_000 p in
   Alcotest.(check int) "same length" (Trace.length plain) (Trace.length sliced);
   Alcotest.(check bool) "different content" true
-    (Trace.get plain 0 <> Trace.get sliced 0)
+    ((Trace.uops plain).(0) <> (Trace.uops sliced).(0))
 
 let test_branch_mispredict_rate () =
   let p = Profile.find_spec_int "vpr" in
   let t = Generator.generate ~length:40_000 p in
   let branches = ref 0 and missed = ref 0 in
-  Trace.iter
+  iter_uops
     (fun u ->
       if u.Uop.op = Opcode.Branch_cond then begin
         incr branches;
@@ -161,20 +165,25 @@ let test_branch_mispredict_rate () =
 let test_carry_sites_are_habitual () =
   (* carry locality is a per-site property: among imm-offset loads of one
      static pc, the carry behaviour should be nearly constant *)
-  let t = small_trace ~length:20_000 "gzip" in
+  let soa = Trace.soa (small_trace ~length:20_000 "gzip") in
   let per_site = Hashtbl.create 64 in
-  Trace.iter
-    (fun u ->
-      match u.Uop.op, u.Uop.srcs with
-      | Opcode.Load, [ Uop.Reg _; Uop.Imm _ ] when Uop.is_8_32_32 u ->
-        let local = Uop.carry_not_propagated u in
-        let hits, total =
-          try Hashtbl.find per_site u.Uop.pc with Not_found -> (0, 0)
-        in
-        Hashtbl.replace per_site u.Uop.pc
-          ((if local then hits + 1 else hits), total + 1)
-      | _ -> ())
-    t;
+  for i = 0 to Uop_soa.length soa - 1 do
+    let lo = Uop_soa.src_base soa i in
+    if
+      Uop_soa.op soa i = Opcode.Load
+      && Uop_soa.nsrcs soa i = 2
+      && Uop_soa.src_reg soa lo >= 0
+      && Uop_soa.src_reg soa (lo + 1) < 0
+      && Uop_soa.is_8_32_32_bits ~bits:8 soa i
+    then begin
+      let local = Uop_soa.carry_not_propagated_bits ~bits:8 soa i in
+      let pc = Uop_soa.pc soa i in
+      let hits, total =
+        try Hashtbl.find per_site pc with Not_found -> (0, 0)
+      in
+      Hashtbl.replace per_site pc ((if local then hits + 1 else hits), total + 1)
+    end
+  done;
   let sites = ref 0 and habitual = ref 0 in
   Hashtbl.iter
     (fun _ (hits, total) ->
@@ -195,7 +204,7 @@ let test_width_locality_supports_prediction () =
   let t = small_trace ~length:20_000 "gap" in
   let last = Hashtbl.create 256 in
   let total = ref 0 and correct = ref 0 in
-  Trace.iter
+  iter_uops
     (fun u ->
       if Uop.has_dest u then begin
         let narrow = Hc_isa.Width.is_narrow u.Uop.result in

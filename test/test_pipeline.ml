@@ -126,10 +126,11 @@ let test_wpred_outcomes_cover_value_producers () =
   (* every committed value-producing uop is classified at least once;
      resteered uops classify twice, so outcomes >= producers *)
   let producers =
-    Trace.fold
-      (fun acc u ->
-        if Hc_isa.Uop.has_dest u || Hc_isa.Uop.writes_flags u then acc + 1 else acc)
-      0 t
+    let soa = Trace.soa t in
+    List.length
+      (List.filter
+         (fun i -> Hc_isa.Uop_soa.has_dest soa i || Hc_isa.Uop_soa.writes_flags soa i)
+         (List.init (Trace.length t) Fun.id))
   in
   Alcotest.(check bool)
     (Printf.sprintf "classifications (%d) cover producers (%d)" outcomes producers)

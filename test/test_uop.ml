@@ -1,11 +1,21 @@
-(* Tests for dynamic uops: construction, width shapes, carry checks. *)
+(* Tests for dynamic uops: construction, and the ground-truth width
+   shapes and carry checks, which live on the packed columns — each
+   record is packed into a one-uop [Uop_soa.t] and queried at index 0. *)
 
 module Uop = Hc_isa.Uop
+module Uop_soa = Hc_isa.Uop_soa
 module Opcode = Hc_isa.Opcode
 module Reg = Hc_isa.Reg
 
 let mk ?(op = Opcode.Add) ?(dst = Some Reg.Eax) ?result ?mem_addr srcs vals =
   Uop.make ~id:0 ~pc:0x400000 ~op ~srcs ~dst ~src_vals:vals ?result ?mem_addr ()
+
+let on_columns shape u = shape ~bits:8 (Uop_soa.of_uops [| u |]) 0
+
+let is_888 = on_columns Uop_soa.is_888_bits
+let is_8_32_32 = on_columns Uop_soa.is_8_32_32_bits
+let carry_not_propagated = on_columns Uop_soa.carry_not_propagated_bits
+let all_srcs_narrow = on_columns Uop_soa.all_srcs_narrow_bits
 
 let test_make_mismatch () =
   Alcotest.check_raises "length mismatch"
@@ -20,17 +30,17 @@ let test_default_result () =
 
 let test_is_888 () =
   let narrow = mk [ Uop.Reg Reg.Eax; Uop.Imm 2 ] [ 3; 2 ] in
-  Alcotest.(check bool) "narrow add" true (Uop.is_888 narrow);
+  Alcotest.(check bool) "narrow add" true (is_888 narrow);
   let wide_src = mk [ Uop.Reg Reg.Eax; Uop.Imm 2 ] [ 0x1_0000; 2 ] in
-  Alcotest.(check bool) "wide source" false (Uop.is_888 wide_src);
+  Alcotest.(check bool) "wide source" false (is_888 wide_src);
   let overflow = mk [ Uop.Reg Reg.Eax; Uop.Imm 200 ] [ 200; 200 ] in
-  Alcotest.(check bool) "narrow sources, 9-bit result" false (Uop.is_888 overflow);
+  Alcotest.(check bool) "narrow sources, 9-bit result" false (is_888 overflow);
   let store =
     mk ~op:Opcode.Store ~dst:None
       [ Uop.Reg Reg.Esi; Uop.Imm 4; Uop.Reg Reg.Eax ]
       [ 3; 4; 5 ]
   in
-  Alcotest.(check bool) "no-output uop with narrow sources" true (Uop.is_888 store);
+  Alcotest.(check bool) "no-output uop with narrow sources" true (is_888 store);
   (* a flags writer needs a narrow flags-determining result too: 200 minus
      -100 has narrow sources but a 9-bit difference *)
   let cmp_wide =
@@ -38,21 +48,21 @@ let test_is_888 () =
       [ Uop.Reg Reg.Eax; Uop.Imm 0xFFFF_FF9C ]
       [ 200; 0xFFFF_FF9C ]
   in
-  Alcotest.(check bool) "cmp producing wide flags value" false (Uop.is_888 cmp_wide);
+  Alcotest.(check bool) "cmp producing wide flags value" false (is_888 cmp_wide);
   let cmp_narrow =
     mk ~op:Opcode.Cmp ~dst:None [ Uop.Reg Reg.Eax; Uop.Imm 1 ] [ 0; 1 ]
   in
-  Alcotest.(check bool) "cmp with narrow difference" true (Uop.is_888 cmp_narrow)
+  Alcotest.(check bool) "cmp with narrow difference" true (is_888 cmp_narrow)
 
 let test_is_8_32_32 () =
   let cr = mk [ Uop.Reg Reg.Esi; Uop.Imm 4 ] [ 0x0800_1234; 4 ] in
-  Alcotest.(check bool) "wide+narrow wide result" true (Uop.is_8_32_32 cr);
+  Alcotest.(check bool) "wide+narrow wide result" true (is_8_32_32 cr);
   let both_narrow = mk [ Uop.Reg Reg.Eax; Uop.Imm 4 ] [ 3; 4 ] in
-  Alcotest.(check bool) "both narrow" false (Uop.is_8_32_32 both_narrow);
+  Alcotest.(check bool) "both narrow" false (is_8_32_32 both_narrow);
   let both_wide = mk [ Uop.Reg Reg.Eax; Uop.Imm 0x1_0000 ] [ 0x1_0000; 0x1_0000 ] in
-  Alcotest.(check bool) "both wide" false (Uop.is_8_32_32 both_wide);
+  Alcotest.(check bool) "both wide" false (is_8_32_32 both_wide);
   let three = mk [ Uop.Reg Reg.Eax; Uop.Imm 4; Uop.Reg Reg.Ecx ] [ 0x1_0000; 4; 5 ] in
-  Alcotest.(check bool) "three sources excluded" false (Uop.is_8_32_32 three)
+  Alcotest.(check bool) "three sources excluded" false (is_8_32_32 three)
 
 let test_load_shape_uses_address () =
   (* loads: the 8-32-32 "result" is the effective address, not the data *)
@@ -61,25 +71,28 @@ let test_load_shape_uses_address () =
       [ 0x0800_1234; 4 ] ~result:7
   in
   Alcotest.(check bool) "narrow loaded value still 8-32-32" true
-    (Uop.is_8_32_32 narrow_data_load);
+    (is_8_32_32 narrow_data_load);
   Alcotest.(check bool) "carry not propagated" true
-    (Uop.carry_not_propagated narrow_data_load)
+    (carry_not_propagated narrow_data_load)
 
 let test_carry_not_propagated () =
   let local = mk [ Uop.Reg Reg.Esi; Uop.Imm 0x1C ] [ 0xFFFC_4A02; 0x1C ] in
-  Alcotest.(check bool) "Fig 10 example local" true (Uop.carry_not_propagated local);
+  Alcotest.(check bool) "Fig 10 example local" true (carry_not_propagated local);
   let crossing = mk [ Uop.Reg Reg.Esi; Uop.Imm 0x40 ] [ 0xFFFC_40F0; 0x40 ] in
-  Alcotest.(check bool) "carry crosses" false (Uop.carry_not_propagated crossing);
+  Alcotest.(check bool) "carry crosses" false (carry_not_propagated crossing);
   let mul = mk ~op:Opcode.Mul [ Uop.Reg Reg.Esi; Uop.Imm 4 ] [ 0x0800_0000; 4 ] in
-  Alcotest.(check bool) "mul never considered" false (Uop.carry_not_propagated mul)
+  Alcotest.(check bool) "mul never considered" false (carry_not_propagated mul)
 
 let test_width_accessors () =
   let u = mk [ Uop.Reg Reg.Eax; Uop.Imm 0x1_0000 ] [ 3; 0x1_0000 ] in
   Alcotest.(check bool) "has dest" true (Uop.has_dest u);
+  let soa = Uop_soa.of_uops [| u |] in
   Alcotest.(check (list bool)) "src widths"
     [ true; false ]
-    (List.map (fun w -> w = Hc_isa.Width.Narrow) (Uop.src_widths u));
-  Alcotest.(check bool) "not all narrow" false (Uop.all_srcs_narrow u);
+    (List.init (Uop_soa.nsrcs soa 0) (fun k ->
+         Hc_isa.Width.classify (Uop_soa.src_val soa (Uop_soa.src_base soa 0 + k))
+         = Hc_isa.Width.Narrow));
+  Alcotest.(check bool) "not all narrow" false (all_srcs_narrow u);
   Alcotest.(check bool) "writes flags (add)" true (Uop.writes_flags u)
 
 (* property: is_888 implies every source fits the helper datapath *)
@@ -92,7 +105,7 @@ let prop_888_sources =
       QCheck.(pair (int_range 0 max_int) (int_range 0 max_int))
   in
   QCheck.Test.make ~name:"is_888 implies all sources narrow" gen (fun u ->
-      (not (Uop.is_888 u)) || Uop.all_srcs_narrow u)
+      (not (is_888 u)) || all_srcs_narrow u)
 
 let prop_8_32_32_excludes_888 =
   let gen =
@@ -103,7 +116,7 @@ let prop_8_32_32_excludes_888 =
       QCheck.(pair (int_range 0 max_int) (int_range 0 max_int))
   in
   QCheck.Test.make ~name:"8-32-32 and 8-8-8 are disjoint" gen (fun u ->
-      not (Uop.is_888 u && Uop.is_8_32_32 u))
+      not (is_888 u && is_8_32_32 u))
 
 let suite =
   ( "uop",

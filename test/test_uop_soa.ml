@@ -74,8 +74,8 @@ let prop_roundtrip_synthetic =
     uops_arb
     (fun a -> Uop_soa.to_uops (Uop_soa.of_uops a) = a)
 
-(* generator output from random seed profiles: both converter directions
-   agree with the trace's own record view *)
+(* generator output from random seed profiles: the trace's columns and
+   the records the generator emitted convert into each other exactly *)
 let profile_arb =
   QCheck.make
     ~print:(fun (name, len) -> Printf.sprintf "%s length %d" name len)
@@ -88,10 +88,11 @@ let prop_roundtrip_generated =
   QCheck.Test.make ~name:"SoA and record views agree on generated traces"
     ~count:40 profile_arb
     (fun (name, length) ->
-      let t = Generator.generate_sliced ~length (Profile.find_spec_int name) in
-      let soa = Trace.soa t in
-      Uop_soa.to_uops soa = Trace.uops t
-      && Uop_soa.of_uops (Uop_soa.to_uops soa) = soa)
+      let p = Profile.find_spec_int name in
+      let st = Generator.create p in
+      let records = Array.init length (fun _ -> Generator.next st) in
+      let soa = Trace.soa (Generator.generate ~length p) in
+      Uop_soa.to_uops soa = records && Uop_soa.of_uops records = soa)
 
 (* ----- simulation bit-identity on the seed suite ----- *)
 
@@ -110,9 +111,9 @@ let rec rm_rf path =
   | false -> Sys.remove path
   | exception Sys_error _ -> ()
 
-(* Every seed workload, three trace representations of the same uops:
-   the generator's record-backed trace, a cold zero-copy decode of its
-   HCTB encoding (columns filled straight from the varint stream, no
+(* Every seed workload, three origins of the same columns: the
+   generator's records packed by [Trace.make], a cold zero-copy decode of
+   its HCTB encoding (columns filled straight from the varint stream, no
    records ever built), and a warm artifact-cache reload from disk. All
    three must simulate to byte-identical metrics JSON. *)
 let test_sim_bit_identity () =
@@ -200,14 +201,15 @@ let test_sliced_static_agrees () =
       (Trace.uops sliced)
   in
   let count tr =
-    let st = Static.analyze tr in
-    Array.fold_left
-      (fun acc u -> if Static.steerable_uop st u then acc + 1 else acc)
-      0 (Trace.uops tr)
+    let st = Static.analyze tr and soa = Trace.soa tr in
+    List.length
+      (List.filter
+         (fun i -> Static.steerable_uop st (Uop_soa.id soa i))
+         (List.init (Uop_soa.length soa) Fun.id))
   in
   Alcotest.(check int) "steerable count agrees across views" (count repacked)
     (count sliced);
-  let foreign = (Trace.uops t).(0) in
+  let foreign = Uop_soa.id (Trace.soa t) 0 in
   Alcotest.(check bool) "uop before the window is out of range" false
     (Static.in_range (Static.analyze sliced) foreign)
 
