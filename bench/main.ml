@@ -21,10 +21,8 @@
       (BENCH_<n>.json at the repo root).
 
    Flags: --micro (kernels only), --tables (regeneration only),
-   --json <path>, --jobs <n> (domain-pool size; HC_JOBS works too),
-   --alloc-gate (measure per-uop minor allocation of the untraced sim,
-   warm and as decode plus first run, and exit nonzero if either is not
-   zero — the CI perf gate). *)
+   --json <path>, --jobs <n> (domain-pool size; HC_JOBS works too). The
+   per-uop allocation gates are tier-1 tests (test/test_alloc.ml). *)
 
 module Experiments = Hc_core.Experiments
 module Runs = Hc_core.Runs
@@ -366,18 +364,12 @@ let run_bechamel () =
 
 (* ----- part 2b: per-uop allocation measurement ----- *)
 
-(* Marginal minor-heap allocation of the untraced simulator, in words
-   per uop. Two runs over traces of different lengths cancel every
-   per-run fixed cost (the Metrics record, counter tables, first-run
-   scratch-arena growth), leaving only what scales with the uop count —
-   which on the SoA hot path must be zero. [Gc.minor_words] counts
-   allocated words deterministically, so the gate is exact, not a
-   timing statistic. *)
+(* Marginal minor-heap allocation of a warm untraced 8_8_8 run, in words
+   per uop, for the JSON record: two runs over traces of different
+   lengths cancel every per-run fixed cost. The zero-allocation gates
+   themselves are tier-1 tests (test/test_alloc.ml). *)
 let alloc_trace_long =
   lazy (Generator.generate_sliced ~length:4_000 (Profile.find_spec_int "gcc"))
-
-let alloc_trace_longer =
-  lazy (Generator.generate_sliced ~length:8_000 (Profile.find_spec_int "gcc"))
 
 type alloc_measure = {
   a_uops_short : int;
@@ -392,18 +384,20 @@ let run_888 tr =
   ignore
     (Pipeline.run ~cfg ~decide:Hc_steering.Policy.decide ~scheme_name:"8_8_8" tr)
 
-(* [work] runs once on each (uop count, input) pair, after one untimed
-   warm-up call each that sizes the per-domain scratch arenas *)
-let marginal_words work (uops_short, short) (uops_long, long) =
-  work short;
-  work long;
-  let words x =
+let measure_alloc () =
+  let short = Lazy.force sim_trace and long = Lazy.force alloc_trace_long in
+  (* one untimed warm-up run each sizes the per-domain scratch arenas *)
+  run_888 short;
+  run_888 long;
+  let words tr =
     let w0 = Gc.minor_words () in
-    work x;
+    run_888 tr;
     Gc.minor_words () -. w0
   in
   let words_short = words short in
   let words_long = words long in
+  let uops_short = Hc_trace.Trace.length short
+  and uops_long = Hc_trace.Trace.length long in
   {
     a_uops_short = uops_short;
     a_words_short = words_short;
@@ -412,44 +406,6 @@ let marginal_words work (uops_short, short) (uops_long, long) =
     a_words_per_uop =
       (words_long -. words_short) /. float_of_int (uops_long - uops_short);
   }
-
-(* Warm runs on a generated trace. *)
-let measure_alloc () =
-  let sized tr = (Hc_trace.Trace.length tr, tr) in
-  marginal_words run_888
-    (sized (Lazy.force sim_trace))
-    (sized (Lazy.force alloc_trace_long))
-
-(* The cache-reload path: decode a trace's HCTB bytes, then simulate the
-   decoded trace once. Anything the first run rebuilds per uop (a record
-   view, say) shows here. Both lengths keep every decoded column above
-   the minor heap's large-block threshold, so the columns go straight to
-   the major heap and cancel like any fixed cost. *)
-let measure_decode_alloc () =
-  let profile = Profile.find_spec_int "gcc" in
-  let encoded tr = (Hc_trace.Trace.length tr, Codec.encode tr) in
-  marginal_words
-    (fun bytes -> run_888 (Codec.decode ~profile bytes))
-    (encoded (Lazy.force alloc_trace_long))
-    (encoded (Lazy.force alloc_trace_longer))
-
-let alloc_gate () =
-  let check label m =
-    Printf.printf
-      "alloc-gate: %s: %d uops -> %.0f minor words, %d uops -> %.0f minor words\n"
-      label m.a_uops_short m.a_words_short m.a_uops_long m.a_words_long;
-    Printf.printf "alloc-gate: %s: marginal %.4f minor words/uop\n" label
-      m.a_words_per_uop;
-    m.a_words_per_uop <= 0.
-  in
-  let warm_ok = check "warm run" (measure_alloc ()) in
-  let decode_ok = check "decode + first run" (measure_decode_alloc ()) in
-  if not (warm_ok && decode_ok) then begin
-    prerr_endline
-      "alloc-gate: FAIL - untraced sim allocates on the per-uop path";
-    exit 1
-  end;
-  print_endline "alloc-gate: OK (allocation-free per uop)"
 
 (* ----- part 3: machine-readable results ----- *)
 
@@ -656,10 +612,6 @@ let () =
       prerr_endline "--jobs expects a positive integer";
       exit 1 )
   | None -> () );
-  if List.mem "--alloc-gate" argv then begin
-    alloc_gate ();
-    exit 0
-  end;
   match find_opt_value "--json" argv with
   | Some path ->
     let regen =

@@ -61,67 +61,44 @@ let lognot a = { zeros = a.ones; ones = a.zeros }
 
 (* ----- arithmetic transfers ----- *)
 
-type trit = K0 | K1 | Unk
+(* Addition with carry-in [cin] (0 or 1) over the tristate-number
+   encoding of Vishwanathan et al., "Sound, Precise, and Fast Abstract
+   Interpretation with Tristate Numbers" (CGO 2022; the Linux eBPF
+   verifier's [tnum_add]): operand x is its proven ones [xv] plus any
+   subset of its unknown positions [xm]. [sv] is the smallest concrete
+   sum (every unknown bit 0) and [am + bm + sv] the largest (every
+   unknown bit 1). A result bit is uncertain when an operand bit there is
+   unknown or the two extreme sums differ there (a carry chain can reach
+   it); every other bit is known and equal to [sv]'s. The result is the
+   most precise known-bits sum, and exact on constants. *)
+let adc ~av ~am ~bv ~bm cin =
+  let sv = av + bv + cin in
+  let mu = (((am + bm + sv) lxor sv) lor am lor bm) land mask32 in
+  let v = sv land mask32 land lnot mu in
+  { ones = v; zeros = mask32 land lnot (v lor mu) }
 
-let bit_at m i =
-  if (m.ones lsr i) land 1 = 1 then K1
-  else if (m.zeros lsr i) land 1 = 1 then K0
-  else Unk
+let unknown a = mask32 land lnot (known a)
 
-let trit_options = function K0 -> [ 0 ] | K1 -> [ 1 ] | Unk -> [ 0; 1 ]
+let add a b = adc ~av:a.ones ~am:(unknown a) ~bv:b.ones ~bm:(unknown b) 0
 
-(* Ripple-carry addition with an abstract carry: at each bit, enumerate
-   the concrete possibilities of the two operand bits and the incoming
-   carry (at most eight) and keep a sum bit or outgoing carry only when
-   all possibilities agree. Exact for fully known inputs. *)
-let adc a b carry_in =
-  let zeros = ref 0 and ones = ref 0 in
-  let carry = ref carry_in in
-  for i = 0 to 31 do
-    let sum0 = ref false and sum1 = ref false in
-    let car0 = ref false and car1 = ref false in
-    List.iter
-      (fun x ->
-        List.iter
-          (fun y ->
-            List.iter
-              (fun c ->
-                let s = x + y + c in
-                if s land 1 = 0 then sum0 := true else sum1 := true;
-                if s >= 2 then car1 := true else car0 := true)
-              (trit_options !carry))
-          (trit_options (bit_at b i)))
-      (trit_options (bit_at a i));
-    if not !sum0 then ones := !ones lor (1 lsl i)
-    else if not !sum1 then zeros := !zeros lor (1 lsl i);
-    carry :=
-      (match (!car0, !car1) with
-      | true, false -> K0
-      | false, true -> K1
-      | _ -> Unk)
-  done;
-  { zeros = !zeros; ones = !ones }
-
-let add a b = adc a b K0
-
-(* a - b = a + ~b + 1 in two's complement *)
-let sub a b = adc a (lognot b) K1
+(* a - b = a + ~b + 1 in two's complement; ~b swaps b's proven masks *)
+let sub a b = adc ~av:a.ones ~am:(unknown a) ~bv:b.zeros ~bm:(unknown b) 1
 
 (* The concrete semantics shift by [amount land 31], so the amount only
-   needs its low five bits known. *)
-let shift_amount b = if known b land 31 = 31 then Some (b.ones land 31) else None
+   needs its low five bits known; -1 when it is not. *)
+let shift_amount b = if known b land 31 = 31 then b.ones land 31 else -1
 
 let shl a b =
   match shift_amount b with
-  | None -> top
-  | Some k ->
+  | -1 -> top
+  | k ->
     { ones = (a.ones lsl k) land mask32;
       zeros = ((a.zeros lsl k) land mask32) lor ((1 lsl k) - 1) }
 
 let shr a b =
   match shift_amount b with
-  | None -> top
-  | Some k ->
+  | -1 -> top
+  | k ->
     let hi = if k = 0 then 0 else mask32 land lnot (mask32 lsr k) in
     { ones = a.ones lsr k; zeros = (a.zeros lsr k) lor hi }
 
@@ -164,25 +141,28 @@ let div a b =
 
 (* ----- per-opcode dispatch, mirroring Semantics.eval ----- *)
 
+let some_if cond r = if cond then Some r else None
+
 (* Same operand discipline as the concrete evaluator: binary transfers
    read only the first two abstract operands (a third operand is implicit
    IA-32 machine state the arithmetic ignores), unary only the first, and
    opcodes whose result the evaluator cannot compute (memory data, control
-   flow, floating point) produce no abstract result either. *)
+   flow, floating point) produce no abstract result either. Results are
+   computed before the arity check (binary transfers of a short operand
+   list read [top]) so the dispatch builds no closure. *)
 let transfer2 op ~nsrcs ~(a0 : t) ~(a1 : t) : t option =
-  let binary f = if nsrcs >= 2 then Some (f a0 a1) else None in
-  let unary f = if nsrcs >= 1 then Some (f a0) else None in
+  let binary = nsrcs >= 2 and unary = nsrcs >= 1 in
   match (op : Hc_isa.Opcode.t) with
-  | Add | Lea -> binary add
-  | Sub | Cmp -> binary sub
-  | And -> binary logand
-  | Or -> binary logor
-  | Xor -> binary logxor
-  | Shl -> binary shl
-  | Shr -> binary shr
-  | Mov | Copy -> unary (fun a -> a)
-  | Mul -> binary mul
-  | Div -> binary div
+  | Add | Lea -> some_if binary (add a0 a1)
+  | Sub | Cmp -> some_if binary (sub a0 a1)
+  | And -> some_if binary (logand a0 a1)
+  | Or -> some_if binary (logor a0 a1)
+  | Xor -> some_if binary (logxor a0 a1)
+  | Shl -> some_if binary (shl a0 a1)
+  | Shr -> some_if binary (shr a0 a1)
+  | Mov | Copy -> some_if unary a0
+  | Mul -> some_if binary (mul a0 a1)
+  | Div -> some_if binary (div a0 a1)
   | Load | Store | Branch_cond | Branch_uncond | Fp_add | Fp_mul | Fp_div | Nop ->
     None
 
@@ -195,6 +175,8 @@ let pp ppf a =
   let buf = Buffer.create 32 in
   for i = 31 downto 0 do
     Buffer.add_char buf
-      (match bit_at a i with K0 -> '0' | K1 -> '1' | Unk -> '?')
+      (if (a.ones lsr i) land 1 = 1 then '1'
+       else if (a.zeros lsr i) land 1 = 1 then '0'
+       else '?')
   done;
   Format.pp_print_string ppf (Buffer.contents buf)

@@ -44,9 +44,13 @@ val logxor : t -> t -> t
 val lognot : t -> t
 
 val add : t -> t -> t
-(** Abstract ripple-carry addition; exact on fully known inputs. *)
+(** The most precise known-bits sum, computed bit-parallel in a few word
+    operations with the tristate-number addition of Vishwanathan et al.,
+    "Sound, Precise, and Fast Abstract Interpretation with Tristate
+    Numbers" (CGO 2022). Exact on fully known inputs. *)
 
 val sub : t -> t -> t
+(** [add a (lognot b)] with a carry-in of 1, as precise as {!add}. *)
 
 val shl : t -> t -> t
 (** Shift transfers give [top] unless the low five amount bits (the only
@@ -54,9 +58,10 @@ val shl : t -> t -> t
 
 val shr : t -> t -> t
 
-val shift_amount : t -> int option
+val shift_amount : t -> int
 (** The provably constant shift amount: the low five bits (the only ones
-    the concrete semantics read) when all are proven, masked to [0..31]. *)
+    the concrete semantics read) when all are proven, masked to [0..31];
+    [-1] when any of them is unknown. *)
 
 val mul : t -> t -> t
 (** Leading/trailing known-zero magnitude bound; exact on constants. *)

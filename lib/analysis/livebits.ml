@@ -45,13 +45,6 @@ let low_bits_upto m =
     let b = msb 31 in
     if b >= 31 then mask32 else (1 lsl (b + 1)) - 1
 
-(* The demand a uop with live result mask [live] places on each of its
-   [nsrcs] sources. [amount] is the shift amount when it is provably
-   constant (immediate operand, or proven by the forward pass); unknown
-   amounts force full demand on the shifted value. Soundness contract
-   (fuzzed in test_fuzz.ml): changing source bits outside the returned
-   masks leaves the result bits inside [live] unchanged under
-   [Semantics.eval]. *)
 (* Does [Semantics.eval op] compute a result for an [nsrcs]-operand uop?
    Mirrors the evaluator's binary/unary operand guards exactly, without
    allocating the probe list. *)
@@ -62,45 +55,55 @@ let eval_computable (op : Opcode.t) ~nsrcs =
   | Load | Store | Branch_cond | Branch_uncond | Fp_add | Fp_mul | Fp_div
   | Nop -> false
 
+(* [out.(0)] and [out.(1)] (those below [nsrcs]) get [d0] and [d1]; any
+   further source gets [rest]. *)
+let fill_demands (out : int array) ~nsrcs d0 d1 rest =
+  for i = 0 to nsrcs - 1 do
+    out.(i) <- (if i = 0 then d0 else if i = 1 then d1 else rest)
+  done
+
+(* The demand a uop with live result mask [live] places on each of its
+   [nsrcs] sources. [amount] is the shift amount when it is provably
+   constant (immediate operand, or proven by the forward pass) and -1
+   otherwise; unknown amounts force full demand on the shifted value.
+   Soundness contract (fuzzed in test_fuzz.ml): changing source bits
+   outside the returned masks leaves the result bits inside [live]
+   unchanged under [Semantics.eval]. *)
 let backward_transfer_into op ~nsrcs ~amount ~live (out : int array) =
-  let fill v = for i = 0 to nsrcs - 1 do out.(i) <- v done in
-  let first_two d =
-    for i = 0 to nsrcs - 1 do out.(i) <- (if i < 2 then d else 0) done
-  in
   if nsrcs = 0 then ()
-  else if live = 0 then
+  else if live = 0 then begin
     (* a fully dead computed result consumes nothing; full-width
        consumers (eval = None) never have live = 0 treated this way *)
-    fill (if eval_computable op ~nsrcs then 0 else mask32)
+    let d = if eval_computable op ~nsrcs then 0 else mask32 in
+    fill_demands out ~nsrcs d d d
+  end
   else
     match (op : Opcode.t) with
     | And | Or | Xor | Mov | Copy ->
       (* bitwise: result bit i reads exactly source bits i *)
-      first_two live
+      fill_demands out ~nsrcs live live 0
     | Add | Sub | Cmp | Lea | Mul ->
       (* carries ripple upward only (sub via a + ~b + 1; mul partial
          products): the down-closure of the live mask covers every
          source bit that can reach a live result bit *)
-      first_two (low_bits_upto live)
+      let d = low_bits_upto live in
+      fill_demands out ~nsrcs d d 0
     | Shl ->
-      fill 0;
-      out.(0) <- (match amount with Some k -> live lsr k | None -> mask32);
-      if nsrcs > 1 then out.(1) <- 0x1F
+      fill_demands out ~nsrcs
+        (if amount >= 0 then live lsr amount else mask32)
+        0x1F 0
     | Shr ->
-      fill 0;
-      out.(0) <-
-        (match amount with
-        | Some k -> (live lsl k) land mask32
-        | None -> mask32);
-      if nsrcs > 1 then out.(1) <- 0x1F
+      fill_demands out ~nsrcs
+        (if amount >= 0 then (live lsl amount) land mask32 else mask32)
+        0x1F 0
     | Div ->
       (* quotient bits mix source bits across positions; no useful dual *)
-      first_two mask32
+      fill_demands out ~nsrcs mask32 mask32 0
     | Load | Store | Branch_cond | Branch_uncond | Fp_add | Fp_mul | Fp_div
     | Nop ->
       (* no computable result: the machine (memory system, control flow,
          fp datapath) reads these sources at full width *)
-      fill mask32
+      fill_demands out ~nsrcs mask32 mask32 mask32
 
 let backward_transfer op ~nsrcs ~amount ~live =
   let out = Array.make nsrcs 0 in
@@ -109,15 +112,14 @@ let backward_transfer op ~nsrcs ~amount ~live =
 
 (* Shift amounts the backward pass can treat as constant without any
    forward information: immediate operands (masked to the 5 bits the
-   concrete semantics read); the second operand is an immediate exactly
-   when its register column holds -1. *)
+   concrete semantics read), -1 otherwise; the second operand is an
+   immediate exactly when its register column holds -1. *)
 let imm_shift_amount_soa soa i =
   if Uop_soa.nsrcs soa i >= 2 then begin
     let j = Uop_soa.src_base soa i + 1 in
-    if Uop_soa.src_reg soa j = -1 then Some (Uop_soa.src_val soa j land 31)
-    else None
+    if Uop_soa.src_reg soa j = -1 then Uop_soa.src_val soa j land 31 else -1
   end
-  else None
+  else -1
 
 let analyze ?(bits = 8) ?known_amount (tr : Trace.t) =
   let soa = Trace.soa tr in
@@ -141,9 +143,8 @@ let analyze ?(bits = 8) ?known_amount (tr : Trace.t) =
     if wf then demand.(eflags) <- 0;
     let amount =
       match known_amount with
-      | Some f -> (
-        match f i with Some _ as a -> a | None -> imm_shift_amount_soa soa i)
-      | None -> imm_shift_amount_soa soa i
+      | Some a when a.(i) >= 0 -> a.(i)
+      | Some _ | None -> imm_shift_amount_soa soa i
     in
     let lo = Uop_soa.src_base soa i and ns = Uop_soa.nsrcs soa i in
     if ns > Array.length !scratch then scratch := Array.make ns 0;

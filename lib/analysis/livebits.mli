@@ -25,16 +25,18 @@ type t = {
           downstream (including the flags readers when it writes flags) *)
 }
 
-val analyze : ?bits:int -> ?known_amount:(int -> int option) -> Hc_trace.Trace.t -> t
-(** One backward linear scan. [known_amount i] may supply a provably
-    constant shift amount for the uop at position [i] (the bidirectional
-    pass feeds forward-proven constants in); immediate shift amounts are
-    always used. Trace-exit register demand is full width, so the result
+val analyze : ?bits:int -> ?known_amount:int array -> Hc_trace.Trace.t -> t
+(** One backward linear scan. [known_amount.(i)] may supply a provably
+    constant shift amount for the uop at position [i], or [-1] for none
+    (the bidirectional pass feeds forward-proven constants in); immediate
+    shift amounts are always used. Trace-exit register demand is full width, so the result
     is sound for sliced traces. *)
 
 val backward_transfer :
-  Hc_isa.Opcode.t -> nsrcs:int -> amount:int option -> live:int -> int list
+  Hc_isa.Opcode.t -> nsrcs:int -> amount:int -> live:int -> int list
 (** Per-source demand masks for one uop with live result mask [live].
+    [amount] is the provably constant shift amount in [0..31], or [-1]
+    when it is unknown (only shifts read it).
     Contract: changing source bits outside the returned masks leaves
     every result bit inside [live] unchanged under
     [Hc_isa.Semantics.eval]. Opcodes without a computable result return
@@ -43,7 +45,7 @@ val backward_transfer :
 val backward_transfer_into :
   Hc_isa.Opcode.t ->
   nsrcs:int ->
-  amount:int option ->
+  amount:int ->
   live:int ->
   int array ->
   unit

@@ -75,7 +75,7 @@ let timed f =
 type forward_facts = {
   src_narrow : bool array;  (* by flattened operand index (Uop_soa.src_base) *)
   result_narrow : bool array;
-  shift_amount : int option array;
+  shift_amount : int array;  (* -1 unless a constant shift amount is proven *)
 }
 
 let analyze_fwd ?(bits = 8) ~facts (tr : Trace.t) =
@@ -91,7 +91,7 @@ let analyze_fwd ?(bits = 8) ~facts (tr : Trace.t) =
       Some
         { src_narrow = Array.make (Uop_soa.src_base soa n) false;
           result_narrow = Array.make n false;
-          shift_amount = Array.make n None }
+          shift_amount = Array.make n (-1) }
     else None
   in
   (* abstract value of the flattened operand at absolute index [j]:
@@ -115,7 +115,10 @@ let analyze_fwd ?(bits = 8) ~facts (tr : Trace.t) =
        anything observable *)
     let srcs_narrow = ref true in
     for j = lo to lo + ns - 1 do
-      let narrow = Absval.is_narrow ~bits (abs_at j) in
+      (* the first two operands were read above; an immediate's
+         singleton is not rebuilt *)
+      let a = if j = lo then a0 else if j = lo + 1 then a1 else abs_at j in
+      let narrow = Absval.is_narrow ~bits a in
       if not narrow then srcs_narrow := false;
       match ff with Some f -> f.src_narrow.(j) <- narrow | None -> ()
     done;
@@ -231,9 +234,7 @@ let analyze_bidir ?(bits = 8) (tr : Trace.t) =
   let bd, bwd_ns =
     timed (fun () ->
         let lb =
-          Livebits.analyze ~bits
-            ~known_amount:(fun i -> ff.shift_amount.(i))
-            tr
+          Livebits.analyze ~bits ~known_amount:ff.shift_amount tr
         in
         let soa = Trace.soa tr in
         let n = Uop_soa.length soa in

@@ -5,8 +5,8 @@
    wheel) reused across runs, and options/tuples/closures are replaced by
    sentinels and int codes. Accounting and event-sink paths may allocate;
    they are guarded off the untraced run. Nodes name their uop by trace
-   index; no uop record exists on this path. The bench's --alloc-gate
-   checks the marginal minor-words-per-uop of an untraced run stays zero,
+   index; no uop record exists on this path. test/test_alloc.ml checks
+   the marginal minor-words-per-uop of an untraced run stays zero,
    both warm and as the first run on a freshly decoded trace. *)
 module Opcode = Hc_isa.Opcode
 module Reg = Hc_isa.Reg

@@ -113,6 +113,14 @@ let load_text ~profile content =
       | Some _ | None -> failwith "bad header count")
     | _ -> failwith "bad header (expected helper-cluster-trace v1 ...)"
   in
+  (* one line per uop: a count the file cannot hold is refused before
+     it sizes an allocation *)
+  let last = Array.length lines - 1 in
+  let more = if lines.(last) = "" then last - 1 else last in
+  if count > more then
+    failwith
+      (Printf.sprintf "line 1: header declares %d uops, file has %d more lines"
+         count more);
   let uops =
     Array.init count (fun i ->
         if i + 1 >= Array.length lines || lines.(i + 1) = "" then

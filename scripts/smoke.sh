@@ -12,24 +12,13 @@ echo "== dune build =="
 dune build @all
 
 echo "== dune runtest =="
+# includes the per-uop allocation gates (test/test_alloc.ml): a warm
+# 8_8_8 run and an HCTB decode plus its first run at exactly 0 minor
+# words/uop, and the static width analysis at <= 8
 dune runtest
 
 echo "== bench --micro --json BENCH_smoke.json =="
 dune exec bench/main.exe -- --micro --json BENCH_smoke.json
-
-echo "== allocation gate =="
-# The untraced SoA simulator must stay allocation-free per uop: the gate
-# runs the fig6 (8_8_8) kernel over two trace lengths, warm and as the
-# decode of an HCTB trace plus its first run (the cache-reload path), and
-# fails if either marginal Gc.minor_words per uop exceeds zero.
-# Deterministic (it counts words, not time), so zero tolerance is safe.
-ALLOC_OUT=$(mktemp)
-dune exec bench/main.exe -- --alloc-gate | tee "$ALLOC_OUT"
-grep -q '^alloc-gate: warm run: marginal 0.0000 minor words/uop$' "$ALLOC_OUT"
-grep -q '^alloc-gate: decode + first run: marginal 0.0000 minor words/uop$' \
-  "$ALLOC_OUT"
-rm -f "$ALLOC_OUT"
-echo "allocation gate OK"
 
 echo "== CLI argument gate =="
 # a non-positive pool size is an error (exit 1), not a silent fallback

@@ -229,10 +229,29 @@ module Opcode = Hc_isa.Opcode
 
 let val32_gen = QCheck.Gen.(map (fun x -> x land 0xFFFF_FFFF) (int_range 0 max_int))
 
+(* A uniform mask leaves about 16 bits unknown, so a carry almost never
+   runs through a long known stretch; mix in the masks that make one:
+   none, a single bit, a low run, a high run and all 32 bits unknown.
+   Values lean the same way, toward all ones (a carry crosses every
+   known bit) and small numbers (long known-zero tops). *)
+let unknown_mask_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, val32_gen);
+        (1, return 0);
+        (1, map (fun i -> 1 lsl i) (int_range 0 31));
+        (1, map (fun k -> (1 lsl k) - 1) (int_range 1 31));
+        (1, map (fun k -> 0xFFFF_FFFF lxor ((1 lsl k) - 1)) (int_range 1 31));
+        (1, return 0xFFFF_FFFF) ])
+
+let value_gen =
+  QCheck.Gen.(
+    frequency [ (4, val32_gen); (1, return 0xFFFF_FFFF); (1, int_range 0 255) ])
+
 (* one operand: a concrete value plus a mask of bits the abstraction
    forgets; joining the two flips makes exactly those bits unknown while
    keeping the concrete value contained *)
-let operand_gen = QCheck.Gen.pair val32_gen val32_gen
+let operand_gen = QCheck.Gen.pair value_gen unknown_mask_gen
 
 let abstract_of (v, m) = Absval.join (Absval.const v) (Absval.const (v lxor m))
 
@@ -287,6 +306,102 @@ let prop_const_transfer_exact =
       | None, None -> true
       | _ -> false)
 
+(* ----- exactness: the bit-parallel adder vs the per-bit reference ----- *)
+
+type trit = K0 | K1 | Unk
+
+let bit_at (m : Absval.t) i =
+  if (m.Absval.ones lsr i) land 1 = 1 then K1
+  else if (m.Absval.zeros lsr i) land 1 = 1 then K0
+  else Unk
+
+let trit_options = function K0 -> [ 0 ] | K1 -> [ 1 ] | Unk -> [ 0; 1 ]
+
+(* The reference adder: Absval's former transfer, returning its
+   (zeros, ones) masks. Ripple-carry addition with an abstract carry: at
+   each bit, enumerate the concrete possibilities of the two operand bits
+   and the incoming carry (at most eight) and keep a sum bit or outgoing
+   carry only when all possibilities agree. Exact for fully known inputs. *)
+let ripple_adc a b carry_in =
+  let zeros = ref 0 and ones = ref 0 in
+  let carry = ref carry_in in
+  for i = 0 to 31 do
+    let sum0 = ref false and sum1 = ref false in
+    let car0 = ref false and car1 = ref false in
+    List.iter
+      (fun x ->
+        List.iter
+          (fun y ->
+            List.iter
+              (fun c ->
+                let s = x + y + c in
+                if s land 1 = 0 then sum0 := true else sum1 := true;
+                if s >= 2 then car1 := true else car0 := true)
+              (trit_options !carry))
+          (trit_options (bit_at b i)))
+      (trit_options (bit_at a i));
+    if not !sum0 then ones := !ones lor (1 lsl i)
+    else if not !sum1 then zeros := !zeros lor (1 lsl i);
+    carry :=
+      (match (!car0, !car1) with
+      | true, false -> K0
+      | false, true -> K1
+      | _ -> Unk)
+  done;
+  (!zeros, !ones)
+
+(* Why the two adders must agree bit for bit: the known-bits domain is a
+   product over bits, so the per-bit enumeration is exact, and the
+   tristate-number add is proven optimal; both give the most precise sum. *)
+let adders_agree a b =
+  let masks (r : Absval.t) = (r.Absval.zeros, r.Absval.ones) in
+  masks (Absval.add a b) = ripple_adc a b K0
+  && masks (Absval.sub a b) = ripple_adc a (Absval.lognot b) K1
+
+let test_adders_agree_exhaustive () =
+  (* every abstract value on the low 4 bits: per bit 0, 1 or unknown *)
+  let low =
+    List.init 81 (fun code ->
+        let ones = ref 0 and unknown = ref 0 and c = ref code in
+        for i = 0 to 3 do
+          ( match !c mod 3 with
+          | 1 -> ones := !ones lor (1 lsl i)
+          | 2 -> unknown := !unknown lor (1 lsl i)
+          | _ -> () );
+          c := !c / 3
+        done;
+        (!ones, !unknown))
+  in
+  let hi = 0xFFFF_FFF0 in
+  (* upper 28 bits as (ones, unknown): known 0, known 1, unknown, mixed *)
+  let uppers = [ (0, 0); (hi, 0); (0, hi); (0x3C0F_00F0, 0xC030_FF00) ] in
+  List.iter
+    (fun (ha, hau) ->
+      List.iter
+        (fun (hb, hbu) ->
+          List.iter
+            (fun (la, lau) ->
+              let a = abstract_of (ha lor la, hau lor lau) in
+              List.iter
+                (fun (lb, lbu) ->
+                  let b = abstract_of (hb lor lb, hbu lor lbu) in
+                  if not (adders_agree a b) then
+                    Alcotest.failf "adders disagree on %a and %a" Absval.pp a
+                      Absval.pp b)
+                low)
+            low)
+        uppers)
+    uppers
+
+let prop_adders_agree =
+  QCheck.Test.make ~name:"bit-parallel add/sub equal the ripple reference"
+    ~count:100_000
+    (QCheck.make
+       ~print:(fun ((v, m), (w, n)) ->
+         Printf.sprintf "%x (unknown %x), %x (unknown %x)" v m w n)
+       QCheck.Gen.(pair operand_gen operand_gen))
+    (fun (x, y) -> adders_agree (abstract_of x) (abstract_of y))
+
 (* ----- differential fuzz: backward live-bits vs the evaluator ----- *)
 
 module Livebits = Hc_analysis.Livebits
@@ -322,9 +437,8 @@ let prop_backward_transfer_sound =
          amount operand, exactly as the forward pass proves it *)
       let amount =
         match (op, vals, known_amount) with
-        | (Opcode.Shl | Opcode.Shr), _ :: amt :: _, true ->
-          Some (amt land 31)
-        | _ -> None
+        | (Opcode.Shl | Opcode.Shr), _ :: amt :: _, true -> amt land 31
+        | _ -> -1
       in
       let demands =
         Livebits.backward_transfer op ~nsrcs:(List.length vals) ~amount ~live
@@ -375,6 +489,9 @@ let suite =
       QCheck_alcotest.to_alcotest prop_monolithic_ignores_helper_knobs;
       QCheck_alcotest.to_alcotest prop_transfer_sound;
       QCheck_alcotest.to_alcotest prop_const_transfer_exact;
+      Alcotest.test_case "bit-parallel add/sub equal the ripple reference on 4 bits"
+        `Quick test_adders_agree_exhaustive;
+      QCheck_alcotest.to_alcotest prop_adders_agree;
       QCheck_alcotest.to_alcotest prop_backward_transfer_sound;
       QCheck_alcotest.to_alcotest prop_dead_bits_unobservable;
     ] )

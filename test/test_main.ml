@@ -20,6 +20,7 @@ let () =
       Test_config.suite;
       Test_policy.suite;
       Test_pipeline.suite;
+      Test_alloc.suite;
       Test_accounting.suite;
       Test_metrics.suite;
       Test_power.suite;

@@ -58,6 +58,23 @@ let test_malformed () =
        [ "helper-cluster-trace v1 x 1";
          "0 400000 frobnicate dst=- srcs= res=0 addr=0 taken=0 misp=0 dl0=0 ul1=0" ])
 
+(* the header count must not size an allocation the file cannot fill:
+   a two-line trace claiming 4e12 uops is refused, not Out_of_memory *)
+let test_header_count_bounded () =
+  let path = temp "hc_huge_count.trace" in
+  let oc = open_out path in
+  output_string oc
+    "helper-cluster-trace v1 x 4000000000000\n\
+     0 400000 nop dst=- srcs= res=0 addr=0 taken=0 misp=0 dl0=0 ul1=0\n";
+  close_out oc;
+  match Trace_io.load path with
+  | _ -> Alcotest.fail "expected the header count to be refused"
+  | exception Failure msg ->
+    Alcotest.(check string)
+      "located message"
+      "line 1: header declares 4000000000000 uops, file has 1 more lines"
+      msg
+
 let test_empty_trace () =
   let t = Trace.make ~name:"empty" ~profile:(List.hd Profile.spec_int) [||] in
   let path = temp "hc_empty.trace" in
@@ -72,5 +89,7 @@ let suite =
       Alcotest.test_case "roundtrip simulates identically" `Quick
         test_roundtrip_simulates_identically;
       Alcotest.test_case "malformed inputs" `Quick test_malformed;
+      Alcotest.test_case "header count bounded by the file" `Quick
+        test_header_count_bounded;
       Alcotest.test_case "empty trace" `Quick test_empty_trace;
     ] )
