@@ -29,6 +29,8 @@ module Trace = Hc_trace.Trace
 
 let mask32 = 0xFFFF_FFFF
 
+let eflags = Reg.to_index Reg.Eflags
+
 type t = {
   bits : int;
   first_id : int;
@@ -127,7 +129,6 @@ let analyze ?(bits = 8) ?known_amount (tr : Trace.t) =
   let live = Array.make n 0 in
   (* trace-exit demand: full width on every register *)
   let demand = Array.make Reg.count mask32 in
-  let eflags = Reg.to_index Reg.Eflags in
   let scratch = ref (Array.make 16 0) in
   for i = n - 1 downto 0 do
     let op = Uop_soa.op soa i in
@@ -177,93 +178,88 @@ type violation = {
 (* Taint-bounded forward replay: flip every claimed-dead high bit of uop
    [i]'s result at once, then re-evaluate downstream per Semantics.eval,
    tracking only the registers whose value now differs from ground truth
-   (the trace's own [src_vals]/[result] fields are the ground truth, so
-   the fork carries just a sparse overlay). The mutation is a violation
-   iff a full-width consumer (an opcode the evaluator cannot compute:
-   load address, store, branch, fp) reads a differing register, or any
-   difference survives to the trace exit. The replay stops as soon as
-   the overlay drains — overwrites kill taint — which keeps the sweep
-   near-linear on real traces. The replay re-evaluates whole operand
-   lists, so it runs over the record form of the trace. *)
-let check_mutation (uops : Uop.t array) ~index ~flipped =
-  let n = Array.length uops in
-  let u0 = uops.(index) in
-  let taint : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let set_taint r v truth =
-    if v land mask32 = truth land mask32 then Hashtbl.remove taint r
-    else Hashtbl.replace taint r (v land mask32)
+   (the trace's own operand values and results are the ground truth, so
+   the fork carries just a sparse overlay: [taint.(r)] is register [r]'s
+   forked value, or -1 while it agrees with ground truth). The mutation
+   is a violation iff a full-width consumer (an opcode the evaluator
+   cannot compute: load address, store, branch, fp) reads a differing
+   register, or any difference survives to the trace exit. The replay
+   stops as soon as the overlay drains — overwrites kill taint — which
+   keeps the sweep near-linear on real traces. It reads the trace's
+   columns; only a reported violation builds a record. *)
+let check_mutation soa ~index ~flipped =
+  let n = Uop_soa.length soa in
+  let taint = Array.make Reg.count (-1) and tainted = ref 0 in
+  let clear r =
+    if taint.(r) >= 0 then begin
+      taint.(r) <- -1;
+      decr tainted
+    end
   in
-  ( match u0.Uop.dst with
-  | Some d -> set_taint (Reg.to_index d) (u0.Uop.result lxor flipped) u0.Uop.result
-  | None -> () );
-  if Uop.writes_flags u0 then
-    set_taint (Reg.to_index Reg.Eflags) (u0.Uop.result lxor flipped)
-      u0.Uop.result;
-  let result = ref None in
+  let set_taint r v truth =
+    if v land mask32 = truth land mask32 then clear r
+    else begin
+      if taint.(r) < 0 then incr tainted;
+      taint.(r) <- v land mask32
+    end
+  in
+  (* the uop at [i] now produces [v]: taint (or untaint) what it writes *)
+  let write i v =
+    let truth = Uop_soa.result soa i and d = Uop_soa.dst_index soa i in
+    if d >= 0 then set_taint d v truth;
+    if Uop_soa.writes_flags soa i then set_taint eflags v truth
+  in
+  write index (Uop_soa.result soa index lxor flipped);
+  let result = ref (-1) in
   let j = ref (index + 1) in
-  while !result = None && Hashtbl.length taint > 0 && !j < n do
-    let u = uops.(!j) in
-    let reads_tainted =
-      List.exists
-        (function
-          | Uop.Reg r -> Hashtbl.mem taint (Reg.to_index r)
-          | Uop.Imm _ -> false)
-        u.Uop.srcs
+  while !result < 0 && !tainted > 0 && !j < n do
+    let i = !j in
+    let lo = Uop_soa.src_base soa i and ns = Uop_soa.nsrcs soa i in
+    (* operand [k]'s value in the fork *)
+    let forked k =
+      let r = Uop_soa.src_reg soa (lo + k) in
+      if r >= 0 && taint.(r) >= 0 then taint.(r) else Uop_soa.src_val soa (lo + k)
     in
-    if reads_tainted then begin
-      match Semantics.eval u.Uop.op u.Uop.src_vals with
-      | None ->
+    let reads_tainted = ref false in
+    for k = lo to lo + ns - 1 do
+      let r = Uop_soa.src_reg soa k in
+      if r >= 0 && taint.(r) >= 0 then reads_tainted := true
+    done;
+    if !reads_tainted then begin
+      let op = Uop_soa.op soa i in
+      if not (eval_computable op ~nsrcs:ns) then
         (* full-width consumer observed a differing value *)
-        result := Some !j
-      | Some _ ->
-        let forked_srcs =
-          List.map2
-            (fun src truth ->
-              match src with
-              | Uop.Reg r -> (
-                match Hashtbl.find_opt taint (Reg.to_index r) with
-                | Some v -> v
-                | None -> truth)
-              | Uop.Imm _ -> truth)
-            u.Uop.srcs u.Uop.src_vals
-        in
-        let forked =
-          match Semantics.eval u.Uop.op forked_srcs with
-          | Some r -> r
-          | None -> assert false
-        in
-        ( match u.Uop.dst with
-        | Some d -> set_taint (Reg.to_index d) forked u.Uop.result
-        | None -> () );
-        if Uop.writes_flags u then
-          set_taint (Reg.to_index Reg.Eflags) forked u.Uop.result
+        result := i
+      else
+        write i (Semantics.eval2 op (forked 0) (if ns >= 2 then forked 1 else 0))
     end
     else begin
       (* writes without tainted reads recompute ground truth: overwrite
          kills the taint *)
-      ( match u.Uop.dst with
-      | Some d -> Hashtbl.remove taint (Reg.to_index d)
-      | None -> () );
-      if Uop.writes_flags u then Hashtbl.remove taint (Reg.to_index Reg.Eflags)
+      let d = Uop_soa.dst_index soa i in
+      if d >= 0 then clear d;
+      if Uop_soa.writes_flags soa i then clear eflags
     end;
     incr j
   done;
-  match !result with
-  | Some c -> Some c
-  | None ->
+  if !result >= 0 then Some !result
+  else if !tainted > 0 then
     (* trace exit demands full width: surviving taint is observable *)
-    if Hashtbl.length taint > 0 then Some n else None
+    Some n
+  else None
 
 let soundness_violations t (tr : Trace.t) =
-  let uops = Trace.uops tr in
+  let soa = Trace.soa tr in
   let acc = ref [] in
-  for i = Array.length uops - 1 downto 0 do
-    let u = uops.(i) in
-    if Uop.has_dest u || Uop.writes_flags u then begin
+  for i = Uop_soa.length soa - 1 downto 0 do
+    if Uop_soa.has_dest soa i || Uop_soa.writes_flags soa i then begin
       let flipped = dead_high t ~index:i in
       if flipped <> 0 then
-        match check_mutation uops ~index:i ~flipped with
-        | Some c -> acc := { index = i; uop = u; consumer_index = c; flipped } :: !acc
+        match check_mutation soa ~index:i ~flipped with
+        | Some c ->
+          acc :=
+            { index = i; uop = Uop_soa.to_uop soa i; consumer_index = c; flipped }
+            :: !acc
         | None -> ()
     end
   done;

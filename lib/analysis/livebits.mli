@@ -82,5 +82,5 @@ val soundness_violations : t -> Hc_trace.Trace.t -> violation list
     full-width consumer reads a differing register or the difference
     survives to the trace exit. Any entry is a hard analysis bug: the
     linter (E111), the test suite and the smoke gate all require this
-    list to be empty. The replay runs over the trace's records, built
-    once per call. *)
+    list to be empty. The replay reads the trace's columns; a record is
+    built only for each reported violation. *)

@@ -8,10 +8,12 @@
     the hardware tables of the paper — but the execution model uses it to
     detect fatal width mispredictions and carry propagation.
 
-    Records are the interchange form (the text format, the generator, the
-    linter's per-uop checks); the simulator and the analyses read the
-    packed columns of {!Uop_soa}, which also carries the ground-truth
-    width shapes ([is_888_bits], [is_8_32_32_bits], ...). *)
+    Records are a display and diagnostic form (the linter's per-uop
+    checks, [hc_trace dump], the analyses' violation reports, tests); the
+    generator, the codec and the text loader write the packed columns of
+    {!Uop_soa} directly, and the simulator and the analyses read them,
+    ground-truth width shapes ([is_888_bits], [is_8_32_32_bits], ...)
+    included. *)
 
 type operand =
   | Reg of Reg.t

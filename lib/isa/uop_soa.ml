@@ -12,7 +12,7 @@
    [of_uops]/[to_uops] are exact inverses: [to_uops (of_uops a)] is
    structurally equal to [a] (proven by QCheck round-trip in
    test_uop_soa.ml). Records are built only at the edges that need
-   them — the text format, diagnostics, tests. *)
+   them — the linter's per-uop checks, diagnostics, tests. *)
 
 type t = {
   len : int;
@@ -186,7 +186,8 @@ let sub t ~pos ~len =
     src_vals = Array.sub t.src_vals lo (hi - lo);
   }
 
-(* ----- sequential builder (the codec's zero-copy decode target) ----- *)
+(* ----- sequential builder (the generator's, the codec's and the text
+   loader's fill target) ----- *)
 
 type builder = {
   b_len : int;

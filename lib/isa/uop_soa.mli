@@ -11,8 +11,9 @@
     [Uop.t] records.
 
     {!of_uops} and {!to_uops} are exact inverses; records exist only at
-    the edges (the text format, the generator, the linter's per-uop
-    checks). *)
+    the edges (the linter's per-uop checks, diagnostics, tests). The
+    generator, the codec and the text loader fill columns through the
+    {!builder}. *)
 
 type t = private {
   len : int;
@@ -109,9 +110,10 @@ val sub : t -> pos:int -> len:int -> t
 
 (** {1 Sequential builder}
 
-    Fill target for decoders that know the uop count up front: push a
-    uop's operands with {!push_src}, then {!close_uop} it; repeat in
-    order, and {!build} once all [len] uops are closed. *)
+    Fill target for producers that know the uop count up front (the
+    generator, the codec, the text loader): push a uop's operands with
+    {!push_src}, then {!close_uop} it; repeat in order, and {!build}
+    once all [len] uops are closed. *)
 
 type builder
 

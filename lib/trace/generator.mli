@@ -6,7 +6,7 @@
     architectural register file of concrete 32-bit values. Consequences:
 
     - dependences are real: a consumer reads the value its producer wrote;
-    - widths are real: ALU results come from {!Hc_isa.Semantics.eval}, so
+    - widths are real: ALU results come from {!Hc_isa.Semantics.eval2}, so
       a narrow+narrow addition occasionally overflows into width 9 — the
       genuine fatal-misprediction source of §3.2;
     - carry propagation is real: load addresses are computed, and the CR
@@ -19,16 +19,12 @@
     immediate-indexed load is drawn so that the low-byte addition carries
     exactly when the profile says it should. Register-indexed loads
     (Fig 10's [R2+R3] shape) take whatever the producing uop left in the
-    index register. *)
+    index register.
 
-type state
-(** Generator state: static program, register values, recency ring. *)
-
-val create : Profile.t -> state
-(** Builds the static program from the profile's seed. Deterministic. *)
-
-val next : state -> Hc_isa.Uop.t
-(** Produce the next dynamic uop and advance the machine state. *)
+    Each uop is generated into one reused cursor and copied straight into
+    the trace's {!Hc_isa.Uop_soa} columns; no [Uop.t] record is built.
+    The warm-up slice of {!generate_sliced} steps the same machine and
+    keeps nothing. *)
 
 val generate : ?length:int -> Profile.t -> Trace.t
 (** [generate ~length p] materializes a fresh trace of [length] (default

@@ -5,7 +5,9 @@
     across runs and machines. The global [Random] state is never touched. *)
 
 type t
-(** A mutable generator. *)
+(** A mutable generator. Its 64-bit state is held unboxed, so [bool],
+    [int], [int_in], [choice] and [geometric] allocate nothing;
+    [next_int64] and [float] box only their result. *)
 
 val create : int64 -> t
 (** [create seed] — equal seeds yield equal streams. *)
@@ -44,3 +46,15 @@ val choice : t -> 'a array -> 'a
 val weighted : t -> (float * 'a) list -> 'a
 (** [weighted t choices] draws proportionally to the non-negative weights.
     @raise Invalid_argument when the weight sum is not positive. *)
+
+type 'a weights
+(** A weighted choice built once, for drawing from many times. *)
+
+val weights : (float * 'a) list -> 'a weights
+(** [weights choices] precomputes the running weight sums.
+    @raise Invalid_argument when the weight sum is not positive. *)
+
+val pick : t -> 'a weights -> 'a
+(** [pick t w] draws exactly what [weighted t choices] draws on the same
+    stream, for the [choices] [w] was built from, without rebuilding
+    anything per draw. *)

@@ -7,8 +7,6 @@ type t = {
   soa : Uop_soa.t;
 }
 
-let make ~name ~profile uops = { name; profile; soa = Uop_soa.of_uops uops }
-
 let of_soa ~name ~profile soa = { name; profile; soa }
 
 let soa t = t.soa

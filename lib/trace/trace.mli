@@ -6,9 +6,10 @@
 
     Storage is one packed structure-of-arrays ({!Hc_isa.Uop_soa.t}); the
     simulator, the steering layer, the static analyses, the trace
-    statistics and the codec all read its columns by trace index. No
+    statistics and the codec all read its columns by trace index, and
+    the generator, the codec and the text loader write them directly. No
     record view is kept: {!uops} builds one afresh for the edges that
-    need records (the text format, diagnostics, tests). *)
+    still need records (the linter's per-uop checks, tests). *)
 
 type t = private {
   name : string;
@@ -16,12 +17,9 @@ type t = private {
   soa : Hc_isa.Uop_soa.t;
 }
 
-val make : name:string -> profile:Profile.t -> Hc_isa.Uop.t array -> t
-(** Build from a record array by packing it into columns; the array is
-    not retained. *)
-
 val of_soa : name:string -> profile:Profile.t -> Hc_isa.Uop_soa.t -> t
-(** Build from packed columns — the codec's zero-copy decode path. *)
+(** Build from packed columns: the generator, the codec and the text
+    loader all fill a {!Hc_isa.Uop_soa.builder} and wrap its result. *)
 
 val soa : t -> Hc_isa.Uop_soa.t
 

@@ -1,6 +1,6 @@
-module Uop = Hc_isa.Uop
 module Reg = Hc_isa.Reg
 module Opcode = Hc_isa.Opcode
+module Uop_soa = Hc_isa.Uop_soa
 
 (* Name lookups go through the Hashtbls Codec builds once — the old
    List.assoc pair cost O(registers) per operand token. *)
@@ -15,26 +15,29 @@ let op_of_string name =
   | Some op -> op
   | None -> failwith (Printf.sprintf "unknown opcode %S" name)
 
-let operand_to_string = function
-  | Uop.Reg r -> "r:" ^ Reg.to_string r
-  | Uop.Imm _ -> "i"
+let bit_field soa i bit = if Uop_soa.flag soa i bit then "1" else "0"
 
-let bool_field b = if b then "1" else "0"
+let reg_name r = Reg.to_string (Reg.of_index r)
 
-let uop_to_line (u : Uop.t) =
+let uop_to_line soa i =
+  let lo = Uop_soa.src_base soa i in
   let srcs =
     String.concat ","
-      (List.map2
-         (fun src v -> Printf.sprintf "%s:%x" (operand_to_string src) v)
-         u.Uop.srcs u.Uop.src_vals)
+      (List.init (Uop_soa.nsrcs soa i) (fun k ->
+           let v = Uop_soa.src_val soa (lo + k) in
+           match Uop_soa.src_reg soa (lo + k) with
+           | -1 -> Printf.sprintf "i:%x" v
+           | r -> Printf.sprintf "r:%s:%x" (reg_name r) v))
   in
   Printf.sprintf
     "%d %x %s dst=%s srcs=%s res=%x addr=%x taken=%s misp=%s dl0=%s ul1=%s"
-    u.Uop.id u.Uop.pc (Opcode.to_string u.Uop.op)
-    (match u.Uop.dst with Some r -> Reg.to_string r | None -> "-")
-    srcs u.Uop.result u.Uop.mem_addr (bool_field u.Uop.taken)
-    (bool_field u.Uop.branch_mispredicted)
-    (bool_field u.Uop.dl0_miss) (bool_field u.Uop.ul1_miss)
+    (Uop_soa.id soa i) (Uop_soa.pc soa i)
+    (Opcode.to_string (Uop_soa.op soa i))
+    (match Uop_soa.dst_index soa i with -1 -> "-" | r -> reg_name r)
+    srcs (Uop_soa.result soa i) (Uop_soa.mem_addr soa i)
+    (bit_field soa i Uop_soa.flag_taken)
+    (bit_field soa i Uop_soa.flag_mispredicted)
+    (bit_field soa i Uop_soa.flag_dl0) (bit_field soa i Uop_soa.flag_ul1)
 
 let save (t : Trace.t) path =
   let oc = open_out path in
@@ -43,7 +46,10 @@ let save (t : Trace.t) path =
     (fun () ->
       Printf.fprintf oc "helper-cluster-trace v1 %s %d\n" t.Trace.name
         (Trace.length t);
-      Array.iter (fun u -> output_string oc (uop_to_line u ^ "\n")) (Trace.uops t))
+      let soa = Trace.soa t in
+      for i = 0 to Uop_soa.length soa - 1 do
+        output_string oc (uop_to_line soa i ^ "\n")
+      done)
 
 let save_binary = Codec.save
 
@@ -59,18 +65,19 @@ let parse_bool = function
   | "1" -> true
   | s -> failwith (Printf.sprintf "expected 0/1, got %S" s)
 
-let parse_operand part =
-  (* "r:<reg>:<hexvalue>" or "i:<hexvalue>" *)
+let hex s = int_of_string ("0x" ^ s)
+
+(* "r:<reg>:<hexvalue>" or "i:<hexvalue>" *)
+let push_operand b part =
   match String.split_on_char ':' part with
   | [ "r"; reg; v ] ->
-    let value = int_of_string ("0x" ^ v) in
-    (Uop.Reg (reg_of_string reg), value)
-  | [ "i"; v ] ->
-    let value = int_of_string ("0x" ^ v) in
-    (Uop.Imm value, value)
+    let v = hex v in
+    Uop_soa.push_src b ~reg:(Reg.to_index (reg_of_string reg)) ~v
+  | [ "i"; v ] -> Uop_soa.push_src b ~reg:(-1) ~v:(hex v)
   | _ -> failwith (Printf.sprintf "malformed operand %S" part)
 
-let uop_of_line line =
+(* Parse one uop line straight into the builder's columns. *)
+let push_line b line =
   match String.split_on_char ' ' line with
   | [ id; pc; op; dst; srcs; res; addr; taken; misp; dl0; ul1 ] ->
     let field expect s =
@@ -78,25 +85,27 @@ let uop_of_line line =
       if k <> expect then failwith (Printf.sprintf "expected %s=, got %s=" expect k);
       v
     in
-    let dst = field "dst" dst in
-    let srcs = field "srcs" srcs in
-    let operands =
-      if srcs = "" then []
-      else List.map parse_operand (String.split_on_char ',' srcs)
+    let flag bit name s = if parse_bool (field name s) then bit else 0 in
+    let id = int_of_string id in
+    let pc = hex pc in
+    let op = Opcode.to_index (op_of_string op) in
+    let dst =
+      match field "dst" dst with
+      | "-" -> -1
+      | r -> Reg.to_index (reg_of_string r)
     in
-    Uop.make ~id:(int_of_string id)
-      ~pc:(int_of_string ("0x" ^ pc))
-      ~op:(op_of_string op)
-      ~srcs:(List.map fst operands)
-      ~dst:(if dst = "-" then None else Some (reg_of_string dst))
-      ~src_vals:(List.map snd operands)
-      ~result:(int_of_string ("0x" ^ field "res" res))
-      ~mem_addr:(int_of_string ("0x" ^ field "addr" addr))
-      ~taken:(parse_bool (field "taken" taken))
-      ~branch_mispredicted:(parse_bool (field "misp" misp))
-      ~dl0_miss:(parse_bool (field "dl0" dl0))
-      ~ul1_miss:(parse_bool (field "ul1" ul1))
-      ()
+    ( match field "srcs" srcs with
+    | "" -> ()
+    | srcs -> List.iter (push_operand b) (String.split_on_char ',' srcs) );
+    let result = hex (field "res" res) in
+    let mem_addr = hex (field "addr" addr) in
+    let flags =
+      flag Uop_soa.flag_taken "taken" taken
+      lor flag Uop_soa.flag_mispredicted "misp" misp
+      lor flag Uop_soa.flag_dl0 "dl0" dl0
+      lor flag Uop_soa.flag_ul1 "ul1" ul1
+    in
+    Uop_soa.close_uop b ~id ~pc ~op ~dst ~result ~mem_addr ~flags
   | _ -> failwith "wrong field count"
 
 let load_text ~profile content =
@@ -121,15 +130,14 @@ let load_text ~profile content =
     failwith
       (Printf.sprintf "line 1: header declares %d uops, file has %d more lines"
          count more);
-  let uops =
-    Array.init count (fun i ->
-        if i + 1 >= Array.length lines || lines.(i + 1) = "" then
-          failwith (Printf.sprintf "truncated at uop %d" i);
-        try uop_of_line lines.(i + 1)
-        with Failure msg ->
-          failwith (Printf.sprintf "line %d: %s" (i + 2) msg))
-  in
-  Trace.make ~name ~profile uops
+  let b = Uop_soa.builder count in
+  for i = 0 to count - 1 do
+    if i + 1 >= Array.length lines || lines.(i + 1) = "" then
+      failwith (Printf.sprintf "truncated at uop %d" i);
+    try push_line b lines.(i + 1)
+    with Failure msg -> failwith (Printf.sprintf "line %d: %s" (i + 2) msg)
+  done;
+  Trace.of_soa ~name ~profile (Uop_soa.build b)
 
 let load ?profile path =
   let profile =

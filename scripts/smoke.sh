@@ -14,7 +14,8 @@ dune build @all
 echo "== dune runtest =="
 # includes the per-uop allocation gates (test/test_alloc.ml): a warm
 # 8_8_8 run and an HCTB decode plus its first run at exactly 0 minor
-# words/uop, and the static width analysis at <= 8
+# words/uop, the static width analysis at <= 8, sliced trace generation
+# at <= 1, and Rng.bool/Rng.int at exactly 0 words per draw
 dune runtest
 
 echo "== bench --micro --json BENCH_smoke.json =="

@@ -11,6 +11,7 @@ module Config = Hc_sim.Config
 module Generator = Hc_trace.Generator
 module Pipeline = Hc_sim.Pipeline
 module Profile = Hc_trace.Profile
+module Rng = Hc_trace.Rng
 module Static = Hc_analysis.Static
 module Trace = Hc_trace.Trace
 
@@ -68,6 +69,31 @@ let test_bidir_analysis () =
        (fun tr -> ignore (Static.analyze_bidir tr))
        (sized (gcc 4_000)) (sized (gcc 8_000)))
 
+(* trace generation: the walk steps one reused cursor and copies it into
+   the builder's columns, which at both lengths are above the minor
+   heap's large-block threshold; the static program is the same at both
+   lengths, so its construction cancels *)
+let test_generate_sliced () =
+  let profile = Profile.find_spec_int "gcc" in
+  let gen length = ignore (Generator.generate_sliced ~length profile) in
+  check_words "Generator.generate_sliced" ~bound:1.0
+    (marginal_words gen (2_000, 2_000) (4_000, 4_000))
+
+(* the per-draw primitives keep the splitmix state unboxed *)
+let draws draw n =
+  let rng = Rng.create 5L in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (draw rng))
+  done
+
+let test_rng_draws () =
+  check_words "Rng.bool" ~bound:0.0
+    (marginal_words (draws (fun r -> Rng.bool r 0.5)) (1_000, 1_000)
+       (2_000, 2_000));
+  check_words "Rng.int" ~bound:0.0
+    (marginal_words (draws (fun r -> Rng.int r 1_000)) (1_000, 1_000)
+       (2_000, 2_000))
+
 let suite =
   ( "alloc",
     [
@@ -76,4 +102,8 @@ let suite =
         test_decode_first_run;
       Alcotest.test_case "bidir analysis allocates <= 8 words/uop" `Quick
         test_bidir_analysis;
+      Alcotest.test_case "generate_sliced allocates <= 1 word/uop" `Quick
+        test_generate_sliced;
+      Alcotest.test_case "Rng.bool and Rng.int allocate 0 words/draw" `Quick
+        test_rng_draws;
     ] )

@@ -10,8 +10,8 @@ module Opcode = Hc_isa.Opcode
 module Reg = Hc_isa.Reg
 
 let mk_trace uops =
-  Trace.make ~name:"micro" ~profile:(List.hd Profile.spec_int)
-    (Array.of_list uops)
+  Trace.of_soa ~name:"micro" ~profile:(List.hd Profile.spec_int)
+    (Hc_isa.Uop_soa.of_uops (Array.of_list uops))
 
 let mk ~id ?(op = Opcode.Add) ?(dst = Some Reg.Eax) ?result srcs vals =
   Uop.make ~id ~pc:(0x400000 + (4 * id)) ~op ~srcs ~dst ~src_vals:vals ?result ()

@@ -181,7 +181,7 @@ let test_sliced_window_lookup () =
 
 let test_empty_trace () =
   let p = Profile.find_spec_int "gcc" in
-  let empty = Trace.make ~name:"empty" ~profile:p [||] in
+  let empty = Trace.of_soa ~name:"empty" ~profile:p (Uop_soa.of_uops [||]) in
   let st = Static.analyze empty in
   Alcotest.(check int) "no provable uops" 0 st.Static.provable_count;
   Alcotest.(check int) "no steerable uops" 0 st.Static.steerable_count;
@@ -246,7 +246,7 @@ let gcc_trace = lazy (Generator.generate_sliced ~length:6_000 (Profile.find_spec
 let with_uop tr i u =
   let uops = Array.copy (Trace.uops tr) in
   uops.(i) <- u;
-  Trace.make ~name:tr.Trace.name ~profile:tr.Trace.profile uops
+  Trace.of_soa ~name:tr.Trace.name ~profile:tr.Trace.profile (Uop_soa.of_uops uops)
 
 let find_uop tr pred =
   let found = ref None in
@@ -323,7 +323,8 @@ let test_lint_report_cap () =
   in
   let diags =
     Lint.check_trace
-      (Trace.make ~name:tr.Trace.name ~profile:tr.Trace.profile uops)
+      (Trace.of_soa ~name:tr.Trace.name ~profile:tr.Trace.profile
+         (Uop_soa.of_uops uops))
   in
   Alcotest.(check bool) "errors capped" true (Lint.count Lint.Error diags <= 5);
   Alcotest.(check bool) "overflow summarized" true

@@ -27,7 +27,7 @@ let test_roundtrip_generated () =
   Alcotest.(check bool) "uops identical" true (Trace_io.roundtrip_equal t t')
 
 let test_empty_roundtrip () =
-  let t = Trace.make ~name:"empty" ~profile:gcc [||] in
+  let t = Trace.of_soa ~name:"empty" ~profile:gcc (Hc_isa.Uop_soa.of_uops [||]) in
   let t' = Codec.decode ~profile:gcc (Codec.encode t) in
   Alcotest.(check int) "zero uops" 0 (Trace.length t');
   Alcotest.(check string) "name preserved" "empty" t'.Trace.name
@@ -105,7 +105,7 @@ let trace_gen =
   let* uops = list_size (int_bound 60) uop_gen in
   let uops = Array.of_list uops in
   Array.iteri (fun i u -> uops.(i) <- { u with Uop.id = i }) uops;
-  return (Trace.make ~name:"prop" ~profile:gcc uops)
+  return (Trace.of_soa ~name:"prop" ~profile:gcc (Hc_isa.Uop_soa.of_uops uops))
 
 let prop_binary_matches_text =
   QCheck.Test.make ~name:"binary and text roundtrips both reproduce the trace"

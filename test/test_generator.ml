@@ -221,6 +221,67 @@ let test_width_locality_supports_prediction () =
     (Printf.sprintf "per-pc width stability %.1f%%" (100. *. acc))
     true (acc > 0.85)
 
+(* ----- column identity with the record-building reference -----
+
+   [Ref_generator] is the generator as it was when it built one [Uop.t]
+   per uop and packed the array. The column-writing generator must
+   reproduce its every column exactly: same draws, same values, same
+   flags, same operand windows. *)
+
+module Workloads = Hc_trace.Workloads
+
+(* first uop whose columns differ, for a readable failure *)
+let first_difference a b =
+  let n = min (Uop_soa.length a) (Uop_soa.length b) in
+  let rec go i =
+    if i >= n then n
+    else if Uop_soa.to_uop a i <> Uop_soa.to_uop b i then i
+    else go (i + 1)
+  in
+  go 0
+
+let check_columns label expect got =
+  let e = Trace.soa expect and g = Trace.soa got in
+  if e <> g || expect.Trace.name <> got.Trace.name then
+    Alcotest.failf "%s: columns differ from the reference (first at uop %d of %d)"
+      label (first_difference e g) (Uop_soa.length e)
+
+let test_spec_columns () =
+  List.iter
+    (fun p ->
+      check_columns (p.Profile.name ^ " sliced 20k")
+        (Ref_generator.generate_sliced ~length:20_000 p)
+        (Generator.generate_sliced ~length:20_000 p))
+    Profile.spec_int
+
+let test_table2_columns () =
+  List.iter
+    (fun p ->
+      check_columns (p.Profile.name ^ " sliced 2k")
+        (Ref_generator.generate_sliced ~length:2_000 p)
+        (Generator.generate_sliced ~length:2_000 p))
+    (Workloads.suite ())
+
+let seeded_arb =
+  QCheck.make
+    ~print:(fun (name, seed, length) ->
+      Printf.sprintf "%s seed %Ld length %d" name seed length)
+    QCheck.Gen.(
+      triple
+        (oneofl Profile.spec_int_names)
+        (map Int64.of_int int) (int_range 0 600))
+
+let prop_seeded_columns =
+  QCheck.Test.make ~name:"columns match the reference for any seed" ~count:100
+    seeded_arb
+    (fun (name, seed, length) ->
+      let p = Profile.with_seed (Profile.find_spec_int name) seed in
+      check_columns "generate" (Ref_generator.generate ~length p)
+        (Generator.generate ~length p);
+      check_columns "generate_sliced" (Ref_generator.generate_sliced ~length p)
+        (Generator.generate_sliced ~length p);
+      true)
+
 let suite =
   ( "generator",
     [
@@ -238,4 +299,9 @@ let suite =
       Alcotest.test_case "carry sites habitual" `Quick test_carry_sites_are_habitual;
       Alcotest.test_case "per-pc width stability" `Quick
         test_width_locality_supports_prediction;
+      Alcotest.test_case "columns match the reference (12 SPEC, 20k sliced)"
+        `Quick test_spec_columns;
+      Alcotest.test_case "columns match the reference (409 Table-2 apps, 2k sliced)"
+        `Quick test_table2_columns;
+      QCheck_alcotest.to_alcotest prop_seeded_columns;
     ] )

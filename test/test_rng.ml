@@ -109,6 +109,43 @@ let test_float_mean () =
     true
     (mean > 0.49 && mean < 0.51)
 
+(* The splitmix stream itself, as literals: every trace, table and digest
+   in the repository derives from it, so a change to the state layout or
+   the draw arithmetic must not move a single bit. Recorded from the
+   boxed-int64 implementation that preceded the unboxed state. *)
+let test_stream_pinned () =
+  let r = Rng.create 0x5EEDL in
+  List.iter
+    (fun v -> Alcotest.(check int64) "next_int64" v (Rng.next_int64 r))
+    [ 716632666546416052L; 6139096880363046005L; 6727192872932819891L;
+      8129731167615341197L ];
+  List.iter
+    (fun v -> Alcotest.(check int) "int 1000" v (Rng.int r 1000))
+    [ 173; 282; 92; 676 ];
+  List.iter
+    (fun v -> Alcotest.(check bool) "bool 0.5" v (Rng.bool r 0.5))
+    [ false; true; true; true; true; true; false; false ];
+  List.iter
+    (fun v -> Alcotest.(check (float 0.)) "float" v (Rng.float r))
+    [ 0x1.ebfe0f92a46ap-1; 0x1.273c823ba66e8p-4; 0x1.1f876f89272d4p-2;
+      0x1.77d4857ad2909p-1 ];
+  List.iter
+    (fun v -> Alcotest.(check int) "geometric 4" v (Rng.geometric r 4.0))
+    [ 5; 3; 8; 3 ];
+  let s = Rng.split r in
+  Alcotest.(check int64) "split child" 8550946322628566775L (Rng.next_int64 s);
+  Alcotest.(check int64) "split parent" (-7547960608044917704L) (Rng.next_int64 r)
+
+(* a prebuilt table draws exactly what [weighted] draws from the list *)
+let test_weights_match_weighted () =
+  let choices = [ (0.3, `A); (0., `B); (1.7, `C); (0.25, `D) ] in
+  let table = Rng.weights choices in
+  let a = Rng.create 21L and b = Rng.create 21L in
+  for _ = 1 to 2_000 do
+    if Rng.weighted a choices <> Rng.pick b table then
+      Alcotest.fail "pick diverged from weighted"
+  done
+
 let suite =
   ( "rng",
     [
@@ -121,4 +158,7 @@ let suite =
       Alcotest.test_case "geometric distribution" `Quick test_geometric;
       Alcotest.test_case "weighted choice" `Quick test_weighted;
       Alcotest.test_case "uniform float mean" `Quick test_float_mean;
+      Alcotest.test_case "stream pinned" `Quick test_stream_pinned;
+      Alcotest.test_case "weights table matches weighted" `Quick
+        test_weights_match_weighted;
     ] )

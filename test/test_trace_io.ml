@@ -76,7 +76,10 @@ let test_header_count_bounded () =
       msg
 
 let test_empty_trace () =
-  let t = Trace.make ~name:"empty" ~profile:(List.hd Profile.spec_int) [||] in
+  let t =
+    Trace.of_soa ~name:"empty" ~profile:(List.hd Profile.spec_int)
+      (Hc_isa.Uop_soa.of_uops [||])
+  in
   let path = temp "hc_empty.trace" in
   Trace_io.save t path;
   let t' = Trace_io.load path in

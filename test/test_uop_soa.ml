@@ -74,8 +74,9 @@ let prop_roundtrip_synthetic =
     uops_arb
     (fun a -> Uop_soa.to_uops (Uop_soa.of_uops a) = a)
 
-(* generator output from random seed profiles: the trace's columns and
-   the records the generator emitted convert into each other exactly *)
+(* generator output from random seed profiles: the columns the generator
+   writes and the records the reference generator emits convert into
+   each other exactly *)
 let profile_arb =
   QCheck.make
     ~print:(fun (name, len) -> Printf.sprintf "%s length %d" name len)
@@ -89,8 +90,8 @@ let prop_roundtrip_generated =
     ~count:40 profile_arb
     (fun (name, length) ->
       let p = Profile.find_spec_int name in
-      let st = Generator.create p in
-      let records = Array.init length (fun _ -> Generator.next st) in
+      let st = Ref_generator.create p in
+      let records = Array.init length (fun _ -> Ref_generator.next st) in
       let soa = Trace.soa (Generator.generate ~length p) in
       Uop_soa.to_uops soa = records && Uop_soa.of_uops records = soa)
 
@@ -112,10 +113,10 @@ let rec rm_rf path =
   | exception Sys_error _ -> ()
 
 (* Every seed workload, three origins of the same columns: the
-   generator's records packed by [Trace.make], a cold zero-copy decode of
-   its HCTB encoding (columns filled straight from the varint stream, no
-   records ever built), and a warm artifact-cache reload from disk. All
-   three must simulate to byte-identical metrics JSON. *)
+   generator's own, a cold zero-copy decode of its HCTB encoding (columns
+   filled straight from the varint stream, no records ever built), and a
+   warm artifact-cache reload from disk. All three must simulate to
+   byte-identical metrics JSON. *)
 let test_sim_bit_identity () =
   let root = Filename.temp_file "hc_soa_test" "" in
   Sys.remove root;
@@ -126,13 +127,13 @@ let test_sim_bit_identity () =
       List.iter
         (fun p ->
           let length = 1_200 in
-          let t_rec = Generator.generate_sliced ~length p in
-          let expect = sim_json t_rec in
-          let t_cold = Codec.decode ~profile:p (Codec.encode t_rec) in
+          let t_gen = Generator.generate_sliced ~length p in
+          let expect = sim_json t_gen in
+          let t_cold = Codec.decode ~profile:p (Codec.encode t_gen) in
           Alcotest.(check string)
             (p.Profile.name ^ ": cold zero-copy decode simulates identically")
             expect (sim_json t_cold);
-          Artifact_cache.store_trace cache ~profile:p ~length t_rec;
+          Artifact_cache.store_trace cache ~profile:p ~length t_gen;
           match Artifact_cache.find_trace cache ~profile:p ~length with
           | None -> Alcotest.failf "%s: stored trace missing" p.Profile.name
           | Some t_warm ->
@@ -184,8 +185,8 @@ let test_sliced_sim_bit_identity () =
   let t = Lazy.force base_trace in
   let sliced = Trace.sub t ~pos:1_000 ~len:800 in
   let repacked =
-    Trace.make ~name:sliced.Trace.name ~profile:sliced.Trace.profile
-      (Trace.uops sliced)
+    Trace.of_soa ~name:sliced.Trace.name ~profile:sliced.Trace.profile
+      (Uop_soa.of_uops (Trace.uops sliced))
   in
   Alcotest.(check string) "sliced SoA view simulates identically"
     (sim_json repacked) (sim_json sliced)
@@ -197,8 +198,8 @@ let test_sliced_static_agrees () =
   let t = Lazy.force base_trace in
   let sliced = Trace.sub t ~pos:500 ~len:900 in
   let repacked =
-    Trace.make ~name:sliced.Trace.name ~profile:sliced.Trace.profile
-      (Trace.uops sliced)
+    Trace.of_soa ~name:sliced.Trace.name ~profile:sliced.Trace.profile
+      (Uop_soa.of_uops (Trace.uops sliced))
   in
   let count tr =
     let st = Static.analyze tr and soa = Trace.soa tr in
