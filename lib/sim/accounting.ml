@@ -23,7 +23,7 @@ type category =
 
 let ncat = 9
 
-let cat_index = function
+let[@inline] cat_index = function
   | Issued -> 0
   | Frontend -> 1
   | Dispatch -> 2
@@ -120,33 +120,59 @@ let share_pct t ~lane cat =
   if total = 0 then 0.
   else 100. *. float_of_int (get t ~lane cat) /. float_of_int total
 
-(* ----- live accumulator ----- *)
+(* ----- live accumulator -----
+
+   One flat int array, [stride] entries per lane: the category slot
+   counts in [cat_index] order, then the lane's round count. [add] and
+   [round] are a single indexed increment, inlined into the pipeline's
+   per-round attribution. *)
 
 type interval = { iv_start : int; iv_end : int; iv_d : totals }
 
+let stride = ncat + 1
+
 type t = {
-  cur : totals;
+  issue_w : int;
+  commit_w : int;
+  live : int array;
   mutable ivals : interval list;  (* newest first *)
   mutable last_tick : int;
   mutable last : totals;  (* snapshot at the previous interval boundary *)
 }
 
 let create ~issue_width ~commit_width () =
-  let z = zero_totals ~issue_width ~commit_width in
-  { cur = z; ivals = []; last_tick = 0; last = copy_totals z }
+  {
+    issue_w = issue_width;
+    commit_w = commit_width;
+    live = Array.make (nlanes * stride) 0;
+    ivals = [];
+    last_tick = 0;
+    last = zero_totals ~issue_width ~commit_width;
+  }
 
-let add t ~lane cat n = t.cur.slots.(lane).(cat_index cat) <- t.cur.slots.(lane).(cat_index cat) + n
+let[@inline] add t ~lane cat n =
+  let i = (lane * stride) + cat_index cat in
+  t.live.(i) <- t.live.(i) + n
 
-let round t ~lane = t.cur.rounds.(lane) <- t.cur.rounds.(lane) + 1
+let[@inline] round t ~lane =
+  let i = (lane * stride) + ncat in
+  t.live.(i) <- t.live.(i) + 1
 
-let totals t = copy_totals t.cur
+let totals t =
+  {
+    issue_width = t.issue_w;
+    commit_width = t.commit_w;
+    slots = Array.init nlanes (fun l -> Array.sub t.live (l * stride) ncat);
+    rounds = Array.init nlanes (fun l -> t.live.((l * stride) + ncat));
+  }
 
 let snapshot t ~tick =
   if tick > t.last_tick then begin
-    let d = sub_totals t.cur t.last in
+    let cur = totals t in
+    let d = sub_totals cur t.last in
     t.ivals <- { iv_start = t.last_tick; iv_end = tick; iv_d = d } :: t.ivals;
     t.last_tick <- tick;
-    t.last <- copy_totals t.cur
+    t.last <- cur
   end
 
 let intervals t = List.rev t.ivals

@@ -3,11 +3,12 @@
    packed SoA columns, in-flight state lives in per-domain scratch arenas
    (value/node pools, intrusive issue queues, a ring-buffer ROB, an event
    wheel) reused across runs, and options/tuples/closures are replaced by
-   sentinels and int codes. Accounting and event-sink paths may allocate;
-   they are guarded off the untraced run. Nodes name their uop by trace
-   index; no uop record exists on this path. test/test_alloc.ml checks
-   the marginal minor-words-per-uop of an untraced run stays zero,
-   both warm and as the first run on a freshly decoded trace. *)
+   sentinels and int codes. Event-sink paths may allocate; they are
+   guarded off the untraced run. Nodes name their uop by trace index; no
+   uop record exists on this path. test/test_alloc.ml checks the
+   marginal minor-words-per-uop of an untraced run stays zero, both warm
+   and as the first run on a freshly decoded trace, and of a warm run
+   with cycle accounting too. *)
 module Opcode = Hc_isa.Opcode
 module Reg = Hc_isa.Reg
 module Uop_soa = Hc_isa.Uop_soa
@@ -27,6 +28,12 @@ type decide = Steer.decide
 let never = max_int
 
 let cluster_index = function Config.Wide -> 0 | Config.Narrow -> 1
+
+(* Stdlib's [min] and [max] are polymorphic calls; every use here is on
+   ints *)
+let min (a : int) b = if a <= b then a else b
+
+let max (a : int) b = if a >= b then a else b
 
 (* per-cluster-index counter ids *)
 let c_issue = [| Counts.issue_wide; Counts.issue_narrow |]
@@ -61,21 +68,26 @@ type vstate = {
   mutable v_lr : bool;  (* produced by a load that LR will replicate *)
   mutable v_cluster : Config.cluster;  (* producer's cluster *)
   mutable v_from_load : bool;  (* produced by a load: memory-bound stalls *)
+  v_slot : int;
+      (* index in the value pool, -1 for the sentinel; the census's
+         re-check ring stores it, an int store needing no write barrier *)
+  mutable v_cons : int;
+      (* census only: newest consumer edge (see [add_consumer]), -1 none *)
 }
 
-let new_vstate () =
+let new_vstate v_slot =
   {
     v_pc = 0; v_narrow = false; v_pred_narrow = false; v_epoch = 0;
     v_done = false; v_avail0 = never; v_avail1 = never;
     v_copy_inflight0 = false; v_copy_inflight1 = false;
     v_demand_copied = false; v_prefetched0 = false; v_prefetched1 = false;
     v_prefetch_used0 = false; v_prefetch_used1 = false; v_lr = false;
-    v_cluster = Config.Wide; v_from_load = false;
+    v_cluster = Config.Wide; v_from_load = false; v_slot; v_cons = -1;
   }
 
 (* The one value no node or rename slot points at "nothing" without: a
    shared sentinel replacing [vstate option]. Never written. *)
-let null_vstate = new_vstate ()
+let null_vstate = new_vstate (-1)
 
 let v_avail v i = if i = 0 then v.v_avail0 else v.v_avail1
 
@@ -144,7 +156,7 @@ let reason_code = function
   | Steer.Rlive -> r_live
 
 type node = {
-  mutable n_id : int;  (* dispatch order, unique *)
+  mutable n_id : int;  (* dispatch order, unique: the node's pool slot *)
   mutable n_trace_idx : int;
       (* position in the trace, the key to every uop column; -1 for copies *)
   mutable n_op : Opcode.t;
@@ -195,6 +207,8 @@ type node = {
   mutable n_prev : node;  (* intrusive issue-queue links; self = detached *)
   mutable n_next : node;
   mutable n_mark : bool;  (* transient, used by flush_from's queue purge *)
+  mutable n_census : int;
+      (* census only: the count this queued node is in, 3 * lane + class *)
 }
 
 let new_node () =
@@ -210,7 +224,7 @@ let new_node () =
       n_is_mem = false; n_lr_replicate = false; n_br_mispredicted = false;
       n_alloc = -1; n_remote_reads = false; n_complete = never;
       n_disp_tick = 0; n_issue_tick = 0; n_prev = n; n_next = n;
-      n_mark = false;
+      n_mark = false; n_census = 0;
     }
   in
   n
@@ -307,11 +321,21 @@ type scratch = {
   rename : vstate array;  (* arch reg -> live value; null_vstate = none *)
   sent0 : node;  (* wide issue-queue sentinel *)
   sent1 : node;  (* narrow issue-queue sentinel *)
+  mutable e_node : int array;
+      (* census only: consumer edges, by edge index: the consumer's
+         [n_id] (its node-pool slot) and the value's next-older edge (-1
+         ends the list) *)
+  mutable e_next : int array;
+  mutable e_len : int;
+  recheck : int array array;
+      (* census only: value slots whose consumers to reclassify, by tick
+         mod 4 *)
+  recheck_n : int array;
 }
 
 let fresh_scratch () =
   {
-    p_vstates = Array.init 4096 (fun _ -> new_vstate ());
+    p_vstates = Array.init 4096 new_vstate;
     p_vcur = 0;
     p_nodes = Array.init 4096 (fun _ -> new_node ());
     p_ncur = 0;
@@ -331,6 +355,11 @@ let fresh_scratch () =
     rename = Array.make Reg.count null_vstate;
     sent0 = new_node ();
     sent1 = new_node ();
+    e_node = Array.make 4096 0;
+    e_next = Array.make 4096 0;
+    e_len = 0;
+    recheck = Array.init 4 (fun _ -> Array.make 8 0);
+    recheck_n = Array.make 4 0;
   }
 
 let scratch_key = Domain.DLS.new_key fresh_scratch
@@ -338,7 +367,7 @@ let scratch_key = Domain.DLS.new_key fresh_scratch
 let grow_vpool sc =
   let old = sc.p_vstates in
   let n = Array.length old in
-  sc.p_vstates <- Array.init (2 * n) (fun i -> if i < n then old.(i) else new_vstate ())
+  sc.p_vstates <- Array.init (2 * n) (fun i -> if i < n then old.(i) else new_vstate i)
 
 let grow_npool sc =
   let old = sc.p_nodes in
@@ -394,7 +423,9 @@ let reset_scratch sc ~rob_size =
   sc.sent0.n_prev <- sc.sent0;
   sc.sent0.n_next <- sc.sent0;
   sc.sent1.n_prev <- sc.sent1;
-  sc.sent1.n_next <- sc.sent1
+  sc.sent1.n_next <- sc.sent1;
+  sc.e_len <- 0;
+  Array.fill sc.recheck_n 0 4 0
 
 (* ----- whole-machine state ----- *)
 
@@ -415,8 +446,11 @@ type state = {
       (* telemetry; [None] keeps every instrumentation point a single
          field test and the hot path allocation-free *)
   acct : Accounting.t option;
-      (* cycle accounting; [None] keeps the attribution walk behind one
-         field test per issue round, same discipline as [sink] *)
+      (* cycle accounting; [None] keeps the attribution behind one field
+         test per issue round, same discipline as [sink] *)
+  census_on : bool;  (* = acct <> None: keep the blocked-occupant census *)
+  census_check : bool;  (* tests only: check the census against a walk *)
+  census : int array;  (* queued nodes by 3 * lane + class, see below *)
   sc : scratch;
   mutable steer_ctx : Steer.ctx option;  (* built once, after [create] *)
   lat3 : int * int * int;  (* (dl0, ul1, mem) for the cache hierarchy *)
@@ -441,7 +475,6 @@ type state = {
   gshare : Branch_predictor.t;
   tcache : Trace_cache.t;
   regfile : Regfile.t;
-  mutable next_node_id : int;
   mutable now : int;
   (* per-round scratch results: stage walks report through these fields
      instead of returning tuples or threading refs *)
@@ -458,11 +491,6 @@ let bump_by st id n =
   c.(id) <- c.(id) + n
 
 let bump st id = bump_by st id 1
-
-let fresh_node_id st =
-  let id = st.next_node_id in
-  st.next_node_id <- id + 1;
-  id
 
 (* ----- pool allocation ----- *)
 
@@ -488,14 +516,15 @@ let alloc_vstate st ~pc ~narrow ~pred_narrow ~cluster =
   v.v_lr <- false;
   v.v_cluster <- cluster;
   v.v_from_load <- false;
+  v.v_cons <- -1;
   v
 
 let alloc_node st =
   let sc = st.sc in
   if sc.p_ncur >= Array.length sc.p_nodes then grow_npool sc;
   let n = sc.p_nodes.(sc.p_ncur) in
+  n.n_id <- sc.p_ncur;
   sc.p_ncur <- sc.p_ncur + 1;
-  n.n_id <- min_int;
   n.n_trace_idx <- -1;
   n.n_op <- Opcode.Nop;
   n.n_kind <- k_normal;
@@ -687,7 +716,7 @@ let get_ctx st =
 
 (* ----- creation ----- *)
 
-let create ?sink ?accounting cfg decide trace =
+let create ?sink ?accounting ~census_check cfg decide trace =
   ( match Config.validate cfg with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Pipeline: " ^ msg) );
@@ -699,6 +728,9 @@ let create ?sink ?accounting cfg decide trace =
       cfg; decide; sink; soa;
       trace_len = Uop_soa.length soa;
       acct = accounting;
+      census_on = accounting <> None;
+      census_check;
+      census = Array.make 6 0;
       sc;
       steer_ctx = None;
       lat3 = (cfg.Config.dl0_latency, cfg.Config.ul1_latency, cfg.Config.mem_latency);
@@ -728,7 +760,6 @@ let create ?sink ?accounting cfg decide trace =
       regfile =
         Regfile.create ~wide_regs:cfg.Config.wide_regs
           ~narrow_regs:cfg.Config.narrow_regs ();
-      next_node_id = 0;
       now = 0;
       iss_issued = 0; iss_ready = 0;
       dis_demand_w = 0; dis_demand_n = 0;
@@ -752,6 +783,148 @@ let create ?sink ?accounting cfg decide trace =
         rob_occupancy_lt = rob_occupancy_lt st;
       };
   st
+
+(* ----- blocked-occupant census -----
+
+   Cycle accounting gives each idle issue slot to a blocked queue
+   occupant, memory before copy before operands. The class a node counts
+   under is a function of its dependences' state, so with accounting on
+   each queue keeps its three counts current instead of rescanning every
+   occupant in every idle round:
+   - a node is classified and counted when it enters a queue
+     ([enqueue_iq]) and uncounted when it leaves ([issue_walk]: issue,
+     squash, dead copy);
+   - entering, it is linked to each dependence it cannot read yet, and
+     a write to such a value's [v_done], [v_avail*] or
+     [v_copy_inflight*] ([complete_normal], [complete_slice],
+     [complete_copy], [make_copy]) reclassifies its linked nodes still
+     queued;
+   - the three writes that make a value readable in the other cluster at
+     [now + 2] (replicated register file, LR, replicated slice finals)
+     reclassify its linked nodes again at that tick;
+   - a dependence readable now stays readable until a flush or replay
+     resets its value; those rewrite nodes wholesale, so both queues are
+     recounted and relinked after them.
+   Invariant: after an issue walk, [census] holds what a
+   [blocked_reason] walk over each queue would count (For_testing checks
+   this). Without accounting none of it runs. *)
+
+(* Link [node] to [v]. The links live in two int arrays of the arena,
+   threaded newest first from each value's [v_cons]: no pointer store,
+   so no write barrier, and one run's links sit together in memory. *)
+let add_consumer sc (v : vstate) (node : node) =
+  let e = sc.e_len in
+  if e = Array.length sc.e_node then begin
+    let grow a = Array.init (2 * e) (fun i -> if i < e then a.(i) else 0) in
+    sc.e_node <- grow sc.e_node;
+    sc.e_next <- grow sc.e_next
+  end;
+  sc.e_node.(e) <- node.n_id;
+  sc.e_next.(e) <- v.v_cons;
+  v.v_cons <- e;
+  sc.e_len <- e + 1
+
+(* [a] when [lane] is 0, [b] when it is 1 *)
+let[@inline] pick lane a b = a lxor ((a lxor b) land (-lane))
+
+(* The census index of a queued node, 3 * lane + class (0 memory, 1
+   copy, 2 operands): [blocked_reason]'s rule, computed with bit
+   operations instead of branches on each dependence's state, since it
+   runs at every dispatch and every write to a value a node waits on.
+   With [link], link the node to each dependence it cannot read. *)
+let census_class st ~link (node : node) =
+  let lane = cluster_index node.n_cluster in
+  if node.n_kind = k_copy then (3 * lane) + 1
+  else begin
+    let now = st.now in
+    let remote = Bool.to_int node.n_remote_reads in
+    let mem = ref 0 and cop = ref 0 in
+    for k = 0 to node.n_ndeps - 1 do
+      let v = node.n_dep_v.(k) in
+      let u0 = Bool.to_int (v.v_avail0 > now)
+      and u1 = Bool.to_int (v.v_avail1 > now) in
+      let unavail =
+        (remote land u0 land u1) lor ((1 - remote) land pick lane u0 u1)
+      in
+      if link && unavail = 1 then add_consumer st.sc v node;
+      let done_ = Bool.to_int v.v_done in
+      let mem_dep = Bool.to_int v.v_from_load land (1 - done_) in
+      let inflight =
+        pick lane
+          (Bool.to_int v.v_copy_inflight0)
+          (Bool.to_int v.v_copy_inflight1)
+      in
+      mem := !mem lor (unavail land mem_dep);
+      cop := !cop lor (unavail land (1 - mem_dep) land (done_ lor inflight))
+    done;
+    (3 * lane) + 2 - (!cop lor !mem) - !mem
+  end
+
+let census_count st (node : node) c =
+  node.n_census <- c;
+  st.census.(c) <- st.census.(c) + 1
+
+let census_leave st (node : node) =
+  st.census.(node.n_census) <- st.census.(node.n_census) - 1
+
+let census_enter st (node : node) =
+  census_count st node (census_class st ~link:true node)
+
+(* reclassify the nodes linked from edge [e] that are still queued *)
+let rec census_touch_from st sc e =
+  if e >= 0 then begin
+    let c = sc.p_nodes.(sc.e_node.(e)) in
+    if c.n_next != c then begin
+      let cls = census_class st ~link:false c in
+      if cls <> c.n_census then begin
+        census_leave st c;
+        census_count st c cls
+      end
+    end;
+    census_touch_from st sc sc.e_next.(e)
+  end
+
+(* [v] changed: reclassify its linked nodes still queued *)
+let census_touch st (v : vstate) =
+  if st.census_on then census_touch_from st st.sc v.v_cons
+
+(* [v] becomes readable in the other cluster at [now + 2] *)
+let census_touch_later st (v : vstate) =
+  if st.census_on then begin
+    let sc = st.sc in
+    let slot = (st.now + 2) land 3 in
+    let n = sc.recheck_n.(slot) in
+    let arr = sc.recheck.(slot) in
+    if n = Array.length arr then
+      sc.recheck.(slot) <- Array.init (2 * n) (fun i -> if i < n then arr.(i) else 0);
+    sc.recheck.(slot).(n) <- v.v_slot;
+    sc.recheck_n.(slot) <- n + 1
+  end
+
+(* the start of a tick: the touches [census_touch_later] set for it *)
+let census_due st =
+  let sc = st.sc in
+  let slot = st.now land 3 in
+  let arr = sc.recheck.(slot) in
+  for k = 0 to sc.recheck_n.(slot) - 1 do
+    census_touch st sc.p_vstates.(arr.(k))
+  done;
+  sc.recheck_n.(slot) <- 0
+
+let rec census_recount_from st s (node : node) =
+  if node != s then begin
+    census_enter st node;
+    census_recount_from st s node.n_next
+  end
+
+let census_rebuild st =
+  if st.census_on then begin
+    Array.fill st.census 0 (Array.length st.census) 0;
+    for lane = 0 to 1 do
+      let s = st.iq.(lane).iq_sent in
+      census_recount_from st s s.n_next
+    done
+  end
 
 (* ----- dispatch helpers ----- *)
 
@@ -779,6 +952,7 @@ let collect_reg_deps st trace_idx =
 let enqueue_iq st cluster node =
   node.n_disp_tick <- st.now;
   iq_append st.iq.(cluster_index cluster) node;
+  if st.census_on then census_enter st node;
   emit st Event.Dispatch node ~a:0 ~b:0
 
 let iq_free st cluster =
@@ -815,7 +989,6 @@ let make_copy st ~(cv : vstate) ~target ~prefetch ~publishes =
   let source_cluster = cv.v_cluster in
   let ti = cluster_index target in
   let node = alloc_node st in
-  node.n_id <- fresh_node_id st;
   node.n_kind <- k_copy;
   node.n_cv <- cv;
   node.n_copy_target <- ti;
@@ -827,6 +1000,7 @@ let make_copy st ~(cv : vstate) ~target ~prefetch ~publishes =
   node.n_dep_e.(0) <- cv.v_epoch;
   node.n_ndeps <- 1;
   set_v_copy_inflight cv ti true;
+  census_touch st cv;
   if prefetch then begin
     set_v_prefetched cv ti true;
     bump st Counts.prefetch_copies
@@ -918,8 +1092,7 @@ let dispatch_split st ~trace_idx ~op ~pc ~pred_narrow =
   for k = 0 to slices - 1 do
     let final = k = slices - 1 in
     let node = alloc_node st in
-    node.n_id <- fresh_node_id st;
-    node.n_trace_idx <- trace_idx;
+      node.n_trace_idx <- trace_idx;
     node.n_op <- op;
     node.n_kind <- k_slice;
     node.n_slice_final <- final;
@@ -1036,7 +1209,6 @@ let dispatch_steered st ~trace_idx ~op ~pc ~pred_narrow ~pred_confident
     dest.v_from_load <- op = Opcode.Load
   end;
   let node = alloc_node st in
-  node.n_id <- fresh_node_id st;
   node.n_trace_idx <- trace_idx;
   node.n_op <- op;
   node.n_cluster <- cluster;
@@ -1157,6 +1329,7 @@ let rec issue_walk st cluster q width regread_id issue_id s (node : node) issued
   else begin
     let next = node.n_next in
     if node.n_squashed || dead_copy node then begin
+      if st.census_on then census_leave st node;
       iq_unlink q node;
       issue_walk st cluster q width regread_id issue_id s next issued ready
     end
@@ -1167,6 +1340,7 @@ let rec issue_walk st cluster q width regread_id issue_id s (node : node) issued
         emit st Event.Issue node ~a:node.n_disp_tick ~b:0;
         bump_by st regread_id node.n_ndeps;
         bump st issue_id;
+        if st.census_on then census_leave st node;
         iq_unlink q node;
         schedule st node (st.now + exec_ticks st cluster node);
         issue_walk st cluster q width regread_id issue_id s next (issued + 1) ready
@@ -1255,6 +1429,37 @@ let empty_reason st ~narrow =
     | Sr_mob -> Accounting.Memory
     | Sr_rob | Sr_iq | Sr_regfile -> Accounting.Dispatch
 
+(* The census's reference: walk the queue and classify every occupant.
+   Reached only from For_testing, which compares it with the census in
+   every idle round and fails at the first difference. *)
+let census_verify st cluster ~mem ~cop ~opr =
+  let wmem = ref 0 and wcop = ref 0 and wopr = ref 0 in
+  let s = st.iq.(cluster_index cluster).iq_sent in
+  let cur = ref s.n_next in
+  while !cur != s do
+    let node = !cur in
+    ( match blocked_reason st cluster node with
+    | Accounting.Memory -> incr wmem
+    | Accounting.Wait_copy -> incr wcop
+    | _ -> incr wopr );
+    cur := node.n_next
+  done;
+  if mem <> !wmem || cop <> !wcop || opr <> !wopr then
+    failwith
+      (Printf.sprintf
+         "census mismatch at tick %d, %s lane: counts memory %d copy %d \
+          operands %d, walk memory %d copy %d operands %d"
+         st.now
+         (Accounting.lane_name (cluster_index cluster))
+         mem cop opr !wmem !wcop !wopr)
+
+(* Give up to [count] of the [left] idle slots to [cat]; returns the
+   slots still unclaimed. *)
+let[@inline] take a ~lane cat count left =
+  let n = min left count in
+  if n > 0 then Accounting.add a ~lane cat n;
+  left - n
+
 (* One issue round of [cluster]: [issued] slots did work; the idle rest
    is claimed first by blocked queue occupants (memory, then copy, then
    operands), and any slots beyond the occupant count by the
@@ -1269,33 +1474,18 @@ let account_issue_round st a cluster ~issued =
     (* after the issue walk the queue holds only blocked occupants:
        issued, squashed and dead-copy nodes were unlinked, and idle > 0
        means no ready node was left waiting for a slot *)
-    let mem = ref 0 and cop = ref 0 and opr = ref 0 in
-    let q = st.iq.(lane) in
-    let s = q.iq_sent in
-    let cur = ref s.n_next in
-    while !cur != s do
-      let node = !cur in
-      ( match blocked_reason st cluster node with
-      | Accounting.Memory -> incr mem
-      | Accounting.Wait_copy -> incr cop
-      | _ -> incr opr );
-      cur := node.n_next
-    done;
-    let left = ref idle in
-    let take counter cat =
-      let n = min !left counter in
-      if n > 0 then begin
-        Accounting.add a ~lane cat n;
-        left := !left - n
-      end
-    in
-    take !mem Accounting.Memory;
-    take !cop Accounting.Wait_copy;
-    take !opr Accounting.Wait_operands;
-    if !left > 0 then
+    let base = 3 * lane in
+    let mem = st.census.(base)
+    and cop = st.census.(base + 1)
+    and opr = st.census.(base + 2) in
+    if st.census_check then census_verify st cluster ~mem ~cop ~opr;
+    let left = take a ~lane Accounting.Memory mem idle in
+    let left = take a ~lane Accounting.Wait_copy cop left in
+    let left = take a ~lane Accounting.Wait_operands opr left in
+    if left > 0 then
       Accounting.add a ~lane
         (empty_reason st ~narrow:(cluster = Config.Narrow))
-        !left
+        left
   end;
   Accounting.round a ~lane
 
@@ -1442,6 +1632,7 @@ let flush_from st (offender : node) =
   done;
   st.fetch_resume <- max st.fetch_resume (st.now + (2 * cfg.Config.width_flush_penalty));
   st.wflush_until <- max st.wflush_until (st.now + (2 * cfg.Config.width_flush_penalty));
+  census_rebuild st;
   emit st Event.Flush offender ~a:n_rest ~b:0;
   bump st Counts.width_flush
 
@@ -1485,6 +1676,7 @@ let replay st (node : node) =
      wired copy-free (the value used to live beside them) - send it back *)
   if dest != null_vstate && not st.cfg.Config.replicated_regfile then
     make_copy st ~cv:dest ~target:Config.Narrow ~prefetch:false ~publishes:true;
+  census_rebuild st;
   bump st Counts.replay
 
 (* Did this narrow-steered uop actually need the wide datapath? The
@@ -1546,7 +1738,10 @@ let complete_copy st (node : node) =
   let cv = node.n_cv in
   if cv.v_epoch = node.n_copy_epoch then begin
     let i = node.n_copy_target in
-    if node.n_copy_publishes then set_v_avail cv i (min (v_avail cv i) st.now);
+    if node.n_copy_publishes then begin
+      set_v_avail cv i (min (v_avail cv i) st.now);
+      census_touch st cv
+    end;
     bump st Counts.copy_completed;
     bump st c_regwrite.(i)
   end
@@ -1558,8 +1753,10 @@ let complete_slice st (node : node) =
     v.v_avail1 <- st.now;
     if node.n_slice_final && st.cfg.Config.replicated_regfile then begin
       v.v_avail0 <- min v.v_avail0 (st.now + 2);
+      census_touch_later st v;
       bump st c_regwrite.(0)
-    end
+    end;
+    census_touch st v
   end;
   if node.n_slice_final then begin
     classify_prediction st node ~fatal:false;
@@ -1608,7 +1805,10 @@ let complete_normal st (node : node) =
         set_v_avail v oth (st.now + 2);
         if v.v_narrow then bump st Counts.lr_replicated;
         bump st c_regwrite.(oth)
-      end
+      end;
+      if st.census_on && (st.cfg.Config.replicated_regfile || node.n_lr_replicate)
+      then census_touch_later st v;
+      census_touch st v
     end;
     bump st c_regwrite.(own);
     ( match Opcode.exec_class node.n_op with
@@ -1758,9 +1958,9 @@ let commit st =
 
 let finished st = st.fetch_idx >= st.trace_len && st.rob_count = 0
 
-let run ?(max_ticks = 200_000_000) ?sink ?accounting ~cfg ~decide ~scheme_name
-    trace =
-  let st = create ?sink ?accounting cfg decide trace in
+let run_gen ~census_check ?(max_ticks = 200_000_000) ?sink ?accounting ~cfg
+    ~decide ~scheme_name trace =
+  let st = create ?sink ?accounting ~census_check cfg decide trace in
   let helper = cfg.Config.scheme.Config.helper in
   let sample_every =
     match sink with Some s -> Sink.interval s | None -> 0
@@ -1770,6 +1970,7 @@ let run ?(max_ticks = 200_000_000) ?sink ?accounting ~cfg ~decide ~scheme_name
       failwith
         (Printf.sprintf "Pipeline.run: exceeded %d ticks at trace index %d"
            max_ticks st.fetch_idx);
+    if st.census_on then census_due st;
     process_completions st;
     let even = st.now mod 2 = 0 in
     if even then begin
@@ -1837,3 +2038,13 @@ let run ?(max_ticks = 200_000_000) ?sink ?accounting ~cfg ~decide ~scheme_name
   Metrics.of_counts ~name:trace.Trace.name ~scheme_name
     ?stall:(Option.map Accounting.totals st.acct)
     st.counts
+
+let run ?max_ticks ?sink ?accounting ~cfg ~decide ~scheme_name trace =
+  run_gen ~census_check:false ?max_ticks ?sink ?accounting ~cfg ~decide
+    ~scheme_name trace
+
+module For_testing = struct
+  let run_census_checked ?sink ~accounting ~cfg ~decide ~scheme_name trace =
+    run_gen ~census_check:true ?sink ~accounting ~cfg ~decide ~scheme_name
+      trace
+end

@@ -63,3 +63,19 @@ val run :
     returned metrics carry the totals in [Metrics.stall]; aside from
     that field the metrics are bit-identical with or without accounting.
     @raise Invalid_argument on an invalid [cfg]. *)
+
+module For_testing : sig
+  val run_census_checked :
+    ?sink:Hc_obs.Sink.t ->
+    accounting:Accounting.t ->
+    cfg:Config.t ->
+    decide:decide ->
+    scheme_name:string ->
+    Hc_trace.Trace.t ->
+    Metrics.t
+  (** [run ~accounting], also checking in every issue round with an idle
+      slot that the incrementally kept blocked-occupant counts equal a
+      full walk of that issue queue.
+      @raise Failure at the first difference, naming the tick, the lane
+      and both sets of counts. *)
+end

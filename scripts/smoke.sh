@@ -11,11 +11,45 @@ cd "$(dirname "$0")/.."
 echo "== dune build =="
 dune build @all
 
+echo "== build profile gate =="
+# dune-workspace makes release the default profile, so no library
+# compiles -opaque and small accessors inline across modules. Its flags
+# must stay dev's exact warning set (the lint is never loosened), and no
+# object of the simulator (hc_sim), of the uop columns (hc_isa) or of
+# anything they link may compile -opaque.
+DEV_FLAGS='(flags
+ (-w
+  @1..3@5..28@30..39@43@46..47@49..57@61..62-40
+  -strict-sequence
+  -strict-formats
+  -short-paths
+  -keep-locs))'
+FLAGS=$(dune printenv . | sed -n '/^(flags/,/))$/p')
+if [ "$FLAGS" != "$DEV_FLAGS" ]; then
+  echo "FAIL: the default profile's flags are not dev's warning set:"
+  echo "$FLAGS"
+  exit 1
+fi
+SIM_LIBS="lib/sim/hc_sim.cmxa lib/isa/hc_isa.cmxa"
+# shellcheck disable=SC2086
+if dune rules -r $SIM_LIBS | grep -q -- '-opaque'; then
+  echo "FAIL: an hc_sim or hc_isa object compiles -opaque"
+  exit 1
+fi
+# ...and prove the -opaque check can fail: dev's profile turns it on
+# shellcheck disable=SC2086
+if ! dune rules --profile dev -r $SIM_LIBS | grep -q -- '-opaque'; then
+  echo "FAIL: the -opaque check found nothing under --profile dev"
+  exit 1
+fi
+echo "build profile gate OK"
+
 echo "== dune runtest =="
 # includes the per-uop allocation gates (test/test_alloc.ml): a warm
-# 8_8_8 run and an HCTB decode plus its first run at exactly 0 minor
-# words/uop, the static width analysis at <= 8, sliced trace generation
-# at <= 1, and Rng.bool/Rng.int at exactly 0 words per draw
+# 8_8_8 run, a warm +IR run with cycle accounting, and an HCTB decode
+# plus its first run at exactly 0 minor words/uop, the static width
+# analysis at <= 8, sliced trace generation at <= 1, and Rng.bool/Rng.int
+# at exactly 0 words per draw
 dune runtest
 
 echo "== bench --micro --json BENCH_smoke.json =="

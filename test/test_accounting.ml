@@ -141,6 +141,40 @@ let test_csv_shape () =
            (String.split_on_char ',' (Accounting.interval_csv_row iv))))
     (Accounting.intervals a)
 
+(* the blocked-occupant census against its reference walk, in every idle
+   issue round: every scheme, with and without the replicated register
+   file and the fast helper clock, at issue widths 1 and 4. The
+   replicated file and LR make values usable in the other cluster two
+   ticks after writeback, which only a timed re-check sees. *)
+let test_census_matches_walk () =
+  List.iter
+    (fun name ->
+      let tr = Generator.generate_sliced ~length:3_000 (Profile.find_spec_int name) in
+      List.iter
+        (fun (scheme, s) ->
+          List.iter
+            (fun (replicated_regfile, helper_fast_clock, issue_width) ->
+              let cfg =
+                { (Config.with_scheme Config.default s) with
+                  Config.replicated_regfile; helper_fast_clock; issue_width }
+              in
+              let accounting =
+                Accounting.create ~issue_width
+                  ~commit_width:cfg.Config.commit_width ()
+              in
+              match
+                Pipeline.For_testing.run_census_checked ~accounting ~cfg
+                  ~decide:Hc_steering.Policy.decide ~scheme_name:scheme tr
+              with
+              | _ -> ()
+              | exception Failure msg ->
+                Alcotest.failf "%s/%s repl=%b fast=%b width=%d: %s" name scheme
+                  replicated_regfile helper_fast_clock issue_width msg)
+            [ (true, true, 1); (true, false, 4); (false, true, 4);
+              (false, false, 1) ])
+        Config.scheme_stack)
+    [ "gcc"; "mcf"; "vpr"; "vortex" ]
+
 (* randomized: any (profile, scheme, length) keeps the partition exact *)
 let prop_partition =
   let gen =
@@ -179,4 +213,6 @@ let suite =
       Alcotest.test_case "round counts" `Quick test_round_counts;
       Alcotest.test_case "stall CSV shape" `Quick test_csv_shape;
       QCheck_alcotest.to_alcotest prop_partition;
+      Alcotest.test_case "census equals the queue walk" `Quick
+        test_census_matches_walk;
     ] )

@@ -48,6 +48,23 @@ let test_warm_run () =
   check_words "warm 8_8_8 run" ~bound:0.0
     (marginal_words run_888 (sized (gcc 2_000)) (sized (gcc 4_000)))
 
+(* an accounted run, as every Runs simulation is: the blocked-occupant
+   census keeps counts instead of walking the issue queue, and its
+   consumer lists and re-check ring live in the per-domain arena *)
+let test_warm_accounted_run () =
+  let cfg = Config.with_scheme Config.default (Config.find_scheme "+IR") in
+  let run tr =
+    let accounting =
+      Hc_sim.Accounting.create ~issue_width:cfg.Config.issue_width
+        ~commit_width:cfg.Config.commit_width ()
+    in
+    ignore
+      (Pipeline.run ~accounting ~cfg ~decide:Hc_steering.Policy.decide
+         ~scheme_name:"+IR" tr)
+  in
+  check_words "warm accounted +IR run" ~bound:0.0
+    (marginal_words run (sized (gcc 4_000)) (sized (gcc 8_000)))
+
 (* the cache-reload path: decode a trace's HCTB bytes, then simulate the
    decoded trace once; anything the first run rebuilds per uop shows
    here. Both lengths keep every decoded column above the minor heap's
@@ -106,4 +123,6 @@ let suite =
         test_generate_sliced;
       Alcotest.test_case "Rng.bool and Rng.int allocate 0 words/draw" `Quick
         test_rng_draws;
+      Alcotest.test_case "warm accounted run allocates 0 words/uop" `Quick
+        test_warm_accounted_run;
     ] )

@@ -5,6 +5,7 @@
 
 module Config = Hc_sim.Config
 module Pipeline = Hc_sim.Pipeline
+module Accounting = Hc_sim.Accounting
 module Metrics = Hc_sim.Metrics
 module Counts = Hc_obs.Counts
 module Sample = Hc_obs.Sample
@@ -83,11 +84,27 @@ let prop_simulator_total =
       && (not cfg.Config.replicated_regfile || m.Metrics.copies = 0)
       && m.Metrics.ticks > 0)
 
-(* The exact invariants off the seeds: with an interval sink attached,
-   the interval deltas re-add to the run's whole count vector (activity
-   counters included), every interval satisfies the attribution
-   partition, and the metrics survive an artifact-cache round trip
-   byte-for-byte. *)
+(* A run with cycle accounting attached, through the entry point that
+   also checks the blocked-occupant census against a full walk of the
+   issue queue in every round with an idle slot. *)
+let run_accounted ?sink cfg trace =
+  let accounting =
+    Accounting.create ~issue_width:cfg.Config.issue_width
+      ~commit_width:cfg.Config.commit_width ()
+  in
+  match
+    Pipeline.For_testing.run_census_checked ?sink ~accounting ~cfg
+      ~decide:Hc_steering.Policy.decide ~scheme_name:"fuzz" trace
+  with
+  | m -> (m, accounting)
+  | exception Failure msg -> QCheck.Test.fail_reportf "%s" msg
+
+(* The exact invariants off the seeds: with an interval sink and cycle
+   accounting attached, the interval deltas re-add to the run's whole
+   count vector (activity counters included), every interval satisfies
+   the attribution partition and the slot partition, the metrics less
+   their [stall] equal the unaccounted run's, and they survive an
+   artifact-cache round trip byte-for-byte. *)
 let prop_counts_invariants =
   QCheck.Test.make ~name:"aggregate == counts, partition, cache round trip"
     ~count:30
@@ -97,10 +114,23 @@ let prop_counts_invariants =
        QCheck.Gen.(pair (pair config_gen bench_gen) (int_range 50 2_000)))
     (fun ((cfg, bench), interval) ->
       let sink = Sink.create ~interval ~tracing:false () in
-      let m =
-        Pipeline.run ~sink ~cfg ~decide:Hc_steering.Policy.decide
-          ~scheme_name:"fuzz" (trace_of bench)
+      let m, accounting = run_accounted ~sink cfg (trace_of bench) in
+      if not (Accounting.consistent (Accounting.totals accounting)) then
+        QCheck.Test.fail_reportf "slot partition broken over the run";
+      List.iter
+        (fun (iv : Accounting.interval) ->
+          if not (Accounting.consistent iv.Accounting.iv_d) then
+            QCheck.Test.fail_reportf "slot partition broken in [%d, %d)"
+              iv.Accounting.iv_start iv.Accounting.iv_end)
+        (Accounting.intervals accounting);
+      if not (Metrics.stall_consistent m) then
+        QCheck.Test.fail_reportf "stall totals break the slot partition";
+      let plain =
+        Pipeline.run ~cfg ~decide:Hc_steering.Policy.decide ~scheme_name:"fuzz"
+          (trace_of bench)
       in
+      if Metrics.to_json { m with Metrics.stall = None } <> Metrics.to_json plain
+      then QCheck.Test.fail_reportf "accounting changed the metrics";
       let samples = Sink.samples sink in
       if Sample.aggregate samples <> m.Metrics.counts then
         QCheck.Test.fail_reportf "interval aggregate differs from the counts";
