@@ -1,5 +1,5 @@
 (* Registry-dump tooling: read back the Prometheus text exposition that
-   --prom-out (or bench --json's registry section) wrote.
+   --prom-out wrote.
 
      hc_metrics show dump.prom               validated, normalized listing
      hc_metrics diff before.prom after.prom  per-series delta

@@ -2,7 +2,7 @@
 
      hc_report report runs/*/metrics.json --intervals intervals.csv
      hc_report attrib m_888.json m_cr.json m_ir.json
-     hc_report diff BENCH_1.json BENCH_3.json --tol kernels_ns_per_run.=0.30
+     hc_report diff m_base.json m_new.json --tol counters.=0.01
      hc_report baseline smoke.json        # vs baselines/gcc_smoke.json
      hc_report validate --jsonl spans.jsonl
 
@@ -15,7 +15,6 @@ module Json = Hc_report.Json
 module Loader = Hc_report.Loader
 module Diff = Hc_report.Diff
 module Render = Hc_report.Render
-module Sparkline = Hc_report.Sparkline
 module Prom = Hc_obs.Prom
 
 open Cmdliner
@@ -229,98 +228,6 @@ let topdown_cmd =
   Cmd.v (Cmd.info "topdown" ~doc)
     Term.(const run $ files $ intervals $ width)
 
-(* ---- trend ---- *)
-
-let trend_cmd =
-  let run files tolerance width =
-    if List.length files < 2 then
-      die "hc_report trend: give at least two BENCH snapshots (oldest first)";
-    let snaps = load_runs files in
-    (* per-kernel nanosecond series across the snapshots, arg order *)
-    let leaves =
-      List.map
-        (fun (_, j) ->
-          List.filter_map
-            (fun (key, v) ->
-              let prefix = "kernels_ns_per_run." in
-              if String.starts_with ~prefix key then
-                Some
-                  ( String.sub key (String.length prefix)
-                      (String.length key - String.length prefix),
-                    v )
-              else None)
-            (Loader.numeric_leaves j))
-        snaps
-    in
-    if List.exists (( = ) []) leaves then
-      die "hc_report trend: a snapshot has no kernels_ns_per_run leaves \
-           (not a bench --json file?)";
-    (* kernels present in every snapshot, in first-snapshot order *)
-    let kernels =
-      List.filter
-        (fun k -> List.for_all (List.mem_assoc k) leaves)
-        (List.map fst (List.hd leaves))
-    in
-    let dropped =
-      List.length (List.hd leaves) - List.length kernels
-    in
-    if dropped > 0 then
-      Printf.printf
-        "note: %d kernel%s not present in every snapshot, skipped\n" dropped
-        (if dropped = 1 then "" else "s");
-    Printf.printf "%d kernels across %d snapshots (oldest -> newest):\n"
-      (List.length kernels) (List.length snaps);
-    let regressions = ref 0 in
-    List.iter
-      (fun k ->
-        let series =
-          Array.of_list (List.map (fun l -> List.assoc k l) leaves)
-        in
-        print_endline (Sparkline.render_labelled ~width ~label:k series);
-        let first = series.(0) and last = series.(Array.length series - 1) in
-        let delta =
-          if first > 0. then 100. *. (last -. first) /. first else 0.
-        in
-        Printf.printf "  %12.0f -> %12.0f ns/run  %+.1f%%\n" first last delta;
-        if first > 0. && last > first *. (1. +. tolerance) then begin
-          incr regressions;
-          Printf.printf
-            "  WARNING: %s regressed %+.1f%% first -> last (tolerance \
-             %.0f%%)\n"
-            k delta (100. *. tolerance)
-        end)
-      kernels;
-    if !regressions > 0 then
-      Printf.printf
-        "%d kernel%s beyond tolerance — check the machines/the change \
-         history before trusting cross-snapshot comparisons\n"
-        !regressions
-        (if !regressions = 1 then "" else "s")
-    else print_endline "no kernel regressed beyond tolerance"
-  in
-  let files =
-    Arg.(value & pos_all string [] & info [] ~docv:"BENCH.json")
-  in
-  let tolerance =
-    Arg.(
-      value & opt float 0.25
-      & info [ "tolerance" ] ~docv:"REL"
-          ~doc:
-            "Relative first->last growth beyond which a kernel is flagged \
-             (default 0.25; wall-clock benches are noisy, so this warns \
-             rather than failing).")
-  in
-  let width =
-    Arg.(
-      value & opt int 40
-      & info [ "width" ] ~docv:"CHARS" ~doc:"Sparkline width.")
-  in
-  let doc =
-    "perf trajectory across BENCH snapshots: per-kernel sparkline and \
-     first->last delta, warning on kernels growing beyond tolerance"
-  in
-  Cmd.v (Cmd.info "trend" ~doc) Term.(const run $ files $ tolerance $ width)
-
 (* ---- spans ---- *)
 
 (* Read a --span-log JSONL file back through the strict parser: every
@@ -424,7 +331,7 @@ let tols_arg =
         ~doc:
           "Relative tolerance for a metric or metric prefix (repeatable; \
            longest prefix wins; $(b,default=X) sets the catch-all). \
-           E.g. $(b,--tol kernels_ns_per_run.=0.30).")
+           E.g. $(b,--tol counters.=0.01).")
 
 let default_tol_arg =
   Arg.(
@@ -566,5 +473,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ report_cmd; attrib_cmd; topdown_cmd; trend_cmd; spans_cmd;
+          [ report_cmd; attrib_cmd; topdown_cmd; spans_cmd;
             diff_cmd; baseline_cmd; validate_cmd ]))

@@ -605,8 +605,9 @@ let fig14_render speedups =
 
 let fig14 _runs =
   (* the suite is independent of the SPEC run cache; subsample for the
-     default rendering and let the bench harness run it in full. One
-     simulated suite feeds both the category table and the S-curve. *)
+     default rendering ([fig14_speedups] without [apps_per_category]
+     runs it in full). One simulated suite feeds both the category table
+     and the S-curve. *)
   fig14_render (fig14_speedups ~apps_per_category:12 ())
 
 (* ----- steering attribution: why each helper-cluster commit is there ----- *)

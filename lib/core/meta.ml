@@ -22,7 +22,7 @@ let read_process_line cmd =
 let git_sha () = read_process_line "git rev-parse HEAD 2>/dev/null"
 
 (* XOR of the baked SPEC profile root seeds: a fingerprint of the exact
-   trace universe this build simulates, so two snapshots with different
+   trace universe this build simulates, so two exports with different
    numbers can be told apart from the metadata alone. *)
 let spec_seed_fingerprint () =
   let x =
@@ -38,26 +38,23 @@ let timestamp_of now =
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
     tm.Unix.tm_sec
 
-let capture ?seed ?jobs () =
+let capture () =
   let now = Unix.gettimeofday () in
   {
     git_sha = git_sha ();
     host_cores = Domain.recommended_domain_count ();
-    jobs = (match jobs with Some j -> j | None -> Domain_pool.default_jobs ());
-    seed = (match seed with Some s -> s | None -> spec_seed_fingerprint ());
+    jobs = Domain_pool.default_jobs ();
+    seed = spec_seed_fingerprint ();
     timestamp_utc = timestamp_of now;
     unix_time_s = now;
     obs_enabled = Hc_obs.Registry.is_enabled ();
   }
 
-(* the object's fields without surrounding braces, so callers can splice
-   the metadata into a larger JSON object (bench --json) or wrap it as a
-   standalone meta.json (Export.write_all) *)
+(* the object's fields without surrounding braces, so Export.write_all
+   can add its own fields to meta.json *)
 let to_json_fields t =
   Printf.sprintf
     "\"git_sha\":%s,\"host_cores\":%d,\"jobs\":%d,\"seed\":\"%s\",\
      \"timestamp_utc\":\"%s\",\"unix_time_s\":%.3f,\"obs_enabled\":%b"
     (match t.git_sha with Some s -> "\"" ^ s ^ "\"" | None -> "null")
     t.host_cores t.jobs t.seed t.timestamp_utc t.unix_time_s t.obs_enabled
-
-let to_json t = "{" ^ to_json_fields t ^ "}"

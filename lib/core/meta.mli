@@ -1,7 +1,6 @@
 (** Run metadata, so exported artifacts are self-describing.
 
-    Every machine-readable output (BENCH_*.json snapshots, the CSV export
-    directory, telemetry directories) embeds the same capture: the git
+    The CSV export directory's [meta.json] embeds this capture: the git
     revision that produced the numbers, the host parallelism, the pool
     size used, the trace-seed fingerprint, and when the run happened. *)
 
@@ -9,17 +8,16 @@ type t = {
   git_sha : string option;  (** [None] outside a git checkout *)
   host_cores : int;  (** [Domain.recommended_domain_count ()] *)
   jobs : int;  (** domain-pool size the run used *)
-  seed : string;  (** trace-seed fingerprint (or a caller-supplied seed) *)
+  seed : string;  (** trace-seed fingerprint, {!spec_seed_fingerprint} *)
   timestamp_utc : string;  (** ISO-8601, UTC *)
   unix_time_s : float;
   obs_enabled : bool;
       (** whether the ambient metrics registry was on for this run *)
 }
 
-val capture : ?seed:string -> ?jobs:int -> unit -> t
-(** [seed] defaults to {!spec_seed_fingerprint}; [jobs] defaults to
-    {!Domain_pool.default_jobs}. Shells out to [git rev-parse HEAD] and
-    tolerates its absence. *)
+val capture : unit -> t
+(** [jobs] is {!Domain_pool.default_jobs}. Shells out to
+    [git rev-parse HEAD] and tolerates its absence. *)
 
 val spec_seed_fingerprint : unit -> string
 (** XOR of the baked SPEC-profile root seeds, in hex. *)
@@ -27,5 +25,3 @@ val spec_seed_fingerprint : unit -> string
 val to_json_fields : t -> string
 (** The metadata as JSON object fields (no braces), for splicing into a
     larger object. *)
-
-val to_json : t -> string

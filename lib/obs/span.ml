@@ -24,17 +24,14 @@ type t = {
   epoch : float;  (* Unix time of collector creation *)
   m : Mutex.t;
   mutable spans_rev : span list;
-  mutable count : int;
 }
 
 let create () =
-  { epoch = Unix.gettimeofday (); m = Mutex.create (); spans_rev = [];
-    count = 0 }
+  { epoch = Unix.gettimeofday (); m = Mutex.create (); spans_rev = [] }
 
 let record t sp =
   Mutex.lock t.m;
   t.spans_rev <- sp :: t.spans_rev;
-  t.count <- t.count + 1;
   Mutex.unlock t.m
 
 let spans t =
@@ -42,12 +39,6 @@ let spans t =
   let s = t.spans_rev in
   Mutex.unlock t.m;
   List.rev s
-
-let count t =
-  Mutex.lock t.m;
-  let c = t.count in
-  Mutex.unlock t.m;
-  c
 
 (* ----- per-domain track names ----- *)
 

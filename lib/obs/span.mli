@@ -28,8 +28,6 @@ val record : t -> span -> unit
 val spans : t -> span list
 (** Chronological (recording order). *)
 
-val count : t -> int
-
 val set_track : string -> unit
 (** Name the calling domain's track (domain-local; Domain_pool workers
     call this once at startup). *)

@@ -30,24 +30,17 @@ let last_segment key =
 
 (* Host identity and wall clock vary run to run by construction; the
    schema version is what the diff itself interprets, not a metric. *)
-let ignored_segments =
-  [ "schema"; "host_cores"; "jobs"; "unix_time_s"; "parallel_jobs" ]
-
-let ignored_prefixes = [ "pool."; "regenerate." ]
+let ignored_segments = [ "schema"; "host_cores"; "jobs"; "unix_time_s" ]
 
 let lower_better_segments =
   [ "ticks"; "cycles"; "wpred_fatal"; "wpred_nonfatal" ]
 
 let classify key =
-  if List.exists (fun p -> has_prefix ~prefix:p key) ignored_prefixes then
-    Ignored
-  else if has_prefix ~prefix:"kernels_ns_per_run." key then Lower_better
-  else
-    let seg = last_segment key in
-    if List.mem seg ignored_segments then Ignored
-    else if List.mem seg lower_better_segments then Lower_better
-    else if seg = "ipc" then Higher_better
-    else Two_sided
+  let seg = last_segment key in
+  if List.mem seg ignored_segments then Ignored
+  else if List.mem seg lower_better_segments then Lower_better
+  else if seg = "ipc" then Higher_better
+  else Two_sided
 
 let tolerance_for ?(tols = []) ~default_tol key =
   (* exact key or prefix, longest pattern wins; "default" is a spelled-out

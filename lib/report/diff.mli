@@ -5,8 +5,8 @@
     simulator is deterministic, so the default tolerance is exactly 0 —
     a committed baseline acts as a bit-exact gate and any drift is a
     finding, not noise. Wall-clock and host-identity fields are ignored
-    by a built-in rule table; bench kernel times only regress when they
-    get {e slower}. *)
+    by a built-in rule table; cycle counts only regress when they grow
+    and IPC only when it drops. *)
 
 type direction =
   | Two_sided  (** any relative change beyond tolerance regresses *)

@@ -2,10 +2,9 @@
 
     Everything here is read-only and dependency-free: metrics JSON
     ([hc_sim --metrics-out], [hc_experiments] dirs), [meta.json],
-    interval CSVs, [BENCH_*.json] snapshots, and Chrome trace files
-    (metadata only). The loaders normalise all of them into the same
-    flat [(dotted_path, float)] view so the diff engine and the tables
-    need a single code path. *)
+    interval CSVs, and Chrome trace files (metadata only). The loaders
+    normalise all of them into the same flat [(dotted_path, float)] view
+    so the diff engine and the tables need a single code path. *)
 
 val read_file : string -> (string, string) result
 (** Whole file as a string; [Error] carries the [Sys_error] message. *)
@@ -18,9 +17,8 @@ val schema : Json.t -> int option
 
 val numeric_leaves : Json.t -> (string * float) list
 (** Every numeric leaf of the document, depth-first in source order,
-    keyed by dotted path ("regenerate.speedup",
-    "kernels_ns_per_run.helper_cluster fig6:sim-8_8_8"). Array elements
-    get 0-based numeric segments ("pool.workers.0.tasks"). Booleans,
+    keyed by dotted path ("ipc", "counters.copy_dispatched"). Array
+    elements get 0-based numeric segments ("traceEvents.0.ts"). Booleans,
     strings and nulls are skipped. *)
 
 val ring_info : Json.t -> (int * int) option

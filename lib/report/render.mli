@@ -2,7 +2,7 @@
 
     All functions return the finished string; the CLI decides where it
     goes. Tables reuse [Hc_stats.Table] so the report output matches the
-    bench harness visually. *)
+    experiment reports visually. *)
 
 val run_label : Json.t -> string
 (** ["name [scheme]"] when the metrics file carries both, else a stub. *)

@@ -1,7 +1,7 @@
-(** ASCII table rendering for the bench harness and experiment reports.
+(** ASCII table rendering for the experiment reports.
 
-    The bench binary regenerates each paper figure as a table of rows; this
-    module keeps that output aligned and uniform. *)
+    [hc_experiments] regenerates each paper figure as a table of rows;
+    this module keeps that output aligned and uniform. *)
 
 type align = Left | Right
 

@@ -1,7 +1,6 @@
 #!/bin/sh
-# CI smoke: build, run the full test suite, then a quick micro-benchmark
-# pass that writes machine-readable results to BENCH_smoke.json (which is
-# .gitignore'd; commit a BENCH_<n>.json snapshot deliberately instead).
+# CI smoke: build, run the full test suite, run each perfbench workload
+# for a second (every output checked), then the CLI and artifact gates.
 #
 #   ./scripts/smoke.sh            # default pool size (HC_JOBS honoured)
 #   HC_JOBS=4 ./scripts/smoke.sh
@@ -52,8 +51,43 @@ echo "== dune runtest =="
 # at exactly 0 words per draw
 dune runtest
 
-echo "== bench --micro --json BENCH_smoke.json =="
-dune exec bench/main.exe -- --micro --json BENCH_smoke.json
+SMOKE_DIR=$(mktemp -d)
+trap 'rm -rf "$SMOKE_DIR"' EXIT
+
+echo "== perfbench brief runs =="
+# One second of each benchmark workload. perfbench checks every output it
+# times, so the last line of each run must read "correct": true with no
+# failed operation, and paper-cold must reproduce the known digest of the
+# experiments' output.
+PAPER_COLD_DIGEST=51c0abea694f0a2f61ee56e21fed673f
+perfbench_ok() {
+  grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0, "metrics": {' "$1"
+}
+for w in paper-cold sim-steady reload-sim trace-ingest; do
+  status=0
+  bash perfbench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0 \
+    > "$SMOKE_DIR/perfbench_$w.out" || status=$?
+  tail -n 1 "$SMOKE_DIR/perfbench_$w.out" > "$SMOKE_DIR/perfbench_$w.json"
+  if [ "$status" -ne 0 ] || ! perfbench_ok "$SMOKE_DIR/perfbench_$w.json"; then
+    cat "$SMOKE_DIR/perfbench_$w.out"
+    echo "FAIL: perfbench $w (exit $status) did not end with a correct result"
+    exit 1
+  fi
+done
+if ! grep -q "^perfbench paper-cold: digest $PAPER_COLD_DIGEST " \
+    "$SMOKE_DIR/perfbench_paper-cold.out"; then
+  grep 'digest' "$SMOKE_DIR/perfbench_paper-cold.out"
+  echo "FAIL: paper-cold's output digest is not $PAPER_COLD_DIGEST"
+  exit 1
+fi
+# ...and prove the result check can fail: a run that reports itself wrong
+sed 's/"correct": true/"correct": false/' "$SMOKE_DIR/perfbench_sim-steady.json" \
+  > "$SMOKE_DIR/wrong_result.json"
+if perfbench_ok "$SMOKE_DIR/wrong_result.json"; then
+  echo "FAIL: the perfbench result check accepted \"correct\": false"
+  exit 1
+fi
+echo "perfbench OK"
 
 echo "== CLI argument gate =="
 # a non-positive pool size is an error (exit 1), not a silent fallback
@@ -72,13 +106,12 @@ echo "== telemetry: trace + interval series =="
 # A small traced run: Chrome trace JSON + interval CSV, then validate
 # every JSON artifact with hc_report's strict reader. The CLI itself
 # asserts aggregate(intervals) == final metrics (prints "==" vs "BUG").
-SMOKE_DIR=$(mktemp -d)
-trap 'rm -rf "$SMOKE_DIR"' EXIT
 dune exec bin/hc_sim.exe -- --benchmark gcc --scheme +IR --length 5000 \
   --trace-out "$SMOKE_DIR/smoke_trace.json" --metrics-interval 500 \
   | tee "$SMOKE_DIR/smoke_out.txt"
 grep -q 'aggregate == final metrics' "$SMOKE_DIR/smoke_out.txt"
-dune exec bin/hc_report.exe -- validate "$SMOKE_DIR/smoke_trace.json" BENCH_smoke.json
+dune exec bin/hc_report.exe -- validate "$SMOKE_DIR/smoke_trace.json" \
+  "$SMOKE_DIR"/perfbench_*.json
 test -s "$SMOKE_DIR/smoke_trace.intervals.csv"
 # ...and prove the JSON check can fail: a Chrome trace cut mid-array
 head -c 2000 "$SMOKE_DIR/smoke_trace.json" > "$SMOKE_DIR/smoke_trace_cut.json"

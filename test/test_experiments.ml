@@ -1,6 +1,6 @@
 (* Integration tests over the experiment layer: every figure/table renders,
    headlines are well-formed, and the paper's qualitative claims hold on
-   the reproduction. Short traces keep this suite fast; the bench harness
+   the reproduction. Short traces keep this suite fast; hc_experiments
    runs the full-size versions. *)
 
 module Experiments = Hc_core.Experiments

@@ -142,18 +142,18 @@ let test_diff_directions () =
   (* ipc only regresses downward *)
   check_exit "ipc rise passes" 0 (diff "{\"ipc\":1.0}" "{\"ipc\":1.2}");
   check_exit "ipc drop regresses" 1 (diff "{\"ipc\":1.2}" "{\"ipc\":1.0}");
-  (* bench kernels only regress when slower *)
-  let k v = Printf.sprintf "{\"kernels_ns_per_run\":{\"x\":%s}}" v in
-  check_exit "faster kernel passes" 0 (diff (k "100") (k "50"));
-  check_exit "slower kernel regresses" 1 (diff (k "100") (k "200"));
-  check_exit "slower within tolerance passes" 0
-    (diff ~tols:[ ("kernels_ns_per_run.", 0.5) ] (k "100") (k "140"));
+  (* cycle counts only regress when they grow *)
+  let k v = Printf.sprintf "{\"stall\":{\"cycles\":%s}}" v in
+  check_exit "fewer cycles pass" 0 (diff (k "100") (k "50"));
+  check_exit "more cycles regress" 1 (diff (k "100") (k "200"));
+  check_exit "growth within tolerance passes" 0
+    (diff ~tols:[ ("stall.", 0.5) ] (k "100") (k "140"));
   (* host identity and wall clock never compared *)
   check_exit "ignored keys pass" 0
     (diff "{\"unix_time_s\":1.0,\"host_cores\":4,\"schema\":1}"
        "{\"unix_time_s\":9.9,\"host_cores\":64,\"schema\":2}");
   check_exit "ignored keys may vanish" 0
-    (diff "{\"pool\":{\"jobs\":4},\"a\":1}" "{\"a\":1}")
+    (diff "{\"meta\":{\"jobs\":4},\"a\":1}" "{\"a\":1}")
 
 let test_diff_tolerances () =
   let base = "{\"a\":100}" and cand = "{\"a\":103}" in

@@ -23,7 +23,8 @@ let test_significant_bytes () =
   check_int "0x8000 three" 3 (Width.significant_bytes 0x8000);
   check_int "0x7FFFFF three" 3 (Width.significant_bytes 0x7F_FFFF);
   check_int "0x800000 four" 4 (Width.significant_bytes 0x80_0000);
-  check_int "max four" 4 (Width.significant_bytes 0x7FFF_FFFF)
+  check_int "max four" 4 (Width.significant_bytes 0x7FFF_FFFF);
+  check_int "0xFFFF8000 two" 2 (Width.significant_bytes 0xFFFF_8000)
 
 let test_significant_bytes_unsigned () =
   check_int "0" 1 (Width.significant_bytes_unsigned 0);
@@ -31,7 +32,8 @@ let test_significant_bytes_unsigned () =
   check_int "0x100 two" 2 (Width.significant_bytes_unsigned 0x100);
   check_int "0xFFFF two" 2 (Width.significant_bytes_unsigned 0xFFFF);
   check_int "0x10000 three" 3 (Width.significant_bytes_unsigned 0x1_0000);
-  check_int "0x1000000 four" 4 (Width.significant_bytes_unsigned 0x100_0000)
+  check_int "0x1000000 four" 4 (Width.significant_bytes_unsigned 0x100_0000);
+  check_int "0xFFFF8000 four" 4 (Width.significant_bytes_unsigned 0xFFFF_8000)
 
 let test_narrow_fraction () =
   Alcotest.(check (float 1e-9)) "empty" 0. (Width.narrow_fraction []);
@@ -49,9 +51,15 @@ let prop_narrow_iff_one_signed_byte =
   QCheck.Test.make ~name:"narrow iff one signed byte suffices" gen32 (fun v ->
       Width.is_narrow v = (Width.significant_bytes v = 1))
 
-let prop_unsigned_le_signed_plus_one =
-  QCheck.Test.make ~name:"unsigned bytes <= signed bytes + 1" gen32 (fun v ->
-      Width.significant_bytes_unsigned v <= Width.significant_bytes v + 1)
+(* Below 2^31 the value reads the same signed and unsigned, and a signed
+   encoding needs at most one more byte, for the sign bit. From 2^31 up
+   bit 31 is set, so the unsigned encoding needs all four bytes while the
+   signed one may need as few as one (0xFFFFFFFF is -1). *)
+let prop_unsigned_vs_signed =
+  QCheck.Test.make ~name:"unsigned vs signed byte counts" gen32 (fun v ->
+      let s = Width.significant_bytes v
+      and u = Width.significant_bytes_unsigned v in
+      if v < 0x8000_0000 then u <= s && s <= min 4 (u + 1) else u = 4)
 
 let suite =
   ( "width",
@@ -63,5 +71,5 @@ let suite =
       Alcotest.test_case "narrow fraction" `Quick test_narrow_fraction;
       QCheck_alcotest.to_alcotest prop_bytes_range;
       QCheck_alcotest.to_alcotest prop_narrow_iff_one_signed_byte;
-      QCheck_alcotest.to_alcotest prop_unsigned_le_signed_plus_one;
+      QCheck_alcotest.to_alcotest prop_unsigned_vs_signed;
     ] )
