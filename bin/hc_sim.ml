@@ -12,7 +12,6 @@ module Config = Hc_sim.Config
 module Pipeline = Hc_sim.Pipeline
 module Metrics = Hc_sim.Metrics
 module Accounting = Hc_sim.Accounting
-module Registry = Hc_obs.Registry
 module Model = Hc_power.Model
 module Domain_pool = Hc_core.Domain_pool
 module Export = Hc_core.Export
@@ -28,7 +27,7 @@ let scheme_names = List.map fst Hc_steering.Policy.stack @ [ "ics05" ]
 
 (* per-lane top-down table: slot counts and % shares for every category,
    plus the partition check (sum == width x rounds, exact) *)
-let print_topdown (s : Accounting.totals) =
+let print_topdown (w : Accounting.widths) v =
   Format.printf "@.-- top-down slot attribution --@.";
   Format.printf "%-16s" "category";
   for lane = 0 to Accounting.nlanes - 1 do
@@ -40,37 +39,18 @@ let print_topdown (s : Accounting.totals) =
       Format.printf "%-16s" (Accounting.cat_name cat);
       for lane = 0 to Accounting.nlanes - 1 do
         Format.printf "  %10d %6.2f%%"
-          (Accounting.get s ~lane cat)
-          (Accounting.share_pct s ~lane cat)
+          (Accounting.get v ~lane cat)
+          (Accounting.share_pct v ~lane cat)
       done;
       Format.printf "@.")
     Accounting.categories;
   Format.printf "%-16s" "total slots";
   for lane = 0 to Accounting.nlanes - 1 do
-    Format.printf "  %10d (%dx%d)" (Accounting.lane_sum s lane)
-      (Accounting.lane_width s lane) s.Accounting.rounds.(lane)
+    Format.printf "  %10d (%dx%d)" (Accounting.lane_sum v lane)
+      (Accounting.lane_width w lane) (Accounting.rounds v ~lane)
   done;
   Format.printf "@.partition invariant: %s@."
-    (if Accounting.consistent s then "exact" else "VIOLATED")
-
-(* NREADY per-interval histograms for the ambient registry (same series
-   Runs records during campaigns), so --prom-out scrapes include them *)
-let obs_nready samples =
-  Registry.with_ambient (fun r ->
-      let w2n =
-        Registry.histogram r
-          ~help:"Per-interval NREADY wide-to-narrow imbalance samples"
-          "hc_nready_w2n_per_interval"
-      and n2w =
-        Registry.histogram r
-          ~help:"Per-interval NREADY narrow-to-wide imbalance samples"
-          "hc_nready_n2w_per_interval"
-      in
-      List.iter
-        (fun (s : Sample.t) ->
-          Registry.observe w2n s.Sample.d.(Hc_obs.Counts.nready_w2n);
-          Registry.observe n2w s.Sample.d.(Hc_obs.Counts.nready_n2w))
-        samples)
+    (if Accounting.consistent w v then "exact" else "VIOLATED")
 
 let run benchmark scheme length power compare_baseline jobs trace_out
     metrics_interval interval_out trace_buffer metrics_out cache_dir obs
@@ -110,13 +90,7 @@ let run benchmark scheme length power compare_baseline jobs trace_out
            ~tracing:(trace_out <> None) ())
     else None
   in
-  let accounting =
-    if topdown || stall_out <> None then
-      Some
-        (Accounting.create ~issue_width:cfg.Config.issue_width
-           ~commit_width:cfg.Config.commit_width ())
-    else None
-  in
+  let accounting = topdown || stall_out <> None in
   let with_base = compare_baseline && scheme <> "baseline" in
   (* the scheme run and its baseline comparator are independent pipeline
      states over the same read-only trace: run them on the pool. Only the
@@ -126,12 +100,12 @@ let run benchmark scheme length power compare_baseline jobs trace_out
       (cfg, scheme, sink, accounting)
       ::
       (if with_base then
-         [ (Config.with_scheme cfg Config.monolithic, "baseline", None, None) ]
+         [ (Config.with_scheme cfg Config.monolithic, "baseline", None, false) ]
        else [])
     in
     Domain_pool.map_list (Domain_pool.get ())
       (fun (cfg, scheme_name, sink, accounting) ->
-        Pipeline.run ?sink ?accounting ~cfg ~decide:Hc_steering.Policy.decide
+        Pipeline.run ?sink ~accounting ~cfg ~decide:Hc_steering.Policy.decide
           ~scheme_name trace)
       cfgs
   in
@@ -183,32 +157,42 @@ let run benchmark scheme length power compare_baseline jobs trace_out
         written (List.length samples) (Sink.interval sink)
         (if Sample.aggregate samples = m.Metrics.counts then "==" else "<> (BUG)")
     end );
-  ( match accounting with
+  ( match m.Metrics.stall with
   | None -> ()
-  | Some a ->
-    let ivals = Accounting.intervals a in
+  | Some w ->
+    (* stall rows: one per sampled interval, else one whole-run row
+       (none for a run of zero ticks) *)
+    let rows =
+      match sink with
+      | Some sink when Sink.interval sink > 0 ->
+        List.map
+          (fun (s : Sample.t) -> (s.Sample.t_start, s.Sample.t_end, s.Sample.d))
+          (Sink.samples sink)
+      | _ ->
+        if m.Metrics.ticks > 0 then [ (0, m.Metrics.ticks, m.Metrics.counts) ]
+        else []
+    in
     (* every interval delta must itself satisfy the partition, not just
        the run total — a compensating error would hide in the sum *)
-    List.iter
-      (fun (iv : Accounting.interval) ->
-        assert (Accounting.consistent iv.Accounting.iv_d))
-      ivals;
-    if topdown then print_topdown (Accounting.totals a);
+    List.iter (fun (_, _, v) -> assert (Accounting.consistent w v)) rows;
+    if topdown then print_topdown w m.Metrics.counts;
     ( match stall_out with
     | Some path ->
       let written =
         Hc_core.Telemetry.write_file path
           (Accounting.csv_header
-          :: List.map Accounting.interval_csv_row ivals)
+          :: List.map
+               (fun (t_start, t_end, v) -> Accounting.csv_row ~t_start ~t_end v)
+               rows)
       in
       Format.printf "stall intervals: wrote %s (%d intervals)@." written
-        (List.length ivals)
+        (List.length rows)
     | None -> () ) );
   ( match sink with
   | Some sink ->
     (* same per-interval NREADY distributions Runs records in campaigns;
        with_ambient is a no-op unless --obs/--prom-out enabled it *)
-    obs_nready (Sink.samples sink)
+    Hc_core.Runs.obs_nready (Sink.samples sink)
   | None -> () );
   if power then begin
     let report = Model.estimate ~narrow_bits:cfg.Config.narrow_bits m in

@@ -191,32 +191,27 @@ let trace_or_generate cache ~profile ~length =
    table's slots), so the reconstruction is exact; the caller
    double-checks by re-serializing. *)
 
-let stall_of_json j =
-  let module Acc = Hc_sim.Accounting in
-  let lane_obj name =
-    match Json.member name j with
-    | Some (Json.Object _ as o) -> o
-    | Some _ | None -> failwith ("metrics JSON: bad stall lane " ^ name)
-  in
+(* The "stall" object: the lane widths, and per lane one member per
+   declared stall row, filled into [counts]. *)
+let stall_of_json counts j =
   let int_in o name =
     match Json.member name o with
     | Some (Json.Number raw) -> int_of_string raw
     | Some _ | None -> failwith ("metrics JSON: bad stall field " ^ name)
   in
-  let t =
-    Acc.zero_totals ~issue_width:(int_in j "issue_width")
-      ~commit_width:(int_in j "commit_width")
-  in
-  List.iter
-    (fun lane ->
-      let o = lane_obj (Acc.lane_name lane) in
-      t.Acc.rounds.(lane) <- int_in o "rounds";
-      List.iter
-        (fun c ->
-          t.Acc.slots.(lane).(Acc.cat_index c) <- int_in o (Acc.cat_name c))
-        Acc.categories)
-    [ Acc.lane_wide; Acc.lane_narrow; Acc.lane_commit ];
-  t
+  List.iteri
+    (fun lane lane_name ->
+      let o =
+        match Json.member lane_name j with
+        | Some (Json.Object _ as o) -> o
+        | Some _ | None -> failwith ("metrics JSON: bad stall lane " ^ lane_name)
+      in
+      List.iteri
+        (fun k col -> counts.(Counts.stall ~lane k) <- int_in o col)
+        Counts.stall_columns)
+    Counts.stall_lanes;
+  { Hc_sim.Accounting.issue_width = int_in j "issue_width";
+    commit_width = int_in j "commit_width" }
 
 let metrics_of_json j =
   let int name =
@@ -265,7 +260,7 @@ let metrics_of_json j =
     (Metrics.of_counts ~name:(str "name") ~scheme_name:(str "scheme")
        ?stall:
          (match Json.member "stall" j with
-         | Some (Json.Object _ as o) -> Some (stall_of_json o)
+         | Some (Json.Object _ as o) -> Some (stall_of_json counts o)
          | Some _ -> failwith "metrics JSON: bad stall"
          | None -> None)
        counts)

@@ -443,17 +443,17 @@ let bottleneck_schemes =
   [ "baseline"; "8_8_8"; "+BR"; "+CR"; "+IR"; "static_888"; "static_bidir" ]
 
 let bottleneck runs =
-  (* every Runs cell carries its cycle-accounting totals, so the
+  (* every Runs cell carries its cycle-accounting rows, so the
      breakdowns are reads of the campaign cells (memoized or cached),
      not a second simulation of them *)
   Runs.ensure_spec runs bottleneck_schemes;
   let stall scheme (p : Profile.t) =
-    match (Runs.metrics runs ~scheme p).Metrics.stall with
-    | Some s -> s
-    | None ->
+    let m = Runs.metrics runs ~scheme p in
+    if m.Metrics.stall = None then
       failwith
         (Printf.sprintf "bottleneck: the %s run of %s carries no stall breakdown"
-           scheme p.Profile.name)
+           scheme p.Profile.name);
+    m
   in
   let results =
     List.concat_map
@@ -463,19 +463,18 @@ let bottleneck runs =
   (* the partition must be exact on every single run before any share is
      worth reading *)
   let violations =
-    List.length (List.filter (fun (_, s) -> not (Accounting.consistent s)) results)
+    List.length
+      (List.filter (fun (_, m) -> not (Metrics.stall_consistent m)) results)
   in
-  (* per-scheme aggregate over the 12 benchmarks *)
+  (* per-scheme aggregate count vector over the 12 benchmarks *)
   let agg =
     List.map
       (fun scheme ->
-        let mine =
-          List.filter_map
-            (fun (s, t) -> if s = scheme then Some t else None)
-            results
-        in
         ( scheme,
-          List.fold_left Accounting.add_totals (List.hd mine) (List.tl mine) ))
+          List.fold_left
+            (fun acc (s, m) ->
+              if s = scheme then Hc_obs.Counts.add acc m.Metrics.counts else acc)
+            (Hc_obs.Counts.make ()) results ))
       bottleneck_schemes
   in
   let share lane (_, s) cat = Accounting.share_pct s ~lane cat in

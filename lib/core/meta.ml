@@ -43,7 +43,7 @@ let capture () =
   {
     git_sha = git_sha ();
     host_cores = Domain.recommended_domain_count ();
-    jobs = Domain_pool.default_jobs ();
+    jobs = Domain_pool.jobs (Domain_pool.get ());
     seed = spec_seed_fingerprint ();
     timestamp_utc = timestamp_of now;
     unix_time_s = now;

@@ -16,8 +16,9 @@ type t = {
 }
 
 val capture : unit -> t
-(** [jobs] is {!Domain_pool.default_jobs}. Shells out to
-    [git rev-parse HEAD] and tolerates its absence. *)
+(** [jobs] is the size of the shared {!Domain_pool.get} pool (so
+    [--jobs] is what it records). Shells out to [git rev-parse HEAD] and
+    tolerates its absence. *)
 
 val spec_seed_fingerprint : unit -> string
 (** XOR of the baked SPEC-profile root seeds, in hex. *)

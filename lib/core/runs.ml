@@ -93,9 +93,9 @@ let resolve_policy ~(static : Hc_analysis.Static.bidir) ~scheme =
 (* One simulation of one (scheme, trace) cell. Every run — oracle or not —
    carries the trace's static steering bound in its metrics, so exported
    JSON and the attribution tables can show predictor results next to the
-   provable headroom, and its cycle-accounting totals in [stall], so the
+   provable headroom, and its cycle-accounting rows in [counts], so the
    bottleneck breakdown reads the same cell every other experiment does
-   (accounting leaves every other field bit-identical, see
+   (accounting leaves every other count bit-identical, see
    test_accounting.ml). With telemetry configured, the run gets an
    interval-sampling sink and leaves its time series and metrics JSON
    behind in the telemetry directory; observation never changes the
@@ -141,10 +141,6 @@ let simulate ?telemetry ~(static : Hc_analysis.Static.bidir) ~scheme tr =
     ~meta:[ ("benchmark", tr.Trace.name); ("scheme", scheme) ]
   @@ fun () ->
   let cfg, decide = resolve_policy ~static ~scheme in
-  let accounting =
-    Hc_sim.Accounting.create ~issue_width:cfg.Config.issue_width
-      ~commit_width:cfg.Config.commit_width ()
-  in
   let attach m =
     {
       m with
@@ -158,12 +154,12 @@ let simulate ?telemetry ~(static : Hc_analysis.Static.bidir) ~scheme tr =
   let m =
     match telemetry with
     | None ->
-      attach (Pipeline.run ~accounting ~cfg ~decide ~scheme_name:scheme tr)
+      attach (Pipeline.run ~accounting:true ~cfg ~decide ~scheme_name:scheme tr)
     | Some { Telemetry.dir; interval } ->
       let sink = Hc_obs.Sink.create ~interval ~tracing:false () in
       let m =
         attach
-          (Pipeline.run ~sink ~accounting ~cfg ~decide ~scheme_name:scheme tr)
+          (Pipeline.run ~sink ~accounting:true ~cfg ~decide ~scheme_name:scheme tr)
       in
       let base =
         Filename.concat dir

@@ -85,9 +85,9 @@ val metrics : t -> scheme:string -> Hc_trace.Profile.t -> Hc_sim.Metrics.t
     metrics record carries
     [static_narrow_bound = Some (static_info _ tr).base.steerable_count],
     [static_bidir_bound = Some (static_info _ tr).bidir_steerable_count]
-    and the run's cycle-accounting totals in [stall] (every simulation
-    runs with {!Hc_sim.Accounting} attached, which leaves the other
-    fields bit-identical; cached entries round-trip [stall] exactly).
+    and the run's cycle-accounting rows in [counts], with [stall] set
+    (every simulation runs with [~accounting:true], which leaves the
+    other counts bit-identical; cached entries round-trip them exactly).
     @raise Not_found for an unknown scheme name. *)
 
 val speedup_pct : t -> scheme:string -> Hc_trace.Profile.t -> float
@@ -104,6 +104,12 @@ val resolve_policy :
     bidirectional) proof in [static]. For callers that drive
     {!Hc_sim.Pipeline.run} directly, outside the memo and the cache.
     @raise Not_found for an unknown scheme name. *)
+
+val obs_nready : Hc_obs.Sample.t list -> unit
+(** Record one observation per sampled interval of the NREADY
+    wide-to-narrow and narrow-to-wide counts in the ambient registry's
+    [hc_nready_*_per_interval] histograms; a no-op unless observability
+    is on. *)
 
 val spec_profiles : Hc_trace.Profile.t list
 (** The 12 SPEC Int 2000 profiles, in paper order. *)

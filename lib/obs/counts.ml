@@ -13,10 +13,12 @@
    [Result] entries are the top-level keys of the metrics JSON and are
    declared in that key order. [Activity] entries form its "counters"
    object and are declared sorted by key, which is that object's key
-   order (a test checks it). *)
+   order (a test checks it). [Stall] entries are the cycle-accounting
+   slots, written as the metrics JSON's "stall" object and the stall
+   CSV's columns only when the run accounted cycles. *)
 
 type id = int
-type group = Result | Activity
+type group = Result | Activity | Stall
 type presence = Always | Nonzero
 
 type entry = { key : string; group : group; presence : presence }
@@ -143,6 +145,37 @@ let width_flush = declare "width_flush" Activity Nonzero
 let wpred_lookup = declare "wpred_lookup" Activity Nonzero
 let wpred_update = declare "wpred_update" Activity Nonzero
 
+(* ----- stall: top-down cycle accounting (Hc_sim.Accounting) -----
+
+   Per lane (wide issue, narrow issue, commit): how many of the stage's
+   slots each category took, then the lane's round count, so the lane's
+   category entries sum to its width times its rounds. Keyed
+   [<lane>_<column>] and declared lane-major in [stall_columns] order,
+   which is the stall CSV's column order; [stall ~lane k] is the id of
+   column [k] of [lane]. Counted only when the run accounts cycles. *)
+
+let stall_lanes = [ "wide"; "narrow"; "commit" ]
+
+let stall_columns =
+  [ "issued"; "frontend"; "dispatch"; "wait_operands"; "wait_copy"; "memory";
+    "width_recovery"; "drained"; "idle"; "rounds" ]
+
+let stall_first = List.length !declared
+
+(* a literal, so that [stall] folds a constant lane and column *)
+let stall_stride = 10
+let () = assert (List.length stall_columns = stall_stride)
+
+let () =
+  List.iter
+    (fun lane ->
+      List.iter
+        (fun col -> ignore (declare (lane ^ "_" ^ col) Stall Always))
+        stall_columns)
+    stall_lanes
+
+let[@inline] stall ~lane k = stall_first + (lane * stall_stride) + k
+
 (* ----- the table and the vector operations it drives ----- *)
 
 let table = Array.of_list (List.rev !declared)
@@ -151,11 +184,9 @@ let key id = table.(id).key
 let ids group = List.filter (fun id -> table.(id).group = group) (List.init n Fun.id)
 let results = ids Result
 let activity = ids Activity
+let stall_ids = ids Stall
 
-let find group k =
-  List.find_opt
-    (fun id -> String.equal (key id) k)
-    (match group with Result -> results | Activity -> activity)
+let find group k = List.find_opt (fun id -> String.equal (key id) k) (ids group)
 
 (* whether [id] is serialized for the count vector [v] *)
 let present v id = table.(id).presence = Always || v.(id) <> 0

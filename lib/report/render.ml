@@ -119,8 +119,9 @@ let attrib_consistent j =
 
 (* ----- top-down stall attribution (schema-4 "stall" object) ----- *)
 
-(* Category and lane names mirror Hc_sim.Accounting; this library is
-   dependency-free so the JSON schema is the contract, not the module. *)
+(* Category and lane names mirror the stall rows of Hc_obs.Counts; this
+   library is dependency-free so the JSON schema is the contract, not the
+   module (test_report pins the two to each other). *)
 let stall_categories =
   [ "issued"; "frontend"; "dispatch"; "wait_operands"; "wait_copy"; "memory";
     "width_recovery"; "drained"; "idle" ]

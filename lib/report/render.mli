@@ -35,6 +35,14 @@ val attrib_consistent : Json.t -> bool
     to [committed - steered_narrow]. Files predating schema 2 (no
     attribution fields) report [true] vacuously. *)
 
+val stall_categories : string list
+(** The nine stall-category names of the ["stall"] object and the stall
+    CSV, in their serialized order. *)
+
+val stall_lanes : string list
+(** The stall lanes, in serialized order: ["wide"], ["narrow"],
+    ["commit"]. *)
+
 val topdown_consistent : Json.t -> bool
 (** The partition invariant on a schema-4 metrics file: for each lane of
     the ["stall"] object (wide / narrow / commit), the nine category

@@ -6,10 +6,12 @@
     {v sum over categories = stage width x rounds accounted v}
 
     holds exactly — the same no-tolerance partition discipline as the
-    steering-attribution counters. The classification of blocked slots
-    lives in {!Pipeline} (it needs the node internals); this module owns
-    the counters, the interval snapshots, the invariant check and the
-    serialized forms. *)
+    steering-attribution counters. The counts are the [Stall] rows of the
+    run's count vector ({!Hc_obs.Counts}): a run's totals are
+    [Metrics.counts] and an interval's are a {!Hc_obs.Sample}'s deltas.
+    The classification of blocked slots lives in {!Pipeline} (it needs
+    the node internals); this module names the rows, checks the
+    invariant on any count vector and writes the serialized forms. *)
 
 (** One slot, one owner. *)
 type category =
@@ -28,6 +30,8 @@ type category =
 val ncat : int
 val cat_index : category -> int
 val cat_name : category -> string
+(** Its column name in {!Hc_obs.Counts.stall_columns}. *)
+
 val categories : category list  (** in {!cat_index} order *)
 
 val lane_wide : int
@@ -35,53 +39,37 @@ val lane_narrow : int
 val lane_commit : int
 val nlanes : int
 val lane_name : int -> string
+(** Its name in {!Hc_obs.Counts.stall_lanes}. *)
 
-type totals = {
-  issue_width : int;
-  commit_width : int;
-  slots : int array array;  (** [nlanes][ncat] category slot counts *)
-  rounds : int array;  (** [nlanes] stage rounds accounted *)
-}
+type widths = { issue_width : int; commit_width : int }
+(** The stage widths of an accounted run: what the partition multiplies
+    each lane's rounds by. *)
 
-val zero_totals : issue_width:int -> commit_width:int -> totals
-val copy_totals : totals -> totals
-val add_totals : totals -> totals -> totals
-val sub_totals : totals -> totals -> totals
-val lane_width : totals -> int -> int
-val lane_sum : totals -> int -> int
-val get : totals -> lane:int -> category -> int
-val share_pct : totals -> lane:int -> category -> float
-(** Category share of the lane's total slots, in percent. *)
+val lane_width : widths -> int -> int
 
-val consistent : totals -> bool
-(** The partition invariant, exact per lane (holds for interval deltas
-    too, by linearity). *)
+(** {1 The stall rows of a count vector} *)
 
-(** Live accumulator, owned by one pipeline run. *)
-type t
-
-val create : issue_width:int -> commit_width:int -> unit -> t
-
-val add : t -> lane:int -> category -> int -> unit
-val round : t -> lane:int -> unit
+val add : int array -> lane:int -> category -> int -> unit
+val round : int array -> lane:int -> unit
 (** Close one stage round: bumps the lane's round count. The pipeline
     calls {!add} for exactly [width] slots per round. *)
 
-val totals : t -> totals
+val get : int array -> lane:int -> category -> int
+val rounds : int array -> lane:int -> int
+val lane_sum : int array -> int -> int
 
-type interval = { iv_start : int; iv_end : int; iv_d : totals }
+val share_pct : int array -> lane:int -> category -> float
+(** Category share of the lane's accounted slots, in percent. *)
 
-val snapshot : t -> tick:int -> unit
-(** Close the open interval at [tick] (no-op unless the tick advanced),
-    storing the delta against the previous snapshot — driven by the same
-    cadence as [Sink.sample] so stall intervals align with the metrics
-    time series. *)
-
-val intervals : t -> interval list  (** chronological *)
+val consistent : widths -> int array -> bool
+(** The partition invariant, exact per lane, on a run's count vector or
+    (by linearity) on any interval delta of it. *)
 
 val csv_header : string
-val interval_csv_row : interval -> string
+val csv_row : t_start:int -> t_end:int -> int array -> string
+(** One stall-CSV row: the interval bounds, then every stall row of the
+    vector in declaration order. *)
 
-val json_fragment : totals -> string
+val json_fragment : widths -> int array -> string
 (** The ["stall"] object embedded in [Metrics.to_json] (schema 4):
     widths, then per lane the round count and every category count. *)

@@ -25,7 +25,7 @@ type t = {
   issued_total : int;
   static_narrow_bound : int option;
   static_bidir_bound : int option;
-  stall : Accounting.totals option;
+  stall : Accounting.widths option;
   counts : int array;
 }
 
@@ -109,7 +109,7 @@ let attrib_narrow_sum t =
 let attrib_consistent t = Counts.attrib_consistent t.counts
 
 let stall_consistent t =
-  match t.stall with None -> true | Some s -> Accounting.consistent s
+  match t.stall with None -> true | Some w -> Accounting.consistent w t.counts
 
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -148,7 +148,7 @@ let to_json t =
   | Some b -> p "\"static_bidir_bound\":%d," b
   | None -> () );
   ( match t.stall with
-  | Some s -> p "\"stall\":%s," (Accounting.json_fragment s)
+  | Some w -> p "\"stall\":%s," (Accounting.json_fragment w t.counts)
   | None -> () );
   p "\"counters\":{";
   let present = List.filter (Counts.present t.counts) Counts.activity in

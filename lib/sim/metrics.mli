@@ -41,20 +41,22 @@ type t = {
           known-bits joined with backward live-bits. Always [>=]
           [static_narrow_bound] when both are present; attached by
           [Hc_core.Runs] like the forward bound. *)
-  stall : Accounting.totals option;
-      (** top-down cycle-accounting totals, present only when the run was
-          simulated with [Pipeline.run ~accounting]; the partition
-          invariant ({!Accounting.consistent}) holds exactly. *)
+  stall : Accounting.widths option;
+      (** present only when the run was simulated with
+          [Pipeline.run ~accounting:true]: the stage widths its
+          cycle-accounting rows in [counts] partition exactly
+          ({!Accounting.consistent}). *)
   counts : int array;
       (** every dynamic count of the run, indexed by {!Hc_obs.Counts} id;
-          the named int fields above are read-only views of it *)
+          the named int fields above are read-only views of it; its
+          [Stall] rows are all 0 unless [stall] is present *)
 }
 (** The named count fields are documented on their {!Hc_obs.Counts}
     entries and are set only by {!of_counts}; build a [t] through it so
     they always agree with [counts]. *)
 
 val of_counts :
-  name:string -> scheme_name:string -> ?stall:Accounting.totals -> int array -> t
+  name:string -> scheme_name:string -> ?stall:Accounting.widths -> int array -> t
 (** The run record of a final count vector, with no static bounds
     attached. *)
 
@@ -105,9 +107,9 @@ val attrib_consistent : t -> bool
     to [committed - steered_narrow]. *)
 
 val stall_consistent : t -> bool
-(** The cycle-accounting partition invariant on [stall]
-    ({!Accounting.consistent}); [true] vacuously when accounting was
-    off. *)
+(** The cycle-accounting partition invariant on the stall rows of
+    [counts] ({!Accounting.consistent}); [true] vacuously when
+    accounting was off. *)
 
 val to_json : t -> string
 (** The whole record as one JSON object — every dynamic count, the

@@ -445,10 +445,10 @@ type state = {
   sink : Sink.t option;
       (* telemetry; [None] keeps every instrumentation point a single
          field test and the hot path allocation-free *)
-  acct : Accounting.t option;
-      (* cycle accounting; [None] keeps the attribution behind one field
-         test per issue round, same discipline as [sink] *)
-  census_on : bool;  (* = acct <> None: keep the blocked-occupant census *)
+  accounting : bool;
+      (* cycle accounting into the [Stall] rows of [counts], with the
+         blocked-occupant census it reads; off keeps the attribution
+         behind one field test per issue round *)
   census_check : bool;  (* tests only: check the census against a walk *)
   census : int array;  (* queued nodes by 3 * lane + class, see below *)
   sc : scratch;
@@ -716,7 +716,7 @@ let get_ctx st =
 
 (* ----- creation ----- *)
 
-let create ?sink ?accounting ~census_check cfg decide trace =
+let create ?sink ~accounting ~census_check cfg decide trace =
   ( match Config.validate cfg with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Pipeline: " ^ msg) );
@@ -727,8 +727,7 @@ let create ?sink ?accounting ~census_check cfg decide trace =
     {
       cfg; decide; sink; soa;
       trace_len = Uop_soa.length soa;
-      acct = accounting;
-      census_on = accounting <> None;
+      accounting;
       census_check;
       census = Array.make 6 0;
       sc;
@@ -886,11 +885,11 @@ let rec census_touch_from st sc e =
 
 (* [v] changed: reclassify its linked nodes still queued *)
 let census_touch st (v : vstate) =
-  if st.census_on then census_touch_from st st.sc v.v_cons
+  if st.accounting then census_touch_from st st.sc v.v_cons
 
 (* [v] becomes readable in the other cluster at [now + 2] *)
 let census_touch_later st (v : vstate) =
-  if st.census_on then begin
+  if st.accounting then begin
     let sc = st.sc in
     let slot = (st.now + 2) land 3 in
     let n = sc.recheck_n.(slot) in
@@ -918,7 +917,7 @@ let rec census_recount_from st s (node : node) =
   end
 
 let census_rebuild st =
-  if st.census_on then begin
+  if st.accounting then begin
     Array.fill st.census 0 (Array.length st.census) 0;
     for lane = 0 to 1 do
       let s = st.iq.(lane).iq_sent in
@@ -952,7 +951,7 @@ let collect_reg_deps st trace_idx =
 let enqueue_iq st cluster node =
   node.n_disp_tick <- st.now;
   iq_append st.iq.(cluster_index cluster) node;
-  if st.census_on then census_enter st node;
+  if st.accounting then census_enter st node;
   emit st Event.Dispatch node ~a:0 ~b:0
 
 let iq_free st cluster =
@@ -1329,7 +1328,7 @@ let rec issue_walk st cluster q width regread_id issue_id s (node : node) issued
   else begin
     let next = node.n_next in
     if node.n_squashed || dead_copy node then begin
-      if st.census_on then census_leave st node;
+      if st.accounting then census_leave st node;
       iq_unlink q node;
       issue_walk st cluster q width regread_id issue_id s next issued ready
     end
@@ -1340,7 +1339,7 @@ let rec issue_walk st cluster q width regread_id issue_id s (node : node) issued
         emit st Event.Issue node ~a:node.n_disp_tick ~b:0;
         bump_by st regread_id node.n_ndeps;
         bump st issue_id;
-        if st.census_on then census_leave st node;
+        if st.accounting then census_leave st node;
         iq_unlink q node;
         schedule st node (st.now + exec_ticks st cluster node);
         issue_walk st cluster q width regread_id issue_id s next (issued + 1) ready
@@ -1455,9 +1454,9 @@ let census_verify st cluster ~mem ~cop ~opr =
 
 (* Give up to [count] of the [left] idle slots to [cat]; returns the
    slots still unclaimed. *)
-let[@inline] take a ~lane cat count left =
+let[@inline] take st ~lane cat count left =
   let n = min left count in
-  if n > 0 then Accounting.add a ~lane cat n;
+  if n > 0 then Accounting.add st.counts ~lane cat n;
   left - n
 
 (* One issue round of [cluster]: [issued] slots did work; the idle rest
@@ -1465,10 +1464,10 @@ let[@inline] take a ~lane cat count left =
    operands), and any slots beyond the occupant count by the
    empty-stage reason. Adds exactly [issue_width] slots and one round,
    so the partition invariant holds by construction. *)
-let account_issue_round st a cluster ~issued =
+let account_issue_round st cluster ~issued =
   let lane = cluster_index cluster in
   let width = st.cfg.Config.issue_width in
-  if issued > 0 then Accounting.add a ~lane Accounting.Issued issued;
+  if issued > 0 then Accounting.add st.counts ~lane Accounting.Issued issued;
   let idle = width - issued in
   if idle > 0 then begin
     (* after the issue walk the queue holds only blocked occupants:
@@ -1479,22 +1478,22 @@ let account_issue_round st a cluster ~issued =
     and cop = st.census.(base + 1)
     and opr = st.census.(base + 2) in
     if st.census_check then census_verify st cluster ~mem ~cop ~opr;
-    let left = take a ~lane Accounting.Memory mem idle in
-    let left = take a ~lane Accounting.Wait_copy cop left in
-    let left = take a ~lane Accounting.Wait_operands opr left in
+    let left = take st ~lane Accounting.Memory mem idle in
+    let left = take st ~lane Accounting.Wait_copy cop left in
+    let left = take st ~lane Accounting.Wait_operands opr left in
     if left > 0 then
-      Accounting.add a ~lane
+      Accounting.add st.counts ~lane
         (empty_reason st ~narrow:(cluster = Config.Narrow))
         left
   end;
-  Accounting.round a ~lane
+  Accounting.round st.counts ~lane
 
 (* One commit round: [committed] slots retired; idle slots are all
    blamed on the ROB head (it blocks everything younger), or on the
    empty-stage reason when the ROB is empty. *)
-let account_commit_round st a ~committed =
+let account_commit_round st ~committed =
   let lane = Accounting.lane_commit in
-  if committed > 0 then Accounting.add a ~lane Accounting.Issued committed;
+  if committed > 0 then Accounting.add st.counts ~lane Accounting.Issued committed;
   let idle = st.cfg.Config.commit_width - committed in
   if idle > 0 then begin
     let cat =
@@ -1506,9 +1505,9 @@ let account_commit_round st a ~committed =
         else Accounting.Wait_operands
       end
     in
-    Accounting.add a ~lane cat idle
+    Accounting.add st.counts ~lane cat idle
   end;
-  Accounting.round a ~lane
+  Accounting.round st.counts ~lane
 
 (* ----- width misprediction recovery ----- *)
 
@@ -1806,7 +1805,7 @@ let complete_normal st (node : node) =
         if v.v_narrow then bump st Counts.lr_replicated;
         bump st c_regwrite.(oth)
       end;
-      if st.census_on && (st.cfg.Config.replicated_regfile || node.n_lr_replicate)
+      if st.accounting && (st.cfg.Config.replicated_regfile || node.n_lr_replicate)
       then census_touch_later st v;
       census_touch st v
     end;
@@ -1958,9 +1957,9 @@ let commit st =
 
 let finished st = st.fetch_idx >= st.trace_len && st.rob_count = 0
 
-let run_gen ~census_check ?(max_ticks = 200_000_000) ?sink ?accounting ~cfg
+let run_gen ~census_check ?(max_ticks = 200_000_000) ?sink ~accounting ~cfg
     ~decide ~scheme_name trace =
-  let st = create ?sink ?accounting ~census_check cfg decide trace in
+  let st = create ?sink ~accounting ~census_check cfg decide trace in
   let helper = cfg.Config.scheme.Config.helper in
   let sample_every =
     match sink with Some s -> Sink.interval s | None -> 0
@@ -1970,27 +1969,22 @@ let run_gen ~census_check ?(max_ticks = 200_000_000) ?sink ?accounting ~cfg
       failwith
         (Printf.sprintf "Pipeline.run: exceeded %d ticks at trace index %d"
            max_ticks st.fetch_idx);
-    if st.census_on then census_due st;
+    if st.accounting then census_due st;
     process_completions st;
     let even = st.now mod 2 = 0 in
     if even then begin
       let commit_used = commit st in
-      ( match st.acct with
-      | Some a -> account_commit_round st a ~committed:commit_used
-      | None -> () );
+      if st.accounting then account_commit_round st ~committed:commit_used;
       st.stall_src <- Sr_none;
       frontend st;
       issue_cluster st Config.Wide;
       let issued_w = st.iss_issued and leftover_w = st.iss_ready in
-      ( match st.acct with
-      | Some a -> account_issue_round st a Config.Wide ~issued:issued_w
-      | None -> () );
+      if st.accounting then account_issue_round st Config.Wide ~issued:issued_w;
       if helper then begin
         issue_cluster st Config.Narrow;
         let issued_n = st.iss_issued and leftover_n = st.iss_ready in
-        ( match st.acct with
-        | Some a -> account_issue_round st a Config.Narrow ~issued:issued_n
-        | None -> () );
+        if st.accounting then
+          account_issue_round st Config.Narrow ~issued:issued_n;
         (* NREADY (§3.7): ready uops stalled here while the other backend
            had idle slots this cycle *)
         let spare_n = cfg.Config.issue_width - issued_n in
@@ -2005,20 +1999,16 @@ let run_gen ~census_check ?(max_ticks = 200_000_000) ?sink ?accounting ~cfg
     end
     else if helper && cfg.Config.helper_fast_clock then begin
       issue_cluster st Config.Narrow;
-      match st.acct with
-      | Some a -> account_issue_round st a Config.Narrow ~issued:st.iss_issued
-      | None -> ()
+      if st.accounting then
+        account_issue_round st Config.Narrow ~issued:st.iss_issued
     end;
     bump st Counts.tick;
     if even then bump st Counts.cycle_wide;
     if helper && (even || cfg.Config.helper_fast_clock) then
       bump st Counts.cycle_narrow;
     if sample_every > 0 && st.now > 0 && st.now mod sample_every = 0 then begin
-      ( match st.sink with
+      match st.sink with
       | Some sink -> take_sample st sink
-      | None -> () );
-      match st.acct with
-      | Some a -> Accounting.snapshot a ~tick:st.now
       | None -> ()
     end;
     st.now <- st.now + 1
@@ -2029,22 +2019,21 @@ let run_gen ~census_check ?(max_ticks = 200_000_000) ?sink ?accounting ~cfg
     ( match st.sink with
     | Some sink -> take_sample st sink
     | None -> () );
-  (* accounting flushes its tail even without a sampling sink, so a run
-     with accounting but no interval series still gets one whole-run
-     interval (stall-out CSV is never empty) *)
-  ( match st.acct with
-  | Some a -> Accounting.snapshot a ~tick:st.now
-  | None -> () );
-  Metrics.of_counts ~name:trace.Trace.name ~scheme_name
-    ?stall:(Option.map Accounting.totals st.acct)
-    st.counts
+  let stall =
+    if accounting then
+      Some
+        { Accounting.issue_width = cfg.Config.issue_width;
+          commit_width = cfg.Config.commit_width }
+    else None
+  in
+  Metrics.of_counts ~name:trace.Trace.name ~scheme_name ?stall st.counts
 
-let run ?max_ticks ?sink ?accounting ~cfg ~decide ~scheme_name trace =
-  run_gen ~census_check:false ?max_ticks ?sink ?accounting ~cfg ~decide
+let run ?max_ticks ?sink ?(accounting = false) ~cfg ~decide ~scheme_name trace =
+  run_gen ~census_check:false ?max_ticks ?sink ~accounting ~cfg ~decide
     ~scheme_name trace
 
 module For_testing = struct
-  let run_census_checked ?sink ~accounting ~cfg ~decide ~scheme_name trace =
-    run_gen ~census_check:true ?sink ~accounting ~cfg ~decide ~scheme_name
-      trace
+  let run_census_checked ?sink ~cfg ~decide ~scheme_name trace =
+    run_gen ~census_check:true ?sink ~accounting:true ~cfg ~decide
+      ~scheme_name trace
 end

@@ -35,7 +35,7 @@ type decide = Steer.decide
 val run :
   ?max_ticks:int ->
   ?sink:Hc_obs.Sink.t ->
-  ?accounting:Accounting.t ->
+  ?accounting:bool ->
   cfg:Config.t ->
   decide:decide ->
   scheme_name:string ->
@@ -55,25 +55,25 @@ val run :
     behavior: the returned {!Metrics.t} is bit-identical with or without
     a sink.
 
-    [accounting] attaches the top-down cycle-accounting engine: every
-    issue round of each cluster and every commit round attributes its
-    slots to the disjoint {!Accounting.category} taxonomy, so
-    [Accounting.consistent] holds exactly on the totals and on every
-    interval delta (snapshots follow the [sink] sampling cadence). The
-    returned metrics carry the totals in [Metrics.stall]; aside from
-    that field the metrics are bit-identical with or without accounting.
+    [accounting] (default [false]) turns on top-down cycle accounting:
+    every issue round of each cluster and every commit round attributes
+    its slots to the disjoint {!Accounting.category} taxonomy, counted
+    in the [Stall] rows of the run's count vector, so they reach the
+    returned [Metrics.counts] and every [sink] interval delta like any
+    other count. [Accounting.consistent] holds exactly on both, with
+    the lane widths taken from [cfg] and returned in [Metrics.stall].
+    The other counts are bit-identical with or without accounting.
     @raise Invalid_argument on an invalid [cfg]. *)
 
 module For_testing : sig
   val run_census_checked :
     ?sink:Hc_obs.Sink.t ->
-    accounting:Accounting.t ->
     cfg:Config.t ->
     decide:decide ->
     scheme_name:string ->
     Hc_trace.Trace.t ->
     Metrics.t
-  (** [run ~accounting], also checking in every issue round with an idle
+  (** [run ~accounting:true], also checking in every issue round with an idle
       slot that the incrementally kept blocked-occupant counts equal a
       full walk of that issue queue.
       @raise Failure at the first difference, naming the tick, the lane

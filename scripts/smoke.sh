@@ -347,7 +347,8 @@ echo "== cycle-accounting gate =="
 # A run with the cycle-accounting engine on: the metrics JSON must gain a
 # well-formed stall object, hc_report topdown must verify the exact slot
 # partition (sum(categories) == width x rounds, no tolerance) and render
-# the tables, and the stall-interval CSV must be non-empty. Then prove
+# the tables, and the stall-interval CSV must be non-empty; without an
+# interval the CSV is one whole-run row equal to their sums. Then prove
 # the gate trips: perturb one stall category and expect exit 1.
 dune exec bin/hc_sim.exe -- --benchmark gcc --scheme +IR --length 5000 \
   --compare false --topdown --metrics-interval 500 \
@@ -360,6 +361,29 @@ grep -q '"stall":{' "$SMOKE_DIR/acct_metrics.json"
 test -s "$SMOKE_DIR/acct_stalls.csv"
 dune exec bin/hc_report.exe -- topdown "$SMOKE_DIR/acct_metrics.json" \
   --intervals "$SMOKE_DIR/acct_stalls.csv"
+# the same cell without --metrics-interval: exactly one whole-run row
+# [0, ticks) whose counts are the column sums of the 500-tick series
+dune exec bin/hc_sim.exe -- --benchmark gcc --scheme +IR --length 5000 \
+  --compare false --stall-out "$SMOKE_DIR/acct_whole.csv" \
+  --metrics-out "$SMOKE_DIR/acct_whole.json" > /dev/null
+test "$(wc -l < "$SMOKE_DIR/acct_whole.csv")" -eq 2
+TICKS=$(grep -o '"ticks":[0-9]*' "$SMOKE_DIR/acct_whole.json" | cut -d: -f2)
+awk -F, -v ticks="$TICKS" '
+  FNR == 1 { next }
+  NR == FNR { for (i = 3; i <= NF; i++) sum[i] += $i; n = NF; next }
+  { t0 = $1; t1 = $2; wn = NF; for (i = 3; i <= NF; i++) w[i] = $i }
+  END {
+    if (t0 != 0 || t1 != ticks) {
+      print "FAIL: whole-run stall row spans [" t0 ", " t1 "), ticks " ticks
+      exit 1
+    }
+    if (wn != n) { print "FAIL: stall CSVs differ in width"; exit 1 }
+    for (i = 3; i <= n; i++)
+      if (w[i] != sum[i]) {
+        print "FAIL: stall column " i ": whole run " w[i] ", interval sum " sum[i]
+        exit 1
+      }
+  }' "$SMOKE_DIR/acct_stalls.csv" "$SMOKE_DIR/acct_whole.csv"
 # accounting must ride along without touching the metrics: strip the
 # stall object and the file must diff clean (0 tolerance) against a
 # plain run of the same cell

@@ -8,6 +8,8 @@ module Metrics = Hc_sim.Metrics
 module Accounting = Hc_sim.Accounting
 module Profile = Hc_trace.Profile
 module Generator = Hc_trace.Generator
+module Counts = Hc_obs.Counts
+module Sample = Hc_obs.Sample
 module Sink = Hc_obs.Sink
 
 let all_schemes = List.map fst Hc_steering.Policy.stack
@@ -25,14 +27,15 @@ let resolve scheme tr =
     ( Config.with_scheme Config.default (Config.find_scheme scheme),
       Hc_steering.Policy.decide )
 
+let widths cfg =
+  { Accounting.issue_width = cfg.Config.issue_width;
+    commit_width = cfg.Config.commit_width }
+
+(* an accounted run and the widths its stall rows partition *)
 let run_acct ?sink scheme tr =
   let cfg, decide = resolve scheme tr in
-  let a =
-    Accounting.create ~issue_width:cfg.Config.issue_width
-      ~commit_width:cfg.Config.commit_width ()
-  in
-  let m = Pipeline.run ?sink ~accounting:a ~cfg ~decide ~scheme_name:scheme tr in
-  (m, a)
+  let m = Pipeline.run ?sink ~accounting:true ~cfg ~decide ~scheme_name:scheme tr in
+  (m, widths cfg)
 
 (* every SPEC profile x every scheme in the stack (plus the static
    oracle): sum(categories) = width x rounds, exactly, on all three lanes *)
@@ -42,53 +45,47 @@ let test_partition_all_profiles () =
       let tr = Generator.generate_sliced ~length:2_000 p in
       List.iter
         (fun scheme ->
-          let m, a = run_acct scheme tr in
-          let s = Accounting.totals a in
+          let m, w = run_acct scheme tr in
           Alcotest.(check bool)
             (Printf.sprintf "%s/%s partition exact" p.Profile.name scheme)
             true
-            (Accounting.consistent s);
+            (Accounting.consistent w m.Metrics.counts);
           Alcotest.(check bool)
             (Printf.sprintf "%s/%s stall_consistent" p.Profile.name scheme)
             true (Metrics.stall_consistent m))
         ("static_888" :: all_schemes))
     spec_profiles
 
-(* interval snapshots: every delta satisfies the partition on its own,
-   and the deltas re-add to exactly the end-of-run totals *)
+(* interval samples: every delta satisfies the partition on its own,
+   and the deltas re-add to exactly the end-of-run stall rows *)
 let test_intervals_partition_and_sum () =
   let tr = Generator.generate_sliced ~length:6_000 (Profile.find_spec_int "gcc") in
   let sink = Sink.create ~interval:500 ~tracing:false () in
-  let _, a = run_acct ~sink "+IR" tr in
-  let ivals = Accounting.intervals a in
-  Alcotest.(check bool) "several intervals" true (List.length ivals > 3);
+  let m, w = run_acct ~sink "+IR" tr in
+  let samples = Sink.samples sink in
+  Alcotest.(check bool) "several intervals" true (List.length samples > 3);
   List.iter
-    (fun (iv : Accounting.interval) ->
+    (fun (s : Sample.t) ->
       Alcotest.(check bool)
-        (Printf.sprintf "interval %d-%d consistent" iv.Accounting.iv_start
-           iv.Accounting.iv_end)
+        (Printf.sprintf "interval %d-%d consistent" s.Sample.t_start
+           s.Sample.t_end)
         true
-        (Accounting.consistent iv.Accounting.iv_d))
-    ivals;
-  let cfg = Config.with_scheme Config.default (Config.find_scheme "+IR") in
-  let sum =
-    List.fold_left
-      (fun acc iv -> Accounting.add_totals acc iv.Accounting.iv_d)
-      (Accounting.zero_totals ~issue_width:cfg.Config.issue_width
-         ~commit_width:cfg.Config.commit_width)
-      ivals
-  in
-  Alcotest.(check bool) "interval deltas sum to run totals" true
-    (sum = Accounting.totals a);
+        (Accounting.consistent w s.Sample.d))
+    samples;
+  let sum = Sample.aggregate samples in
+  Alcotest.(check (list int)) "interval deltas sum to run totals"
+    (List.map (fun id -> m.Metrics.counts.(id)) Counts.stall_ids)
+    (List.map (fun id -> sum.(id)) Counts.stall_ids);
+  Alcotest.(check bool) "run accounted some rounds" true
+    (Accounting.rounds m.Metrics.counts ~lane:Accounting.lane_commit > 0);
   (* intervals tile the run: contiguous, strictly increasing *)
   ignore
     (List.fold_left
-       (fun prev_end (iv : Accounting.interval) ->
-         Alcotest.(check int) "contiguous" prev_end iv.Accounting.iv_start;
-         Alcotest.(check bool) "non-empty" true
-           (iv.Accounting.iv_end > iv.Accounting.iv_start);
-         iv.Accounting.iv_end)
-       0 ivals)
+       (fun prev_end (s : Sample.t) ->
+         Alcotest.(check int) "contiguous" prev_end s.Sample.t_start;
+         Alcotest.(check bool) "non-empty" true (s.Sample.t_end > s.Sample.t_start);
+         s.Sample.t_end)
+       0 samples)
 
 (* accounting must not perturb the simulation: same trace, same scheme,
    with and without the accumulator, all metrics identical (the stall
@@ -110,36 +107,46 @@ let test_accounting_bit_identity () =
    tick; the narrow lane twice per cycle under the fast helper clock *)
 let test_round_counts () =
   let tr = Generator.generate_sliced ~length:2_000 (Profile.find_spec_int "gzip") in
-  let _, a = run_acct "8_8_8" tr in
-  let s = Accounting.totals a in
+  let m, _ = run_acct "8_8_8" tr in
+  let rounds lane = Accounting.rounds m.Metrics.counts ~lane in
   Alcotest.(check int) "wide rounds = cycles"
-    s.Accounting.rounds.(Accounting.lane_wide)
-    s.Accounting.rounds.(Accounting.lane_commit);
+    (rounds Accounting.lane_wide)
+    (rounds Accounting.lane_commit);
   Alcotest.(check bool) "narrow rounds ~ 2x wide (fast clock)" true
-    (s.Accounting.rounds.(Accounting.lane_narrow)
-     >= 2 * s.Accounting.rounds.(Accounting.lane_wide) - 1);
+    (rounds Accounting.lane_narrow >= 2 * rounds Accounting.lane_wide - 1);
   (* committed uops all pass through the commit lane's issued slots *)
-  let m, a2 = run_acct "8_8_8" tr in
   Alcotest.(check int) "commit issued slots = committed uops"
     m.Metrics.committed
-    (Accounting.get (Accounting.totals a2) ~lane:Accounting.lane_commit
+    (Accounting.get m.Metrics.counts ~lane:Accounting.lane_commit
        Accounting.Issued)
 
 let test_csv_shape () =
   let tr = Generator.generate_sliced ~length:3_000 (Profile.find_spec_int "eon") in
   let sink = Sink.create ~interval:400 ~tracing:false () in
-  let _, a = run_acct ~sink "+CR" tr in
+  ignore (run_acct ~sink "+CR" tr);
   let header_cols = String.split_on_char ',' Accounting.csv_header in
   Alcotest.(check int) "header: 2 + 3 lanes x (9 cats + rounds)"
     (2 + (Accounting.nlanes * (Accounting.ncat + 1)))
     (List.length header_cols);
+  (* lane-major, each lane's categories in taxonomy order, rounds last *)
+  Alcotest.(check (list string)) "header columns"
+    ("t_start" :: "t_end"
+    :: List.concat_map
+         (fun lane ->
+           List.map
+             (fun col -> Accounting.lane_name lane ^ "_" ^ col)
+             (List.map Accounting.cat_name Accounting.categories @ [ "rounds" ]))
+         [ Accounting.lane_wide; Accounting.lane_narrow; Accounting.lane_commit ])
+    header_cols;
   List.iter
-    (fun iv ->
+    (fun (s : Sample.t) ->
       Alcotest.(check int) "row width matches header"
         (List.length header_cols)
         (List.length
-           (String.split_on_char ',' (Accounting.interval_csv_row iv))))
-    (Accounting.intervals a)
+           (String.split_on_char ','
+              (Accounting.csv_row ~t_start:s.Sample.t_start ~t_end:s.Sample.t_end
+                 s.Sample.d))))
+    (Sink.samples sink)
 
 (* the blocked-occupant census against its reference walk, in every idle
    issue round: every scheme, with and without the replicated register
@@ -158,12 +165,8 @@ let test_census_matches_walk () =
                 { (Config.with_scheme Config.default s) with
                   Config.replicated_regfile; helper_fast_clock; issue_width }
               in
-              let accounting =
-                Accounting.create ~issue_width
-                  ~commit_width:cfg.Config.commit_width ()
-              in
               match
-                Pipeline.For_testing.run_census_checked ~accounting ~cfg
+                Pipeline.For_testing.run_census_checked ~cfg
                   ~decide:Hc_steering.Policy.decide ~scheme_name:scheme tr
               with
               | _ -> ()
@@ -193,13 +196,12 @@ let prop_partition =
     (fun (bench, scheme, len) ->
       let tr = Generator.generate_sliced ~length:len (Profile.find_spec_int bench) in
       let sink = Sink.create ~interval:256 ~tracing:false () in
-      let m, a = run_acct ~sink scheme tr in
-      Accounting.consistent (Accounting.totals a)
+      let m, w = run_acct ~sink scheme tr in
+      Accounting.consistent w m.Metrics.counts
       && Metrics.stall_consistent m
       && List.for_all
-           (fun (iv : Accounting.interval) ->
-             Accounting.consistent iv.Accounting.iv_d)
-           (Accounting.intervals a))
+           (fun (s : Sample.t) -> Accounting.consistent w s.Sample.d)
+           (Sink.samples sink))
 
 let suite =
   ( "accounting",

@@ -54,12 +54,8 @@ let test_warm_run () =
 let test_warm_accounted_run () =
   let cfg = Config.with_scheme Config.default (Config.find_scheme "+IR") in
   let run tr =
-    let accounting =
-      Hc_sim.Accounting.create ~issue_width:cfg.Config.issue_width
-        ~commit_width:cfg.Config.commit_width ()
-    in
     ignore
-      (Pipeline.run ~accounting ~cfg ~decide:Hc_steering.Policy.decide
+      (Pipeline.run ~accounting:true ~cfg ~decide:Hc_steering.Policy.decide
          ~scheme_name:"+IR" tr)
   in
   check_words "warm accounted +IR run" ~bound:0.0

@@ -158,7 +158,6 @@ let test_fig14_subsample () =
 
 (* ----- bottleneck reads its breakdowns from the campaign cells ----- *)
 
-module Accounting = Hc_sim.Accounting
 module Pipeline = Hc_sim.Pipeline
 module Artifact_cache = Hc_core.Artifact_cache
 
@@ -167,8 +166,8 @@ let bottleneck_length = 2_000
 let bottleneck_text runs = fst ((Experiments.find "bottleneck").Experiments.run runs)
 
 (* every (scheme, profile) cell the bottleneck table reads carries, in its
-   Runs metrics, exactly the totals of a fresh accounting run of the same
-   cell; with [stall] stripped, the metrics JSON is byte-identical to an
+   Runs metrics, exactly the counts and widths of a fresh accounting run
+   of the same cell; with [stall] stripped, the metrics JSON is byte-identical to an
    accounting-off run of that cell *)
 let test_bottleneck_stall_from_runs () =
   Test_cache.with_root (fun root ->
@@ -186,15 +185,14 @@ let test_bottleneck_stall_from_runs () =
               let tr = Runs.trace runs p in
               let static = Runs.static_info runs tr in
               let cfg, decide = Runs.resolve_policy ~static ~scheme in
-              let a =
-                Accounting.create ~issue_width:cfg.Hc_sim.Config.issue_width
-                  ~commit_width:cfg.Hc_sim.Config.commit_width ()
+              let fresh =
+                Pipeline.run ~accounting:true ~cfg ~decide ~scheme_name:scheme tr
               in
-              ignore
-                (Pipeline.run ~accounting:a ~cfg ~decide ~scheme_name:scheme tr);
               Alcotest.(check bool)
                 (cell ^ " stall == fresh accounting totals") true
-                (m.Metrics.stall = Some (Accounting.totals a));
+                (m.Metrics.stall <> None
+                && m.Metrics.stall = fresh.Metrics.stall
+                && m.Metrics.counts = fresh.Metrics.counts);
               let plain =
                 Pipeline.run ~cfg ~decide ~scheme_name:scheme tr
               in

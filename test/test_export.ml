@@ -2,6 +2,22 @@
 
 module Export = Hc_core.Export
 module Runs = Hc_core.Runs
+module Meta = Hc_core.Meta
+module Domain_pool = Hc_core.Domain_pool
+
+let contains line sub =
+  let n = String.length sub in
+  let rec find i =
+    i + n <= String.length line && (String.sub line i n = sub || find (i + 1))
+  in
+  find 0
+
+(* run the body on a shared pool of [jobs], restoring the default after *)
+let with_jobs jobs f =
+  Domain_pool.set_jobs jobs;
+  Fun.protect
+    ~finally:(fun () -> Domain_pool.set_jobs (Domain_pool.default_jobs ()))
+    f
 
 let test_csv_line () =
   Alcotest.(check string) "plain" "a,b,c" (Export.csv_line [ "a"; "b"; "c" ]);
@@ -14,7 +30,8 @@ let test_csv_line () =
 let test_write_all () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "hc_export_test" in
   let runs = Runs.create ~length:1_500 () in
-  let written = Export.write_all runs ~dir in
+  (* as [hc_experiments --jobs 1 --csv DIR] runs it *)
+  let written = with_jobs 1 (fun () -> Export.write_all runs ~dir) in
   Alcotest.(check int) "eleven files" 11 (List.length written);
   List.iter
     (fun path ->
@@ -27,12 +44,9 @@ let test_write_all () =
         Alcotest.(check bool) (path ^ " is an object") true
           (String.length line > 2 && line.[0] = '{');
         Alcotest.(check bool) (path ^ " has git_sha field") true
-          (let re = "\"git_sha\"" in
-           let rec find i =
-             i + String.length re <= String.length line
-             && (String.sub line i (String.length re) = re || find (i + 1))
-           in
-           find 0)
+          (contains line "\"git_sha\"");
+        Alcotest.(check bool) (path ^ " records the pool's jobs") true
+          (contains line "\"jobs\":1,")
       end
       else begin
         let ic = open_in path in
@@ -48,9 +62,20 @@ let test_write_all () =
       end)
     written
 
+(* [jobs] is the pool the run used, not the host default *)
+let test_meta_jobs () =
+  List.iter
+    (fun jobs ->
+      with_jobs jobs (fun () ->
+          Alcotest.(check int)
+            (Printf.sprintf "--jobs %d" jobs)
+            jobs (Meta.capture ()).Meta.jobs))
+    [ 1; Domain_pool.default_jobs () + 1 ]
+
 let suite =
   ( "export",
     [
       Alcotest.test_case "csv quoting" `Quick test_csv_line;
       Alcotest.test_case "write all figures" `Slow test_write_all;
+      Alcotest.test_case "meta records the pool's jobs" `Quick test_meta_jobs;
     ] )

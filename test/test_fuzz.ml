@@ -88,23 +88,19 @@ let prop_simulator_total =
    also checks the blocked-occupant census against a full walk of the
    issue queue in every round with an idle slot. *)
 let run_accounted ?sink cfg trace =
-  let accounting =
-    Accounting.create ~issue_width:cfg.Config.issue_width
-      ~commit_width:cfg.Config.commit_width ()
-  in
   match
-    Pipeline.For_testing.run_census_checked ?sink ~accounting ~cfg
+    Pipeline.For_testing.run_census_checked ?sink ~cfg
       ~decide:Hc_steering.Policy.decide ~scheme_name:"fuzz" trace
   with
-  | m -> (m, accounting)
+  | m -> m
   | exception Failure msg -> QCheck.Test.fail_reportf "%s" msg
 
 (* The exact invariants off the seeds: with an interval sink and cycle
    accounting attached, the interval deltas re-add to the run's whole
-   count vector (activity counters included), every interval satisfies
-   the attribution partition and the slot partition, the metrics less
-   their [stall] equal the unaccounted run's, and they survive an
-   artifact-cache round trip byte-for-byte. *)
+   count vector (activity and stall rows included), every interval
+   satisfies the attribution partition and the slot partition, the
+   metrics less their [stall] equal the unaccounted run's, and they
+   survive an artifact-cache round trip byte-for-byte. *)
 let prop_counts_invariants =
   QCheck.Test.make ~name:"aggregate == counts, partition, cache round trip"
     ~count:30
@@ -114,17 +110,14 @@ let prop_counts_invariants =
        QCheck.Gen.(pair (pair config_gen bench_gen) (int_range 50 2_000)))
     (fun ((cfg, bench), interval) ->
       let sink = Sink.create ~interval ~tracing:false () in
-      let m, accounting = run_accounted ~sink cfg (trace_of bench) in
-      if not (Accounting.consistent (Accounting.totals accounting)) then
-        QCheck.Test.fail_reportf "slot partition broken over the run";
-      List.iter
-        (fun (iv : Accounting.interval) ->
-          if not (Accounting.consistent iv.Accounting.iv_d) then
-            QCheck.Test.fail_reportf "slot partition broken in [%d, %d)"
-              iv.Accounting.iv_start iv.Accounting.iv_end)
-        (Accounting.intervals accounting);
+      let m = run_accounted ~sink cfg (trace_of bench) in
+      let widths =
+        match m.Metrics.stall with
+        | Some w -> w
+        | None -> QCheck.Test.fail_reportf "accounted run without stall widths"
+      in
       if not (Metrics.stall_consistent m) then
-        QCheck.Test.fail_reportf "stall totals break the slot partition";
+        QCheck.Test.fail_reportf "slot partition broken over the run";
       let plain =
         Pipeline.run ~cfg ~decide:Hc_steering.Policy.decide ~scheme_name:"fuzz"
           (trace_of bench)
@@ -138,6 +131,9 @@ let prop_counts_invariants =
         (fun (s : Sample.t) ->
           if not (Counts.attrib_consistent s.Sample.d) then
             QCheck.Test.fail_reportf "attribution partition broken in [%d, %d)"
+              s.Sample.t_start s.Sample.t_end;
+          if not (Accounting.consistent widths s.Sample.d) then
+            QCheck.Test.fail_reportf "slot partition broken in [%d, %d)"
               s.Sample.t_start s.Sample.t_end)
         samples;
       let root = Filename.temp_file "hc_fuzz_cache" "" in

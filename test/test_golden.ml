@@ -39,12 +39,10 @@ let cell_digests (p : Profile.t) scheme =
   let tr = Generator.generate_sliced ~length p in
   let static = Hc_analysis.Static.analyze_bidir tr in
   let cfg, decide = Runs.resolve_policy ~static ~scheme in
-  let accounting =
-    Hc_sim.Accounting.create ~issue_width:cfg.Config.issue_width
-      ~commit_width:cfg.Config.commit_width ()
-  in
   let sink = Sink.create ~interval ~tracing:false () in
-  let m = Pipeline.run ~sink ~accounting ~cfg ~decide ~scheme_name:scheme tr in
+  let m =
+    Pipeline.run ~sink ~accounting:true ~cfg ~decide ~scheme_name:scheme tr
+  in
   let m =
     {
       m with

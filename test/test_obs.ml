@@ -229,6 +229,7 @@ let test_sample_algebra () =
 let test_counter_table () =
   let keys group = List.map Counts.key (Counts.ids group) in
   let activity = keys Counts.Activity and results = keys Counts.Result in
+  let stall = keys Counts.Stall in
   (* the "counters" object is written in table order, which must be the
      sorted key order the format has always had *)
   Alcotest.(check (list string)) "activity keys sorted and unique"
@@ -236,7 +237,22 @@ let test_counter_table () =
   Alcotest.(check int) "result keys unique" (List.length results)
     (List.length (List.sort_uniq String.compare results));
   Alcotest.(check int) "groups partition the table" Counts.n
-    (List.length activity + List.length results);
+    (List.length activity + List.length results + List.length stall);
+  (* the stall rows are lane-major in column order, so [Counts.stall]
+     indexes them *)
+  Alcotest.(check (list string)) "stall rows: lanes x columns"
+    (List.concat_map
+       (fun lane -> List.map (fun col -> lane ^ "_" ^ col) Counts.stall_columns)
+       Counts.stall_lanes)
+    stall;
+  List.iteri
+    (fun lane lane_name ->
+      List.iteri
+        (fun k col ->
+          Alcotest.(check string) "stall id" (lane_name ^ "_" ^ col)
+            (Counts.key (Counts.stall ~lane k)))
+        Counts.stall_columns)
+    Counts.stall_lanes;
   Alcotest.(check bool) "every result always present" true
     (List.for_all
        (fun id -> Counts.table.(id).Counts.presence = Counts.Always)
@@ -248,7 +264,7 @@ let test_counter_table () =
           Alcotest.(check (option int)) ("find " ^ Counts.key id) (Some id)
             (Counts.find group (Counts.key id)))
         (Counts.ids group))
-    [ Counts.Result; Counts.Activity ];
+    [ Counts.Result; Counts.Activity; Counts.Stall ];
   Alcotest.(check (option int)) "find unknown" None
     (Counts.find Counts.Activity "no_such_counter")
 

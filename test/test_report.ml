@@ -238,6 +238,22 @@ let test_render_consistency () =
   Alcotest.(check bool) "broken sums detected" false
     (Render.attrib_consistent broken)
 
+(* the report library's mirrored stall names against the counter table:
+   a renamed or reordered stall row fails here, not in hc_report topdown *)
+let test_stall_names_match_counts () =
+  let keys =
+    List.map Hc_obs.Counts.key (Hc_obs.Counts.ids Hc_obs.Counts.Stall)
+  in
+  Alcotest.(check (list string)) "lanes x (categories + rounds)" keys
+    (List.concat_map
+       (fun lane ->
+         List.map (fun c -> lane ^ "_" ^ c) (Render.stall_categories @ [ "rounds" ]))
+       Render.stall_lanes);
+  List.iter
+    (fun col ->
+      Alcotest.(check bool) (col ^ " is a stall row") true (List.mem col keys))
+    Render.stall_timeline_columns
+
 let test_sparkline () =
   Alcotest.(check string) "empty" "" (Sparkline.render [||]);
   Alcotest.(check string) "flat is all dashes" "---"
@@ -269,5 +285,7 @@ let suite =
       Alcotest.test_case "interval CSV round-trip" `Quick test_csv_roundtrip;
       Alcotest.test_case "trace ring metadata" `Quick test_ring_info;
       Alcotest.test_case "render consistency" `Quick test_render_consistency;
+      Alcotest.test_case "stall names match the counter table" `Quick
+        test_stall_names_match_counts;
       Alcotest.test_case "sparkline" `Quick test_sparkline;
     ] )
