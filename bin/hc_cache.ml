@@ -14,21 +14,13 @@ module Registry = Hc_obs.Registry
 
 open Cmdliner
 
-let cache_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache-dir" ] ~docv:"DIR"
-        ~doc:
-          "Cache root to operate on (default: $(b,HC_CACHE_DIR) or \
-           $(b,_hc_cache)).")
-
-let cache_of cache_dir =
-  match Artifact_cache.of_cli cache_dir with
-  | Some c -> c
-  | None ->
-    prerr_endline "hc_cache: cache disabled (--cache-dir none)";
-    exit 3
+(* the cache to operate on; [--cache-dir none] leaves nothing to inspect *)
+let cache =
+  Term.(
+    const (function
+      | Some c -> c
+      | None -> Cli.die "hc_cache: cache disabled (--cache-dir none)")
+    $ Cli.cache_dir)
 
 let mb bytes = float_of_int bytes /. (1024. *. 1024.)
 
@@ -60,8 +52,7 @@ let stats_json c =
     (both "hc_cache_gc_freed_bytes_total")
 
 let stats_cmd =
-  let run cache_dir json =
-    let c = cache_of cache_dir in
+  let run c json =
     if json then print_endline (stats_json c)
     else begin
       let d = Artifact_cache.disk c in
@@ -86,11 +77,10 @@ let stats_cmd =
   in
   Cmd.v
     (Cmd.info "stats" ~doc:"print entry counts and on-disk size")
-    Term.(const run $ cache_dir_arg $ json)
+    Term.(const run $ cache $ json)
 
 let verify_cmd =
-  let run cache_dir fix =
-    let c = cache_of cache_dir in
+  let run c fix =
     let d = Artifact_cache.disk c in
     let total = d.Artifact_cache.trace_entries + d.Artifact_cache.run_entries in
     let bad = Artifact_cache.verify ~fix c in
@@ -118,11 +108,10 @@ let verify_cmd =
          "decode every cache entry end to end (CRC + structural decode \
           for traces, parse + byte-exact re-serialization for run \
           metrics); exit 1 if any entry is corrupt")
-    Term.(const run $ cache_dir_arg $ fix)
+    Term.(const run $ cache $ fix)
 
 let gc_cmd =
-  let run cache_dir max_mb =
-    let c = cache_of cache_dir in
+  let run c max_mb =
     (* enable the registry first so the eviction counters record, then
        read the freed totals back from the same scrape stats --json uses *)
     let reg = Registry.enable () in
@@ -150,7 +139,7 @@ let gc_cmd =
   in
   Cmd.v
     (Cmd.info "gc" ~doc:"evict oldest entries until the cache fits a budget")
-    Term.(const run $ cache_dir_arg $ max_mb)
+    Term.(const run $ cache $ max_mb)
 
 let () =
   let doc = "inspect, verify and garbage-collect the artifact cache" in

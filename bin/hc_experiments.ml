@@ -12,8 +12,6 @@
 module Experiments = Hc_core.Experiments
 module Ablations = Hc_core.Ablations
 module Runs = Hc_core.Runs
-module Domain_pool = Hc_core.Domain_pool
-module Artifact_cache = Hc_core.Artifact_cache
 module Telemetry = Hc_core.Telemetry
 module Obs_setup = Hc_core.Obs_setup
 
@@ -84,21 +82,13 @@ let export dir length telemetry cache progress =
   let written = Hc_core.Export.write_all runs ~dir in
   List.iter print_endline written
 
-let main list_flag ablations csv_dir length jobs telemetry_dir
-    metrics_interval cache_dir obs span_log prom_out progress_flag ids =
-  let obs_t = Obs_setup.setup ~obs ?span_log ?prom_out () in
-  ( match jobs with
-  | Some n when n > 0 -> Domain_pool.set_jobs n
-  | Some _ ->
-    prerr_endline "--jobs expects a positive integer";
-    exit 1
-  | None -> () );
+let main obs_t () list_flag ablations csv_dir length telemetry_dir
+    metrics_interval cache progress_flag ids =
   let telemetry =
     Option.map
       (fun dir -> { Hc_core.Telemetry.dir; interval = metrics_interval })
       telemetry_dir
   in
-  let cache = Artifact_cache.of_cli cache_dir in
   let progress =
     if progress_flag then
       Some (Telemetry.progress_create ~label:"campaign" ~enabled:true ())
@@ -119,12 +109,6 @@ let cmd =
   let list_flag =
     Arg.(value & flag & info [ "list" ] ~doc:"List experiment ids and exit.")
   in
-  let length =
-    Arg.(
-      value
-      & opt int 30_000
-      & info [ "length" ] ~docv:"UOPS" ~doc:"Trace length per benchmark.")
-  in
   let ablations =
     Arg.(value & flag & info [ "ablations" ] ~doc:"Run design ablations instead.")
   in
@@ -133,16 +117,6 @@ let cmd =
       value
       & opt (some string) None
       & info [ "csv" ] ~docv:"DIR" ~doc:"Write plot-ready CSVs into $(docv).")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Simulations to run concurrently (default: $(b,HC_JOBS) or the \
-             recommended domain count). Results are bit-identical at any \
-             setting.")
   in
   let telemetry_dir =
     Arg.(
@@ -162,44 +136,6 @@ let cmd =
             "Interval sampler period, in fast ticks, for \
              $(b,--telemetry-dir) runs.")
   in
-  let cache_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Artifact-cache root: traces and finished run metrics reload \
-             from (and publish to) $(docv), so a warm rerun of a sweep \
-             skips generation and simulation with bit-identical numbers \
-             (default: $(b,HC_CACHE_DIR) or $(b,_hc_cache); $(b,none) \
-             disables).")
-  in
-  let obs =
-    Arg.(
-      value & flag
-      & info [ "obs" ]
-          ~doc:
-            "Enable the process-wide observability layer (metrics registry \
-             + stage-span collector).")
-  in
-  let span_log =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "span-log" ] ~docv:"FILE"
-          ~doc:
-            "Write recorded stage spans as JSONL to $(docv); implies \
-             observability on.")
-  in
-  let prom_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "prom-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the final metrics-registry scrape as Prometheus text \
-             exposition to $(docv); implies observability on.")
-  in
   let progress =
     Arg.(
       value & flag
@@ -214,8 +150,8 @@ let cmd =
   let doc = "reproduce the helper-cluster paper's tables and figures" in
   Cmd.v (Cmd.info "hc_experiments" ~doc)
     Term.(
-      const main $ list_flag $ ablations $ csv_dir $ length $ jobs
-      $ telemetry_dir $ metrics_interval $ cache_dir $ obs $ span_log
-      $ prom_out $ progress $ ids)
+      const main $ Cli.obs $ Cli.jobs $ list_flag $ ablations $ csv_dir
+      $ Cli.length ~default:30_000 $ telemetry_dir $ metrics_interval
+      $ Cli.cache_dir $ progress $ ids)
 
 let () = exit (Cmd.eval cmd)

@@ -14,16 +14,14 @@
    gates on the baseline diff; usage errors (unknown code, unreadable
    file) exit 3. *)
 
-module Profile = Hc_trace.Profile
-module Trace_io = Hc_trace.Trace_io
-module Codec = Hc_trace.Codec
-module Config = Hc_sim.Config
+module Profile = Root.Hc_trace.Profile
+module Trace_io = Root.Hc_trace.Trace_io
+module Codec = Root.Hc_trace.Codec
+module Config = Root.Hc_sim.Config
 module Lint = Hc_analysis.Lint
 module Artifact_cache = Hc_core.Artifact_cache
 
 open Cmdliner
-
-let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 3) fmt
 
 let print_diags diags = List.iter (fun d -> print_endline (Lint.to_string d)) diags
 
@@ -50,12 +48,12 @@ let bits_arg =
 
 let trace_cmd =
   let run files benchmark bits =
-    if files = [] then die "hc_lint trace: give at least one trace file";
+    if files = [] then Cli.die "hc_lint trace: give at least one trace file";
     let expected_profile =
       Option.map
         (fun name ->
           try Profile.find_spec_int name
-          with Not_found -> die "hc_lint trace: unknown benchmark %S" name)
+          with Not_found -> Cli.die "hc_lint trace: unknown benchmark %S" name)
         benchmark
     in
     let all =
@@ -76,8 +74,8 @@ let trace_cmd =
             print_diags diags;
             summarize path diags;
             diags
-          | exception Failure msg -> die "hc_lint trace: %s" msg
-          | exception Sys_error msg -> die "hc_lint trace: %s" msg)
+          | exception Failure msg -> Cli.die "hc_lint trace: %s: %s" path msg
+          | exception Sys_error msg -> Cli.die "hc_lint trace: %s" msg)
         files
     in
     finish all
@@ -99,9 +97,7 @@ let trace_cmd =
 (* ---- seeds: lint every generated seed workload ---- *)
 
 let seeds_cmd =
-  let run length bits cache_dir obs span_log prom_out =
-    let obs_t = Hc_core.Obs_setup.setup ~obs ?span_log ?prom_out () in
-    let cache = Artifact_cache.of_cli cache_dir in
+  let run obs_t cache length bits =
     let all =
       List.map
         (fun (p : Profile.t) ->
@@ -117,49 +113,14 @@ let seeds_cmd =
     Hc_core.Obs_setup.finish obs_t;
     finish all
   in
-  let length =
-    Arg.(
-      value & opt int 30_000
-      & info [ "length" ] ~docv:"UOPS" ~doc:"Trace length per benchmark.")
-  in
-  let cache_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Artifact-cache root for the seed traces (default: \
-             $(b,HC_CACHE_DIR) or $(b,_hc_cache); $(b,none) disables).")
-  in
-  let obs =
-    Arg.(
-      value & flag
-      & info [ "obs" ]
-          ~doc:"Enable the observability layer (registry + span collector).")
-  in
-  let span_log =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "span-log" ] ~docv:"FILE"
-          ~doc:"Write recorded stage spans as JSONL to $(docv).")
-  in
-  let prom_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "prom-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the final registry scrape as Prometheus text exposition \
-             to $(docv).")
-  in
   let doc =
     "generate and verify all 12 SPEC seed workloads (incl. mix drift and \
      the static-analysis soundness gate)"
   in
   Cmd.v (Cmd.info "seeds" ~doc)
     Term.(
-      const run $ length $ bits_arg $ cache_dir $ obs $ span_log $ prom_out)
+      const run $ Cli.obs $ Cli.cache_dir $ Cli.length ~default:30_000
+      $ bits_arg)
 
 (* ---- config: lint the built-in machine configurations ---- *)
 
@@ -198,19 +159,19 @@ let explain_cmd =
   let run codes readme_table =
     if readme_table then begin
       if codes <> [] then
-        die "hc_lint explain: --readme-table takes no code arguments";
+        Cli.die "hc_lint explain: --readme-table takes no code arguments";
       print_string (Lint.readme_table ())
     end
     else begin
       if codes = [] then
-        die "hc_lint explain: give at least one diagnostic code (e.g. E111)";
+        Cli.die "hc_lint explain: give at least one diagnostic code (e.g. E111)";
       List.iteri
         (fun n code ->
           match Lint.explain code with
           | Some i ->
             if n > 0 then print_newline ();
             print_info i
-          | None -> die "hc_lint explain: unknown diagnostic code %S" code)
+          | None -> Cli.die "hc_lint explain: unknown diagnostic code %S" code)
         codes
     end
   in

@@ -14,12 +14,10 @@ module Prom = Hc_obs.Prom
 
 open Cmdliner
 
-let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 3) fmt
-
 let load path =
   match Prom.of_file path with
   | Ok entries -> entries
-  | Error e -> die "hc_metrics: %s: %s" path e
+  | Error e -> Cli.die "hc_metrics: %s: %s" path e
 
 (* stable series key: name plus labels sorted by label name *)
 let key (e : Prom.entry) =

@@ -11,20 +11,18 @@
    exit 1 on any regression and 2 on baseline metrics missing from the
    candidate, so CI can gate on the result. *)
 
-module Json = Hc_report.Json
-module Loader = Hc_report.Loader
-module Diff = Hc_report.Diff
-module Render = Hc_report.Render
+module Json = Root.Hc_report.Json
+module Loader = Root.Hc_report.Loader
+module Diff = Root.Hc_report.Diff
+module Render = Root.Hc_report.Render
 module Prom = Hc_obs.Prom
 
 open Cmdliner
 
-let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 3) fmt
-
 let load_or_die path =
   match Loader.load_json path with
   | Ok j -> j
-  | Error e -> die "hc_report: %s" e
+  | Error e -> Cli.die "hc_report: %s" e
 
 let load_runs paths =
   List.map (fun p -> (p, load_or_die p)) paths
@@ -45,7 +43,7 @@ let warn_ring path j =
 let report_cmd =
   let run files intervals trace width =
     if files = [] && intervals = None && trace = None then
-      die "hc_report report: nothing to read (give metrics files, \
+      Cli.die "hc_report report: nothing to read (give metrics files, \
            --intervals or --trace)";
     let runs = load_runs files in
     List.iter
@@ -78,7 +76,7 @@ let report_cmd =
       | Ok csv ->
         print_string (Render.timeline ~width csv);
         print_newline ()
-      | Error e -> die "hc_report: %s" e ) );
+      | Error e -> Cli.die "hc_report: %s" e ) );
     match trace with
     | None -> ()
     | Some path -> warn_ring path (load_or_die path)
@@ -115,7 +113,7 @@ let report_cmd =
 
 let attrib_cmd =
   let run files =
-    if files = [] then die "hc_report attrib: give at least one metrics file";
+    if files = [] then Cli.die "hc_report attrib: give at least one metrics file";
     let runs = load_runs files in
     print_string (Render.attrib_table runs);
     print_newline ();
@@ -153,7 +151,7 @@ let attrib_cmd =
 let topdown_cmd =
   let run files intervals width =
     if files = [] then
-      die "hc_report topdown: give at least one schema-4 metrics file \
+      Cli.die "hc_report topdown: give at least one schema-4 metrics file \
            (hc_sim --topdown --metrics-out)";
     let runs = load_runs files in
     List.iter
@@ -161,7 +159,7 @@ let topdown_cmd =
         match Json.member "stall" j with
         | Some _ -> ()
         | None ->
-          die "hc_report topdown: %s has no stall object (run hc_sim with \
+          Cli.die "hc_report topdown: %s has no stall object (run hc_sim with \
                --topdown, or the file predates schema 4)"
             path)
       runs;
@@ -188,7 +186,7 @@ let topdown_cmd =
         print_string
           (Render.timeline ~width ~columns:Render.stall_timeline_columns csv);
         print_newline ()
-      | Error e -> die "hc_report: %s" e ) );
+      | Error e -> Cli.die "hc_report: %s" e ) );
     (* the partition invariant is the CI gate: slots must sum to exactly
        width x rounds per lane — any tolerance would let a leak hide *)
     let bad =
@@ -236,7 +234,7 @@ let topdown_cmd =
 let spans_cmd =
   let run path =
     let ic =
-      try open_in path with Sys_error e -> die "hc_report spans: %s" e
+      try open_in path with Sys_error e -> Cli.die "hc_report spans: %s" e
     in
     let lines = ref [] in
     ( try
@@ -250,31 +248,31 @@ let spans_cmd =
           let lineno = i + 1 in
           match Json.parse line with
           | Error at ->
-            die "hc_report spans: %s:%d: malformed JSON at byte %d" path
+            Cli.die "hc_report spans: %s:%d: malformed JSON at byte %d" path
               lineno at
           | Ok j ->
             let str key =
               match Option.bind (Json.member key j) Json.string_value with
               | Some s -> s
               | None ->
-                die "hc_report spans: %s:%d: missing string field %S" path
+                Cli.die "hc_report spans: %s:%d: missing string field %S" path
                   lineno key
             in
             let num key =
               match Option.bind (Json.member key j) Json.number with
               | Some n -> n
               | None ->
-                die "hc_report spans: %s:%d: missing numeric field %S" path
+                Cli.die "hc_report spans: %s:%d: missing numeric field %S" path
                   lineno key
             in
             if num "schema" <> 1. then
-              die "hc_report spans: %s:%d: unsupported schema" path lineno;
+              Cli.die "hc_report spans: %s:%d: unsupported schema" path lineno;
             if str "kind" <> "span" then
-              die "hc_report spans: %s:%d: not a span record" path lineno;
+              Cli.die "hc_report spans: %s:%d: not a span record" path lineno;
             (str "name", str "track", num "dur_ns", num "gc_minor_words"))
         (List.rev !lines)
     in
-    if rows = [] then die "hc_report spans: %s is empty" path;
+    if rows = [] then Cli.die "hc_report spans: %s is empty" path;
     (* aggregate by stage name *)
     let tbl = Hashtbl.create 16 in
     List.iter

@@ -1,17 +1,18 @@
 (* Command-line front door to the simulator: run one workload under one
    steering scheme and print the metrics (optionally with the energy
-   breakdown and/or telemetry artifacts).
+   breakdown and/or telemetry artifacts). The workload is a generated
+   SPEC profile, or with --trace a saved text or binary trace.
 
      hc_sim --benchmark gcc --scheme +CR
      hc_sim --benchmark mcf --scheme baseline --length 100000 --power
+     hc_sim --trace gcc.hct --scheme +CR      # hc_trace generate's output
      hc_sim --benchmark gcc --scheme +IR --trace-out t.json \
             --metrics-interval 1000            # Perfetto trace + time series *)
 
-module Profile = Hc_trace.Profile
-module Config = Hc_sim.Config
-module Pipeline = Hc_sim.Pipeline
-module Metrics = Hc_sim.Metrics
-module Accounting = Hc_sim.Accounting
+module Config = Root.Hc_sim.Config
+module Pipeline = Root.Hc_sim.Pipeline
+module Metrics = Root.Hc_sim.Metrics
+module Accounting = Root.Hc_sim.Accounting
 module Model = Hc_power.Model
 module Domain_pool = Hc_core.Domain_pool
 module Export = Hc_core.Export
@@ -52,22 +53,22 @@ let print_topdown (w : Accounting.widths) v =
   Format.printf "@.partition invariant: %s@."
     (if Accounting.consistent w v then "exact" else "VIOLATED")
 
-let run benchmark scheme length power compare_baseline jobs trace_out
-    metrics_interval interval_out trace_buffer metrics_out cache_dir obs
-    span_log prom_out topdown stall_out =
-  let obs_t = Obs_setup.setup ~obs ?span_log ?prom_out () in
-  ( match jobs with
-  | Some n when n > 0 -> Domain_pool.set_jobs n
-  | Some _ ->
-    prerr_endline "--jobs expects a positive integer";
-    exit 1
-  | None -> () );
-  let profile =
-    try Profile.find_spec_int benchmark
-    with Not_found ->
-      Printf.eprintf "unknown benchmark %S; known: %s\n" benchmark
-        (String.concat ", " Profile.spec_int_names);
-      exit 1
+let default_benchmark = "gcc"
+
+let default_length = 30_000
+
+let run obs_t () cache benchmark trace_file length scheme power
+    compare_baseline trace_out metrics_interval interval_out trace_buffer
+    metrics_out obs topdown stall_out =
+  let source =
+    match trace_file, benchmark, length with
+    | Some file, None, None -> `File file
+    | Some _, _, _ ->
+      Cli.die "hc_sim: --trace gives the workload; drop --benchmark/--length"
+    | None, benchmark, length ->
+      `Generate
+        ( Cli.profile (Option.value benchmark ~default:default_benchmark),
+          Option.value length ~default:default_length )
   in
   let cfg =
     if scheme = "ics05" then Config.ics05
@@ -80,8 +81,10 @@ let run benchmark scheme length power compare_baseline jobs trace_out
         exit 1
   in
   let trace =
-    Artifact_cache.trace_or_generate (Artifact_cache.of_cli cache_dir) ~profile
-      ~length
+    match source with
+    | `File file -> Cli.load_trace ~tool:"hc_sim" file
+    | `Generate (profile, length) ->
+      Artifact_cache.trace_or_generate cache ~profile ~length
   in
   let sink =
     if trace_out <> None || metrics_interval > 0 then
@@ -211,8 +214,21 @@ let run benchmark scheme length power compare_baseline jobs trace_out
 let cmd =
   let benchmark =
     Arg.(
-      value & opt string "gcc"
+      value
+      & opt (some ~none:default_benchmark string) None
       & info [ "b"; "benchmark" ] ~docv:"NAME" ~doc:"SPEC Int 2000 benchmark name.")
+  in
+  let trace_file =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:
+            "Simulate the saved text or binary trace in $(docv) (as written \
+             by $(b,hc_trace generate)) instead of generating \
+             $(b,--benchmark) at $(b,--length); giving either of those too \
+             is a usage error (exit 3), as is an unreadable or corrupt \
+             file.")
   in
   let scheme =
     Arg.(
@@ -222,11 +238,6 @@ let cmd =
             "Steering scheme (baseline, 8_8_8, +BR, +LR, +CR, +CP, +IR, \
              +IR(nodest), or ics05 for the section-4 comparator).")
   in
-  let length =
-    Arg.(
-      value & opt int 30_000
-      & info [ "length" ] ~docv:"UOPS" ~doc:"Trace length in uops.")
-  in
   let power =
     Arg.(value & flag & info [ "power" ] ~doc:"Print the energy breakdown.")
   in
@@ -234,13 +245,6 @@ let cmd =
     Arg.(
       value & opt bool true
       & info [ "compare" ] ~docv:"BOOL" ~doc:"Also run the monolithic baseline.")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Simulations to run concurrently (default: $(b,HC_JOBS)).")
   in
   let trace_out =
     Arg.(
@@ -284,44 +288,6 @@ let cmd =
             "Write the scheme run's full metrics as JSON (schema 2, the \
              format $(b,hc_report) reads and diffs) to $(docv).")
   in
-  let cache_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Artifact-cache root: the workload trace is reloaded from its \
-             binary cache entry when present and published there after a \
-             cold generation (default: $(b,HC_CACHE_DIR) or \
-             $(b,_hc_cache); the value $(b,none) disables caching).")
-  in
-  let obs =
-    Arg.(
-      value & flag
-      & info [ "obs" ]
-          ~doc:
-            "Enable the process-wide observability layer (metrics registry \
-             + stage-span collector) and print the per-stage aggregate to \
-             stderr on exit. Off, the untraced hot path is bit-identical.")
-  in
-  let span_log =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "span-log" ] ~docv:"FILE"
-          ~doc:
-            "Write every recorded stage span as JSONL (one strict-JSON \
-             object per line) to $(docv); implies observability on.")
-  in
-  let prom_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "prom-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the final metrics-registry scrape as Prometheus text \
-             exposition to $(docv); implies observability on.")
-  in
   let topdown =
     Arg.(
       value & flag
@@ -346,9 +312,9 @@ let cmd =
   let doc = "cycle-level helper-cluster simulator" in
   Cmd.v (Cmd.info "hc_sim" ~doc)
     Term.(
-      const run $ benchmark $ scheme $ length $ power $ compare_baseline $ jobs
-      $ trace_out $ metrics_interval $ interval_out $ trace_buffer
-      $ metrics_out $ cache_dir $ obs $ span_log $ prom_out $ topdown
-      $ stall_out)
+      const run $ Cli.obs $ Cli.jobs $ Cli.cache_dir $ benchmark $ trace_file
+      $ Cli.length_opt ~default:default_length $ scheme $ power
+      $ compare_baseline $ trace_out $ metrics_interval $ interval_out
+      $ trace_buffer $ metrics_out $ Cli.obs_flag $ topdown $ stall_out)
 
 let () = exit (Cmd.eval cmd)

@@ -90,18 +90,8 @@ let resolve_policy ~(static : Hc_analysis.Static.bidir) ~scheme =
     ( Config.with_scheme Config.default (Config.find_scheme scheme),
       Hc_steering.Policy.decide )
 
-(* One simulation of one (scheme, trace) cell. Every run — oracle or not —
-   carries the trace's static steering bound in its metrics, so exported
-   JSON and the attribution tables can show predictor results next to the
-   provable headroom, and its cycle-accounting rows in [counts], so the
-   bottleneck breakdown reads the same cell every other experiment does
-   (accounting leaves every other count bit-identical, see
-   test_accounting.ml). With telemetry configured, the run gets an
-   interval-sampling sink and leaves its time series and metrics JSON
-   behind in the telemetry directory; observation never changes the
-   returned metrics (bit-identical, see test_obs.ml), so the memo tables
-   stay oblivious to whether a run was observed. Workers write distinct
-   per-cell files, so the parallel fan-out needs no locking. *)
+(* Registry counters for one finished simulation; no-op unless the
+   ambient registry is on. *)
 let obs_run (m : Metrics.t) =
   Registry.with_ambient (fun r ->
       Registry.inc
@@ -136,6 +126,18 @@ let obs_nready samples =
           Registry.observe n2w s.Hc_obs.Sample.d.(Hc_obs.Counts.nready_n2w))
         samples)
 
+(* One simulation of one (scheme, trace) cell. Every run — oracle or not —
+   carries the trace's static steering bound in its metrics, so exported
+   JSON and the attribution tables can show predictor results next to the
+   provable headroom, and its cycle-accounting rows in [counts], so the
+   bottleneck breakdown reads the same cell every other experiment does
+   (accounting leaves every other count bit-identical, see
+   test_accounting.ml). With telemetry configured, the run gets an
+   interval-sampling sink and leaves its time series and metrics JSON
+   behind in the telemetry directory; observation never changes the
+   returned metrics (bit-identical, see test_obs.ml), so the memo tables
+   stay oblivious to whether a run was observed. Workers write distinct
+   per-cell files, so the parallel fan-out needs no locking. *)
 let simulate ?telemetry ~(static : Hc_analysis.Static.bidir) ~scheme tr =
   Span.with_span "simulate"
     ~meta:[ ("benchmark", tr.Trace.name); ("scheme", scheme) ]

@@ -72,7 +72,6 @@ type t = {
   helper_fast_clock : bool;
   replicated_regfile : bool;
   replay_recovery : bool;
-  imbalance_threshold : float;
   scheme : scheme;
 }
 
@@ -102,7 +101,6 @@ let default =
     helper_fast_clock = true;
     replicated_regfile = false;
     replay_recovery = false;
-    imbalance_threshold = 0.15;
     scheme = List.assoc "+IR" scheme_stack;
   }
 
@@ -147,18 +145,6 @@ let validate t =
       Error "narrow_bits out of [1,31]"
     else if t.wide_regs <= 0 || t.narrow_regs <= 0 then
       Error "register files must be positive"
-    else if t.imbalance_threshold < 0. || t.imbalance_threshold > 1. then
-      Error "imbalance_threshold out of [0,1]"
     else if t.ul1_latency <= t.dl0_latency || t.mem_latency <= t.ul1_latency then
       Error "memory hierarchy latencies must increase"
     else Ok ()
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>decode=%d commit=%d rob=%d iq=%d issue=%d mob=%d@ dl0=%d ul1=%d \
-     mem=%d@ br_pen=%d flush_pen=%d copy=%d@ wpred=%d conf=%d gate=%b \
-     imb=%.2f@]"
-    t.decode_width t.commit_width t.rob_size t.iq_size t.issue_width
-    t.mob_size t.dl0_latency t.ul1_latency t.mem_latency t.branch_penalty
-    t.width_flush_penalty t.copy_latency t.wpred_entries t.conf_bits
-    t.confidence_gate t.imbalance_threshold

@@ -96,9 +96,6 @@ type t = {
       (** recover from a fatal width misprediction by replaying just the
           offending uop in the wide cluster (ICS'05) instead of squashing
           the narrow backend (this paper's flushing scheme) *)
-  imbalance_threshold : float;
-      (** IR trigger: wide-IQ minus narrow-IQ occupancy fraction above
-          which wide uops are split *)
   scheme : scheme;
 }
 
@@ -118,5 +115,3 @@ val ics05 : t
 val with_scheme : t -> scheme -> t
 
 val validate : t -> (unit, string) result
-
-val pp : Format.formatter -> t -> unit

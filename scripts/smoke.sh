@@ -303,6 +303,36 @@ fi
 grep -q E108 "$SMOKE_DIR/lint_cut.out"
 echo "binary trace gate OK"
 
+echo "== saved-trace simulation gate =="
+# hc_sim --trace must simulate a saved text or binary trace exactly as it
+# simulates the same workload generated in process (byte-identical
+# metrics JSON), and an unreadable trace (the truncated binary file
+# above, a text file with a bad header) is one stderr line and exit 3,
+# never an uncaught exception (125).
+dune exec bin/hc_sim.exe -- -b gcc --length 6000 -s +IR --cache-dir none \
+  --compare false --metrics-out "$SMOKE_DIR/saved_gen.json" > /dev/null
+for fmt in text binary; do
+  dune exec bin/hc_trace.exe -- generate --benchmark gcc --length 6000 \
+    --cache-dir none --format "$fmt" --out "$SMOKE_DIR/saved_gcc.$fmt" \
+    > /dev/null
+  dune exec bin/hc_sim.exe -- --trace "$SMOKE_DIR/saved_gcc.$fmt" -s +IR \
+    --compare false --metrics-out "$SMOKE_DIR/saved_$fmt.json" > /dev/null
+  cmp "$SMOKE_DIR/saved_gen.json" "$SMOKE_DIR/saved_$fmt.json"
+done
+printf 'not a trace\n' > "$SMOKE_DIR/saved_bad.trace"
+for bad in lint_cut.hct saved_bad.trace; do
+  status=0
+  dune exec bin/hc_sim.exe -- --trace "$SMOKE_DIR/$bad" > /dev/null \
+    2> "$SMOKE_DIR/saved_err.txt" || status=$?
+  if [ "$status" -ne 3 ] || [ "$(wc -l < "$SMOKE_DIR/saved_err.txt")" -ne 1 ]
+  then
+    echo "FAIL: hc_sim --trace $bad exited $status, expected 3 and one line:"
+    cat "$SMOKE_DIR/saved_err.txt"
+    exit 1
+  fi
+done
+echo "saved-trace simulation gate OK"
+
 echo "== observability gate =="
 # A traced run with the full observability surface on: --obs stage-span
 # stderr table, --span-log structured JSONL, --prom-out registry dump.

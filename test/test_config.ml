@@ -19,7 +19,6 @@ let test_default_valid () =
 let test_validate_rejects () =
   err "zero issue" { Config.default with Config.issue_width = 0 };
   err "negative penalty" { Config.default with Config.branch_penalty = -1 };
-  err "bad imbalance" { Config.default with Config.imbalance_threshold = 2. };
   err "inverted hierarchy" { Config.default with Config.ul1_latency = 1 };
   err "memory faster than ul1" { Config.default with Config.mem_latency = 5 }
 
