@@ -285,8 +285,10 @@ let cmd =
       & opt (some string) None
       & info [ "metrics-out" ] ~docv:"FILE"
           ~doc:
-            "Write the scheme run's full metrics as JSON (schema 2, the \
-             format $(b,hc_report) reads and diffs) to $(docv).")
+            (Printf.sprintf
+               "Write the scheme run's full metrics as JSON (schema %d, \
+                the format $(b,hc_report) reads and diffs) to $(docv)."
+               Artifact_cache.metrics_schema))
   in
   let topdown =
     Arg.(

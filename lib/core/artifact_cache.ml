@@ -41,7 +41,7 @@ let obs_bytes name n =
    2: run entries carry the cycle-accounting [stall] object *)
 let cache_version = 2
 
-let metrics_schema = 5 (* the Metrics.to_json "schema" this build writes *)
+let metrics_schema = Metrics.schema
 
 let default_root () =
   match Sys.getenv_opt "HC_CACHE_DIR" with

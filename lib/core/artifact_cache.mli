@@ -7,8 +7,8 @@
 
     - {e traces} as {!Hc_trace.Codec} binary blobs under
       [<root>/traces/<digest>.hct];
-    - {e run metrics} as the schema-3 JSON [Hc_sim.Metrics.to_json]
-      emits, under [<root>/runs/<digest>.json].
+    - {e run metrics} as the JSON [Hc_sim.Metrics.to_json] emits
+      (schema {!metrics_schema}), under [<root>/runs/<digest>.json].
 
     Keys are digests of (profile fingerprint — which includes the
     generator seed —, trace length, codec schema version, and for runs
@@ -29,6 +29,11 @@
       exactly, so warm metrics cannot drift from cold ones. *)
 
 type t
+
+val metrics_schema : int
+(** The ["schema"] of the metrics JSON this build writes
+    ([Hc_sim.Metrics.schema]); it is part of every run key, and a
+    stored entry of another schema is not served. *)
 
 val create : ?root:string -> unit -> t
 (** [root] defaults to [$HC_CACHE_DIR] if set and non-empty, else

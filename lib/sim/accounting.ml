@@ -69,9 +69,9 @@ let[@inline] add v ~lane cat n =
   let i = Counts.stall ~lane (cat_index cat) in
   v.(i) <- v.(i) + n
 
-let[@inline] round v ~lane =
+let[@inline] rounds_add v ~lane n =
   let i = Counts.stall ~lane ncat in
-  v.(i) <- v.(i) + 1
+  v.(i) <- v.(i) + n
 
 let get v ~lane cat = v.(Counts.stall ~lane (cat_index cat))
 let rounds v ~lane = v.(Counts.stall ~lane ncat)

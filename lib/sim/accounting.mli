@@ -50,9 +50,9 @@ val lane_width : widths -> int -> int
 (** {1 The stall rows of a count vector} *)
 
 val add : int array -> lane:int -> category -> int -> unit
-val round : int array -> lane:int -> unit
-(** Close one stage round: bumps the lane's round count. The pipeline
-    calls {!add} for exactly [width] slots per round. *)
+val rounds_add : int array -> lane:int -> int -> unit
+(** Close [n] stage rounds: adds [n] to the lane's round count. The
+    pipeline calls {!add} for exactly [width] slots per round. *)
 
 val get : int array -> lane:int -> category -> int
 val rounds : int array -> lane:int -> int

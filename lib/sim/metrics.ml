@@ -125,11 +125,13 @@ let json_escape s =
     s;
   Buffer.contents b
 
+let schema = 5
+
 let to_json t =
   let b = Buffer.create 1024 in
   let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   p "{";
-  p "\"schema\":5,";
+  p "\"schema\":%d," schema;
   p "\"name\":\"%s\"," (json_escape t.name);
   p "\"scheme\":\"%s\"," (json_escape t.scheme_name);
   p "\"committed\":%d," t.committed;

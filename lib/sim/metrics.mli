@@ -111,13 +111,16 @@ val stall_consistent : t -> bool
     [counts] ({!Accounting.consistent}); [true] vacuously when
     accounting was off. *)
 
+val schema : int
+(** The ["schema"] number {!to_json} writes. *)
+
 val to_json : t -> string
 (** The whole record as one JSON object — every dynamic count, the
     derived IPC/cycles, and the activity counters keyed by name, all
     walked off the {!Hc_obs.Counts} table.
     Shared by the CSV/JSON export layer and the telemetry writers so a
     run's numbers serialize identically everywhere. Carries
-    ["schema"]:5 (schema 2 added the steering-attribution columns;
+    ["schema"]:{!schema}, now 5 (schema 2 added the steering-attribution columns;
     schema 3 the optional ["static_narrow_bound"] key, present only
     when the bound is attached; schema 4 the optional ["stall"]
     cycle-accounting object, present only when accounting was on;

@@ -292,6 +292,9 @@ type evslot = {
 
 let wheel_size = 4096
 
+(* the wheel's occupancy bitmap packs this many slots per int *)
+let bits_per_word = 32
+
 (* ----- per-domain scratch arenas -----
 
    Everything whose lifetime is one [run] but whose storage can outlive
@@ -309,6 +312,9 @@ type scratch = {
   mutable p_nodes : node array;  (* node pool *)
   mutable p_ncur : int;
   events : evslot array;  (* indexed by tick mod wheel_size *)
+  ev_bits : int array;
+      (* bit k of word w: slot [w * bits_per_word + k] holds an entry,
+         live, stale or a wrap; cleared when a visit empties the slot *)
   mutable due_nodes : node array;  (* completion scratch *)
   mutable due_gens : int array;
   mutable due_len : int;
@@ -343,6 +349,7 @@ let fresh_scratch () =
       Array.init wheel_size (fun _ ->
           { ev_nodes = Array.make 4 null_node; ev_gens = Array.make 4 0;
             ev_len = 0 });
+    ev_bits = Array.make (wheel_size / bits_per_word) 0;
     due_nodes = Array.make 64 null_node;
     due_gens = Array.make 64 0;
     due_len = 0;
@@ -408,6 +415,7 @@ let reset_scratch sc ~rob_size =
       slot.ev_len <- 0
     end
   done;
+  Array.fill sc.ev_bits 0 (Array.length sc.ev_bits) 0;
   sc.due_len <- 0;
   for k = 0 to sc.p_ncur - 1 do
     let n = sc.p_nodes.(k) in
@@ -450,6 +458,12 @@ type state = {
          blocked-occupant census it reads; off keeps the attribution
          behind one field test per issue round *)
   census_check : bool;  (* tests only: check the census against a walk *)
+  skip : bool;
+      (* jump over quiet ticks (see [horizon]); off only in For_testing's
+         tick-by-tick reference runs *)
+  mutable drop_idx : int;
+      (* tests only: the trace index whose next completion is never
+         scheduled, wedging the machine; -2 = none *)
   census : int array;  (* queued nodes by 3 * lane + class, see below *)
   sc : scratch;
   mutable steer_ctx : Steer.ctx option;  (* built once, after [create] *)
@@ -459,7 +473,7 @@ type state = {
   (* frontend *)
   mutable fetch_idx : int;  (* next trace index to dispatch *)
   mutable fetch_resume : int;  (* tick before which dispatch is stalled *)
-  force_wide : (int, unit) Hashtbl.t;  (* trace idx -> must steer wide *)
+  mutable fe_code : int;  (* [decision_code] of the last dispatch attempt *)
   rename : vstate array;  (* = sc.rename *)
   (* backends *)
   iq : iq array;  (* per cluster-index, intrusive, oldest first *)
@@ -470,16 +484,23 @@ type state = {
   mutable mob_count : int;
   backlog : int array;  (* per cluster: ready-not-issued in the last round *)
   backlog_ewma : float array;  (* smoothed, for the IR trigger *)
-  (* structural substrates (active per the config's model selectors) *)
-  memory : Cache.Hierarchy.t;
-  gshare : Branch_predictor.t;
-  tcache : Trace_cache.t;
+  (* structural substrates, built on first use: only the config's model
+     selectors use them, and the 4 MB UL1 alone is two 65 536-entry
+     arrays to fill per run *)
+  memory : Cache.Hierarchy.t Lazy.t;
+  gshare : Branch_predictor.t Lazy.t;
+  tcache : Trace_cache.t Lazy.t;
   regfile : Regfile.t;
   mutable now : int;
+  mutable quiet_since : int;  (* first tick of the current quiet run *)
+  mutable avail_soon : int;
+      (* latest tick a completing value was published ahead to (the
+         other cluster reads it at [now + 2]) *)
   (* per-round scratch results: stage walks report through these fields
      instead of returning tuples or threading refs *)
   mutable iss_issued : int;
   mutable iss_ready : int;
+  mutable iss_unlinked : int;  (* issued, squashed and dead-copy nodes *)
   mutable dis_demand_w : int;  (* copy slot demand of the current dispatch *)
   mutable dis_demand_n : int;
   mutable rsteer_n : int;  (* live prefix of sc.resteer *)
@@ -579,19 +600,44 @@ let rob_get st k =
 
 let schedule st node tick =
   node.n_complete <- tick;
-  let slot = st.sc.events.(tick land (wheel_size - 1)) in
-  let cap = Array.length slot.ev_nodes in
-  if slot.ev_len = cap then begin
-    let nodes = Array.make (2 * cap) null_node in
-    let gens = Array.make (2 * cap) 0 in
-    Array.blit slot.ev_nodes 0 nodes 0 cap;
-    Array.blit slot.ev_gens 0 gens 0 cap;
-    slot.ev_nodes <- nodes;
-    slot.ev_gens <- gens
-  end;
-  slot.ev_nodes.(slot.ev_len) <- node;
-  slot.ev_gens.(slot.ev_len) <- node.n_gen;
-  slot.ev_len <- slot.ev_len + 1
+  if node.n_trace_idx = st.drop_idx then st.drop_idx <- -2
+  else begin
+    let sc = st.sc in
+    let s = tick land (wheel_size - 1) in
+    let slot = sc.events.(s) in
+    let cap = Array.length slot.ev_nodes in
+    if slot.ev_len = cap then begin
+      let nodes = Array.make (2 * cap) null_node in
+      let gens = Array.make (2 * cap) 0 in
+      Array.blit slot.ev_nodes 0 nodes 0 cap;
+      Array.blit slot.ev_gens 0 gens 0 cap;
+      slot.ev_nodes <- nodes;
+      slot.ev_gens <- gens
+    end;
+    slot.ev_nodes.(slot.ev_len) <- node;
+    slot.ev_gens.(slot.ev_len) <- node.n_gen;
+    slot.ev_len <- slot.ev_len + 1;
+    let w = s / bits_per_word in
+    sc.ev_bits.(w) <- sc.ev_bits.(w) lor (1 lsl (s land (bits_per_word - 1)))
+  end
+
+let rec ctz w n = if w land 1 = 1 then n else ctz (w lsr 1) (n + 1)
+
+let rec next_event_from sc t stop limit =
+  if t >= stop then limit
+  else begin
+    let s = t land (wheel_size - 1) in
+    let k = s land (bits_per_word - 1) in
+    let w = sc.ev_bits.(s / bits_per_word) lsr k in
+    if w = 0 then next_event_from sc (t + bits_per_word - k) stop limit
+    else min limit (t + ctz w 0)
+  end
+
+(* The first tick in [from, limit) whose wheel slot holds an entry, else
+   [limit]. One revolution visits every slot, so the scan ends there; a
+   wrap entry found early only makes the answer conservative. *)
+let next_event sc from limit =
+  next_event_from sc from (min limit (from + wheel_size)) limit
 
 (* ----- telemetry instrumentation points -----
 
@@ -633,7 +679,7 @@ let mem_time st idx =
   | Config.Mem_cache_sim ->
     (* the latency triple lives in [st.lat3] so a cache-model access does
        not build a tuple per uop *)
-    Cache.Hierarchy.latency st.memory ~latencies:st.lat3
+    Cache.Hierarchy.latency (Lazy.force st.memory) ~latencies:st.lat3
       (Uop_soa.mem_addr st.soa idx)
 
 let exec_ticks st cluster (node : node) =
@@ -716,7 +762,7 @@ let get_ctx st =
 
 (* ----- creation ----- *)
 
-let create ?sink ~accounting ~census_check cfg decide trace =
+let create ?sink ~accounting ~census_check ~skip ~drop_idx cfg decide trace =
   ( match Config.validate cfg with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Pipeline: " ^ msg) );
@@ -729,6 +775,8 @@ let create ?sink ~accounting ~census_check cfg decide trace =
       trace_len = Uop_soa.length soa;
       accounting;
       census_check;
+      skip;
+      drop_idx;
       census = Array.make 6 0;
       sc;
       steer_ctx = None;
@@ -737,11 +785,7 @@ let create ?sink ~accounting ~census_check cfg decide trace =
       wflush_until = 0;
       preds = Bundle.create ~entries:cfg.Config.wpred_entries ~conf_bits:cfg.Config.conf_bits ();
       counts = Counts.make ();
-      fetch_idx = 0; fetch_resume = 0;
-      (* sized for the worst realistic forced-wide set of a 30k-uop window
-         so population never rehashes; lookups are also length-guarded in
-         the frontend *)
-      force_wide = Hashtbl.create 256;
+      fetch_idx = 0; fetch_resume = 0; fe_code = -1;
       rename = sc.rename;
       iq =
         [| { iq_sent = sc.sent0; iq_len = 0 };
@@ -753,14 +797,16 @@ let create ?sink ~accounting ~census_check cfg decide trace =
       mob_count = 0;
       backlog = [| 0; 0 |];
       backlog_ewma = [| 0.; 0. |];
-      memory = Cache.Hierarchy.create ();
-      gshare = Branch_predictor.create ();
-      tcache = Trace_cache.create ();
+      memory = lazy (Cache.Hierarchy.create ());
+      gshare = lazy (Branch_predictor.create ());
+      tcache = lazy (Trace_cache.create ());
       regfile =
         Regfile.create ~wide_regs:cfg.Config.wide_regs
           ~narrow_regs:cfg.Config.narrow_regs ();
       now = 0;
-      iss_issued = 0; iss_ready = 0;
+      quiet_since = 0;
+      avail_soon = 0;
+      iss_issued = 0; iss_ready = 0; iss_unlinked = 0;
       dis_demand_w = 0; dis_demand_n = 0;
       rsteer_n = 0;
       split_prev = null_vstate;
@@ -887,8 +933,10 @@ let rec census_touch_from st sc e =
 let census_touch st (v : vstate) =
   if st.accounting then census_touch_from st st.sc v.v_cons
 
-(* [v] becomes readable in the other cluster at [now + 2] *)
-let census_touch_later st (v : vstate) =
+(* [v] becomes readable in the other cluster at [now + 2]: the event
+   horizon stops there, and the census reclassifies its consumers then *)
+let publish_later st (v : vstate) =
+  st.avail_soon <- st.now + 2;
   if st.accounting then begin
     let sc = st.sc in
     let slot = (st.now + 2) land 3 in
@@ -900,7 +948,7 @@ let census_touch_later st (v : vstate) =
     sc.recheck_n.(slot) <- n + 1
   end
 
-(* the start of a tick: the touches [census_touch_later] set for it *)
+(* the start of a tick: the touches [publish_later] set for it *)
 let census_due st =
   let sc = st.sc in
   let slot = st.now land 3 in
@@ -1200,7 +1248,7 @@ let dispatch_steered st ~trace_idx ~op ~pc ~pred_narrow ~pred_confident
       match cfg.Config.branch_model with
       | Config.Br_trace_flags -> Uop_soa.flag st.soa trace_idx Uop_soa.flag_mispredicted
       | Config.Br_gshare ->
-        Branch_predictor.update st.gshare pc
+        Branch_predictor.update (Lazy.force st.gshare) pc
           ~taken:(Uop_soa.flag st.soa trace_idx Uop_soa.flag_taken)
   in
   if dest != null_vstate then begin
@@ -1243,16 +1291,25 @@ let dispatch_steered st ~trace_idx ~op ~pc ~pred_narrow ~pred_confident
   end;
   bump st c_dispatch.(ci)
 
-let dispatch_uop st ~forced_wide ~trace_idx =
-  let scheme = st.cfg.Config.scheme in
+(* the policy's verdict on the uop at [trace_idx] *)
+let decision st trace_idx =
+  if st.cfg.Config.scheme.Config.helper then st.decide (get_ctx st) trace_idx
+  else Steer.steer_wide
+
+(* A verdict as an int, so the frontend remembers the one its stalled
+   uop got without a pointer store *)
+let decision_code = function
+  | Steer.Split -> 0
+  | Steer.Steer cluster -> 1 + cluster_index cluster
+  | Steer.Steer_narrow reason -> 3 + reason_code reason
+
+let dispatch_uop st ~trace_idx =
   let op = Uop_soa.op st.soa trace_idx and pc = Uop_soa.pc st.soa trace_idx in
   let pred_narrow = Width_predictor.predict_narrow st.preds.Bundle.width pc in
   let pred_confident = Width_predictor.predict_confident st.preds.Bundle.width pc in
   bump st Counts.wpred_lookup;
-  let decision =
-    if forced_wide || not scheme.Config.helper then Steer.steer_wide
-    else st.decide (get_ctx st) trace_idx
-  in
+  let decision = decision st trace_idx in
+  st.fe_code <- decision_code decision;
   collect_reg_deps st trace_idx;
   match decision with
   | Steer.Split -> dispatch_split st ~trace_idx ~op ~pc ~pred_narrow
@@ -1270,17 +1327,14 @@ let rec frontend_loop st budget =
     ( match st.cfg.Config.frontend_model with
     | Config.Fe_ideal -> ()
     | Config.Fe_trace_cache ->
-      if not (Trace_cache.lookup st.tcache (Uop_soa.pc st.soa st.fetch_idx))
-      then begin
+      let pc = Uop_soa.pc st.soa st.fetch_idx in
+      if not (Trace_cache.lookup (Lazy.force st.tcache) pc) then begin
         (* build the trace line from the UL1 instruction stream *)
         st.fetch_resume <- st.now + (2 * st.cfg.Config.ul1_latency);
         bump st Counts.tc_miss;
         raise Fetch_miss
       end );
-    let forced_wide =
-      Hashtbl.length st.force_wide > 0 && Hashtbl.mem st.force_wide st.fetch_idx
-    in
-    dispatch_uop st ~forced_wide ~trace_idx:st.fetch_idx;
+    dispatch_uop st ~trace_idx:st.fetch_idx;
     st.fetch_idx <- st.fetch_idx + 1;
     frontend_loop st (budget - 1)
   end
@@ -1350,16 +1404,20 @@ let rec issue_walk st cluster q width regread_id issue_id s (node : node) issued
     else issue_walk st cluster q width regread_id issue_id s next issued ready
   end
 
-(* One issue round; results land in [iss_issued] (slots that did work)
-   and [iss_ready] (the NREADY leftover). *)
+(* one issue round's update of the smoothed ready backlog *)
+let[@inline] ewma_step e ready = (0.9 *. e) +. (0.1 *. float_of_int ready)
+
+(* One issue round; results land in [iss_issued] (slots that did work),
+   [iss_ready] (the NREADY leftover) and [iss_unlinked]. *)
 let issue_cluster st cluster =
   let i = cluster_index cluster in
   let q = st.iq.(i) in
+  let len = q.iq_len in
   issue_walk st cluster q st.cfg.Config.issue_width c_regread.(i)
     c_issue.(i) q.iq_sent q.iq_sent.n_next 0 0;
+  st.iss_unlinked <- len - q.iq_len;
   st.backlog.(i) <- st.iss_ready;
-  st.backlog_ewma.(i) <-
-    (0.9 *. st.backlog_ewma.(i)) +. (0.1 *. float_of_int st.iss_ready)
+  st.backlog_ewma.(i) <- ewma_step st.backlog_ewma.(i) st.iss_ready
 
 (* Ready-but-stalled wide uops the helper's integer-only 8-bit units could
    in principle have hosted — the NREADY eligibility filter. *)
@@ -1452,22 +1510,23 @@ let census_verify st cluster ~mem ~cop ~opr =
          (Accounting.lane_name (cluster_index cluster))
          mem cop opr !wmem !wcop !wopr)
 
-(* Give up to [count] of the [left] idle slots to [cat]; returns the
-   slots still unclaimed. *)
-let[@inline] take st ~lane cat count left =
+(* Give up to [count] of the [left] idle slots to [cat], in each of
+   [rounds] identical rounds; returns the slots still unclaimed. *)
+let[@inline] take st ~lane ~rounds cat count left =
   let n = min left count in
-  if n > 0 then Accounting.add st.counts ~lane cat n;
+  if n > 0 then Accounting.add st.counts ~lane cat (n * rounds);
   left - n
 
-(* One issue round of [cluster]: [issued] slots did work; the idle rest
-   is claimed first by blocked queue occupants (memory, then copy, then
-   operands), and any slots beyond the occupant count by the
-   empty-stage reason. Adds exactly [issue_width] slots and one round,
+(* [rounds] issue rounds of [cluster] alike: [issued] slots did work;
+   the idle rest is claimed first by blocked queue occupants (memory,
+   then copy, then operands), and any slots beyond the occupant count by
+   the empty-stage reason. Adds exactly [issue_width] slots per round,
    so the partition invariant holds by construction. *)
-let account_issue_round st cluster ~issued =
+let account_issue_rounds st cluster ~rounds ~issued =
   let lane = cluster_index cluster in
   let width = st.cfg.Config.issue_width in
-  if issued > 0 then Accounting.add st.counts ~lane Accounting.Issued issued;
+  if issued > 0 then
+    Accounting.add st.counts ~lane Accounting.Issued (issued * rounds);
   let idle = width - issued in
   if idle > 0 then begin
     (* after the issue walk the queue holds only blocked occupants:
@@ -1478,22 +1537,23 @@ let account_issue_round st cluster ~issued =
     and cop = st.census.(base + 1)
     and opr = st.census.(base + 2) in
     if st.census_check then census_verify st cluster ~mem ~cop ~opr;
-    let left = take st ~lane Accounting.Memory mem idle in
-    let left = take st ~lane Accounting.Wait_copy cop left in
-    let left = take st ~lane Accounting.Wait_operands opr left in
+    let left = take st ~lane ~rounds Accounting.Memory mem idle in
+    let left = take st ~lane ~rounds Accounting.Wait_copy cop left in
+    let left = take st ~lane ~rounds Accounting.Wait_operands opr left in
     if left > 0 then
       Accounting.add st.counts ~lane
         (empty_reason st ~narrow:(cluster = Config.Narrow))
-        left
+        (left * rounds)
   end;
-  Accounting.round st.counts ~lane
+  Accounting.rounds_add st.counts ~lane rounds
 
-(* One commit round: [committed] slots retired; idle slots are all
-   blamed on the ROB head (it blocks everything younger), or on the
-   empty-stage reason when the ROB is empty. *)
-let account_commit_round st ~committed =
+(* [rounds] commit rounds alike: [committed] slots retired; idle slots
+   are all blamed on the ROB head (it blocks everything younger), or on
+   the empty-stage reason when the ROB is empty. *)
+let account_commit_rounds st ~rounds ~committed =
   let lane = Accounting.lane_commit in
-  if committed > 0 then Accounting.add st.counts ~lane Accounting.Issued committed;
+  if committed > 0 then
+    Accounting.add st.counts ~lane Accounting.Issued (committed * rounds);
   let idle = st.cfg.Config.commit_width - committed in
   if idle > 0 then begin
     let cat =
@@ -1505,9 +1565,9 @@ let account_commit_round st ~committed =
         else Accounting.Wait_operands
       end
     in
-    Accounting.add st.counts ~lane cat idle
+    Accounting.add st.counts ~lane cat (idle * rounds)
   end;
-  Accounting.round st.counts ~lane
+  Accounting.rounds_add st.counts ~lane rounds
 
 (* ----- width misprediction recovery ----- *)
 
@@ -1752,7 +1812,7 @@ let complete_slice st (node : node) =
     v.v_avail1 <- st.now;
     if node.n_slice_final && st.cfg.Config.replicated_regfile then begin
       v.v_avail0 <- min v.v_avail0 (st.now + 2);
-      census_touch_later st v;
+      publish_later st v;
       bump st c_regwrite.(0)
     end;
     census_touch st v
@@ -1805,8 +1865,8 @@ let complete_normal st (node : node) =
         if v.v_narrow then bump st Counts.lr_replicated;
         bump st c_regwrite.(oth)
       end;
-      if st.accounting && (st.cfg.Config.replicated_regfile || node.n_lr_replicate)
-      then census_touch_later st v;
+      if st.cfg.Config.replicated_regfile || node.n_lr_replicate then
+        publish_later st v;
       census_touch st v
     end;
     bump st c_regwrite.(own);
@@ -1887,6 +1947,12 @@ let process_completions st =
     slot.ev_nodes.(k) <- null_node
   done;
   slot.ev_len <- kept;
+  if kept = 0 then begin
+    let s = st.now land (wheel_size - 1) in
+    let w = s / bits_per_word in
+    sc.ev_bits.(w) <-
+      sc.ev_bits.(w) land lnot (1 lsl (s land (bits_per_word - 1)))
+  end;
   (* oldest first: a fatal flush must squash younger completions sharing
      this tick. Insertion sort on the (tiny) due batch; ids are unique so
      the order is total and deterministic. *)
@@ -1953,55 +2019,245 @@ let commit st =
   let width = st.cfg.Config.commit_width in
   width - commit_loop st width
 
+(* ----- event horizon -----
+
+   A tick is quiet when nothing completed, committed, dispatched or left
+   an issue queue in it. When the last wide round and every tick since
+   were quiet, the ticks that follow repeat it until the horizon, the
+   first tick at which anything can change: the stages see the same
+   queues, ROB and values, so each round again issues, commits and
+   dispatches nothing, and each round's cycle accounting attributes its
+   slots alike. Only the backlog EWMAs, the counts and a stalled
+   dispatch's retries move, and [replay] steps just those. *)
+
+(* The horizon after the quiet tick [now], [never] when no event is
+   left: the first of
+   - the frontend's next round, when it did not run in the last wide
+     round ([fetch_resume]: a branch or trace-cache refill); it retries
+     a stalled dispatch in every wide round, which [replay] follows;
+   - the end of a width flush's drain ([wflush_until]), which the
+     accounting of an empty stage reads;
+   - the next issue round after a value published to the other cluster
+     at [now + 2] becomes readable, when the last wide round did not see
+     it; the census's re-check ring holds exactly those values, so this
+     covers its next slot too;
+   - the next occupied event-wheel slot.
+   A stall end or a value the last wide round already saw changes
+   nothing ([unseen]). *)
+let unseen st t h =
+  if t > st.now land lnot 1 then min h (max (st.now + 1) t) else h
+
+let horizon st =
+  let h = unseen st st.fetch_resume never in
+  let h = if st.wflush_until > st.now then min h st.wflush_until else h in
+  let h = unseen st st.avail_soon h in
+  next_event st.sc (st.now + 1) h
+
+(* the frontend retries a stalled dispatch in every wide round *)
+let retrying st = st.fetch_idx < st.trace_len && st.fetch_resume <= st.now
+
+(* Replay the quiet ticks from [now + 1] up to [h], leaving [now] on the
+   last one replayed. Each issue round decays its cluster's backlog EWMA
+   as an idle round does (the multiply itself, as [0.9 ** k] is not the
+   same float). A wide round whose frontend retries the stalled uop
+   repeats its trace-cache and width-predictor lookups; since the EWMA
+   is part of what the steering policy reads, replay stops before the
+   first retry whose verdict would differ from the stalled one. The
+   counts are booked at once: with nothing moving, k rounds are k times
+   one round, the accounting's split included. *)
+let replay st h =
+  let cfg = st.cfg in
+  let helper = cfg.Config.scheme.Config.helper in
+  let fast = helper && cfg.Config.helper_fast_clock in
+  let retry = retrying st in
+  let lookup = retry && cfg.Config.frontend_model = Config.Fe_trace_cache in
+  let ewma = st.backlog_ewma in
+  let first = st.now + 1 in
+  let t = ref first in
+  while
+    !t < h
+    && not
+         (!t land 1 = 0 && retry
+          && decision_code (decision st st.fetch_idx) <> st.fe_code)
+  do
+    if !t land 1 = 0 then begin
+      if lookup then begin
+        let pc = Uop_soa.pc st.soa st.fetch_idx in
+        let hit = Trace_cache.lookup (Lazy.force st.tcache) pc in
+        assert hit
+      end;
+      ewma.(0) <- ewma_step ewma.(0) 0;
+      if helper then ewma.(1) <- ewma_step ewma.(1) 0
+    end
+    else if fast then ewma.(1) <- ewma_step ewma.(1) 0;
+    incr t
+  done;
+  let ticks = !t - first in
+  if ticks > 0 then begin
+    let evens = ((!t + 1) / 2) - ((first + 1) / 2) in
+    let narrow_rounds = if fast then ticks else if helper then evens else 0 in
+    bump_by st Counts.tick ticks;
+    bump_by st Counts.cycle_wide evens;
+    bump_by st Counts.cycle_narrow narrow_rounds;
+    if retry then bump_by st Counts.wpred_lookup evens;
+    if st.accounting then begin
+      account_commit_rounds st ~rounds:evens ~committed:0;
+      account_issue_rounds st Config.Wide ~rounds:evens ~issued:0;
+      if helper then
+        account_issue_rounds st Config.Narrow ~rounds:narrow_rounds ~issued:0
+    end;
+    st.now <- !t - 1
+  end
+
+type stuck_operand = { done_ : bool; avail_wide : int; avail_narrow : int }
+
+type stuck_head = {
+  trace_idx : int;
+  op : Opcode.t;
+  cluster : Config.cluster;
+  operands : stuck_operand list;
+}
+
+type deadlock = {
+  tick : int;
+  head : stuck_head option;
+  rob : int;
+  iq_wide : int;
+  iq_narrow : int;
+}
+
+exception Deadlock of deadlock
+
+let deadlock_message d =
+  let at t = if t = never then "never" else string_of_int t in
+  let operand o =
+    Printf.sprintf "%s, wide at %s, narrow at %s"
+      (if o.done_ then "done" else "not done")
+      (at o.avail_wide) (at o.avail_narrow)
+  in
+  let head =
+    match d.head with
+    | None -> "the ROB is empty"
+    | Some h ->
+      Printf.sprintf "ROB head trace index %d (%s, %s cluster; operands: %s)"
+        h.trace_idx (Opcode.to_string h.op)
+        (Config.cluster_to_string h.cluster)
+        ( if h.operands = [] then "none"
+          else String.concat "; " (List.map operand h.operands) )
+  in
+  Printf.sprintf
+    "Pipeline.run: deadlock at tick %d, no event left: %s; ROB %d, issue \
+     queues wide %d narrow %d"
+    d.tick head d.rob d.iq_wide d.iq_narrow
+
+let () =
+  Printexc.register_printer (function
+    | Deadlock d -> Some (deadlock_message d)
+    | _ -> None)
+
+let deadlock st =
+  let head =
+    if st.rob_count = 0 then None
+    else begin
+      let n = rob_peek st in
+      Some
+        { trace_idx = n.n_trace_idx; op = n.n_op; cluster = n.n_cluster;
+          operands =
+            List.init n.n_ndeps (fun k ->
+                let v = n.n_dep_v.(k) in
+                { done_ = v.v_done; avail_wide = v.v_avail0;
+                  avail_narrow = v.v_avail1 }) }
+    end
+  in
+  Deadlock
+    { tick = st.now; head; rob = st.rob_count; iq_wide = st.iq.(0).iq_len;
+      iq_narrow = st.iq.(1).iq_len }
+
+let ewma_settled st =
+  ewma_step st.backlog_ewma.(0) 0 = st.backlog_ewma.(0)
+  && ewma_step st.backlog_ewma.(1) 0 = st.backlog_ewma.(1)
+
+(* After a quiet tick whose last wide round was quiet too: replay up to
+   the horizon, which a sample boundary also bounds (that tick runs for
+   real), or raise [Deadlock] when nothing can ever change. *)
+let jump st ~sample_every =
+  let h = horizon st in
+  let h =
+    if h < never then h
+    else if retrying st && not (ewma_settled st) then
+      (* no event, but the decaying EWMA may still change the stalled
+         uop's verdict: go on until it settles *)
+      st.now + wheel_size
+    else raise (deadlock st)
+  in
+  let h =
+    if sample_every > 0 then
+      min h (((st.now / sample_every) + 1) * sample_every)
+    else h
+  in
+  if st.skip && h > st.now + 1 then replay st h
+
 (* ----- main loop ----- *)
 
 let finished st = st.fetch_idx >= st.trace_len && st.rob_count = 0
 
-let run_gen ~census_check ?(max_ticks = 200_000_000) ?sink ~accounting ~cfg
+let run_gen ~census_check ~skip ?(drop_idx = -2) ?sink ~accounting ~cfg
     ~decide ~scheme_name trace =
-  let st = create ?sink ~accounting ~census_check cfg decide trace in
+  let st =
+    create ?sink ~accounting ~census_check ~skip ~drop_idx cfg decide trace
+  in
   let helper = cfg.Config.scheme.Config.helper in
   let sample_every =
     match sink with Some s -> Sink.interval s | None -> 0
   in
   while not (finished st) do
-    if st.now > max_ticks then
-      failwith
-        (Printf.sprintf "Pipeline.run: exceeded %d ticks at trace index %d"
-           max_ticks st.fetch_idx);
+    let fetched = st.fetch_idx in
     if st.accounting then census_due st;
     process_completions st;
+    let quiet = st.sc.due_len = 0 in
     let even = st.now mod 2 = 0 in
-    if even then begin
-      let commit_used = commit st in
-      if st.accounting then account_commit_round st ~committed:commit_used;
-      st.stall_src <- Sr_none;
-      frontend st;
-      issue_cluster st Config.Wide;
-      let issued_w = st.iss_issued and leftover_w = st.iss_ready in
-      if st.accounting then account_issue_round st Config.Wide ~issued:issued_w;
-      if helper then begin
-        issue_cluster st Config.Narrow;
-        let issued_n = st.iss_issued and leftover_n = st.iss_ready in
+    let quiet =
+      if even then begin
+        let commit_used = commit st in
         if st.accounting then
-          account_issue_round st Config.Narrow ~issued:issued_n;
-        (* NREADY (§3.7): ready uops stalled here while the other backend
-           had idle slots this cycle *)
-        let spare_n = cfg.Config.issue_width - issued_n in
-        let spare_w = cfg.Config.issue_width - issued_w in
-        if spare_n > 0 && leftover_w > 0 then begin
-          let capable = count_ready_narrow_capable st in
-          bump_by st Counts.nready_w2n (min capable spare_n)
-        end;
-        if spare_w > 0 && leftover_n > 0 then
-          bump_by st Counts.nready_n2w (min leftover_n spare_w)
+          account_commit_rounds st ~rounds:1 ~committed:commit_used;
+        st.stall_src <- Sr_none;
+        frontend st;
+        issue_cluster st Config.Wide;
+        let issued_w = st.iss_issued and leftover_w = st.iss_ready in
+        let quiet =
+          quiet && commit_used = 0 && st.fetch_idx = fetched
+          && st.iss_unlinked = 0
+        in
+        if st.accounting then
+          account_issue_rounds st Config.Wide ~rounds:1 ~issued:issued_w;
+        if helper then begin
+          issue_cluster st Config.Narrow;
+          let issued_n = st.iss_issued and leftover_n = st.iss_ready in
+          if st.accounting then
+            account_issue_rounds st Config.Narrow ~rounds:1 ~issued:issued_n;
+          (* NREADY (§3.7): ready uops stalled here while the other backend
+             had idle slots this cycle *)
+          let spare_n = cfg.Config.issue_width - issued_n in
+          let spare_w = cfg.Config.issue_width - issued_w in
+          if spare_n > 0 && leftover_w > 0 then begin
+            let capable = count_ready_narrow_capable st in
+            bump_by st Counts.nready_w2n (min capable spare_n)
+          end;
+          if spare_w > 0 && leftover_n > 0 then
+            bump_by st Counts.nready_n2w (min leftover_n spare_w);
+          quiet && st.iss_unlinked = 0
+        end
+        else quiet
       end
-    end
-    else if helper && cfg.Config.helper_fast_clock then begin
-      issue_cluster st Config.Narrow;
-      if st.accounting then
-        account_issue_round st Config.Narrow ~issued:st.iss_issued
-    end;
+      else if helper && cfg.Config.helper_fast_clock then begin
+        issue_cluster st Config.Narrow;
+        if st.accounting then
+          account_issue_rounds st Config.Narrow ~rounds:1 ~issued:st.iss_issued;
+        quiet && st.iss_unlinked = 0
+      end
+      else quiet
+    in
     bump st Counts.tick;
     if even then bump st Counts.cycle_wide;
     if helper && (even || cfg.Config.helper_fast_clock) then
@@ -2011,6 +2267,8 @@ let run_gen ~census_check ?(max_ticks = 200_000_000) ?sink ~accounting ~cfg
       | Some sink -> take_sample st sink
       | None -> ()
     end;
+    if not quiet then st.quiet_since <- st.now + 1
+    else if st.quiet_since <= st.now land lnot 1 then jump st ~sample_every;
     st.now <- st.now + 1
   done;
   (* flush the tail interval so the series' column sums equal the final
@@ -2028,12 +2286,21 @@ let run_gen ~census_check ?(max_ticks = 200_000_000) ?sink ~accounting ~cfg
   in
   Metrics.of_counts ~name:trace.Trace.name ~scheme_name ?stall st.counts
 
-let run ?max_ticks ?sink ?(accounting = false) ~cfg ~decide ~scheme_name trace =
-  run_gen ~census_check:false ?max_ticks ?sink ~accounting ~cfg ~decide
+let run ?sink ?(accounting = false) ~cfg ~decide ~scheme_name trace =
+  run_gen ~census_check:false ~skip:true ?sink ~accounting ~cfg ~decide
     ~scheme_name trace
 
 module For_testing = struct
   let run_census_checked ?sink ~cfg ~decide ~scheme_name trace =
-    run_gen ~census_check:true ?sink ~accounting:true ~cfg ~decide
+    run_gen ~census_check:true ~skip:true ?sink ~accounting:true ~cfg ~decide
       ~scheme_name trace
+
+  let run_unskipped ?sink ?(accounting = false) ~cfg ~decide ~scheme_name
+      trace =
+    run_gen ~census_check:false ~skip:false ?sink ~accounting ~cfg ~decide
+      ~scheme_name trace
+
+  let run_dropping_completion ~trace_idx ~cfg ~decide ~scheme_name trace =
+    run_gen ~census_check:false ~skip:true ~drop_idx:trace_idx ~accounting:false
+      ~cfg ~decide ~scheme_name trace
 end

@@ -17,9 +17,10 @@
       write both register files, suppressed at fill time by the width
       detectors when the value turns out wide;
     - fatal width mispredictions: a narrow-steered uop whose execution
-      actually needed the wide datapath squashes itself and {e all} younger
-      in-flight uops (the paper's flushing scheme), rolls the rename table
-      back, stalls the frontend and refetches — the offender forced wide;
+      actually needed the wide datapath squashes itself and every younger
+      uop of the helper backend (the paper's flushing scheme), resteers
+      them into the wide backend in their ROB slots and stalls the
+      frontend for the flush penalty;
     - IR splitting: four chained one-tick slices in the helper plus four
       prefetch copies of the result back to the wide cluster;
     - branch mispredictions (trace ground truth) as frontend refill
@@ -30,10 +31,46 @@
     detectors would. *)
 
 type decide = Steer.decide
-(** A steering policy (see {!Hc_steering.Policy} for the paper's stack). *)
+(** A steering policy (see {!Hc_steering.Policy} for the paper's stack).
+    It must be a pure function of its context and trace index: the
+    simulator jumps over quiet ticks, and while a dispatch stalls it
+    asks the policy again only to learn whether the stalled uop's
+    verdict would change, so a policy that kept state of its own, or
+    read anything but the context, could see fewer calls than ticks.
+    Every library policy is pure. *)
+
+type stuck_operand = {
+  done_ : bool;  (** its producer completed *)
+  avail_wide : int;
+  avail_narrow : int;
+      (** the tick it is readable in each cluster; [max_int] = never *)
+}
+
+type stuck_head = {
+  trace_idx : int;
+  op : Hc_isa.Opcode.t;
+  cluster : Config.cluster;
+  operands : stuck_operand list;
+}
+
+type deadlock = {
+  tick : int;  (** the quiet tick after which no event was left *)
+  head : stuck_head option;  (** the ROB head; [None] = empty ROB *)
+  rob : int;  (** ROB occupancy *)
+  iq_wide : int;  (** issue-queue lengths *)
+  iq_narrow : int;
+}
+
+exception Deadlock of deadlock
+(** An unfinished run with no event left that could change the machine:
+    nothing is in flight, no stall will end and the stalled uop's
+    steering verdict is settled. Raised at once, at the tick it
+    happens; a printer is registered, so an uncaught one prints
+    {!deadlock_message}. *)
+
+val deadlock_message : deadlock -> string
 
 val run :
-  ?max_ticks:int ->
   ?sink:Hc_obs.Sink.t ->
   ?accounting:bool ->
   cfg:Config.t ->
@@ -42,8 +79,11 @@ val run :
   Hc_trace.Trace.t ->
   Metrics.t
 (** Simulate a whole trace to completion and return its metrics.
-    [max_ticks] (default 200 million) guards against livelock bugs — the
-    simulator raises [Failure] if it is exceeded.
+    Ticks in which nothing can happen are not stepped one by one: after
+    a tick in which nothing completed, committed, dispatched or issued,
+    the run jumps to the next tick at which anything can change and
+    books the rounds in between in closed form (DESIGN.md, "Event
+    horizon"). The result is identical to stepping every tick.
 
     [sink] attaches telemetry: per-uop lifecycle events
     (dispatch/issue/writeback/commit/squash, copies and slices, width
@@ -63,7 +103,8 @@ val run :
     other count. [Accounting.consistent] holds exactly on both, with
     the lane widths taken from [cfg] and returned in [Metrics.stall].
     The other counts are bit-identical with or without accounting.
-    @raise Invalid_argument on an invalid [cfg]. *)
+    @raise Invalid_argument on an invalid [cfg].
+    @raise Deadlock if the machine wedges. *)
 
 module For_testing : sig
   val run_census_checked :
@@ -78,4 +119,26 @@ module For_testing : sig
       full walk of that issue queue.
       @raise Failure at the first difference, naming the tick, the lane
       and both sets of counts. *)
+
+  val run_unskipped :
+    ?sink:Hc_obs.Sink.t ->
+    ?accounting:bool ->
+    cfg:Config.t ->
+    decide:decide ->
+    scheme_name:string ->
+    Hc_trace.Trace.t ->
+    Metrics.t
+  (** {!run} stepping every tick: the same loop with the jump over
+      quiet ticks turned off, the reference it must equal. *)
+
+  val run_dropping_completion :
+    trace_idx:int ->
+    cfg:Config.t ->
+    decide:decide ->
+    scheme_name:string ->
+    Hc_trace.Trace.t ->
+    Metrics.t
+  (** {!run} with the next completion scheduled for the uop at
+      [trace_idx] never delivered, which wedges the machine.
+      @raise Deadlock once nothing else is left to happen. *)
 end

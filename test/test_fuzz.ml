@@ -30,6 +30,15 @@ let config_gen =
   let* replicated = bool in
   let* replay = bool in
   let* regs = int_range 16 160 in
+  let* commit_width = int_range 1 8 in
+  (* past 2 048 cycles a load's completion wraps the 4 096-tick event
+     wheel *)
+  let* mem_latency =
+    frequency [ (3, int_range 20 600); (1, int_range 600 2_200) ]
+  in
+  let* memory_model = oneofl [ Config.Mem_trace_flags; Config.Mem_cache_sim ] in
+  let* branch_model = oneofl [ Config.Br_trace_flags; Config.Br_gshare ] in
+  let* frontend_model = oneofl [ Config.Fe_ideal; Config.Fe_trace_cache ] in
   let* scheme_idx = int_range 0 (List.length Config.scheme_stack - 1) in
   let scheme = snd (List.nth Config.scheme_stack scheme_idx) in
   return
@@ -38,16 +47,23 @@ let config_gen =
       copy_latency; branch_penalty; width_flush_penalty; narrow_bits;
       confidence_gate; helper_fast_clock;
       replicated_regfile = replicated; replay_recovery = replay;
-      wide_regs = regs; narrow_regs = regs; scheme }
+      wide_regs = regs; narrow_regs = regs; commit_width; mem_latency;
+      memory_model; branch_model; frontend_model; scheme }
 
 let bench_gen =
   QCheck.Gen.oneofl [ "bzip2"; "gcc"; "mcf"; "gzip"; "eon"; "twolf" ]
 
 let print_case (cfg, bench) =
-  Format.asprintf "%s under iq=%d issue=%d rob=%d mob=%d bits=%d repl=%b replay=%b"
-    bench cfg.Config.iq_size cfg.Config.issue_width cfg.Config.rob_size
-    cfg.Config.mob_size cfg.Config.narrow_bits cfg.Config.replicated_regfile
-    cfg.Config.replay_recovery
+  Format.asprintf
+    "%s under iq=%d issue=%d commit=%d rob=%d mob=%d bits=%d repl=%b \
+     replay=%b mem=%d cache_sim=%b gshare=%b tcache=%b"
+    bench cfg.Config.iq_size cfg.Config.issue_width cfg.Config.commit_width
+    cfg.Config.rob_size cfg.Config.mob_size cfg.Config.narrow_bits
+    cfg.Config.replicated_regfile cfg.Config.replay_recovery
+    cfg.Config.mem_latency
+    (cfg.Config.memory_model = Config.Mem_cache_sim)
+    (cfg.Config.branch_model = Config.Br_gshare)
+    (cfg.Config.frontend_model = Config.Fe_trace_cache)
 
 let arb =
   QCheck.make ~print:print_case QCheck.Gen.(pair config_gen bench_gen)
@@ -155,6 +171,70 @@ let prop_counts_invariants =
       match back with
       | Some b -> Metrics.to_json b = Metrics.to_json m
       | None -> QCheck.Test.fail_reportf "stored metrics did not reload")
+
+(* Splits every helper-capable uop while the wide backlog EWMA is above
+   0.3, else steers wide: a verdict that flips as the EWMA decays through
+   quiet ticks, which the library stack seldom shows on short traces. *)
+let split_while_backlogged ctx i =
+  if
+    Hc_isa.Opcode.helper_capable (Hc_sim.Steer.op ctx i)
+    && ctx.Hc_sim.Steer.backlog_ewma_gt Config.Wide 0.3
+  then Hc_sim.Steer.Split
+  else Hc_sim.Steer.steer_wide
+
+(* The event horizon against stepping every tick: jumping over quiet
+   ticks must change nothing, with cycle accounting on, in the metrics,
+   the whole count vector and every 50-tick interval of a sink (which
+   bounds each jump by 50 ticks), and in the metrics of a run without a
+   sink, whose jumps run to the next event. Under the library policy or
+   [split_while_backlogged]. *)
+let prop_skip_equals_stepping =
+  QCheck.Test.make ~name:"jumping quiet ticks equals stepping every tick"
+    ~count:40
+    (QCheck.make
+       ~print:(fun (case, library) ->
+         Printf.sprintf "%s policy=%s" (print_case case)
+           (if library then "library" else "split_while_backlogged"))
+       QCheck.Gen.(pair (pair config_gen bench_gen) bool))
+    (fun ((cfg, bench), library) ->
+      let trace = trace_of bench in
+      let decide =
+        if library then Hc_steering.Policy.decide else split_while_backlogged
+      in
+      let sampled run =
+        let sink = Sink.create ~interval:50 ~tracing:false () in
+        let m = run ~sink in
+        (m, Sink.samples sink)
+      in
+      let m, samples =
+        sampled (fun ~sink ->
+            Pipeline.run ~sink ~accounting:true ~cfg ~decide
+              ~scheme_name:"fuzz" trace)
+      in
+      let r, stepped =
+        sampled (fun ~sink ->
+            Pipeline.For_testing.run_unskipped ~sink ~accounting:true ~cfg
+              ~decide ~scheme_name:"fuzz" trace)
+      in
+      if Metrics.to_json m <> Metrics.to_json r then
+        QCheck.Test.fail_reportf "the metrics JSON differs";
+      if m.Metrics.counts <> r.Metrics.counts then
+        QCheck.Test.fail_reportf "the count vector differs";
+      if List.length samples <> List.length stepped then
+        QCheck.Test.fail_reportf "%d intervals against %d"
+          (List.length samples) (List.length stepped);
+      List.iter2
+        (fun (a : Sample.t) (b : Sample.t) ->
+          if a <> b then
+            QCheck.Test.fail_reportf "interval [%d, %d) differs"
+              b.Sample.t_start b.Sample.t_end)
+        samples stepped;
+      let whole run = Metrics.to_json (run ~cfg ~decide ~scheme_name:"fuzz" trace) in
+      if
+        whole (Pipeline.run ?sink:None ~accounting:true)
+        <> whole (Pipeline.For_testing.run_unskipped ?sink:None ~accounting:true)
+      then QCheck.Test.fail_reportf "the metrics JSON differs without a sink";
+      true)
 
 (* Obs-on bit-identity off the seeds: with a tracing, sampling sink
    attached the metrics JSON equals the untraced run's, a second traced
@@ -510,6 +590,7 @@ let suite =
     [
       QCheck_alcotest.to_alcotest prop_simulator_total;
       QCheck_alcotest.to_alcotest prop_counts_invariants;
+      QCheck_alcotest.to_alcotest prop_skip_equals_stepping;
       QCheck_alcotest.to_alcotest prop_tracing_bit_identical;
       QCheck_alcotest.to_alcotest prop_bidir_contains_forward;
       QCheck_alcotest.to_alcotest prop_monolithic_ignores_helper_knobs;

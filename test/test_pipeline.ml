@@ -198,6 +198,36 @@ let test_invalid_config_rejected () =
     (Invalid_argument "Pipeline: issue_width = 0 must be positive") (fun () ->
       ignore (run ~cfg "+IR" t))
 
+(* A completion that never arrives is the only way to wedge a valid
+   machine: once everything else has drained, the run must stop at once
+   with a diagnosis naming the stuck ROB head, not spin on. *)
+let test_deadlock_diagnosed () =
+  let t = trace_of ~length:2_000 "mcf" in
+  let stuck = 700 in
+  let t0 = Sys.time () in
+  match
+    Pipeline.For_testing.run_dropping_completion ~trace_idx:stuck
+      ~cfg:Config.baseline ~decide:Hc_steering.Policy.decide
+      ~scheme_name:"baseline" t
+  with
+  | _ -> Alcotest.fail "a wedged machine finished its run"
+  | exception Pipeline.Deadlock d ->
+    let elapsed = Sys.time () -. t0 in
+    Alcotest.(check bool) "diagnosed within a second" true (elapsed < 1.0);
+    ( match d.Pipeline.head with
+    | Some h ->
+      Alcotest.(check int) "names the stuck head" stuck h.Pipeline.trace_idx
+    | None -> Alcotest.fail "deadlock reported an empty ROB" );
+    Alcotest.(check bool) "younger uops wait behind the head" true
+      (d.Pipeline.rob > 1);
+    let msg = Pipeline.deadlock_message d in
+    let needle = Printf.sprintf "trace index %d " stuck in
+    let n = String.length needle in
+    let rec found i =
+      i + n <= String.length msg && (String.sub msg i n = needle || found (i + 1))
+    in
+    Alcotest.(check bool) "message names the trace index" true (found 0)
+
 let suite =
   ( "pipeline",
     [
@@ -219,4 +249,5 @@ let suite =
       Alcotest.test_case "CR steers more" `Quick test_cr_steers_more;
       Alcotest.test_case "tiny custom machine" `Quick test_custom_machine;
       Alcotest.test_case "invalid config rejected" `Quick test_invalid_config_rejected;
+      Alcotest.test_case "deadlock diagnosed" `Quick test_deadlock_diagnosed;
     ] )
