@@ -3,12 +3,15 @@
    packed SoA columns, in-flight state lives in per-domain scratch arenas
    (value/node pools, intrusive issue queues, a ring-buffer ROB, an event
    wheel) reused across runs, and options/tuples/closures are replaced by
-   sentinels and int codes. Event-sink paths may allocate; they are
-   guarded off the untraced run. Nodes name their uop by trace index; no
-   uop record exists on this path. test/test_alloc.ml checks the
-   marginal minor-words-per-uop of an untraced run stays zero, both warm
-   and as the first run on a freshly decoded trace, and of a warm run
-   with cycle accounting too. *)
+   sentinels and int codes. The pools recycle: a node goes back on its
+   free list when it commits or, for a copy, when it completes or dies,
+   and a value when its last holder lets go, so in-flight storage is
+   bounded by the machine's window, not by the trace. Event-sink paths
+   may allocate; they are guarded off the untraced run. Nodes name their
+   uop by trace index; no uop record exists on this path.
+   test/test_alloc.ml checks the marginal minor-words-per-uop of an
+   untraced run stays zero, both warm and as the first run on a freshly
+   decoded trace, and of a warm run with cycle accounting too. *)
 module Opcode = Hc_isa.Opcode
 module Reg = Hc_isa.Reg
 module Uop_soa = Hc_isa.Uop_soa
@@ -48,7 +51,10 @@ let c_agu = [| Counts.agu_wide; Counts.agu_narrow |]
    Flattened: the seed kept four 2-element sub-arrays per value (avail,
    copy_inflight, prefetched, prefetch_used); those are scalar mutable
    fields now, and the values themselves come from a per-domain pool, so
-   producing a value on the hot path allocates nothing. *)
+   producing a value on the hot path allocates nothing. A value's
+   holders are the rename-table slots and the node fields [n_dest],
+   [n_dep_v.(0 .. n_ndeps - 1)] and [n_cv]; [v_refs] counts them, and
+   the value returns to the pool when the count drops to zero. *)
 
 type vstate = {
   mutable v_pc : Value.t;  (* producer's pc, for predictor training *)
@@ -73,6 +79,7 @@ type vstate = {
          re-check ring stores it, an int store needing no write barrier *)
   mutable v_cons : int;
       (* census only: newest consumer edge (see [add_consumer]), -1 none *)
+  mutable v_refs : int;  (* holders: see above *)
 }
 
 let new_vstate v_slot =
@@ -83,6 +90,7 @@ let new_vstate v_slot =
     v_demand_copied = false; v_prefetched0 = false; v_prefetched1 = false;
     v_prefetch_used0 = false; v_prefetch_used1 = false; v_lr = false;
     v_cluster = Config.Wide; v_from_load = false; v_slot; v_cons = -1;
+    v_refs = 0;
   }
 
 (* The one value no node or rename slot points at "nothing" without: a
@@ -156,7 +164,11 @@ let reason_code = function
   | Steer.Rlive -> r_live
 
 type node = {
-  mutable n_id : int;  (* dispatch order, unique: the node's pool slot *)
+  mutable n_id : int;
+      (* dispatch order, unique within a run: the due batch's sort, the
+         flush's younger-than test and telemetry event ids read it *)
+  n_slot : int;
+      (* index in the node pool, -1 for sentinels; census edges store it *)
   mutable n_trace_idx : int;
       (* position in the trace, the key to every uop column; -1 for copies *)
   mutable n_op : Opcode.t;
@@ -174,12 +186,12 @@ type node = {
   mutable n_slice_final : bool;
       (* one 8-bit lane of an IR-split uop; final completes the value *)
   mutable n_cluster : Config.cluster;
-  mutable n_squashed : bool;
   mutable n_done : bool;
   mutable n_issued : bool;
   mutable n_gen : int;
-      (* incremented when the node is squashed-and-resteered so completion
-         events scheduled for its previous incarnation are ignored *)
+      (* incremented when the node is squashed-and-resteered, and when its
+         record is reused, so completion events scheduled for a previous
+         incarnation are ignored *)
   (* dependences: parallel (value, epoch-at-dispatch) arrays with an
      explicit length, so re-dispatching reuses the same storage *)
   mutable n_dep_v : vstate array;
@@ -211,13 +223,13 @@ type node = {
       (* census only: the count this queued node is in, 3 * lane + class *)
 }
 
-let new_node () =
+let new_node n_slot =
   let rec n =
     {
-      n_id = min_int; n_trace_idx = -1; n_op = Opcode.Nop; n_kind = k_normal;
-      n_cv = null_vstate; n_copy_target = 0; n_copy_epoch = 0;
-      n_copy_publishes = false; n_slice_final = false;
-      n_cluster = Config.Wide; n_squashed = true; n_done = true;
+      n_id = min_int; n_slot; n_trace_idx = -1; n_op = Opcode.Nop;
+      n_kind = k_normal; n_cv = null_vstate; n_copy_target = 0;
+      n_copy_epoch = 0; n_copy_publishes = false; n_slice_final = false;
+      n_cluster = Config.Wide; n_done = true;
       n_issued = false; n_gen = 0;
       n_dep_v = Array.make 4 null_vstate; n_dep_e = Array.make 4 0;
       n_ndeps = 0; n_dest = null_vstate; n_reason = r_none;
@@ -230,7 +242,7 @@ let new_node () =
   n
 
 (* Array padding / "no node" sentinel. Never linked, never written. *)
-let null_node = new_node ()
+let null_node = new_node (-1)
 
 let ensure_node_dep_cap (node : node) cap =
   if Array.length node.n_dep_v < cap then begin
@@ -267,18 +279,6 @@ let iq_unlink q n =
   n.n_next <- n;
   q.iq_len <- q.iq_len - 1
 
-(* Walk oldest-to-newest, unlinking every node [keep] rejects. [keep] is
-   always a closed top-level function (static closure), so the walk
-   allocates nothing. *)
-let rec iq_filter_from q keep (node : node) s =
-  if node != s then begin
-    let next = node.n_next in
-    if not (keep node) then iq_unlink q node;
-    iq_filter_from q keep next s
-  end
-
-let iq_filter_inplace q keep = iq_filter_from q keep q.iq_sent.n_next q.iq_sent
-
 (* ----- event wheel slots -----
 
    Growable per-slot arrays of (node, generation-at-schedule), reused
@@ -298,19 +298,32 @@ let bits_per_word = 32
 (* ----- per-domain scratch arenas -----
 
    Everything whose lifetime is one [run] but whose storage can outlive
-   it: value and node pools (bump cursors, no within-run reuse, reset per
-   run), the event wheel, the completion batch, the ROB ring storage, the
-   flush resteer buffer, the dispatch dependence scratch, the rename
-   table, and the two issue-queue sentinels. Kept in domain-local
-   storage: [run] is synchronous and each Domain_pool worker runs tasks
-   sequentially, so one arena per domain is race-free, and warm reruns
-   allocate nothing per uop. *)
+   it: the value and node pools, the event wheel, the completion batch,
+   the ROB ring storage, the flush resteer buffer, the dispatch
+   dependence scratch, the rename table, and the two issue-queue
+   sentinels. Kept in domain-local storage: [run] is synchronous and each
+   Domain_pool worker runs tasks sequentially, so one arena per domain is
+   race-free, and warm reruns allocate nothing per uop.
+
+   Each pool is a record array with a bump cursor (its high-water in the
+   current run) and a free list of slots. A record freed in a run is
+   handed out again before the cursor moves, so a run touches only about
+   as many records as the machine holds in flight at once: the ROB, the
+   copies in the issue queues and on the wheel, and the values the
+   rename table and those nodes hold. Both pools start at a size taken
+   from the configuration and double when a run outgrows them; [create]
+   empties the free lists and rewinds the cursors. The free lists hold
+   slot numbers, int stores needing no write barrier. *)
 
 type scratch = {
   mutable p_vstates : vstate array;  (* value pool *)
   mutable p_vcur : int;
+  mutable v_free : int array;  (* free value slots, a stack *)
+  mutable v_nfree : int;
   mutable p_nodes : node array;  (* node pool *)
   mutable p_ncur : int;
+  mutable n_free : int array;  (* free node slots, a stack *)
+  mutable n_nfree : int;
   events : evslot array;  (* indexed by tick mod wheel_size *)
   ev_bits : int array;
       (* bit k of word w: slot [w * bits_per_word + k] holds an entry,
@@ -329,8 +342,7 @@ type scratch = {
   sent1 : node;  (* narrow issue-queue sentinel *)
   mutable e_node : int array;
       (* census only: consumer edges, by edge index: the consumer's
-         [n_id] (its node-pool slot) and the value's next-older edge (-1
-         ends the list) *)
+         [n_slot] and the value's next-older edge (-1 ends the list) *)
   mutable e_next : int array;
   mutable e_len : int;
   recheck : int array array;
@@ -341,10 +353,14 @@ type scratch = {
 
 let fresh_scratch () =
   {
-    p_vstates = Array.init 4096 new_vstate;
+    p_vstates = [||];
     p_vcur = 0;
-    p_nodes = Array.init 4096 (fun _ -> new_node ());
+    v_free = [||];
+    v_nfree = 0;
+    p_nodes = [||];
     p_ncur = 0;
+    n_free = [||];
+    n_nfree = 0;
     events =
       Array.init wheel_size (fun _ ->
           { ev_nodes = Array.make 4 null_node; ev_gens = Array.make 4 0;
@@ -360,8 +376,8 @@ let fresh_scratch () =
     dp_need = Array.make 8 false;
     dp_n = 0;
     rename = Array.make Reg.count null_vstate;
-    sent0 = new_node ();
-    sent1 = new_node ();
+    sent0 = new_node (-1);
+    sent1 = new_node (-1);
     e_node = Array.make 4096 0;
     e_next = Array.make 4096 0;
     e_len = 0;
@@ -371,15 +387,25 @@ let fresh_scratch () =
 
 let scratch_key = Domain.DLS.new_key fresh_scratch
 
-let grow_vpool sc =
+(* Grow a pool to at least [cap] records, keeping the existing ones; its
+   free-list stack grows alike, so it can hold every slot. Called only
+   while the free list is empty (a run outgrowing its pool, or [create]
+   rewinding it), so the new stack starts empty too. *)
+let grow_vpool sc cap =
   let old = sc.p_vstates in
   let n = Array.length old in
-  sc.p_vstates <- Array.init (2 * n) (fun i -> if i < n then old.(i) else new_vstate i)
+  if n < cap then begin
+    sc.p_vstates <- Array.init cap (fun i -> if i < n then old.(i) else new_vstate i);
+    sc.v_free <- Array.make cap 0
+  end
 
-let grow_npool sc =
+let grow_npool sc cap =
   let old = sc.p_nodes in
   let n = Array.length old in
-  sc.p_nodes <- Array.init (2 * n) (fun i -> if i < n then old.(i) else new_node ())
+  if n < cap then begin
+    sc.p_nodes <- Array.init cap (fun i -> if i < n then old.(i) else new_node i);
+    sc.n_free <- Array.make cap 0
+  end
 
 let ensure_dp_cap sc cap =
   if Array.length sc.dp_v < cap then begin
@@ -404,10 +430,18 @@ let ensure_resteer_cap sc cap =
     sc.resteer <- arr
   end
 
+(* The pools' starting sizes: the most nodes and values the machine can
+   hold in flight in the common case, the ROB and both issue queues
+   full, every register renamed. A run that needs more grows them. *)
+let pool_sizes cfg =
+  let rob = cfg.Config.rob_size and iq = cfg.Config.iq_size in
+  (rob + (2 * iq), rob + (2 * iq) + Reg.count)
+
 (* Drop every reference the previous run left behind (so its per-run
-   structures become collectable), relink the sentinels, and make
-   sure the ROB ring fits this run's configuration. *)
-let reset_scratch sc ~rob_size =
+   structures become collectable), rewind the pools, relink the
+   sentinels, and make sure the pools and the ROB ring fit this run's
+   configuration. *)
+let reset_scratch sc cfg =
   for k = 0 to wheel_size - 1 do
     let slot = sc.events.(k) in
     if slot.ev_len > 0 then begin
@@ -423,9 +457,15 @@ let reset_scratch sc ~rob_size =
     n.n_next <- n
   done;
   sc.p_ncur <- 0;
+  sc.n_nfree <- 0;
   sc.p_vcur <- 0;
+  sc.v_nfree <- 0;
+  let nodes, values = pool_sizes cfg in
+  grow_npool sc nodes;
+  grow_vpool sc values;
   sc.dp_n <- 0;
   Array.fill sc.rename 0 (Array.length sc.rename) null_vstate;
+  let rob_size = cfg.Config.rob_size in
   if Array.length sc.rob_buf < rob_size then sc.rob_buf <- Array.make rob_size null_node
   else Array.fill sc.rob_buf 0 (Array.length sc.rob_buf) null_node;
   sc.sent0.n_prev <- sc.sent0;
@@ -458,6 +498,9 @@ type state = {
          blocked-occupant census it reads; off keeps the attribution
          behind one field test per issue round *)
   census_check : bool;  (* tests only: check the census against a walk *)
+  poison : bool;
+      (* tests only: scribble over each record as it is freed, so a read
+         of a freed record changes the run (see [poison_node]) *)
   skip : bool;
       (* jump over quiet ticks (see [horizon]); off only in For_testing's
          tick-by-tick reference runs *)
@@ -466,6 +509,7 @@ type state = {
          scheduled, wedging the machine; -2 = none *)
   census : int array;  (* queued nodes by 3 * lane + class, see below *)
   sc : scratch;
+  mutable seq : int;  (* the next node's [n_id] *)
   mutable steer_ctx : Steer.ctx option;  (* built once, after [create] *)
   lat3 : int * int * int;  (* (dl0, ul1, mem) for the cache hierarchy *)
   mutable stall_src : stall_src;  (* last frontend round's stop reason *)
@@ -500,7 +544,9 @@ type state = {
      instead of returning tuples or threading refs *)
   mutable iss_issued : int;
   mutable iss_ready : int;
-  mutable iss_unlinked : int;  (* issued, squashed and dead-copy nodes *)
+  mutable iss_capable : int;
+      (* the NREADY leftover the helper's 8-bit units could host *)
+  mutable iss_unlinked : int;  (* issued and dead-copy nodes *)
   mutable dis_demand_w : int;  (* copy slot demand of the current dispatch *)
   mutable dis_demand_n : int;
   mutable rsteer_n : int;  (* live prefix of sc.resteer *)
@@ -517,9 +563,19 @@ let bump st id = bump_by st id 1
 
 let alloc_vstate st ~pc ~narrow ~pred_narrow ~cluster =
   let sc = st.sc in
-  if sc.p_vcur >= Array.length sc.p_vstates then grow_vpool sc;
-  let v = sc.p_vstates.(sc.p_vcur) in
-  sc.p_vcur <- sc.p_vcur + 1;
+  let v =
+    if sc.v_nfree > 0 then begin
+      sc.v_nfree <- sc.v_nfree - 1;
+      sc.p_vstates.(sc.v_free.(sc.v_nfree))
+    end
+    else begin
+      if sc.p_vcur >= Array.length sc.p_vstates then
+        grow_vpool sc (2 * sc.p_vcur);
+      let v = sc.p_vstates.(sc.p_vcur) in
+      sc.p_vcur <- sc.p_vcur + 1;
+      v
+    end
+  in
   v.v_pc <- pc;
   v.v_narrow <- narrow;
   v.v_pred_narrow <- pred_narrow;
@@ -538,14 +594,26 @@ let alloc_vstate st ~pc ~narrow ~pred_narrow ~cluster =
   v.v_cluster <- cluster;
   v.v_from_load <- false;
   v.v_cons <- -1;
+  v.v_refs <- 0;
   v
 
 let alloc_node st =
   let sc = st.sc in
-  if sc.p_ncur >= Array.length sc.p_nodes then grow_npool sc;
-  let n = sc.p_nodes.(sc.p_ncur) in
-  n.n_id <- sc.p_ncur;
-  sc.p_ncur <- sc.p_ncur + 1;
+  let n =
+    if sc.n_nfree > 0 then begin
+      sc.n_nfree <- sc.n_nfree - 1;
+      sc.p_nodes.(sc.n_free.(sc.n_nfree))
+    end
+    else begin
+      if sc.p_ncur >= Array.length sc.p_nodes then
+        grow_npool sc (2 * sc.p_ncur);
+      let n = sc.p_nodes.(sc.p_ncur) in
+      sc.p_ncur <- sc.p_ncur + 1;
+      n
+    end
+  in
+  n.n_id <- st.seq;
+  st.seq <- st.seq + 1;
   n.n_trace_idx <- -1;
   n.n_op <- Opcode.Nop;
   n.n_kind <- k_normal;
@@ -555,10 +623,9 @@ let alloc_node st =
   n.n_copy_publishes <- false;
   n.n_slice_final <- false;
   n.n_cluster <- Config.Wide;
-  n.n_squashed <- false;
   n.n_done <- false;
   n.n_issued <- false;
-  n.n_gen <- 0;
+  n.n_gen <- n.n_gen + 1;
   n.n_ndeps <- 0;
   n.n_dest <- null_vstate;
   n.n_reason <- r_none;
@@ -574,6 +641,91 @@ let alloc_node st =
   n.n_next <- n;
   n.n_mark <- false;
   n
+
+(* ----- freeing -----
+
+   A node is freed when it commits, and a copy when it completes or is
+   unlinked dead; freeing it lets go of the values it holds. A value is
+   freed when its last holder lets go: a rename-table overwrite, a node
+   freed, or a dependence the flush drops. What may still reach a freed
+   record is harmless: a stale wheel entry carries an older generation,
+   a census edge or re-check slot only reclassifies a node that is
+   queued, and a freed node is not. *)
+
+let[@inline] hold (v : vstate) = v.v_refs <- v.v_refs + 1
+
+(* Scribble over a freed value's fields (all but its slot, holder count
+   and census edges), so any read of it changes the run. *)
+let poison_vstate v =
+  v.v_pc <- lnot v.v_pc;
+  v.v_narrow <- not v.v_narrow;
+  v.v_pred_narrow <- not v.v_pred_narrow;
+  v.v_epoch <- v.v_epoch + 1_000_003;
+  v.v_done <- not v.v_done;
+  v.v_avail0 <- (if v.v_avail0 = 0 then never else 0);
+  v.v_avail1 <- (if v.v_avail1 = 0 then never else 0);
+  v.v_copy_inflight0 <- not v.v_copy_inflight0;
+  v.v_copy_inflight1 <- not v.v_copy_inflight1;
+  v.v_demand_copied <- not v.v_demand_copied;
+  v.v_prefetched0 <- not v.v_prefetched0;
+  v.v_prefetched1 <- not v.v_prefetched1;
+  v.v_prefetch_used0 <- not v.v_prefetch_used0;
+  v.v_prefetch_used1 <- not v.v_prefetch_used1;
+  v.v_lr <- not v.v_lr;
+  v.v_cluster <- (if v.v_cluster = Config.Wide then Config.Narrow else Config.Wide);
+  v.v_from_load <- not v.v_from_load
+
+let release st (v : vstate) =
+  if v != null_vstate then begin
+    let r = v.v_refs - 1 in
+    v.v_refs <- r;
+    if r = 0 then begin
+      if st.poison then poison_vstate v;
+      let sc = st.sc in
+      sc.v_free.(sc.v_nfree) <- v.v_slot;
+      sc.v_nfree <- sc.v_nfree + 1
+    end
+  end
+
+(* Scribble over a freed node's fields, keeping what stale references
+   read: its generation, which only grows, and its self links. Trace
+   indices stay in range, so a stray read misbehaves without crashing. *)
+let poison_node st n =
+  n.n_id <- -1;
+  n.n_trace_idx <-
+    (if n.n_trace_idx < 0 then 0 else (n.n_trace_idx + 1) mod st.trace_len);
+  n.n_op <- (if n.n_op = Opcode.Div then Opcode.Add else Opcode.Div);
+  n.n_kind <- (n.n_kind + 1) mod 3;
+  n.n_copy_target <- 1 - n.n_copy_target;
+  n.n_copy_epoch <- n.n_copy_epoch + 1_000_003;
+  n.n_copy_publishes <- not n.n_copy_publishes;
+  n.n_slice_final <- not n.n_slice_final;
+  n.n_cluster <- (if n.n_cluster = Config.Wide then Config.Narrow else Config.Wide);
+  n.n_done <- not n.n_done;
+  n.n_issued <- not n.n_issued;
+  n.n_ndeps <- 0;
+  n.n_reason <- (n.n_reason + 1) mod 6;
+  n.n_is_mem <- not n.n_is_mem;
+  n.n_lr_replicate <- not n.n_lr_replicate;
+  n.n_br_mispredicted <- not n.n_br_mispredicted;
+  n.n_alloc <- (if n.n_alloc < 0 then 0 else -1);
+  n.n_remote_reads <- not n.n_remote_reads;
+  n.n_complete <- -1;
+  n.n_disp_tick <- -1;
+  n.n_issue_tick <- -1;
+  n.n_census <- (n.n_census + 1) mod 6
+
+(* [node] is neither queued nor in the ROB nor due on the wheel *)
+let free_node st (node : node) =
+  release st node.n_dest;
+  for k = 0 to node.n_ndeps - 1 do
+    release st node.n_dep_v.(k)
+  done;
+  release st node.n_cv;
+  if st.poison then poison_node st node;
+  let sc = st.sc in
+  sc.n_free.(sc.n_nfree) <- node.n_slot;
+  sc.n_nfree <- sc.n_nfree + 1
 
 (* ----- ROB ring ----- *)
 
@@ -762,12 +914,13 @@ let get_ctx st =
 
 (* ----- creation ----- *)
 
-let create ?sink ~accounting ~census_check ~skip ~drop_idx cfg decide trace =
+let create ?sink ~accounting ~census_check ~poison ~skip ~drop_idx cfg decide
+    trace =
   ( match Config.validate cfg with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Pipeline: " ^ msg) );
   let sc = Domain.DLS.get scratch_key in
-  reset_scratch sc ~rob_size:cfg.Config.rob_size;
+  reset_scratch sc cfg;
   let soa = Trace.soa trace in
   let st =
     {
@@ -775,10 +928,12 @@ let create ?sink ~accounting ~census_check ~skip ~drop_idx cfg decide trace =
       trace_len = Uop_soa.length soa;
       accounting;
       census_check;
+      poison;
       skip;
       drop_idx;
       census = Array.make 6 0;
       sc;
+      seq = 0;
       steer_ctx = None;
       lat3 = (cfg.Config.dl0_latency, cfg.Config.ul1_latency, cfg.Config.mem_latency);
       stall_src = Sr_none;
@@ -806,7 +961,7 @@ let create ?sink ~accounting ~census_check ~skip ~drop_idx cfg decide trace =
       now = 0;
       quiet_since = 0;
       avail_soon = 0;
-      iss_issued = 0; iss_ready = 0; iss_unlinked = 0;
+      iss_issued = 0; iss_ready = 0; iss_capable = 0; iss_unlinked = 0;
       dis_demand_w = 0; dis_demand_n = 0;
       rsteer_n = 0;
       split_prev = null_vstate;
@@ -838,7 +993,7 @@ let create ?sink ~accounting ~census_check ~skip ~drop_idx cfg decide trace =
    occupant in every idle round:
    - a node is classified and counted when it enters a queue
      ([enqueue_iq]) and uncounted when it leaves ([issue_walk]: issue,
-     squash, dead copy);
+     dead copy);
    - entering, it is linked to each dependence it cannot read yet, and
      a write to such a value's [v_done], [v_avail*] or
      [v_copy_inflight*] ([complete_normal], [complete_slice],
@@ -864,7 +1019,7 @@ let add_consumer sc (v : vstate) (node : node) =
     sc.e_node <- grow sc.e_node;
     sc.e_next <- grow sc.e_next
   end;
-  sc.e_node.(e) <- node.n_id;
+  sc.e_node.(e) <- node.n_slot;
   sc.e_next.(e) <- v.v_cons;
   v.v_cons <- e;
   sc.e_len <- e + 1
@@ -1038,6 +1193,8 @@ let make_copy st ~(cv : vstate) ~target ~prefetch ~publishes =
   let node = alloc_node st in
   node.n_kind <- k_copy;
   node.n_cv <- cv;
+  (* held twice: as [n_cv] and as the one dependence *)
+  cv.v_refs <- cv.v_refs + 2;
   node.n_copy_target <- ti;
   node.n_copy_epoch <- cv.v_epoch;
   node.n_copy_publishes <- publishes;
@@ -1058,14 +1215,17 @@ let make_copy st ~(cv : vstate) ~target ~prefetch ~publishes =
   enqueue_iq st source_cluster node
 
 (* Train the CP predictor with the dying value's copy history on a
-   rename-table overwrite. (The seed also kept an undo log here; nothing
-   ever consumed it, so it is gone.) *)
+   rename-table overwrite, and let go of the slot's hold on it. (The
+   seed also kept an undo log here; nothing ever consumed it, so it is
+   gone.) *)
 let rename_write st i (v : vstate) =
   let prev = st.rename.(i) in
+  hold v;
   if prev != null_vstate && st.cfg.Config.scheme.Config.cp then
     Copy_predictor.update st.preds.Bundle.copy prev.v_pc
       ~copied:prev.v_demand_copied;
-  st.rename.(i) <- v
+  st.rename.(i) <- v;
+  release st prev
 
 (* Point the uop's destination register, then the flags when it writes
    them, at its new value — the generator's writeback order. *)
@@ -1149,11 +1309,14 @@ let dispatch_split st ~trace_idx ~op ~pc ~pred_narrow =
     ensure_node_dep_cap node (sc.dp_n + extra);
     if extra = 1 then begin
       node.n_dep_v.(0) <- chain;
-      node.n_dep_e.(0) <- chain.v_epoch
+      node.n_dep_e.(0) <- chain.v_epoch;
+      hold chain
     end;
     for j = 0 to sc.dp_n - 1 do
-      node.n_dep_v.(extra + j) <- sc.dp_v.(j);
-      node.n_dep_e.(extra + j) <- sc.dp_e.(j)
+      let v = sc.dp_v.(j) in
+      node.n_dep_v.(extra + j) <- v;
+      node.n_dep_e.(extra + j) <- sc.dp_e.(j);
+      hold v
     done;
     node.n_ndeps <- sc.dp_n + extra;
     let slice_dest =
@@ -1163,6 +1326,7 @@ let dispatch_split st ~trace_idx ~op ~pc ~pred_narrow =
           ~cluster:Config.Narrow
     in
     node.n_dest <- slice_dest;
+    if slice_dest != null_vstate then hold slice_dest;
     node.n_reason <- r_ir;
     node.n_remote_reads <- true;
     if not final then st.split_prev <- slice_dest;
@@ -1261,11 +1425,14 @@ let dispatch_steered st ~trace_idx ~op ~pc ~pred_narrow ~pred_confident
   node.n_cluster <- cluster;
   ensure_node_dep_cap node sc.dp_n;
   for j = 0 to sc.dp_n - 1 do
-    node.n_dep_v.(j) <- sc.dp_v.(j);
-    node.n_dep_e.(j) <- sc.dp_e.(j)
+    let v = sc.dp_v.(j) in
+    node.n_dep_v.(j) <- v;
+    node.n_dep_e.(j) <- sc.dp_e.(j);
+    hold v
   done;
   node.n_ndeps <- sc.dp_n;
   node.n_dest <- dest;
+  if dest != null_vstate then hold dest;
   node.n_reason <- reason;
   node.n_is_mem <- is_mem;
   node.n_lr_replicate <- lr_replicate;
@@ -1373,18 +1540,25 @@ let deps_ready st cluster (node : node) =
 let dead_copy (node : node) =
   node.n_kind = k_copy && node.n_cv.v_epoch <> node.n_copy_epoch
 
+(* The queue's oldest-first walk: issue ready nodes into free slots,
+   unlink and free dead copies, and count the ready nodes left without a
+   slot, [capable] of them helper-capable (a copy, or an op the 8-bit
+   units execute). *)
 let rec issue_walk st cluster q width regread_id issue_id s (node : node) issued
-    ready =
+    ready capable =
   if node == s then begin
     st.iss_issued <- issued;
-    st.iss_ready <- ready
+    st.iss_ready <- ready;
+    st.iss_capable <- capable
   end
   else begin
     let next = node.n_next in
-    if node.n_squashed || dead_copy node then begin
+    if dead_copy node then begin
       if st.accounting then census_leave st node;
       iq_unlink q node;
+      free_node st node;
       issue_walk st cluster q width regread_id issue_id s next issued ready
+        capable
     end
     else if deps_ready st cluster node then begin
       if issued < width then begin
@@ -1396,51 +1570,38 @@ let rec issue_walk st cluster q width regread_id issue_id s (node : node) issued
         if st.accounting then census_leave st node;
         iq_unlink q node;
         schedule st node (st.now + exec_ticks st cluster node);
-        issue_walk st cluster q width regread_id issue_id s next (issued + 1) ready
+        issue_walk st cluster q width regread_id issue_id s next (issued + 1)
+          ready capable
       end
-      else
-        issue_walk st cluster q width regread_id issue_id s next issued (ready + 1)
+      else begin
+        let capable =
+          if node.n_trace_idx < 0 || Opcode.helper_capable node.n_op then
+            capable + 1
+          else capable
+        in
+        issue_walk st cluster q width regread_id issue_id s next issued
+          (ready + 1) capable
+      end
     end
-    else issue_walk st cluster q width regread_id issue_id s next issued ready
+    else
+      issue_walk st cluster q width regread_id issue_id s next issued ready
+        capable
   end
 
 (* one issue round's update of the smoothed ready backlog *)
 let[@inline] ewma_step e ready = (0.9 *. e) +. (0.1 *. float_of_int ready)
 
 (* One issue round; results land in [iss_issued] (slots that did work),
-   [iss_ready] (the NREADY leftover) and [iss_unlinked]. *)
+   [iss_ready] (the NREADY leftover), [iss_capable] and [iss_unlinked]. *)
 let issue_cluster st cluster =
   let i = cluster_index cluster in
   let q = st.iq.(i) in
   let len = q.iq_len in
   issue_walk st cluster q st.cfg.Config.issue_width c_regread.(i)
-    c_issue.(i) q.iq_sent q.iq_sent.n_next 0 0;
+    c_issue.(i) q.iq_sent q.iq_sent.n_next 0 0 0;
   st.iss_unlinked <- len - q.iq_len;
   st.backlog.(i) <- st.iss_ready;
   st.backlog_ewma.(i) <- ewma_step st.backlog_ewma.(i) st.iss_ready
-
-(* Ready-but-stalled wide uops the helper's integer-only 8-bit units could
-   in principle have hosted — the NREADY eligibility filter. *)
-let rec nready_walk st s (node : node) acc =
-  if node == s then acc
-  else begin
-    let capable =
-      node.n_trace_idx < 0
-      || Opcode.helper_capable node.n_op
-    in
-    let acc =
-      if
-        (not node.n_squashed) && (not node.n_issued) && capable
-        && deps_ready st Config.Wide node
-      then acc + 1
-      else acc
-    in
-    nready_walk st s node.n_next acc
-  end
-
-let count_ready_narrow_capable st =
-  let s = st.iq.(0).iq_sent in
-  nready_walk st s s.n_next 0
 
 (* ----- cycle accounting (top-down slot attribution) ----- *)
 
@@ -1530,7 +1691,7 @@ let account_issue_rounds st cluster ~rounds ~issued =
   let idle = width - issued in
   if idle > 0 then begin
     (* after the issue walk the queue holds only blocked occupants:
-       issued, squashed and dead-copy nodes were unlinked, and idle > 0
+       issued and dead-copy nodes were unlinked, and idle > 0
        means no ready node was left waiting for a slot *)
     let base = 3 * lane in
     let mem = st.census.(base)
@@ -1571,10 +1732,25 @@ let account_commit_rounds st ~rounds ~committed =
 
 (* ----- width misprediction recovery ----- *)
 
-let flush_keep (node : node) = (not node.n_mark) && not (dead_copy node)
+(* Purge a queue, oldest first, of the squashed incarnations (marked)
+   and of the copies whose value died; the copies are freed. The census
+   is rebuilt after the flush. *)
+let rec flush_purge_from st q (node : node) s =
+  if node != s then begin
+    let next = node.n_next in
+    if node.n_mark then iq_unlink q node
+    else if dead_copy node then begin
+      iq_unlink q node;
+      free_node st node
+    end;
+    flush_purge_from st q next s
+  end
 
-(* drop dependences on values that no longer exist, in place *)
-let rec compact_live_deps (node : node) k w =
+let flush_purge st q = flush_purge_from st q q.iq_sent.n_next q.iq_sent
+
+(* drop dependences on values that no longer exist, in place, letting go
+   of them *)
+let rec compact_live_deps st (node : node) k w =
   if k >= node.n_ndeps then node.n_ndeps <- w
   else begin
     let v = node.n_dep_v.(k) in
@@ -1582,9 +1758,12 @@ let rec compact_live_deps (node : node) k w =
     if v.v_epoch = e then begin
       node.n_dep_v.(w) <- v;
       node.n_dep_e.(w) <- e;
-      compact_live_deps node (k + 1) (w + 1)
+      compact_live_deps st node (k + 1) (w + 1)
     end
-    else compact_live_deps node (k + 1) w
+    else begin
+      release st v;
+      compact_live_deps st node (k + 1) w
+    end
   end
 
 (* Fatal width misprediction recovery (§3.2): squash the offender and
@@ -1641,8 +1820,8 @@ let flush_from st (offender : node) =
   for k = 0 to n_rest - 1 do
     sc.resteer.(k).n_mark <- true
   done;
-  iq_filter_inplace st.iq.(0) flush_keep;
-  iq_filter_inplace st.iq.(1) flush_keep;
+  flush_purge st st.iq.(0);
+  flush_purge st st.iq.(1);
   for k = 0 to n_rest - 1 do
     sc.resteer.(k).n_mark <- false
   done;
@@ -1659,7 +1838,7 @@ let flush_from st (offender : node) =
         (* drop the intra-group chain dependences: re-deriving register
            dependences from the rename state captured at dispatch is not
            possible, so keep only deps on values that still exist *)
-        compact_live_deps node 0 0
+        compact_live_deps st node 0 0
       end
       else begin
         node.n_slice_final <- false;
@@ -1881,13 +2060,14 @@ let complete_normal st (node : node) =
   end
 
 let complete_node st (node : node) =
-  if not node.n_squashed then begin
-    node.n_done <- true;
-    emit st Event.Writeback node ~a:node.n_disp_tick ~b:node.n_issue_tick;
-    if node.n_kind = k_copy then complete_copy st node
-    else if node.n_kind = k_slice then complete_slice st node
-    else complete_normal st node
+  node.n_done <- true;
+  emit st Event.Writeback node ~a:node.n_disp_tick ~b:node.n_issue_tick;
+  if node.n_kind = k_copy then begin
+    complete_copy st node;
+    free_node st node
   end
+  else if node.n_kind = k_slice then complete_slice st node
+  else complete_normal st node
 
 let push_due sc node gen =
   let cap = Array.length sc.due_nodes in
@@ -1972,7 +2152,7 @@ let rec commit_loop st budget =
   if budget <= 0 || st.rob_count = 0 then budget
   else begin
     let head = rob_peek st in
-    if head.n_done && not head.n_squashed then begin
+    if head.n_done then begin
       rob_pop st;
       ( if head.n_alloc >= 0 then
           Regfile.release st.regfile
@@ -2009,6 +2189,7 @@ let rec commit_loop st budget =
         else assert false (* copies never enter the ROB *) );
       bump st Counts.rob_committed;
       emit st Event.Commit head ~a:0 ~b:0;
+      free_node st head;
       commit_loop st (budget - 1)
     end
     else budget
@@ -2201,10 +2382,11 @@ let jump st ~sample_every =
 
 let finished st = st.fetch_idx >= st.trace_len && st.rob_count = 0
 
-let run_gen ~census_check ~skip ?(drop_idx = -2) ?sink ~accounting ~cfg
-    ~decide ~scheme_name trace =
+let run_gen ~census_check ?(poison = false) ~skip ?(drop_idx = -2) ?sink
+    ~accounting ~cfg ~decide ~scheme_name trace =
   let st =
-    create ?sink ~accounting ~census_check ~skip ~drop_idx cfg decide trace
+    create ?sink ~accounting ~census_check ~poison ~skip ~drop_idx cfg decide
+      trace
   in
   let helper = cfg.Config.scheme.Config.helper in
   let sample_every =
@@ -2224,7 +2406,7 @@ let run_gen ~census_check ~skip ?(drop_idx = -2) ?sink ~accounting ~cfg
         st.stall_src <- Sr_none;
         frontend st;
         issue_cluster st Config.Wide;
-        let issued_w = st.iss_issued and leftover_w = st.iss_ready in
+        let issued_w = st.iss_issued and capable_w = st.iss_capable in
         let quiet =
           quiet && commit_used = 0 && st.fetch_idx = fetched
           && st.iss_unlinked = 0
@@ -2237,13 +2419,13 @@ let run_gen ~census_check ~skip ?(drop_idx = -2) ?sink ~accounting ~cfg
           if st.accounting then
             account_issue_rounds st Config.Narrow ~rounds:1 ~issued:issued_n;
           (* NREADY (§3.7): ready uops stalled here while the other backend
-             had idle slots this cycle *)
+             had idle slots this cycle; for the helper, only those its
+             integer-only 8-bit units could host. The narrow round changes
+             no wide operand's readiness, so the wide walk's count stands. *)
           let spare_n = cfg.Config.issue_width - issued_n in
           let spare_w = cfg.Config.issue_width - issued_w in
-          if spare_n > 0 && leftover_w > 0 then begin
-            let capable = count_ready_narrow_capable st in
-            bump_by st Counts.nready_w2n (min capable spare_n)
-          end;
+          if spare_n > 0 && capable_w > 0 then
+            bump_by st Counts.nready_w2n (min capable_w spare_n);
           if spare_w > 0 && leftover_n > 0 then
             bump_by st Counts.nready_n2w (min leftover_n spare_w);
           quiet && st.iss_unlinked = 0
@@ -2303,4 +2485,13 @@ module For_testing = struct
   let run_dropping_completion ~trace_idx ~cfg ~decide ~scheme_name trace =
     run_gen ~census_check:false ~skip:true ~drop_idx:trace_idx ~accounting:false
       ~cfg ~decide ~scheme_name trace
+
+  let run_poisoned ?sink ?(accounting = false) ~cfg ~decide ~scheme_name trace
+      =
+    run_gen ~census_check:false ~poison:true ~skip:true ?sink ~accounting ~cfg
+      ~decide ~scheme_name trace
+
+  let arena_high_water () =
+    let sc = Domain.DLS.get scratch_key in
+    (sc.p_ncur, sc.p_vcur)
 end

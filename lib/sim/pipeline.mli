@@ -141,4 +141,21 @@ module For_testing : sig
   (** {!run} with the next completion scheduled for the uop at
       [trace_idx] never delivered, which wedges the machine.
       @raise Deadlock once nothing else is left to happen. *)
+
+  val run_poisoned :
+    ?sink:Hc_obs.Sink.t ->
+    ?accounting:bool ->
+    cfg:Config.t ->
+    decide:decide ->
+    scheme_name:string ->
+    Hc_trace.Trace.t ->
+    Metrics.t
+  (** {!run}, scribbling over every node and value record as it goes
+      back to its pool, so a read of a freed record shows up as a
+      changed result. *)
+
+  val arena_high_water : unit -> int * int
+  (** The (node, value) pool records the calling domain's last run
+      handed out: each pool's high-water, since freed records are reused
+      before new ones. *)
 end

@@ -14,13 +14,16 @@
 # first, so slow drift of a shared host lands on both sides alike. For
 # every end-to-end metric BENCHMARK.json declares, it prints each side's
 # median and interquartile range, the change of the medians, and how
-# many pairs moved in the metric's better direction; then each side's
-# output digests and failed runs. Single-shot numbers on a shared host
-# swing by ±20 %: compare medians of interleaved runs, never two lone
-# runs.
+# many pairs moved in the metric's better direction; then, pair by
+# pair, each run's pass count and peak_rss_mb (a run makes as many
+# passes as fit in S seconds, and the peak grows with them); then each
+# side's output digests and failed runs. Single-shot numbers on a shared
+# host swing by ±20 %: compare medians of interleaved runs, never two
+# lone runs.
 #
 # Options: --workload W (default paper-cold), --runs N pairs (default 10),
-# --parent-dir DIR.
+# --parent-dir DIR, --keep DIR (copy every run's stdout and stderr,
+# <side>.<pair>.out and .err, into DIR at exit).
 set -eu
 cd "$(dirname "$0")/.."
 HEAD_DIR=$(pwd)
@@ -28,11 +31,13 @@ HEAD_DIR=$(pwd)
 WORKLOAD=paper-cold
 RUNS=10
 PARENT_DIR=
+KEEP_DIR=
 while [ $# -gt 0 ]; do
   case "$1" in
     --workload) WORKLOAD=$2; shift 2 ;;
     --runs) RUNS=$2; shift 2 ;;
     --parent-dir) PARENT_DIR=$2; shift 2 ;;
+    --keep) KEEP_DIR=$2; shift 2 ;;
     *) echo "ab.sh: unknown argument $1 (see the header of $0)" >&2; exit 2 ;;
   esac
 done
@@ -43,6 +48,12 @@ esac
 TMP=$(mktemp -d)
 WORKTREE=
 cleanup() {
+  if [ -n "$KEEP_DIR" ]; then
+    mkdir -p "$KEEP_DIR"
+    for f in "$TMP"/base.*.out "$TMP"/base.*.err "$TMP"/head.*.out "$TMP"/head.*.err; do
+      if [ -f "$f" ]; then cp "$f" "$KEEP_DIR/"; fi
+    done
+  fi
   if [ -n "$WORKTREE" ]; then
     git worktree remove --force "$WORKTREE" 2>/dev/null || true
     git worktree prune
@@ -145,6 +156,22 @@ EOF_Q
   printf '%-14s %12s %21s %12s %21s %9s %3s/%s\n' "$name" "$bm" "[$b1, $b3]" \
     "$hm" "[$h1, $h3]" "$change" "$wins" "$RUNS"
 done < "$TMP/metrics"
+
+# the pass count a run's summary line reports ("..., N passes, ...")
+passes() {
+  sed -n 's/.*, \([0-9][0-9]*\) passes,.*/\1/p' "$1" | head -n 1
+}
+
+echo
+printf '%-5s %12s %15s %12s %15s\n' pair "base passes" "base peak MB" \
+  "head passes" "head peak MB"
+i=1
+while [ "$i" -le "$RUNS" ]; do
+  printf '%-5s %12s %15s %12s %15s\n' "$i" \
+    "$(passes "$TMP/base.$i.out")" "$(metric peak_rss_mb "$TMP/base.$i.out")" \
+    "$(passes "$TMP/head.$i.out")" "$(metric peak_rss_mb "$TMP/head.$i.out")"
+  i=$((i + 1))
+done
 
 echo
 for side in base head; do

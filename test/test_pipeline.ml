@@ -228,6 +228,37 @@ let test_deadlock_diagnosed () =
     in
     Alcotest.(check bool) "message names the trace index" true (found 0)
 
+(* The pools recycle nodes at commit and values when their last holder
+   lets go, so a run's arena follows the machine's window, not the trace:
+   30k uops must fit in about what the ROB, both issue queues and the
+   rename table hold at once (128-144 nodes and 126-130 values on the
+   default machine). An arena that never reused a record would hand out
+   one per dispatched node and per value, tens of thousands here. *)
+let test_arena_window_bounded () =
+  let slack = 64 in
+  List.iter
+    (fun bench ->
+      let t = trace_of ~length:30_000 bench in
+      List.iter
+        (fun scheme ->
+          let cfg = Config.with_scheme Config.default (Config.find_scheme scheme) in
+          ignore (run ~cfg scheme t);
+          let nodes, values = Pipeline.For_testing.arena_high_water () in
+          let window = cfg.Config.rob_size + (2 * cfg.Config.iq_size) in
+          let label what = Printf.sprintf "%s %s: %s" bench scheme what in
+          Alcotest.(check bool)
+            (label (Printf.sprintf "%d nodes <= %d" nodes (window + slack)))
+            true
+            (nodes <= window + slack);
+          Alcotest.(check bool)
+            (label
+               (Printf.sprintf "%d values <= %d" values
+                  (window + Hc_isa.Reg.count + slack)))
+            true
+            (values <= window + Hc_isa.Reg.count + slack))
+        [ "baseline"; "+IR"; "+CP" ])
+    [ "mcf"; "bzip2" ]
+
 let suite =
   ( "pipeline",
     [
@@ -250,4 +281,6 @@ let suite =
       Alcotest.test_case "tiny custom machine" `Quick test_custom_machine;
       Alcotest.test_case "invalid config rejected" `Quick test_invalid_config_rejected;
       Alcotest.test_case "deadlock diagnosed" `Quick test_deadlock_diagnosed;
+      Alcotest.test_case "arena bounded by the window" `Quick
+        test_arena_window_bounded;
     ] )
