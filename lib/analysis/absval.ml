@@ -37,14 +37,14 @@ let join a b = { zeros = a.zeros land b.zeros; ones = a.ones land b.ones }
 
 let equal (a : t) b = a = b
 
-(* Mirrors Detector.narrow: a value is narrow under [bits] when every bit
+(* Detector.narrow's cut: a value is narrow under [bits] when every bit
    at position >= bits is 0 (small non-negative) or every one is 1
    (small negative, two's complement). Provable narrowness needs one of
    the two sign patterns to be fully known. *)
 let is_narrow ~bits a =
   if bits >= 32 then true
   else
-    let hi = mask32 land lnot ((1 lsl bits) - 1) in
+    let hi = Hc_isa.Detector.mask_above bits in
     a.zeros land hi = hi || a.ones land hi = hi
 
 (* ----- bitwise transfers ----- *)

@@ -1,26 +1,32 @@
-(* The loops mirror the dynamic-logic pull-down chains of Fig 3: each bit
-   above the anchor can discharge the precharged node, so the output is the
-   AND of per-bit conditions. *)
+(* Figure 3's detectors are dynamic-logic pull-down chains: every bit
+   above the anchor can discharge one precharged node, so the output is a
+   single wide AND over bits k..31. The word-level model computes that
+   AND with one mask: [v land mask_above k] keeps exactly the bits the
+   chain looks at, for any int [v] (bits above 31 and negative ints
+   included). test_detector.ml checks every function here against the
+   bit-serial chain, one step per bit. *)
 
-(* The recursion is top-level with explicit arguments: a local [let rec]
-   would close over [v] and allocate on every call, and these two run on
-   the simulator's per-uop completion path. *)
-let rec zeros_from i v = i > 31 || ((v lsr i) land 1 = 0 && zeros_from (i + 1) v)
-
-let rec ones_from i v = i > 31 || ((v lsr i) land 1 = 1 && ones_from (i + 1) v)
+let mask_above k = 0xFFFF_FFFF lxor ((1 lsl k) - 1)
 
 let zeros_above k v =
   assert (k >= 0 && k <= 32);
-  zeros_from k v
+  v land mask_above k = 0
 
 let ones_above k v =
   assert (k >= 0 && k <= 32);
-  ones_from k v
+  let m = mask_above k in
+  v land m = m
 
-let narrow8 v = zeros_above 8 v || ones_above 8 v
+let mask8 = mask_above 8
+
+let narrow8 v =
+  let u = v land mask8 in
+  u = 0 || u = mask8
 
 let narrow ~bits v =
   if bits < 1 || bits > 32 then invalid_arg "Detector.narrow: bits out of [1,32]";
-  if bits = 32 then true else zeros_above bits v || ones_above bits v
+  let m = mask_above bits in
+  let u = v land m in
+  u = 0 || u = m
 
-let narrow8_unsigned v = zeros_above 8 v
+let narrow8_unsigned v = v land mask8 = 0

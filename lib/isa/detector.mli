@@ -1,12 +1,23 @@
-(** Bit-level model of the consecutive zero / one detection circuits.
+(** Word-level model of the consecutive zero / one detection circuits.
 
     Figure 3 of the paper shows dynamic-logic detectors that flag a value as
     narrow when its upper bits are a run of consecutive zeros (small
     positive value) or consecutive ones (small negative value in two's
-    complement). This module reproduces the circuits' function at bit
-    granularity: [zeros_above] and [ones_above] are the wired-NOR /
+    complement). Each circuit discharges one precharged node from all the
+    upper bits at once, and this module computes that wide AND with one
+    mask test: [zeros_above] and [ones_above] are the wired-NOR /
     wired-AND planes, and {!Width} builds its byte-granular classification
-    on top of them. *)
+    on top of them. The tests check every function against a bit-serial
+    reference, one bit per step.
+
+    Only bits 0..31 are looked at: bits of an [int] above 31 never change
+    a result. *)
+
+val mask_above : int -> int
+(** [mask_above k] has bits [k] to 31 set and every other bit clear: the
+    positions the detectors anchored at bit [k] look at. [mask_above 32]
+    is [0]. [k] must be within [0, 32]. [Hc_analysis.Absval] cuts
+    provable narrowness with the same mask. *)
 
 val zeros_above : int -> Value.t -> bool
 (** [zeros_above k v] is [true] iff all bits of [v] at positions [k]
@@ -30,7 +41,9 @@ val narrow8_unsigned : Value.t -> bool
 
 val narrow : bits:int -> Value.t -> bool
 (** [narrow ~bits v] generalizes {!narrow8} to an arbitrary datapath
-    width: all bits at positions [bits-1] and above are a sign run. The
-    paper's proposed extension of a wider-than-8-bit helper cluster
-    (section 2.1 discussion) uses this with [bits = 16].
+    width: all bits at positions [bits] and above (up to bit 31) are a
+    sign run, all zero or all one, so [narrow ~bits:8] is {!narrow8} and
+    [narrow ~bits:32] is always [true]. The paper's proposed extension of
+    a wider-than-8-bit helper cluster (section 2.1 discussion) uses this
+    with [bits = 16].
     @raise Invalid_argument unless [1 <= bits <= 32]. *)

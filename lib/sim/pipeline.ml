@@ -345,6 +345,9 @@ type scratch = {
          [n_slot] and the value's next-older edge (-1 ends the list) *)
   mutable e_next : int array;
   mutable e_len : int;
+  mutable e_free : int;
+      (* census only: the free edges, a stack threaded through [e_next]
+         (-1 empty); a value's edges go on it when the value is freed *)
   recheck : int array array;
       (* census only: value slots whose consumers to reclassify, by tick
          mod 4 *)
@@ -381,6 +384,7 @@ let fresh_scratch () =
     e_node = Array.make 4096 0;
     e_next = Array.make 4096 0;
     e_len = 0;
+    e_free = -1;
     recheck = Array.init 4 (fun _ -> Array.make 8 0);
     recheck_n = Array.make 4 0;
   }
@@ -473,6 +477,7 @@ let reset_scratch sc cfg =
   sc.sent1.n_prev <- sc.sent1;
   sc.sent1.n_next <- sc.sent1;
   sc.e_len <- 0;
+  sc.e_free <- -1;
   Array.fill sc.recheck_n 0 4 0
 
 (* ----- whole-machine state ----- *)
@@ -655,7 +660,8 @@ let alloc_node st =
 let[@inline] hold (v : vstate) = v.v_refs <- v.v_refs + 1
 
 (* Scribble over a freed value's fields (all but its slot, holder count
-   and census edges), so any read of it changes the run. *)
+   and census edges, which [release] hands back), so any read of it
+   changes the run. *)
 let poison_vstate v =
   v.v_pc <- lnot v.v_pc;
   v.v_narrow <- not v.v_narrow;
@@ -675,6 +681,13 @@ let poison_vstate v =
   v.v_cluster <- (if v.v_cluster = Config.Wide then Config.Narrow else Config.Wide);
   v.v_from_load <- not v.v_from_load
 
+(* Push the consumer edge chain from [e] onto the arena's free edges. *)
+let rec free_edges sc e =
+  let next = sc.e_next.(e) in
+  sc.e_next.(e) <- sc.e_free;
+  sc.e_free <- e;
+  if next >= 0 then free_edges sc next
+
 let release st (v : vstate) =
   if v != null_vstate then begin
     let r = v.v_refs - 1 in
@@ -682,6 +695,10 @@ let release st (v : vstate) =
     if r = 0 then begin
       if st.poison then poison_vstate v;
       let sc = st.sc in
+      if v.v_cons >= 0 then begin
+        free_edges sc v.v_cons;
+        v.v_cons <- -1
+      end;
       sc.v_free.(sc.v_nfree) <- v.v_slot;
       sc.v_nfree <- sc.v_nfree + 1
     end
@@ -1011,18 +1028,30 @@ let create ?sink ~accounting ~census_check ~poison ~skip ~drop_idx cfg decide
 
 (* Link [node] to [v]. The links live in two int arrays of the arena,
    threaded newest first from each value's [v_cons]: no pointer store,
-   so no write barrier, and one run's links sit together in memory. *)
+   so no write barrier, and one run's links sit together in memory. An
+   edge freed with its value is reused before the arrays grow, so they
+   follow the values in flight, not the trace. *)
 let add_consumer sc (v : vstate) (node : node) =
-  let e = sc.e_len in
-  if e = Array.length sc.e_node then begin
-    let grow a = Array.init (2 * e) (fun i -> if i < e then a.(i) else 0) in
-    sc.e_node <- grow sc.e_node;
-    sc.e_next <- grow sc.e_next
-  end;
+  let e =
+    if sc.e_free >= 0 then begin
+      let e = sc.e_free in
+      sc.e_free <- sc.e_next.(e);
+      e
+    end
+    else begin
+      let e = sc.e_len in
+      if e = Array.length sc.e_node then begin
+        let grow a = Array.init (2 * e) (fun i -> if i < e then a.(i) else 0) in
+        sc.e_node <- grow sc.e_node;
+        sc.e_next <- grow sc.e_next
+      end;
+      sc.e_len <- e + 1;
+      e
+    end
+  in
   sc.e_node.(e) <- node.n_slot;
   sc.e_next.(e) <- v.v_cons;
-  v.v_cons <- e;
-  sc.e_len <- e + 1
+  v.v_cons <- e
 
 (* [a] when [lane] is 0, [b] when it is 1 *)
 let[@inline] pick lane a b = a lxor ((a lxor b) land (-lane))
@@ -2493,5 +2522,5 @@ module For_testing = struct
 
   let arena_high_water () =
     let sc = Domain.DLS.get scratch_key in
-    (sc.p_ncur, sc.p_vcur)
+    (sc.p_ncur, sc.p_vcur, sc.e_len)
 end

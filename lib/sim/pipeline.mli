@@ -154,8 +154,9 @@ module For_testing : sig
       back to its pool, so a read of a freed record shows up as a
       changed result. *)
 
-  val arena_high_water : unit -> int * int
-  (** The (node, value) pool records the calling domain's last run
-      handed out: each pool's high-water, since freed records are reused
-      before new ones. *)
+  val arena_high_water : unit -> int * int * int
+  (** The (node, value, census edge) records the calling domain's last
+      run handed out: each pool's high-water, since freed records are
+      reused before new ones. Edges are handed out only under
+      accounting. *)
 end

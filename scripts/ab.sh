@@ -1,10 +1,11 @@
 #!/bin/sh
 # Interleaved A/B run of the benchmark: the parent of HEAD against this
-# checkout as it stands, on one perfbench workload.
+# checkout as it stands, on one perfbench workload or on all of them.
 #
 #   ./scripts/ab.sh --workload paper-cold
 #   ./scripts/ab.sh --workload sim-steady --runs 10
 #   ./scripts/ab.sh --workload reload-sim --parent-dir ../other-checkout
+#   ./scripts/ab.sh --workload all
 #
 # The parent (HEAD~1) is checked out and built in a temporary git
 # worktree (removed at exit) unless --parent-dir names an existing
@@ -21,9 +22,14 @@
 # host swing by ±20 %: compare medians of interleaved runs, never two
 # lone runs.
 #
-# Options: --workload W (default paper-cold), --runs N pairs (default 10),
-# --parent-dir DIR, --keep DIR (copy every run's stdout and stderr,
-# <side>.<pair>.out and .err, into DIR at exit).
+# `--workload all` builds each side once, then runs the workloads
+# BENCHMARK.json declares one after another, N pairs each, and prints
+# one such report per workload: the report a gain claim needs, since a
+# change must leave the workloads it does not target no worse.
+#
+# Options: --workload W|all (default paper-cold), --runs N pairs
+# (default 10), --parent-dir DIR, --keep DIR (copy every run's stdout
+# and stderr, <workload>/<side>.<pair>.out and .err, into DIR at exit).
 set -eu
 cd "$(dirname "$0")/.."
 HEAD_DIR=$(pwd)
@@ -49,9 +55,10 @@ TMP=$(mktemp -d)
 WORKTREE=
 cleanup() {
   if [ -n "$KEEP_DIR" ]; then
-    mkdir -p "$KEEP_DIR"
-    for f in "$TMP"/base.*.out "$TMP"/base.*.err "$TMP"/head.*.out "$TMP"/head.*.err; do
-      if [ -f "$f" ]; then cp "$f" "$KEEP_DIR/"; fi
+    for d in "$TMP"/runs/*; do
+      [ -d "$d" ] || continue
+      mkdir -p "$KEEP_DIR/$(basename "$d")"
+      cp "$d"/* "$KEEP_DIR/$(basename "$d")/"
     done
   fi
   if [ -n "$WORKTREE" ]; then
@@ -87,34 +94,36 @@ awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
   on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
   on && /"better"/ { gsub(/[",]/, "", $2); print name, $2 }' \
   BENCHMARK.json > "$TMP/metrics"
+# the workloads to run, one name a line
+if [ "$WORKLOAD" = all ]; then
+  awk '/"workloads"/ { on = 1 } /"end_to_end"/ { on = 0 }
+    on && /"name"/ { gsub(/[",]/, "", $2); print $2 }' \
+    BENCHMARK.json > "$TMP/workloads"
+else
+  echo "$WORKLOAD" > "$TMP/workloads"
+fi
+if [ ! -s "$TMP/workloads" ]; then
+  echo "ab.sh: BENCHMARK.json declares no workloads" >&2
+  exit 2
+fi
 
 echo "ab.sh: building both sides" >&2
 for dir in "$PARENT_DIR" "$HEAD_DIR"; do
   (cd "$dir" && dune build --root . --cache=disabled ./perfbench/main.exe) >&2
 done
 
-# one run: its whole stdout in $TMP/<side>.<i>.out, exit status appended
+# one run: its whole stdout in $RUNS_DIR/<side>.<i>.out, exit status appended
 run_side() {
   side=$1 dir=$2 i=$3
-  out="$TMP/$side.$i.out"
-  echo "ab.sh: pair $i/$RUNS $side" >&2
+  out="$RUNS_DIR/$side.$i.out"
+  echo "ab.sh: $WORKLOAD pair $i/$RUNS $side" >&2
   if bash "$dir/perfbench/run.sh" --workload "$WORKLOAD" --seed "$i" \
-      --seconds "$SECONDS_PER_RUN" --trace 0 > "$out" 2>"$TMP/$side.$i.err"; then
+      --seconds "$SECONDS_PER_RUN" --trace 0 > "$out" 2>"$RUNS_DIR/$side.$i.err"; then
     echo "exit 0" >> "$out"
   else
     echo "exit $?" >> "$out"
   fi
 }
-
-i=1
-while [ "$i" -le "$RUNS" ]; do
-  if [ $((i % 2)) -eq 1 ]; then
-    run_side base "$PARENT_DIR" "$i"; run_side head "$HEAD_DIR" "$i"
-  else
-    run_side head "$HEAD_DIR" "$i"; run_side base "$PARENT_DIR" "$i"
-  fi
-  i=$((i + 1))
-done
 
 # value of metric $1 in run output $2 (empty when the run printed none)
 metric() {
@@ -131,52 +140,71 @@ quartiles() {
           else printf "%.6g %.6g %.6g\n", at(0.5), at(0.25), at(0.75) }'
 }
 
-echo
-echo "workload $WORKLOAD, $RUNS interleaved pairs of ${SECONDS_PER_RUN} s runs; base $BASE_LABEL, head $HEAD_DIR"
-printf '%-14s %12s %21s %12s %21s %9s %6s\n' metric "base median" "base [q1, q3]" \
-  "head median" "head [q1, q3]" "change" better
-while read -r name better; do
-  for side in base head; do
-    i=1
-    while [ "$i" -le "$RUNS" ]; do
-      metric "$name" "$TMP/$side.$i.out"
-      i=$((i + 1))
-    done > "$TMP/$side.values"
-  done
-  read -r bm b1 b3 <<EOF_Q
-$(quartiles < "$TMP/base.values")
-EOF_Q
-  read -r hm h1 h3 <<EOF_Q
-$(quartiles < "$TMP/head.values")
-EOF_Q
-  wins=$(paste "$TMP/base.values" "$TMP/head.values" | awk -v dir="$better" '
-    NF == 2 { if (dir == "lower" ? $2 < $1 : $2 > $1) w++ } END { print w + 0 }')
-  change=$(awk -v b="$bm" -v h="$hm" 'BEGIN {
-    if (b == 0 || b == "nan") print "n/a"; else printf "%+.1f%%", 100 * (h - b) / b }')
-  printf '%-14s %12s %21s %12s %21s %9s %3s/%s\n' "$name" "$bm" "[$b1, $b3]" \
-    "$hm" "[$h1, $h3]" "$change" "$wins" "$RUNS"
-done < "$TMP/metrics"
-
 # the pass count a run's summary line reports ("..., N passes, ...")
 passes() {
   sed -n 's/.*, \([0-9][0-9]*\) passes,.*/\1/p' "$1" | head -n 1
 }
 
-echo
-printf '%-5s %12s %15s %12s %15s\n' pair "base passes" "base peak MB" \
-  "head passes" "head peak MB"
-i=1
-while [ "$i" -le "$RUNS" ]; do
-  printf '%-5s %12s %15s %12s %15s\n' "$i" \
-    "$(passes "$TMP/base.$i.out")" "$(metric peak_rss_mb "$TMP/base.$i.out")" \
-    "$(passes "$TMP/head.$i.out")" "$(metric peak_rss_mb "$TMP/head.$i.out")"
-  i=$((i + 1))
-done
+# the pairs of one workload, then its report
+run_workload() {
+  RUNS_DIR="$TMP/runs/$WORKLOAD"
+  mkdir -p "$RUNS_DIR"
+  i=1
+  while [ "$i" -le "$RUNS" ]; do
+    if [ $((i % 2)) -eq 1 ]; then
+      run_side base "$PARENT_DIR" "$i"; run_side head "$HEAD_DIR" "$i"
+    else
+      run_side head "$HEAD_DIR" "$i"; run_side base "$PARENT_DIR" "$i"
+    fi
+    i=$((i + 1))
+  done
 
-echo
-for side in base head; do
-  digests=$(cat "$TMP"/$side.*.out | sed -n 's/.*: digest \([0-9a-f]*\) .*/\1/p' | sort -u | tr '\n' ' ')
-  failed=$(grep -L '^exit 0$' "$TMP"/$side.*.out | wc -l)
-  incorrect=$(grep -l '"correct": false' "$TMP"/$side.*.out | wc -l)
-  echo "$side: digests ${digests:-none}; $failed failed runs, $incorrect incorrect"
+  echo
+  echo "workload $WORKLOAD, $RUNS interleaved pairs of ${SECONDS_PER_RUN} s runs; base $BASE_LABEL, head $HEAD_DIR"
+  printf '%-14s %12s %21s %12s %21s %9s %6s\n' metric "base median" "base [q1, q3]" \
+    "head median" "head [q1, q3]" "change" better
+  while read -r name better; do
+    for side in base head; do
+      i=1
+      while [ "$i" -le "$RUNS" ]; do
+        metric "$name" "$RUNS_DIR/$side.$i.out"
+        i=$((i + 1))
+      done > "$TMP/$side.values"
+    done
+    read -r bm b1 b3 <<EOF_Q
+$(quartiles < "$TMP/base.values")
+EOF_Q
+    read -r hm h1 h3 <<EOF_Q
+$(quartiles < "$TMP/head.values")
+EOF_Q
+    wins=$(paste "$TMP/base.values" "$TMP/head.values" | awk -v dir="$better" '
+      NF == 2 { if (dir == "lower" ? $2 < $1 : $2 > $1) w++ } END { print w + 0 }')
+    change=$(awk -v b="$bm" -v h="$hm" 'BEGIN {
+      if (b == 0 || b == "nan") print "n/a"; else printf "%+.1f%%", 100 * (h - b) / b }')
+    printf '%-14s %12s %21s %12s %21s %9s %3s/%s\n' "$name" "$bm" "[$b1, $b3]" \
+      "$hm" "[$h1, $h3]" "$change" "$wins" "$RUNS"
+  done < "$TMP/metrics"
+
+  echo
+  printf '%-5s %12s %15s %12s %15s\n' pair "base passes" "base peak MB" \
+    "head passes" "head peak MB"
+  i=1
+  while [ "$i" -le "$RUNS" ]; do
+    printf '%-5s %12s %15s %12s %15s\n' "$i" \
+      "$(passes "$RUNS_DIR/base.$i.out")" "$(metric peak_rss_mb "$RUNS_DIR/base.$i.out")" \
+      "$(passes "$RUNS_DIR/head.$i.out")" "$(metric peak_rss_mb "$RUNS_DIR/head.$i.out")"
+    i=$((i + 1))
+  done
+
+  echo
+  for side in base head; do
+    digests=$(cat "$RUNS_DIR"/$side.*.out | sed -n 's/.*: digest \([0-9a-f]*\) .*/\1/p' | sort -u | tr '\n' ' ')
+    failed=$(grep -L '^exit 0$' "$RUNS_DIR"/$side.*.out | wc -l)
+    incorrect=$(grep -l '"correct": false' "$RUNS_DIR"/$side.*.out | wc -l)
+    echo "$side: digests ${digests:-none}; $failed failed runs, $incorrect incorrect"
+  done
+}
+
+for WORKLOAD in $(cat "$TMP/workloads"); do
+  run_workload
 done

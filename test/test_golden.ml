@@ -7,7 +7,12 @@
 
    The digests were generated before the counter table replaced the
    hand-written writers, so any change to a key, its order, its presence
-   rule or a number shows up here as a changed digest. *)
+   rule or a number shows up here as a changed digest.
+
+   The wider helper is pinned too: gcc and mcf under +IR with the
+   datapath cut at 4, 16 and 24 bits, since every width goes through the
+   same detectors as the paper's 8. Those digests were recorded with the
+   bit-serial detectors, before the word-level ones replaced them. *)
 
 module Profile = Hc_trace.Profile
 module Generator = Hc_trace.Generator
@@ -34,11 +39,17 @@ let file_digest write samples =
     ~finally:(fun () -> Sys.remove path)
     (fun () -> Digest.to_hex (Digest.string (read_file (write ~path samples))))
 
-(* (metrics JSON, interval CSV, interval JSON) digests of one cell *)
-let cell_digests (p : Profile.t) scheme =
+(* (metrics JSON, interval CSV, interval JSON) digests of one cell; [bits]
+   overrides the scheme's narrow datapath width *)
+let cell_digests ?bits (p : Profile.t) scheme =
   let tr = Generator.generate_sliced ~length p in
   let static = Hc_analysis.Static.analyze_bidir tr in
   let cfg, decide = Runs.resolve_policy ~static ~scheme in
+  let cfg =
+    match bits with
+    | None -> cfg
+    | Some bits -> { cfg with Config.narrow_bits = bits }
+  in
   let sink = Sink.create ~interval ~tracing:false () in
   let m =
     Pipeline.run ~sink ~accounting:true ~cfg ~decide ~scheme_name:scheme tr
@@ -132,12 +143,37 @@ let expected =
      "49212d95f721efb6d5b3c3c8c6333a74", "d84a0fc931c1c90abf5d57629d304914");
   ]
 
-let test_cell (profile, scheme, json, csv, jsonl) () =
-  let j, c, l = cell_digests (Profile.find_spec_int profile) scheme in
-  let cell = profile ^ "/" ^ scheme in
+(* (profile, narrow_bits, ...) under +IR *)
+let expected_wide =
+  [
+    ("gcc", 4, "42b06be8ab7c3b322a4eb0cdd9e727e6",
+     "7e64de0679ecd978a79b7fc5b2f8c4d3", "4ffbb9a9acab65447467c050d583f794");
+    ("gcc", 16, "ba8b509c4aa7edd72f7b0c4f2c07226f",
+     "a91fe5e31d41271653d576251ba2b0c3", "24effe6447f924df0055c2f10858ae55");
+    ("gcc", 24, "071123058cb996b29e776163273f2a57",
+     "2d27195fee97f54912ba9b2277006712", "be471a2466c2f35293679cc81ae156ef");
+    ("mcf", 4, "65ef9f9c36fece755000f980de3198e5",
+     "c5263a27521bf2b0710297372f619954", "7add96f6552b1cd34728b6e3a90846ea");
+    ("mcf", 16, "eef643fcb5f7b566a83dc262c6875ffd",
+     "7c580fc8d1d48560dff7275eadd0ea12", "a8352f0bf7e3b092350c8cc337d6cd57");
+    ("mcf", 24, "6d53913db255d9f4570cf6e6693ef883",
+     "13e935137c7f98d45034a3d0b85ddfdc", "2b1a0cb978c2ad3766c5ab6546d325dd");
+  ]
+
+let check_cell ?bits ~cell (profile, scheme, json, csv, jsonl) =
+  let j, c, l = cell_digests ?bits (Profile.find_spec_int profile) scheme in
   Alcotest.(check string) (cell ^ ": metrics JSON") json j;
   Alcotest.(check string) (cell ^ ": interval CSV") csv c;
   Alcotest.(check string) (cell ^ ": interval JSON") jsonl l
+
+let test_cell ((profile, scheme, _, _, _) as e) () =
+  check_cell ~cell:(profile ^ "/" ^ scheme) e
+
+let wide_name profile bits = Printf.sprintf "%s +IR narrow_bits %d" profile bits
+
+let test_wide_cell (profile, bits, json, csv, jsonl) () =
+  check_cell ~bits ~cell:(wide_name profile bits)
+    (profile, "+IR", json, csv, jsonl)
 
 let test_covers_seeds () =
   Alcotest.(check int) "12 profiles x 3 schemes"
@@ -150,4 +186,8 @@ let suite =
     :: List.map
          (fun ((profile, scheme, _, _, _) as e) ->
            Alcotest.test_case (profile ^ " " ^ scheme) `Slow (test_cell e))
-         expected )
+         expected
+    @ List.map
+        (fun ((profile, bits, _, _, _) as e) ->
+          Alcotest.test_case (wide_name profile bits) `Slow (test_wide_cell e))
+        expected_wide )
