@@ -5,7 +5,8 @@ type entry = {
 
 type t = {
   table : entry array;
-  modulo : int;
+  size : int;
+  mask : int;  (* Pc_index.mask size *)
 }
 
 type prediction = {
@@ -19,10 +20,11 @@ let create ?(entries = 256) ?(conf_bits = 2) () =
     table =
       Array.init entries (fun _ ->
           { carry_local = false; conf = Confidence.create ~bits:conf_bits () });
-    modulo = entries;
+    size = entries;
+    mask = Pc_index.mask entries;
   }
 
-let index t pc = (pc lsr 2) mod t.modulo
+let[@inline] index t pc = Pc_index.index ~size:t.size ~mask:t.mask pc
 
 let predict t pc =
   let e = t.table.(index t pc) in

@@ -1,13 +1,15 @@
 type t = {
   table : bool array;
-  modulo : int;
+  size : int;
+  mask : int;  (* Pc_index.mask size *)
 }
 
 let create ?(entries = 256) () =
   if entries <= 0 then invalid_arg "Copy_predictor.create: entries <= 0";
-  { table = Array.make entries false; modulo = entries }
+  { table = Array.make entries false; size = entries;
+    mask = Pc_index.mask entries }
 
-let index t pc = (pc lsr 2) mod t.modulo
+let[@inline] index t pc = Pc_index.index ~size:t.size ~mask:t.mask pc
 
 let predict t pc = t.table.(index t pc)
 

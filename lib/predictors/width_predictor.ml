@@ -5,7 +5,8 @@ type entry = {
 
 type t = {
   table : entry array;
-  mask_modulo : int;
+  size : int;
+  mask : int;  (* Pc_index.mask size *)
 }
 
 type prediction = {
@@ -19,14 +20,13 @@ let create ?(entries = 256) ?(conf_bits = 2) () =
     table =
       Array.init entries (fun _ ->
           { last_narrow = false; conf = Confidence.create ~bits:conf_bits () });
-    mask_modulo = entries;
+    size = entries;
+    mask = Pc_index.mask entries;
   }
 
-let entries t = t.mask_modulo
+let entries t = t.size
 
-(* PCs step by 4; drop the low bits before indexing so neighbouring statics
-   do not all collide into a quarter of the table. *)
-let index t pc = (pc lsr 2) mod t.mask_modulo
+let[@inline] index t pc = Pc_index.index ~size:t.size ~mask:t.mask pc
 
 let predict t pc =
   let e = t.table.(index t pc) in

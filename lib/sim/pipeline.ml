@@ -1,14 +1,17 @@
 (* The cycle-level two-cluster pipeline model, organised for an
    allocation-free per-uop hot path: uop fields stream out of the trace's
    packed SoA columns, in-flight state lives in per-domain scratch arenas
-   (value/node pools, intrusive issue queues, a ring-buffer ROB, an event
-   wheel) reused across runs, and options/tuples/closures are replaced by
-   sentinels and int codes. The pools recycle: a node goes back on its
-   free list when it commits or, for a copy, when it completes or dies,
-   and a value when its last holder lets go, so in-flight storage is
-   bounded by the machine's window, not by the trace. Event-sink paths
-   may allocate; they are guarded off the untraced run. Nodes name their
-   uop by trace index; no uop record exists on this path.
+   (value/node pools, issue queues, a ring-buffer ROB, an event wheel)
+   reused across runs, and options/tuples/closures are replaced by
+   sentinels and int codes. Only the pools hold records; every link
+   between them (queue, ROB, wheel, rename table, dependences) is the
+   int slot of a pooled record, so the hot path stores no pointer and
+   runs without the write barrier. The pools recycle: a node goes back
+   on its free list when it commits or, for a copy, when it completes or
+   dies, and a value when its last holder lets go, so in-flight storage
+   is bounded by the machine's window, not by the trace. Event-sink
+   paths may allocate; they are guarded off the untraced run. Nodes name
+   their uop by trace index; no uop record exists on this path.
    test/test_alloc.ml checks the marginal minor-words-per-uop of an
    untraced run stays zero, both warm and as the first run on a freshly
    decoded trace, and of a warm run with cycle accounting too. *)
@@ -51,8 +54,9 @@ let c_agu = [| Counts.agu_wide; Counts.agu_narrow |]
    Flattened: the seed kept four 2-element sub-arrays per value (avail,
    copy_inflight, prefetched, prefetch_used); those are scalar mutable
    fields now, and the values themselves come from a per-domain pool, so
-   producing a value on the hot path allocates nothing. A value's
-   holders are the rename-table slots and the node fields [n_dest],
+   producing a value on the hot path allocates nothing. Everything that
+   links to a value stores its pool slot, -1 for none. A value's holders
+   are the rename-table slots and the node fields [n_dest],
    [n_dep_v.(0 .. n_ndeps - 1)] and [n_cv]; [v_refs] counts them, and
    the value returns to the pool when the count drops to zero. *)
 
@@ -75,8 +79,8 @@ type vstate = {
   mutable v_cluster : Config.cluster;  (* producer's cluster *)
   mutable v_from_load : bool;  (* produced by a load: memory-bound stalls *)
   v_slot : int;
-      (* index in the value pool, -1 for the sentinel; the census's
-         re-check ring stores it, an int store needing no write barrier *)
+      (* index in the value pool: every link to the value stores it, an
+         int store needing no write barrier *)
   mutable v_cons : int;
       (* census only: newest consumer edge (see [add_consumer]), -1 none *)
   mutable v_refs : int;  (* holders: see above *)
@@ -92,10 +96,6 @@ let new_vstate v_slot =
     v_cluster = Config.Wide; v_from_load = false; v_slot; v_cons = -1;
     v_refs = 0;
   }
-
-(* The one value no node or rename slot points at "nothing" without: a
-   shared sentinel replacing [vstate option]. Never written. *)
-let null_vstate = new_vstate (-1)
 
 let v_avail v i = if i = 0 then v.v_avail0 else v.v_avail1
 
@@ -134,8 +134,9 @@ let reset_vstate v =
    The seed's [kind] variant (Normal | Copy of {..} | Slice of {..}) and
    its option-typed fields each cost a block per dispatched node. The
    kind is an int code with the payload flattened into dedicated fields,
-   options are sentinel-tested fields, and the nodes themselves are
-   pooled per domain, so dispatch allocates nothing. *)
+   options are sentinel-tested fields, links to values are value slots,
+   and the nodes themselves are pooled per domain, so dispatch allocates
+   nothing. *)
 
 let k_normal = 0
 
@@ -168,7 +169,8 @@ type node = {
       (* dispatch order, unique within a run: the due batch's sort, the
          flush's younger-than test and telemetry event ids read it *)
   n_slot : int;
-      (* index in the node pool, -1 for sentinels; census edges store it *)
+      (* index in the node pool: the issue queues, the ROB, the event
+         wheel and the census edges store it *)
   mutable n_trace_idx : int;
       (* position in the trace, the key to every uop column; -1 for copies *)
   mutable n_op : Opcode.t;
@@ -176,7 +178,7 @@ type node = {
          all key on it; [Nop] for copies *)
   mutable n_kind : int;  (* k_normal / k_copy / k_slice *)
   (* copy payload (valid when n_kind = k_copy) *)
-  mutable n_cv : vstate;  (* the value being copied *)
+  mutable n_cv : int;  (* the value being copied; -1 = not a copy *)
   mutable n_copy_target : int;  (* destination cluster-index *)
   mutable n_copy_epoch : int;  (* cv's epoch when the copy was made *)
   mutable n_copy_publishes : bool;
@@ -192,12 +194,12 @@ type node = {
       (* incremented when the node is squashed-and-resteered, and when its
          record is reused, so completion events scheduled for a previous
          incarnation are ignored *)
-  (* dependences: parallel (value, epoch-at-dispatch) arrays with an
-     explicit length, so re-dispatching reuses the same storage *)
-  mutable n_dep_v : vstate array;
+  (* dependences: parallel (value slot, epoch-at-dispatch) arrays with
+     an explicit length, so re-dispatching reuses the same storage *)
+  mutable n_dep_v : int array;
   mutable n_dep_e : int array;
   mutable n_ndeps : int;
-  mutable n_dest : vstate;  (* null_vstate = no destination *)
+  mutable n_dest : int;  (* value slot; -1 = no destination *)
   mutable n_reason : int;  (* r_none / r_888 / ... *)
   mutable n_is_mem : bool;
   mutable n_lr_replicate : bool;  (* LR: replicate the load on completion *)
@@ -216,38 +218,31 @@ type node = {
   mutable n_complete : int;
   mutable n_disp_tick : int;  (* telemetry: tick of issue-queue insertion *)
   mutable n_issue_tick : int;  (* telemetry: tick the uop won an issue slot *)
-  mutable n_prev : node;  (* intrusive issue-queue links; self = detached *)
-  mutable n_next : node;
+  mutable n_queued : bool;  (* in an issue queue *)
   mutable n_mark : bool;  (* transient, used by flush_from's queue purge *)
   mutable n_census : int;
       (* census only: the count this queued node is in, 3 * lane + class *)
 }
 
 let new_node n_slot =
-  let rec n =
-    {
-      n_id = min_int; n_slot; n_trace_idx = -1; n_op = Opcode.Nop;
-      n_kind = k_normal; n_cv = null_vstate; n_copy_target = 0;
-      n_copy_epoch = 0; n_copy_publishes = false; n_slice_final = false;
-      n_cluster = Config.Wide; n_done = true;
-      n_issued = false; n_gen = 0;
-      n_dep_v = Array.make 4 null_vstate; n_dep_e = Array.make 4 0;
-      n_ndeps = 0; n_dest = null_vstate; n_reason = r_none;
-      n_is_mem = false; n_lr_replicate = false; n_br_mispredicted = false;
-      n_alloc = -1; n_remote_reads = false; n_complete = never;
-      n_disp_tick = 0; n_issue_tick = 0; n_prev = n; n_next = n;
-      n_mark = false; n_census = 0;
-    }
-  in
-  n
-
-(* Array padding / "no node" sentinel. Never linked, never written. *)
-let null_node = new_node (-1)
+  {
+    n_id = min_int; n_slot; n_trace_idx = -1; n_op = Opcode.Nop;
+    n_kind = k_normal; n_cv = -1; n_copy_target = 0;
+    n_copy_epoch = 0; n_copy_publishes = false; n_slice_final = false;
+    n_cluster = Config.Wide; n_done = true;
+    n_issued = false; n_gen = 0;
+    n_dep_v = Array.make 4 (-1); n_dep_e = Array.make 4 0;
+    n_ndeps = 0; n_dest = -1; n_reason = r_none;
+    n_is_mem = false; n_lr_replicate = false; n_br_mispredicted = false;
+    n_alloc = -1; n_remote_reads = false; n_complete = never;
+    n_disp_tick = 0; n_issue_tick = 0; n_queued = false;
+    n_mark = false; n_census = 0;
+  }
 
 let ensure_node_dep_cap (node : node) cap =
   if Array.length node.n_dep_v < cap then begin
     let ncap = max cap (2 * Array.length node.n_dep_v) in
-    let nv = Array.make ncap null_vstate in
+    let nv = Array.make ncap (-1) in
     let ne = Array.make ncap 0 in
     Array.blit node.n_dep_v 0 nv 0 node.n_ndeps;
     Array.blit node.n_dep_e 0 ne 0 node.n_ndeps;
@@ -255,37 +250,34 @@ let ensure_node_dep_cap (node : node) cap =
     node.n_dep_e <- ne
   end
 
-(* ----- intrusive issue queues -----
+(* ----- issue queues -----
 
-   A circular doubly-linked list threaded through the nodes themselves
-   (oldest at the head, newest at the tail), so the per-cycle issue scan
-   unlinks an issued or dead node in O(1) with zero allocation. *)
+   The node slots of the occupants, oldest first. The walks that take
+   nodes out ([issue_walk], [flush_purge]) visit every occupant anyway,
+   so they compact the array in place as they go. The array grows when
+   a flush's resteer overfills the queue. *)
 
-type iq = { iq_sent : node; mutable iq_len : int }
+type iq = { mutable iq_slots : int array; mutable iq_len : int }
 
-let iq_append q n =
-  let s = q.iq_sent in
-  let last = s.n_prev in
-  n.n_prev <- last;
-  n.n_next <- s;
-  last.n_next <- n;
-  s.n_prev <- n;
-  q.iq_len <- q.iq_len + 1
-
-let iq_unlink q n =
-  n.n_prev.n_next <- n.n_next;
-  n.n_next.n_prev <- n.n_prev;
-  n.n_prev <- n;
-  n.n_next <- n;
-  q.iq_len <- q.iq_len - 1
+let iq_append q (n : node) =
+  let len = q.iq_len in
+  if len = Array.length q.iq_slots then begin
+    let arr = Array.make (2 * len) 0 in
+    Array.blit q.iq_slots 0 arr 0 len;
+    q.iq_slots <- arr
+  end;
+  q.iq_slots.(len) <- n.n_slot;
+  q.iq_len <- len + 1;
+  n.n_queued <- true
 
 (* ----- event wheel slots -----
 
-   Growable per-slot arrays of (node, generation-at-schedule), reused
-   across wheel wraps so steady-state scheduling allocates nothing. *)
+   Growable per-slot arrays of (node slot, generation-at-schedule),
+   reused across wheel wraps so steady-state scheduling allocates
+   nothing. *)
 
 type evslot = {
-  mutable ev_nodes : node array;
+  mutable ev_nodes : int array;
   mutable ev_gens : int array;
   mutable ev_len : int;
 }
@@ -300,8 +292,8 @@ let bits_per_word = 32
    Everything whose lifetime is one [run] but whose storage can outlive
    it: the value and node pools, the event wheel, the completion batch,
    the ROB ring storage, the flush resteer buffer, the dispatch
-   dependence scratch, the rename table, and the two issue-queue
-   sentinels. Kept in domain-local storage: [run] is synchronous and each
+   dependence scratch, the rename table, and the two issue queues. Kept
+   in domain-local storage: [run] is synchronous and each
    Domain_pool worker runs tasks sequentially, so one arena per domain is
    race-free, and warm reruns allocate nothing per uop.
 
@@ -312,8 +304,11 @@ let bits_per_word = 32
    copies in the issue queues and on the wheel, and the values the
    rename table and those nodes hold. Both pools start at a size taken
    from the configuration and double when a run outgrows them; [create]
-   empties the free lists and rewinds the cursors. The free lists hold
-   slot numbers, int stores needing no write barrier. *)
+   empties the free lists and rewinds the cursors. The free lists, like
+   every other link into the pools, hold slot numbers, int stores needing
+   no write barrier. Growing a pool replaces its array (the records stay
+   the same), so code that can grow one reads the pool afresh after the
+   [alloc_*] call rather than keeping the array from before it. *)
 
 type scratch = {
   mutable p_vstates : vstate array;  (* value pool *)
@@ -328,18 +323,17 @@ type scratch = {
   ev_bits : int array;
       (* bit k of word w: slot [w * bits_per_word + k] holds an entry,
          live, stale or a wrap; cleared when a visit empties the slot *)
-  mutable due_nodes : node array;  (* completion scratch *)
+  mutable due_nodes : int array;  (* completion scratch, node slots *)
   mutable due_gens : int array;
   mutable due_len : int;
-  mutable rob_buf : node array;  (* ROB ring storage, >= cfg.rob_size *)
-  mutable resteer : node array;  (* flush_from's squash set, ROB order *)
-  mutable dp_v : vstate array;  (* dispatch dependence scratch *)
+  mutable rob_buf : int array;  (* ROB ring storage, >= cfg.rob_size *)
+  mutable resteer : int array;  (* flush_from's squash set, ROB order *)
+  mutable dp_v : int array;  (* dispatch dependence scratch, value slots *)
   mutable dp_e : int array;
   mutable dp_need : bool array;  (* needs a cross-cluster copy *)
   mutable dp_n : int;
-  rename : vstate array;  (* arch reg -> live value; null_vstate = none *)
-  sent0 : node;  (* wide issue-queue sentinel *)
-  sent1 : node;  (* narrow issue-queue sentinel *)
+  rename : int array;  (* arch reg -> live value's slot; -1 = none *)
+  iqs : iq array;  (* the wide and the narrow issue queue *)
   mutable e_node : int array;
       (* census only: consumer edges, by edge index: the consumer's
          [n_slot] and the value's next-older edge (-1 ends the list) *)
@@ -366,21 +360,20 @@ let fresh_scratch () =
     n_nfree = 0;
     events =
       Array.init wheel_size (fun _ ->
-          { ev_nodes = Array.make 4 null_node; ev_gens = Array.make 4 0;
-            ev_len = 0 });
+          { ev_nodes = Array.make 4 0; ev_gens = Array.make 4 0; ev_len = 0 });
     ev_bits = Array.make (wheel_size / bits_per_word) 0;
-    due_nodes = Array.make 64 null_node;
+    due_nodes = Array.make 64 0;
     due_gens = Array.make 64 0;
     due_len = 0;
     rob_buf = [||];
-    resteer = Array.make 64 null_node;
-    dp_v = Array.make 8 null_vstate;
+    resteer = Array.make 64 0;
+    dp_v = Array.make 8 (-1);
     dp_e = Array.make 8 0;
     dp_need = Array.make 8 false;
     dp_n = 0;
-    rename = Array.make Reg.count null_vstate;
-    sent0 = new_node (-1);
-    sent1 = new_node (-1);
+    rename = Array.make Reg.count (-1);
+    iqs =
+      Array.init 2 (fun _ -> { iq_slots = Array.make 1 0; iq_len = 0 });
     e_node = Array.make 4096 0;
     e_next = Array.make 4096 0;
     e_len = 0;
@@ -414,7 +407,7 @@ let grow_npool sc cap =
 let ensure_dp_cap sc cap =
   if Array.length sc.dp_v < cap then begin
     let ncap = max cap (2 * Array.length sc.dp_v) in
-    let nv = Array.make ncap null_vstate in
+    let nv = Array.make ncap (-1) in
     let ne = Array.make ncap 0 in
     let nn = Array.make ncap false in
     Array.blit sc.dp_v 0 nv 0 sc.dp_n;
@@ -429,7 +422,7 @@ let ensure_resteer_cap sc cap =
   if Array.length sc.resteer < cap then begin
     let old = sc.resteer in
     let ncap = max cap (2 * Array.length old) in
-    let arr = Array.make ncap null_node in
+    let arr = Array.make ncap 0 in
     Array.blit old 0 arr 0 (Array.length old);
     sc.resteer <- arr
   end
@@ -441,41 +434,41 @@ let pool_sizes cfg =
   let rob = cfg.Config.rob_size and iq = cfg.Config.iq_size in
   (rob + (2 * iq), rob + (2 * iq) + Reg.count)
 
-(* Drop every reference the previous run left behind (so its per-run
-   structures become collectable), rewind the pools, relink the
-   sentinels, and make sure the pools and the ROB ring fit this run's
-   configuration. *)
-let reset_scratch sc cfg =
+(* Empty what the previous run left behind, rewind the pools, and make
+   sure the pools, the issue queues and the ROB ring fit this run's
+   configuration. With [tiny_pools] both pools restart at one record
+   each, so the run grows them while their slots are linked. *)
+let reset_scratch ~tiny_pools sc cfg =
   for k = 0 to wheel_size - 1 do
-    let slot = sc.events.(k) in
-    if slot.ev_len > 0 then begin
-      Array.fill slot.ev_nodes 0 slot.ev_len null_node;
-      slot.ev_len <- 0
-    end
+    sc.events.(k).ev_len <- 0
   done;
   Array.fill sc.ev_bits 0 (Array.length sc.ev_bits) 0;
   sc.due_len <- 0;
-  for k = 0 to sc.p_ncur - 1 do
-    let n = sc.p_nodes.(k) in
-    n.n_prev <- n;
-    n.n_next <- n
-  done;
   sc.p_ncur <- 0;
   sc.n_nfree <- 0;
   sc.p_vcur <- 0;
   sc.v_nfree <- 0;
-  let nodes, values = pool_sizes cfg in
-  grow_npool sc nodes;
-  grow_vpool sc values;
+  if tiny_pools then begin
+    sc.p_nodes <- [| new_node 0 |];
+    sc.n_free <- [| 0 |];
+    sc.p_vstates <- [| new_vstate 0 |];
+    sc.v_free <- [| 0 |]
+  end
+  else begin
+    let nodes, values = pool_sizes cfg in
+    grow_npool sc nodes;
+    grow_vpool sc values
+  end;
   sc.dp_n <- 0;
-  Array.fill sc.rename 0 (Array.length sc.rename) null_vstate;
+  Array.fill sc.rename 0 (Array.length sc.rename) (-1);
   let rob_size = cfg.Config.rob_size in
-  if Array.length sc.rob_buf < rob_size then sc.rob_buf <- Array.make rob_size null_node
-  else Array.fill sc.rob_buf 0 (Array.length sc.rob_buf) null_node;
-  sc.sent0.n_prev <- sc.sent0;
-  sc.sent0.n_next <- sc.sent0;
-  sc.sent1.n_prev <- sc.sent1;
-  sc.sent1.n_next <- sc.sent1;
+  if Array.length sc.rob_buf < rob_size then sc.rob_buf <- Array.make rob_size 0;
+  for lane = 0 to 1 do
+    let q = sc.iqs.(lane) in
+    q.iq_len <- 0;
+    if Array.length q.iq_slots < cfg.Config.iq_size then
+      q.iq_slots <- Array.make cfg.Config.iq_size 0
+  done;
   sc.e_len <- 0;
   sc.e_free <- -1;
   Array.fill sc.recheck_n 0 4 0
@@ -523,10 +516,10 @@ type state = {
   mutable fetch_idx : int;  (* next trace index to dispatch *)
   mutable fetch_resume : int;  (* tick before which dispatch is stalled *)
   mutable fe_code : int;  (* [decision_code] of the last dispatch attempt *)
-  rename : vstate array;  (* = sc.rename *)
+  rename : int array;  (* = sc.rename *)
   (* backends *)
-  iq : iq array;  (* per cluster-index, intrusive, oldest first *)
-  rob_buf : node array;  (* ring, oldest at rob_head *)
+  iq : iq array;  (* = sc.iqs, per cluster-index, oldest first *)
+  rob_buf : int array;  (* ring of node slots, oldest at rob_head *)
   rob_cap : int;
   mutable rob_head : int;
   mutable rob_count : int;
@@ -551,18 +544,24 @@ type state = {
   mutable iss_ready : int;
   mutable iss_capable : int;
       (* the NREADY leftover the helper's 8-bit units could host *)
-  mutable iss_unlinked : int;  (* issued and dead-copy nodes *)
+  mutable iss_removed : int;  (* issued and dead-copy nodes taken out *)
   mutable dis_demand_w : int;  (* copy slot demand of the current dispatch *)
   mutable dis_demand_n : int;
   mutable rsteer_n : int;  (* live prefix of sc.resteer *)
-  mutable split_prev : vstate;  (* previous lane while cracking a split *)
+  mutable split_prev : int;  (* previous lane's value while cracking a split *)
 }
 
-let bump_by st id n =
+let[@inline] bump_by st id n =
   let c = st.counts in
   c.(id) <- c.(id) + n
 
-let bump st id = bump_by st id 1
+let[@inline] bump st id = bump_by st id 1
+
+(* The records behind slots. They read the pool afresh: an [alloc_*]
+   call can replace the pool's array. *)
+let[@inline] value_at st s = st.sc.p_vstates.(s)
+
+let[@inline] node_at st s = st.sc.p_nodes.(s)
 
 (* ----- pool allocation ----- *)
 
@@ -622,7 +621,7 @@ let alloc_node st =
   n.n_trace_idx <- -1;
   n.n_op <- Opcode.Nop;
   n.n_kind <- k_normal;
-  n.n_cv <- null_vstate;
+  n.n_cv <- -1;
   n.n_copy_target <- 0;
   n.n_copy_epoch <- 0;
   n.n_copy_publishes <- false;
@@ -632,7 +631,7 @@ let alloc_node st =
   n.n_issued <- false;
   n.n_gen <- n.n_gen + 1;
   n.n_ndeps <- 0;
-  n.n_dest <- null_vstate;
+  n.n_dest <- -1;
   n.n_reason <- r_none;
   n.n_is_mem <- false;
   n.n_lr_replicate <- false;
@@ -642,15 +641,14 @@ let alloc_node st =
   n.n_complete <- never;
   n.n_disp_tick <- 0;
   n.n_issue_tick <- 0;
-  n.n_prev <- n;
-  n.n_next <- n;
+  n.n_queued <- false;
   n.n_mark <- false;
   n
 
 (* ----- freeing -----
 
-   A node is freed when it commits, and a copy when it completes or is
-   unlinked dead; freeing it lets go of the values it holds. A value is
+   A node is freed when it commits, and a copy when it completes or
+   leaves its queue dead; freeing it lets go of the values it holds. A value is
    freed when its last holder lets go: a rename-table overwrite, a node
    freed, or a dependence the flush drops. What may still reach a freed
    record is harmless: a stale wheel entry carries an older generation,
@@ -688,8 +686,10 @@ let rec free_edges sc e =
   sc.e_free <- e;
   if next >= 0 then free_edges sc next
 
-let release st (v : vstate) =
-  if v != null_vstate then begin
+(* let go of the value in slot [s], if any *)
+let release st s =
+  if s >= 0 then begin
+    let v = value_at st s in
     let r = v.v_refs - 1 in
     v.v_refs <- r;
     if r = 0 then begin
@@ -705,7 +705,7 @@ let release st (v : vstate) =
   end
 
 (* Scribble over a freed node's fields, keeping what stale references
-   read: its generation, which only grows, and its self links. Trace
+   read: its generation, which only grows, and its queue flag. Trace
    indices stay in range, so a stray read misbehaves without crashing. *)
 let poison_node st n =
   n.n_id <- -1;
@@ -746,16 +746,15 @@ let free_node st (node : node) =
 
 (* ----- ROB ring ----- *)
 
-let rob_add st node =
+let rob_add st (node : node) =
   let pos = st.rob_head + st.rob_count in
   let pos = if pos >= st.rob_cap then pos - st.rob_cap else pos in
-  st.rob_buf.(pos) <- node;
+  st.rob_buf.(pos) <- node.n_slot;
   st.rob_count <- st.rob_count + 1
 
-let rob_peek st = st.rob_buf.(st.rob_head)
+let rob_peek st = node_at st st.rob_buf.(st.rob_head)
 
 let rob_pop st =
-  st.rob_buf.(st.rob_head) <- null_node;
   let h = st.rob_head + 1 in
   st.rob_head <- (if h >= st.rob_cap then 0 else h);
   st.rob_count <- st.rob_count - 1
@@ -763,11 +762,11 @@ let rob_pop st =
 (* k-th oldest occupant, 0 <= k < rob_count *)
 let rob_get st k =
   let pos = st.rob_head + k in
-  st.rob_buf.(if pos >= st.rob_cap then pos - st.rob_cap else pos)
+  node_at st st.rob_buf.(if pos >= st.rob_cap then pos - st.rob_cap else pos)
 
 (* ----- event wheel ----- *)
 
-let schedule st node tick =
+let schedule st (node : node) tick =
   node.n_complete <- tick;
   if node.n_trace_idx = st.drop_idx then st.drop_idx <- -2
   else begin
@@ -776,14 +775,14 @@ let schedule st node tick =
     let slot = sc.events.(s) in
     let cap = Array.length slot.ev_nodes in
     if slot.ev_len = cap then begin
-      let nodes = Array.make (2 * cap) null_node in
+      let nodes = Array.make (2 * cap) 0 in
       let gens = Array.make (2 * cap) 0 in
       Array.blit slot.ev_nodes 0 nodes 0 cap;
       Array.blit slot.ev_gens 0 gens 0 cap;
       slot.ev_nodes <- nodes;
       slot.ev_gens <- gens
     end;
-    slot.ev_nodes.(slot.ev_len) <- node;
+    slot.ev_nodes.(slot.ev_len) <- node.n_slot;
     slot.ev_gens.(slot.ev_len) <- node.n_gen;
     slot.ev_len <- slot.ev_len + 1;
     let w = s / bits_per_word in
@@ -889,13 +888,14 @@ let source_info st i k =
            (Uop_soa.src_val st.soa j))
       ~known:true ~cluster_code:Steer.cluster_code_none
   else begin
-    let v = st.rename.(r) in
-    if v == null_vstate then
+    let s = st.rename.(r) in
+    if s < 0 then
       (* architectural value from before the trace window: a long-ready,
          conservatively wide register *)
       Steer.src_info_bits ~narrow:false ~known:true
         ~cluster_code:Steer.cluster_code_none
     else begin
+      let v = value_at st s in
       let cluster_code =
         match v.v_cluster with
         | Config.Wide -> Steer.cluster_code_wide
@@ -911,8 +911,8 @@ let source_info st i k =
 let eflags_index = Reg.to_index Reg.Eflags
 
 let flags_in_narrow st () =
-  let v = st.rename.(eflags_index) in
-  v != null_vstate && v.v_cluster = Config.Narrow
+  let s = st.rename.(eflags_index) in
+  s >= 0 && (value_at st s).v_cluster = Config.Narrow
 
 let occupancy_lt st c limit =
   float_of_int st.iq.(cluster_index c).iq_len
@@ -931,13 +931,13 @@ let get_ctx st =
 
 (* ----- creation ----- *)
 
-let create ?sink ~accounting ~census_check ~poison ~skip ~drop_idx cfg decide
-    trace =
+let create ?sink ~accounting ~census_check ~poison ~skip ~drop_idx ~tiny_pools
+    cfg decide trace =
   ( match Config.validate cfg with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Pipeline: " ^ msg) );
   let sc = Domain.DLS.get scratch_key in
-  reset_scratch sc cfg;
+  reset_scratch ~tiny_pools sc cfg;
   let soa = Trace.soa trace in
   let st =
     {
@@ -959,9 +959,7 @@ let create ?sink ~accounting ~census_check ~poison ~skip ~drop_idx cfg decide
       counts = Counts.make ();
       fetch_idx = 0; fetch_resume = 0; fe_code = -1;
       rename = sc.rename;
-      iq =
-        [| { iq_sent = sc.sent0; iq_len = 0 };
-           { iq_sent = sc.sent1; iq_len = 0 } |];
+      iq = sc.iqs;
       rob_buf = sc.rob_buf;
       rob_cap = Array.length sc.rob_buf;
       rob_head = 0;
@@ -978,10 +976,10 @@ let create ?sink ~accounting ~census_check ~poison ~skip ~drop_idx cfg decide
       now = 0;
       quiet_since = 0;
       avail_soon = 0;
-      iss_issued = 0; iss_ready = 0; iss_capable = 0; iss_unlinked = 0;
+      iss_issued = 0; iss_ready = 0; iss_capable = 0; iss_removed = 0;
       dis_demand_w = 0; dis_demand_n = 0;
       rsteer_n = 0;
-      split_prev = null_vstate;
+      split_prev = -1;
     }
   in
   (* the steering context is one record of closures over [st], built once
@@ -1069,7 +1067,7 @@ let census_class st ~link (node : node) =
     let remote = Bool.to_int node.n_remote_reads in
     let mem = ref 0 and cop = ref 0 in
     for k = 0 to node.n_ndeps - 1 do
-      let v = node.n_dep_v.(k) in
+      let v = value_at st node.n_dep_v.(k) in
       let u0 = Bool.to_int (v.v_avail0 > now)
       and u1 = Bool.to_int (v.v_avail1 > now) in
       let unavail =
@@ -1103,7 +1101,7 @@ let census_enter st (node : node) =
 let rec census_touch_from st sc e =
   if e >= 0 then begin
     let c = sc.p_nodes.(sc.e_node.(e)) in
-    if c.n_next != c then begin
+    if c.n_queued then begin
       let cls = census_class st ~link:false c in
       if cls <> c.n_census then begin
         census_leave st c;
@@ -1142,26 +1140,22 @@ let census_due st =
   done;
   sc.recheck_n.(slot) <- 0
 
-let rec census_recount_from st s (node : node) =
-  if node != s then begin
-    census_enter st node;
-    census_recount_from st s node.n_next
-  end
-
 let census_rebuild st =
   if st.accounting then begin
     Array.fill st.census 0 (Array.length st.census) 0;
     for lane = 0 to 1 do
-      let s = st.iq.(lane).iq_sent in
-      census_recount_from st s s.n_next
+      let q = st.iq.(lane) in
+      for k = 0 to q.iq_len - 1 do
+        census_enter st (node_at st q.iq_slots.(k))
+      done
     done
   end
 
 (* ----- dispatch helpers ----- *)
 
 (* Register dependences of the uop at [trace_idx], read straight off the
-   SoA source columns into the dispatch scratch (value, epoch) arrays —
-   the seed built a [(vstate * int) list] per uop here. *)
+   SoA source columns into the dispatch scratch (value slot, epoch)
+   arrays — the seed built a [(vstate * int) list] per uop here. *)
 let collect_reg_deps st trace_idx =
   let sc = st.sc in
   let lo = Uop_soa.src_base st.soa trace_idx in
@@ -1171,10 +1165,10 @@ let collect_reg_deps st trace_idx =
   for j = lo to lo + ns - 1 do
     let r = Uop_soa.src_reg st.soa j in
     if r >= 0 then begin
-      let v = st.rename.(r) in
-      if v != null_vstate then begin
-        sc.dp_v.(sc.dp_n) <- v;
-        sc.dp_e.(sc.dp_n) <- v.v_epoch;
+      let s = st.rename.(r) in
+      if s >= 0 then begin
+        sc.dp_v.(sc.dp_n) <- s;
+        sc.dp_e.(sc.dp_n) <- (value_at st s).v_epoch;
         sc.dp_n <- sc.dp_n + 1
       end
     end
@@ -1201,7 +1195,7 @@ let mark_copies_needed st ~cluster ~no_copies =
   st.dis_demand_w <- 0;
   st.dis_demand_n <- 0;
   for k = 0 to sc.dp_n - 1 do
-    let v = sc.dp_v.(k) in
+    let v = value_at st sc.dp_v.(k) in
     let need =
       (not no_copies)
       && v.v_cluster <> cluster
@@ -1221,7 +1215,7 @@ let make_copy st ~(cv : vstate) ~target ~prefetch ~publishes =
   let ti = cluster_index target in
   let node = alloc_node st in
   node.n_kind <- k_copy;
-  node.n_cv <- cv;
+  node.n_cv <- cv.v_slot;
   (* held twice: as [n_cv] and as the one dependence *)
   cv.v_refs <- cv.v_refs + 2;
   node.n_copy_target <- ti;
@@ -1229,7 +1223,7 @@ let make_copy st ~(cv : vstate) ~target ~prefetch ~publishes =
   node.n_copy_publishes <- publishes;
   node.n_cluster <- source_cluster;
   ensure_node_dep_cap node 1;
-  node.n_dep_v.(0) <- cv;
+  node.n_dep_v.(0) <- cv.v_slot;
   node.n_dep_e.(0) <- cv.v_epoch;
   node.n_ndeps <- 1;
   set_v_copy_inflight cv ti true;
@@ -1250,10 +1244,12 @@ let make_copy st ~(cv : vstate) ~target ~prefetch ~publishes =
 let rename_write st i (v : vstate) =
   let prev = st.rename.(i) in
   hold v;
-  if prev != null_vstate && st.cfg.Config.scheme.Config.cp then
-    Copy_predictor.update st.preds.Bundle.copy prev.v_pc
-      ~copied:prev.v_demand_copied;
-  st.rename.(i) <- v;
+  if prev >= 0 && st.cfg.Config.scheme.Config.cp then begin
+    let p = value_at st prev in
+    Copy_predictor.update st.preds.Bundle.copy p.v_pc
+      ~copied:p.v_demand_copied
+  end;
+  st.rename.(i) <- v.v_slot;
   release st prev
 
 (* Point the uop's destination register, then the flags when it writes
@@ -1269,7 +1265,7 @@ let credit_prefetch_deps st cluster =
   let i = cluster_index cluster in
   let sc = st.sc in
   for k = 0 to sc.dp_n - 1 do
-    let v = sc.dp_v.(k) in
+    let v = value_at st sc.dp_v.(k) in
     if v_prefetched v i && (not (v_prefetch_used v i)) && v.v_cluster <> cluster
     then begin
       set_v_prefetch_used v i true;
@@ -1306,12 +1302,12 @@ let dispatch_split st ~trace_idx ~op ~pc ~pred_narrow =
   credit_prefetch_deps st Config.Narrow;
   let dest =
     if produces_value then
-      alloc_vstate st ~pc
-        ~narrow:
-          (Width.is_narrow_bits ~bits:cfg.Config.narrow_bits
-             (Uop_soa.result st.soa trace_idx))
-        ~pred_narrow ~cluster:Config.Narrow
-    else null_vstate
+      (alloc_vstate st ~pc
+         ~narrow:
+           (Width.is_narrow_bits ~bits:cfg.Config.narrow_bits
+              (Uop_soa.result st.soa trace_idx))
+         ~pred_narrow ~cluster:Config.Narrow).v_slot
+    else -1
   in
   (* carry-rippling ops chain lane k+1 on lane k's carry-out; bitwise,
      move and store lanes are independent byte operations *)
@@ -1324,56 +1320,59 @@ let dispatch_split st ~trace_idx ~op ~pc ~pred_narrow =
     | Opcode.Fp_add | Opcode.Fp_mul | Opcode.Fp_div | Opcode.Copy
     | Opcode.Nop -> false
   in
-  st.split_prev <- null_vstate;
+  st.split_prev <- -1;
   for k = 0 to slices - 1 do
     let final = k = slices - 1 in
     let node = alloc_node st in
-      node.n_trace_idx <- trace_idx;
+    node.n_trace_idx <- trace_idx;
     node.n_op <- op;
     node.n_kind <- k_slice;
     node.n_slice_final <- final;
     node.n_cluster <- Config.Narrow;
-    let chain = if ripples then st.split_prev else null_vstate in
-    let extra = if chain != null_vstate then 1 else 0 in
+    let chain = if ripples then st.split_prev else -1 in
+    let extra = if chain >= 0 then 1 else 0 in
     ensure_node_dep_cap node (sc.dp_n + extra);
     if extra = 1 then begin
+      let c = value_at st chain in
       node.n_dep_v.(0) <- chain;
-      node.n_dep_e.(0) <- chain.v_epoch;
-      hold chain
+      node.n_dep_e.(0) <- c.v_epoch;
+      hold c
     end;
     for j = 0 to sc.dp_n - 1 do
       let v = sc.dp_v.(j) in
       node.n_dep_v.(extra + j) <- v;
       node.n_dep_e.(extra + j) <- sc.dp_e.(j);
-      hold v
+      hold (value_at st v)
     done;
     node.n_ndeps <- sc.dp_n + extra;
     let slice_dest =
       if final then dest
       else
-        alloc_vstate st ~pc ~narrow:true ~pred_narrow:true
-          ~cluster:Config.Narrow
+        (alloc_vstate st ~pc ~narrow:true ~pred_narrow:true
+           ~cluster:Config.Narrow).v_slot
     in
     node.n_dest <- slice_dest;
-    if slice_dest != null_vstate then hold slice_dest;
     node.n_reason <- r_ir;
     node.n_remote_reads <- true;
     if not final then st.split_prev <- slice_dest;
-    if slice_dest != null_vstate then
-      if Regfile.allocate st.regfile Config.Narrow then node.n_alloc <- 1;
+    if slice_dest >= 0 then begin
+      hold (value_at st slice_dest);
+      if Regfile.allocate st.regfile Config.Narrow then node.n_alloc <- 1
+    end;
     enqueue_iq st Config.Narrow node;
     rob_add st node
   done;
-  st.split_prev <- null_vstate;
-  if dest != null_vstate then begin
-    rename_dest st ~trace_idx ~op dest;
+  st.split_prev <- -1;
+  if dest >= 0 then begin
+    let d = value_at st dest in
+    rename_dest st ~trace_idx ~op d;
     (* publish the result to the wide cluster as a burst of byte copies;
        only the last one makes the value visible there (§3.7). A
        replicated register file publishes through its write ports
        instead. *)
     if has_dest && not cfg.Config.replicated_regfile then
       for k = 0 to slices - 1 do
-        make_copy st ~cv:dest ~target:Config.Wide ~prefetch:false
+        make_copy st ~cv:d ~target:Config.Wide ~prefetch:false
           ~publishes:(k = slices - 1)
       done
   end;
@@ -1417,18 +1416,18 @@ let dispatch_steered st ~trace_idx ~op ~pc ~pred_narrow ~pred_confident
   end;
   for k = 0 to sc.dp_n - 1 do
     if sc.dp_need.(k) then
-      make_copy st ~cv:sc.dp_v.(k) ~target:cluster ~prefetch:false
-        ~publishes:true
+      make_copy st ~cv:(value_at st sc.dp_v.(k)) ~target:cluster
+        ~prefetch:false ~publishes:true
   done;
   credit_prefetch_deps st cluster;
   let dest =
     if produces_value then
-      alloc_vstate st ~pc
-        ~narrow:
-          (Width.is_narrow_bits ~bits:cfg.Config.narrow_bits
-             (Uop_soa.result st.soa trace_idx))
-        ~pred_narrow ~cluster
-    else null_vstate
+      (alloc_vstate st ~pc
+         ~narrow:
+           (Width.is_narrow_bits ~bits:cfg.Config.narrow_bits
+              (Uop_soa.result st.soa trace_idx))
+         ~pred_narrow ~cluster).v_slot
+    else -1
   in
   let lr_replicate =
     scheme.Config.lr && op = Opcode.Load && pred_narrow
@@ -1444,10 +1443,6 @@ let dispatch_steered st ~trace_idx ~op ~pc ~pred_narrow ~pred_confident
         Branch_predictor.update (Lazy.force st.gshare) pc
           ~taken:(Uop_soa.flag st.soa trace_idx Uop_soa.flag_taken)
   in
-  if dest != null_vstate then begin
-    dest.v_lr <- lr_replicate;
-    dest.v_from_load <- op = Opcode.Load
-  end;
   let node = alloc_node st in
   node.n_trace_idx <- trace_idx;
   node.n_op <- op;
@@ -1457,33 +1452,37 @@ let dispatch_steered st ~trace_idx ~op ~pc ~pred_narrow ~pred_confident
     let v = sc.dp_v.(j) in
     node.n_dep_v.(j) <- v;
     node.n_dep_e.(j) <- sc.dp_e.(j);
-    hold v
+    hold (value_at st v)
   done;
   node.n_ndeps <- sc.dp_n;
   node.n_dest <- dest;
-  if dest != null_vstate then hold dest;
   node.n_reason <- reason;
   node.n_is_mem <- is_mem;
   node.n_lr_replicate <- lr_replicate;
   node.n_br_mispredicted <- br_mispredicted;
   node.n_remote_reads <- remote_reads;
-  if dest != null_vstate then begin
+  if dest >= 0 then begin
+    let d = value_at st dest in
+    d.v_lr <- lr_replicate;
+    d.v_from_load <- op = Opcode.Load;
+    hold d;
     if Regfile.allocate st.regfile cluster then node.n_alloc <- ci;
-    rename_dest st ~trace_idx ~op dest
+    rename_dest st ~trace_idx ~op d
   end;
   enqueue_iq st cluster node;
   rob_add st node;
   (* CP: producer-side copy prefetching (§3.6). Narrow producers prefetch
      predicted copies to the wide cluster; wide producers of predicted
      narrow values prefetch toward the helper. *)
-  if dest != null_vstate && scheme.Config.cp && has_dest then begin
+  if dest >= 0 && scheme.Config.cp && has_dest then begin
     let cp_hit = Copy_predictor.predict st.preds.Bundle.copy pc in
+    let d = value_at st dest in
     if cluster = Config.Narrow && cp_hit && iq_free st Config.Narrow > 0 then
-      make_copy st ~cv:dest ~target:Config.Wide ~prefetch:true ~publishes:true
+      make_copy st ~cv:d ~target:Config.Wide ~prefetch:true ~publishes:true
     else if
       cluster = Config.Wide && cp_hit && pred_narrow && pred_confident
       && iq_free st Config.Wide > 0
-    then make_copy st ~cv:dest ~target:Config.Narrow ~prefetch:true ~publishes:true
+    then make_copy st ~cv:d ~target:Config.Narrow ~prefetch:true ~publishes:true
   end;
   bump st c_dispatch.(ci)
 
@@ -1547,88 +1546,92 @@ let frontend st =
    resets its value (epoch bump kills in-flight copies, avail returns to
    never), and every consumer - resteered or not - then waits for the
    re-execution to publish the value again. *)
-let rec deps_avail_from st i (node : node) k =
+(* [vp] is the value pool, read once per walk: nothing in a walk over an
+   issue queue allocates *)
+let rec deps_avail_from st vp i (node : node) k =
   k >= node.n_ndeps
-  || (v_avail node.n_dep_v.(k) i <= st.now && deps_avail_from st i node (k + 1))
+  || (v_avail vp.(node.n_dep_v.(k)) i <= st.now
+     && deps_avail_from st vp i node (k + 1))
 
-let rec deps_avail_remote_from st (node : node) k =
+let rec deps_avail_remote_from st vp (node : node) k =
   k >= node.n_ndeps
-  || ((let v = node.n_dep_v.(k) in v.v_avail0 <= st.now || v.v_avail1 <= st.now)
-     && deps_avail_remote_from st node (k + 1))
+  || ((let v = vp.(node.n_dep_v.(k)) in
+       v.v_avail0 <= st.now || v.v_avail1 <= st.now)
+     && deps_avail_remote_from st vp node (k + 1))
 
-let deps_ready st cluster (node : node) =
-  if node.n_remote_reads then deps_avail_remote_from st node 0
+let[@inline] deps_ready st vp cluster (node : node) =
+  if node.n_remote_reads then deps_avail_remote_from st vp node 0
   else begin
     let i =
-      if node.n_kind = k_copy then cluster_index node.n_cv.v_cluster
+      if node.n_kind = k_copy then cluster_index vp.(node.n_cv).v_cluster
       else cluster_index cluster
     in
-    deps_avail_from st i node 0
+    deps_avail_from st vp i node 0
   end
 
-let dead_copy (node : node) =
-  node.n_kind = k_copy && node.n_cv.v_epoch <> node.n_copy_epoch
+let[@inline] dead_copy vp (node : node) =
+  node.n_kind = k_copy && vp.(node.n_cv).v_epoch <> node.n_copy_epoch
 
 (* The queue's oldest-first walk: issue ready nodes into free slots,
-   unlink and free dead copies, and count the ready nodes left without a
-   slot, [capable] of them helper-capable (a copy, or an op the 8-bit
-   units execute). *)
-let rec issue_walk st cluster q width regread_id issue_id s (node : node) issued
-    ready capable =
-  if node == s then begin
-    st.iss_issued <- issued;
-    st.iss_ready <- ready;
-    st.iss_capable <- capable
-  end
-  else begin
-    let next = node.n_next in
-    if dead_copy node then begin
+   take out and free dead copies, and count the ready nodes left without
+   a slot, [capable] of them helper-capable (a copy, or an op the 8-bit
+   units execute). The nodes that stay are compacted toward the front in
+   order. *)
+let issue_walk st cluster (q : iq) =
+  let i = cluster_index cluster in
+  let width = st.cfg.Config.issue_width in
+  let regread_id = c_regread.(i) and issue_id = c_issue.(i) in
+  (* nothing in the walk allocates a record or grows the queue *)
+  let nodes = st.sc.p_nodes and vp = st.sc.p_vstates and slots = q.iq_slots in
+  let issued = ref 0 and ready = ref 0 and capable = ref 0 and kept = ref 0 in
+  for k = 0 to q.iq_len - 1 do
+    let s = slots.(k) in
+    let node = nodes.(s) in
+    if dead_copy vp node then begin
       if st.accounting then census_leave st node;
-      iq_unlink q node;
-      free_node st node;
-      issue_walk st cluster q width regread_id issue_id s next issued ready
-        capable
+      node.n_queued <- false;
+      free_node st node
     end
-    else if deps_ready st cluster node then begin
-      if issued < width then begin
+    else begin
+      let ready_now = deps_ready st vp cluster node in
+      if ready_now && !issued < width then begin
         node.n_issued <- true;
         node.n_issue_tick <- st.now;
         emit st Event.Issue node ~a:node.n_disp_tick ~b:0;
         bump_by st regread_id node.n_ndeps;
         bump st issue_id;
         if st.accounting then census_leave st node;
-        iq_unlink q node;
+        node.n_queued <- false;
         schedule st node (st.now + exec_ticks st cluster node);
-        issue_walk st cluster q width regread_id issue_id s next (issued + 1)
-          ready capable
+        incr issued
       end
       else begin
-        let capable =
+        if ready_now then begin
+          incr ready;
           if node.n_trace_idx < 0 || Opcode.helper_capable node.n_op then
-            capable + 1
-          else capable
-        in
-        issue_walk st cluster q width regread_id issue_id s next issued
-          (ready + 1) capable
+            incr capable
+        end;
+        slots.(!kept) <- s;
+        incr kept
       end
     end
-    else
-      issue_walk st cluster q width regread_id issue_id s next issued ready
-        capable
-  end
+  done;
+  q.iq_len <- !kept;
+  st.iss_issued <- !issued;
+  st.iss_ready <- !ready;
+  st.iss_capable <- !capable
 
 (* one issue round's update of the smoothed ready backlog *)
 let[@inline] ewma_step e ready = (0.9 *. e) +. (0.1 *. float_of_int ready)
 
 (* One issue round; results land in [iss_issued] (slots that did work),
-   [iss_ready] (the NREADY leftover), [iss_capable] and [iss_unlinked]. *)
+   [iss_ready] (the NREADY leftover), [iss_capable] and [iss_removed]. *)
 let issue_cluster st cluster =
   let i = cluster_index cluster in
   let q = st.iq.(i) in
   let len = q.iq_len in
-  issue_walk st cluster q st.cfg.Config.issue_width c_regread.(i)
-    c_issue.(i) q.iq_sent q.iq_sent.n_next 0 0 0;
-  st.iss_unlinked <- len - q.iq_len;
+  issue_walk st cluster q;
+  st.iss_removed <- len - q.iq_len;
   st.backlog.(i) <- st.iss_ready;
   st.backlog_ewma.(i) <- ewma_step st.backlog_ewma.(i) st.iss_ready
 
@@ -1644,7 +1647,7 @@ let rec blocked_scan st i remote (node : node) k mem cop =
     else if cop then Accounting.Wait_copy
     else Accounting.Wait_operands
   else begin
-    let v = node.n_dep_v.(k) in
+    let v = value_at st node.n_dep_v.(k) in
     let avail =
       if remote then v.v_avail0 <= st.now || v.v_avail1 <= st.now
       else v_avail v i <= st.now
@@ -1681,15 +1684,12 @@ let empty_reason st ~narrow =
    every idle round and fails at the first difference. *)
 let census_verify st cluster ~mem ~cop ~opr =
   let wmem = ref 0 and wcop = ref 0 and wopr = ref 0 in
-  let s = st.iq.(cluster_index cluster).iq_sent in
-  let cur = ref s.n_next in
-  while !cur != s do
-    let node = !cur in
-    ( match blocked_reason st cluster node with
+  let q = st.iq.(cluster_index cluster) in
+  for k = 0 to q.iq_len - 1 do
+    match blocked_reason st cluster (node_at st q.iq_slots.(k)) with
     | Accounting.Memory -> incr wmem
     | Accounting.Wait_copy -> incr wcop
-    | _ -> incr wopr );
-    cur := node.n_next
+    | _ -> incr wopr
   done;
   if mem <> !wmem || cop <> !wcop || opr <> !wopr then
     failwith
@@ -1720,7 +1720,7 @@ let account_issue_rounds st cluster ~rounds ~issued =
   let idle = width - issued in
   if idle > 0 then begin
     (* after the issue walk the queue holds only blocked occupants:
-       issued and dead-copy nodes were unlinked, and idle > 0
+       issued and dead-copy nodes were taken out, and idle > 0
        means no ready node was left waiting for a slot *)
     let base = 3 * lane in
     let mem = st.census.(base)
@@ -1762,20 +1762,27 @@ let account_commit_rounds st ~rounds ~committed =
 (* ----- width misprediction recovery ----- *)
 
 (* Purge a queue, oldest first, of the squashed incarnations (marked)
-   and of the copies whose value died; the copies are freed. The census
+   and of the copies whose value died; the copies are freed, and the
+   nodes that stay are compacted toward the front in order. The census
    is rebuilt after the flush. *)
-let rec flush_purge_from st q (node : node) s =
-  if node != s then begin
-    let next = node.n_next in
-    if node.n_mark then iq_unlink q node
-    else if dead_copy node then begin
-      iq_unlink q node;
+let flush_purge st (q : iq) =
+  (* nothing here allocates a record or grows the queue *)
+  let vp = st.sc.p_vstates and slots = q.iq_slots in
+  let kept = ref 0 in
+  for k = 0 to q.iq_len - 1 do
+    let s = slots.(k) in
+    let node = node_at st s in
+    if node.n_mark then node.n_queued <- false
+    else if dead_copy vp node then begin
+      node.n_queued <- false;
       free_node st node
-    end;
-    flush_purge_from st q next s
-  end
-
-let flush_purge st q = flush_purge_from st q q.iq_sent.n_next q.iq_sent
+    end
+    else begin
+      slots.(!kept) <- s;
+      incr kept
+    end
+  done;
+  q.iq_len <- !kept
 
 (* drop dependences on values that no longer exist, in place, letting go
    of them *)
@@ -1784,7 +1791,7 @@ let rec compact_live_deps st (node : node) k w =
   else begin
     let v = node.n_dep_v.(k) in
     let e = node.n_dep_e.(k) in
-    if v.v_epoch = e then begin
+    if (value_at st v).v_epoch = e then begin
       node.n_dep_v.(w) <- v;
       node.n_dep_e.(w) <- e;
       compact_live_deps st node (k + 1) (w + 1)
@@ -1816,7 +1823,7 @@ let flush_from st (offender : node) =
       && node.n_kind <> k_copy
     then begin
       ensure_resteer_cap sc (st.rsteer_n + 1);
-      sc.resteer.(st.rsteer_n) <- node;
+      sc.resteer.(st.rsteer_n) <- node.n_slot;
       st.rsteer_n <- st.rsteer_n + 1
     end
   done;
@@ -1824,7 +1831,7 @@ let flush_from st (offender : node) =
   (* purge the narrow issue queue of the squashed incarnations, and of
      copies whose value is about to die *)
   for k = 0 to n_rest - 1 do
-    let node = sc.resteer.(k) in
+    let node = node_at st sc.resteer.(k) in
     emit st Event.Squash node ~a:0 ~b:0;
     node.n_gen <- node.n_gen + 1;
     node.n_issued <- false;
@@ -1840,24 +1847,24 @@ let flush_from st (offender : node) =
     node.n_done <- false;
     node.n_cluster <- Config.Wide;
     node.n_remote_reads <- false;
-    let dest = node.n_dest in
-    if dest != null_vstate then begin
+    if node.n_dest >= 0 then begin
+      let dest = value_at st node.n_dest in
       reset_vstate dest;
       dest.v_cluster <- Config.Wide
     end
   done;
   for k = 0 to n_rest - 1 do
-    sc.resteer.(k).n_mark <- true
+    (node_at st sc.resteer.(k)).n_mark <- true
   done;
   flush_purge st st.iq.(0);
   flush_purge st st.iq.(1);
   for k = 0 to n_rest - 1 do
-    sc.resteer.(k).n_mark <- false
+    (node_at st sc.resteer.(k)).n_mark <- false
   done;
   (* collapse resteered IR slice groups: the final slice becomes the whole
      wide uop again, its three byte-lane companions become no-ops *)
   for k = 0 to n_rest - 1 do
-    let node = sc.resteer.(k) in
+    let node = node_at st sc.resteer.(k) in
     if node.n_kind = k_slice then begin
       if node.n_slice_final then begin
         node.n_kind <- k_normal;
@@ -1879,11 +1886,11 @@ let flush_from st (offender : node) =
      of the issue queue is allowed), creating the copies the new cluster
      placement needs *)
   for k = 0 to n_rest - 1 do
-    let node = sc.resteer.(k) in
+    let node = node_at st sc.resteer.(k) in
     if not node.n_done then begin
       if not cfg.Config.replicated_regfile then
         for j = 0 to node.n_ndeps - 1 do
-          let v = node.n_dep_v.(j) in
+          let v = value_at st node.n_dep_v.(j) in
           if
             v.v_epoch = node.n_dep_e.(j)
             && v.v_cluster = Config.Narrow
@@ -1915,9 +1922,10 @@ let replay st (node : node) =
   node.n_cluster <- Config.Wide;
   node.n_remote_reads <- false;
   let dest = node.n_dest in
-  if dest != null_vstate then begin
-    reset_vstate dest;
-    dest.v_cluster <- Config.Wide
+  if dest >= 0 then begin
+    let d = value_at st dest in
+    reset_vstate d;
+    d.v_cluster <- Config.Wide
   end;
   if node.n_alloc = 1 then
     if Regfile.allocate st.regfile Config.Wide then begin
@@ -1928,7 +1936,7 @@ let replay st (node : node) =
      replicated file some may live only in the narrow one *)
   if not st.cfg.Config.replicated_regfile then
     for j = 0 to node.n_ndeps - 1 do
-      let v = node.n_dep_v.(j) in
+      let v = value_at st node.n_dep_v.(j) in
       if
         v.v_epoch = node.n_dep_e.(j)
         && v.v_cluster = Config.Narrow
@@ -1941,8 +1949,9 @@ let replay st (node : node) =
   (* without a replicated register file the re-produced value lands in the
      wide file only, but narrow consumers dispatched before the replay were
      wired copy-free (the value used to live beside them) - send it back *)
-  if dest != null_vstate && not st.cfg.Config.replicated_regfile then
-    make_copy st ~cv:dest ~target:Config.Narrow ~prefetch:false ~publishes:true;
+  if dest >= 0 && not st.cfg.Config.replicated_regfile then
+    make_copy st ~cv:(value_at st dest) ~target:Config.Narrow ~prefetch:false
+      ~publishes:true;
   census_rebuild st;
   bump st Counts.replay
 
@@ -1994,7 +2003,8 @@ let classify_prediction st (node : node) ~fatal =
         (Uop_soa.result st.soa node.n_trace_idx)
     in
     let predicted =
-      if node.n_dest != null_vstate then node.n_dest.v_pred_narrow else narrow
+      if node.n_dest >= 0 then (value_at st node.n_dest).v_pred_narrow
+      else narrow
     in
     if fatal then bump st Counts.wpred_fatal
     else if predicted = narrow then bump st Counts.wpred_correct
@@ -2002,7 +2012,7 @@ let classify_prediction st (node : node) ~fatal =
   end
 
 let complete_copy st (node : node) =
-  let cv = node.n_cv in
+  let cv = value_at st node.n_cv in
   if cv.v_epoch = node.n_copy_epoch then begin
     let i = node.n_copy_target in
     if node.n_copy_publishes then begin
@@ -2014,8 +2024,8 @@ let complete_copy st (node : node) =
   end
 
 let complete_slice st (node : node) =
-  let v = node.n_dest in
-  if v != null_vstate then begin
+  if node.n_dest >= 0 then begin
+    let v = value_at st node.n_dest in
     v.v_done <- true;
     v.v_avail1 <- st.now;
     if node.n_slice_final && st.cfg.Config.replicated_regfile then begin
@@ -2051,9 +2061,9 @@ let complete_normal st (node : node) =
       flush_from st node
   end
   else begin
-    let v = node.n_dest in
     let own = cluster_index node.n_cluster in
-    if v != null_vstate then begin
+    if node.n_dest >= 0 then begin
+      let v = value_at st node.n_dest in
       v.v_done <- true;
       set_v_avail v own st.now;
       (* ICS'05 register replication: the result is also written to the
@@ -2098,63 +2108,63 @@ let complete_node st (node : node) =
   else if node.n_kind = k_slice then complete_slice st node
   else complete_normal st node
 
-let push_due sc node gen =
+let push_due sc s gen =
   let cap = Array.length sc.due_nodes in
   if sc.due_len = cap then begin
-    let nodes = Array.make (2 * cap) null_node in
+    let nodes = Array.make (2 * cap) 0 in
     let gens = Array.make (2 * cap) 0 in
     Array.blit sc.due_nodes 0 nodes 0 cap;
     Array.blit sc.due_gens 0 gens 0 cap;
     sc.due_nodes <- nodes;
     sc.due_gens <- gens
   end;
-  sc.due_nodes.(sc.due_len) <- node;
+  sc.due_nodes.(sc.due_len) <- s;
   sc.due_gens.(sc.due_len) <- gen;
   sc.due_len <- sc.due_len + 1
 
 (* Split this wheel slot into due-now (into the due batch) and kept
-   future-wrap entries (compacted in place); returns the kept count. *)
-let rec compact_slot sc slot now k kept =
+   future-wrap entries (compacted in place); returns the kept count.
+   [nodes] is the node pool: nothing here allocates. *)
+let rec compact_slot sc nodes slot now k kept =
   if k >= slot.ev_len then kept
   else begin
-    let node = slot.ev_nodes.(k) in
+    let s = slot.ev_nodes.(k) in
+    let node = nodes.(s) in
     let gen = slot.ev_gens.(k) in
     let kept =
       if node.n_gen = gen then begin
         if node.n_complete = now then begin
-          push_due sc node gen;
+          push_due sc s gen;
           kept
         end
         else begin
-          slot.ev_nodes.(kept) <- node;
+          slot.ev_nodes.(kept) <- s;
           slot.ev_gens.(kept) <- gen;
           kept + 1
         end
       end
       else kept
     in
-    compact_slot sc slot now (k + 1) kept
+    compact_slot sc nodes slot now (k + 1) kept
   end
 
-let rec sift_due sc j (node : node) gen =
-  if j >= 0 && sc.due_nodes.(j).n_id > node.n_id then begin
+let rec sift_due sc nodes j s id gen =
+  if j >= 0 && nodes.(sc.due_nodes.(j)).n_id > id then begin
     sc.due_nodes.(j + 1) <- sc.due_nodes.(j);
     sc.due_gens.(j + 1) <- sc.due_gens.(j);
-    sift_due sc (j - 1) node gen
+    sift_due sc nodes (j - 1) s id gen
   end
   else begin
-    sc.due_nodes.(j + 1) <- node;
+    sc.due_nodes.(j + 1) <- s;
     sc.due_gens.(j + 1) <- gen
   end
 
 let process_completions st =
   let sc = st.sc in
+  let nodes = sc.p_nodes in
   let slot = sc.events.(st.now land (wheel_size - 1)) in
   sc.due_len <- 0;
-  let kept = compact_slot sc slot st.now 0 0 in
-  for k = kept to slot.ev_len - 1 do
-    slot.ev_nodes.(k) <- null_node
-  done;
+  let kept = compact_slot sc nodes slot st.now 0 0 in
   slot.ev_len <- kept;
   if kept = 0 then begin
     let s = st.now land (wheel_size - 1) in
@@ -2166,10 +2176,12 @@ let process_completions st =
      this tick. Insertion sort on the (tiny) due batch; ids are unique so
      the order is total and deterministic. *)
   for k = 1 to sc.due_len - 1 do
-    sift_due sc (k - 1) sc.due_nodes.(k) sc.due_gens.(k)
+    let s = sc.due_nodes.(k) in
+    sift_due sc nodes (k - 1) s nodes.(s).n_id sc.due_gens.(k)
   done;
   for k = 0 to sc.due_len - 1 do
-    let node = sc.due_nodes.(k) in
+    (* afresh: a completion's flush or replay can grow the node pool *)
+    let node = node_at st sc.due_nodes.(k) in
     (* re-check the generation: a flush triggered by an older completion
        this same tick may have squashed-and-resteered this one *)
     if node.n_gen = sc.due_gens.(k) then complete_node st node
@@ -2374,7 +2386,7 @@ let deadlock st =
         { trace_idx = n.n_trace_idx; op = n.n_op; cluster = n.n_cluster;
           operands =
             List.init n.n_ndeps (fun k ->
-                let v = n.n_dep_v.(k) in
+                let v = value_at st n.n_dep_v.(k) in
                 { done_ = v.v_done; avail_wide = v.v_avail0;
                   avail_narrow = v.v_avail1 }) }
     end
@@ -2411,11 +2423,11 @@ let jump st ~sample_every =
 
 let finished st = st.fetch_idx >= st.trace_len && st.rob_count = 0
 
-let run_gen ~census_check ?(poison = false) ~skip ?(drop_idx = -2) ?sink
-    ~accounting ~cfg ~decide ~scheme_name trace =
+let run_gen ~census_check ?(poison = false) ~skip ?(drop_idx = -2)
+    ?(tiny_pools = false) ?sink ~accounting ~cfg ~decide ~scheme_name trace =
   let st =
-    create ?sink ~accounting ~census_check ~poison ~skip ~drop_idx cfg decide
-      trace
+    create ?sink ~accounting ~census_check ~poison ~skip ~drop_idx ~tiny_pools
+      cfg decide trace
   in
   let helper = cfg.Config.scheme.Config.helper in
   let sample_every =
@@ -2438,7 +2450,7 @@ let run_gen ~census_check ?(poison = false) ~skip ?(drop_idx = -2) ?sink
         let issued_w = st.iss_issued and capable_w = st.iss_capable in
         let quiet =
           quiet && commit_used = 0 && st.fetch_idx = fetched
-          && st.iss_unlinked = 0
+          && st.iss_removed = 0
         in
         if st.accounting then
           account_issue_rounds st Config.Wide ~rounds:1 ~issued:issued_w;
@@ -2457,7 +2469,7 @@ let run_gen ~census_check ?(poison = false) ~skip ?(drop_idx = -2) ?sink
             bump_by st Counts.nready_w2n (min capable_w spare_n);
           if spare_w > 0 && leftover_n > 0 then
             bump_by st Counts.nready_n2w (min leftover_n spare_w);
-          quiet && st.iss_unlinked = 0
+          quiet && st.iss_removed = 0
         end
         else quiet
       end
@@ -2465,7 +2477,7 @@ let run_gen ~census_check ?(poison = false) ~skip ?(drop_idx = -2) ?sink
         issue_cluster st Config.Narrow;
         if st.accounting then
           account_issue_rounds st Config.Narrow ~rounds:1 ~issued:st.iss_issued;
-        quiet && st.iss_unlinked = 0
+        quiet && st.iss_removed = 0
       end
       else quiet
     in
@@ -2519,6 +2531,11 @@ module For_testing = struct
       =
     run_gen ~census_check:false ~poison:true ~skip:true ?sink ~accounting ~cfg
       ~decide ~scheme_name trace
+
+  let run_growing_pools ?sink ?(accounting = false) ~cfg ~decide ~scheme_name
+      trace =
+    run_gen ~census_check:false ~skip:true ~tiny_pools:true ?sink ~accounting
+      ~cfg ~decide ~scheme_name trace
 
   let arena_high_water () =
     let sc = Domain.DLS.get scratch_key in

@@ -154,6 +154,19 @@ module For_testing : sig
       back to its pool, so a read of a freed record shows up as a
       changed result. *)
 
+  val run_growing_pools :
+    ?sink:Hc_obs.Sink.t ->
+    ?accounting:bool ->
+    cfg:Config.t ->
+    decide:decide ->
+    scheme_name:string ->
+    Hc_trace.Trace.t ->
+    Metrics.t
+  (** {!run} with the node and value pools restarted at one record
+      each, so the run grows both while their slots are linked from the
+      queues, the ROB, the wheel and the rename table. Later runs grow
+      them back to their usual size. *)
+
   val arena_high_water : unit -> int * int * int
   (** The (node, value, census edge) records the calling domain's last
       run handed out: each pool's high-water, since freed records are

@@ -65,15 +65,21 @@ let parse_bool = function
   | "1" -> true
   | s -> failwith (Printf.sprintf "expected 0/1, got %S" s)
 
-let hex s = int_of_string ("0x" ^ s)
+(* a number field; a malformed one is reported under its name *)
+let number ~field ~prefix ~what s =
+  match int_of_string_opt (prefix ^ s) with
+  | Some v -> v
+  | None -> failwith (Printf.sprintf "%s: expected a %s number, got %S" field what s)
+
+let hex field s = number ~field ~prefix:"0x" ~what:"hex" s
 
 (* "r:<reg>:<hexvalue>" or "i:<hexvalue>" *)
 let push_operand b part =
   match String.split_on_char ':' part with
   | [ "r"; reg; v ] ->
-    let v = hex v in
+    let v = hex "operand" v in
     Uop_soa.push_src b ~reg:(Reg.to_index (reg_of_string reg)) ~v
-  | [ "i"; v ] -> Uop_soa.push_src b ~reg:(-1) ~v:(hex v)
+  | [ "i"; v ] -> Uop_soa.push_src b ~reg:(-1) ~v:(hex "operand" v)
   | _ -> failwith (Printf.sprintf "malformed operand %S" part)
 
 (* Parse one uop line straight into the builder's columns. *)
@@ -86,8 +92,8 @@ let push_line b line =
       v
     in
     let flag bit name s = if parse_bool (field name s) then bit else 0 in
-    let id = int_of_string id in
-    let pc = hex pc in
+    let id = number ~field:"id" ~prefix:"" ~what:"decimal" id in
+    let pc = hex "pc" pc in
     let op = Opcode.to_index (op_of_string op) in
     let dst =
       match field "dst" dst with
@@ -97,8 +103,8 @@ let push_line b line =
     ( match field "srcs" srcs with
     | "" -> ()
     | srcs -> List.iter (push_operand b) (String.split_on_char ',' srcs) );
-    let result = hex (field "res" res) in
-    let mem_addr = hex (field "addr" addr) in
+    let result = hex "res" (field "res" res) in
+    let mem_addr = hex "addr" (field "addr" addr) in
     let flags =
       flag Uop_soa.flag_taken "taken" taken
       lor flag Uop_soa.flag_mispredicted "misp" misp

@@ -440,4 +440,23 @@ if dune exec bin/hc_report.exe -- topdown "$SMOKE_DIR/acct_perturbed.json" \
 fi
 echo "cycle-accounting gate OK"
 
+echo "== sampling profiler =="
+# About a second of hc_sim under scripts/profile.sh: the sampler must
+# build, sample, and resolve the simulator's own functions by name
+./scripts/profile.sh --top 10 -- ./_build/default/bin/hc_sim.exe \
+  --cache-dir none --benchmark gcc --scheme +IR --length 400000 --jobs 1 \
+  > /dev/null 2> "$SMOKE_DIR/profile.txt"
+cat "$SMOKE_DIR/profile.txt"
+if ! grep -q ' camlHc_sim__Pipeline\.' "$SMOKE_DIR/profile.txt"; then
+  echo "FAIL: the profile names no camlHc_sim__Pipeline function"
+  exit 1
+fi
+# ...and prove the name check can fail: a command that is not hc_sim
+./scripts/profile.sh -- true 2> "$SMOKE_DIR/profile_true.txt"
+if grep -q ' camlHc_sim__Pipeline\.' "$SMOKE_DIR/profile_true.txt"; then
+  echo "FAIL: a profile of true named a camlHc_sim__Pipeline function"
+  exit 1
+fi
+echo "profiler OK"
+
 echo "smoke OK"

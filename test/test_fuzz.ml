@@ -236,60 +236,78 @@ let prop_skip_equals_stepping =
       then QCheck.Test.fail_reportf "the metrics JSON differs without a sink";
       true)
 
+(* A plain run with cycle accounting and a 50-tick sink against
+   [variant] on the same machine, trace and policy: the metrics JSON,
+   the whole count vector and every interval must be equal. *)
+let equals_plain_run ~what ~cfg ~decide trace variant =
+  let sampled run =
+    let sink = Sink.create ~interval:50 ~tracing:false () in
+    let m = run ~sink in
+    (m, Sink.samples sink)
+  in
+  let m, samples =
+    sampled (fun ~sink ->
+        Pipeline.run ~sink ~accounting:true ~cfg ~decide ~scheme_name:"fuzz"
+          trace)
+  in
+  let p, other =
+    match sampled variant with
+    | r -> r
+    | exception e ->
+      QCheck.Test.fail_reportf "the %s run raised %s" what (Printexc.to_string e)
+  in
+  if Metrics.to_json m <> Metrics.to_json p then
+    QCheck.Test.fail_reportf "the metrics JSON differs";
+  if m.Metrics.counts <> p.Metrics.counts then
+    QCheck.Test.fail_reportf "the count vector differs";
+  if List.length samples <> List.length other then
+    QCheck.Test.fail_reportf "%d intervals against %d" (List.length samples)
+      (List.length other);
+  List.iter2
+    (fun (a : Sample.t) (b : Sample.t) ->
+      if a <> b then
+        QCheck.Test.fail_reportf "interval [%d, %d) differs" a.Sample.t_start
+          a.Sample.t_end)
+    samples other;
+  true
+
+(* a machine, a profile, and the library policy or [split_while_backlogged] *)
+let arb_with_policy =
+  QCheck.make
+    ~print:(fun (case, library) ->
+      Printf.sprintf "%s policy=%s" (print_case case)
+        (if library then "library" else "split_while_backlogged"))
+    QCheck.Gen.(pair (pair config_gen bench_gen) bool)
+
+let policy library =
+  if library then Hc_steering.Policy.decide else split_while_backlogged
+
 (* Recycled records are never read after they are freed: a run that
    scribbles over every node and value as it goes back to its pool must
    equal a plain run, with cycle accounting on (the census's edges and
-   re-check ring name records by pool slot), in the metrics, the whole
-   count vector and every 50-tick interval. Half the cases split under
+   re-check ring name records by pool slot). Half the cases split under
    [split_while_backlogged], so flushes collapse many slice groups and
    drop their chain dependences. *)
 let prop_poison_changes_nothing =
   QCheck.Test.make ~name:"poisoning freed records changes nothing" ~count:40
-    (QCheck.make
-       ~print:(fun (case, library) ->
-         Printf.sprintf "%s policy=%s" (print_case case)
-           (if library then "library" else "split_while_backlogged"))
-       QCheck.Gen.(pair (pair config_gen bench_gen) bool))
-    (fun ((cfg, bench), library) ->
-      let trace = trace_of bench in
-      let decide =
-        if library then Hc_steering.Policy.decide else split_while_backlogged
-      in
-      let sampled run =
-        let sink = Sink.create ~interval:50 ~tracing:false () in
-        let m = run ~sink in
-        (m, Sink.samples sink)
-      in
-      let m, samples =
-        sampled (fun ~sink ->
-            Pipeline.run ~sink ~accounting:true ~cfg ~decide
-              ~scheme_name:"fuzz" trace)
-      in
-      let p, poisoned =
-        match
-          sampled (fun ~sink ->
-              Pipeline.For_testing.run_poisoned ~sink ~accounting:true ~cfg
-                ~decide ~scheme_name:"fuzz" trace)
-        with
-        | r -> r
-        | exception e ->
-          QCheck.Test.fail_reportf "the poisoned run raised %s"
-            (Printexc.to_string e)
-      in
-      if Metrics.to_json m <> Metrics.to_json p then
-        QCheck.Test.fail_reportf "the metrics JSON differs";
-      if m.Metrics.counts <> p.Metrics.counts then
-        QCheck.Test.fail_reportf "the count vector differs";
-      if List.length samples <> List.length poisoned then
-        QCheck.Test.fail_reportf "%d intervals against %d"
-          (List.length samples) (List.length poisoned);
-      List.iter2
-        (fun (a : Sample.t) (b : Sample.t) ->
-          if a <> b then
-            QCheck.Test.fail_reportf "interval [%d, %d) differs" a.Sample.t_start
-              a.Sample.t_end)
-        samples poisoned;
-      true)
+    arb_with_policy (fun ((cfg, bench), library) ->
+      let decide = policy library and trace = trace_of bench in
+      equals_plain_run ~what:"poisoned" ~cfg ~decide trace (fun ~sink ->
+          Pipeline.For_testing.run_poisoned ~sink ~accounting:true ~cfg
+            ~decide ~scheme_name:"fuzz" trace))
+
+(* Links survive pool growth: a run whose node and value pools restart
+   at one record each grows both while the queues, the ROB, the wheel,
+   the rename table and the census hold their slots, and must equal a
+   plain run. Code that kept a pool's array across an allocation would
+   read a stale array here. *)
+let prop_pool_growth_changes_nothing =
+  QCheck.Test.make ~name:"growing the pools mid-run changes nothing" ~count:40
+    arb_with_policy (fun ((cfg, bench), library) ->
+      let decide = policy library and trace = trace_of bench in
+      equals_plain_run ~what:"growing-pools" ~cfg ~decide trace (fun ~sink ->
+          Pipeline.For_testing.run_growing_pools ~sink ~accounting:true ~cfg
+            ~decide ~scheme_name:"fuzz" trace))
 
 (* Obs-on bit-identity off the seeds: with a tracing, sampling sink
    attached the metrics JSON equals the untraced run's, a second traced
@@ -647,6 +665,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_counts_invariants;
       QCheck_alcotest.to_alcotest prop_skip_equals_stepping;
       QCheck_alcotest.to_alcotest prop_poison_changes_nothing;
+      QCheck_alcotest.to_alcotest prop_pool_growth_changes_nothing;
       QCheck_alcotest.to_alcotest prop_tracing_bit_identical;
       QCheck_alcotest.to_alcotest prop_bidir_contains_forward;
       QCheck_alcotest.to_alcotest prop_monolithic_ignores_helper_knobs;

@@ -113,6 +113,17 @@ let prop_stable_stream_converges =
         (fun (pc, narrow) -> Width_predictor.accuracy_probe t (pc * 4) ~narrow)
         statics)
 
+(* The masked index of a power-of-two table and [mod] on any other size
+   both select entry [(pc lsr 2) mod n], for any int [pc], negative ones
+   included. *)
+let prop_pc_index =
+  QCheck.Test.make ~name:"table index = (pc lsr 2) mod n" ~count:2_000
+    QCheck.(pair (oneofl [ 1; 100; 256; 4096 ]) int)
+    (fun (n, pc) ->
+      Hc_predictors.Pc_index.index ~size:n ~mask:(Hc_predictors.Pc_index.mask n)
+        pc
+      = (pc lsr 2) mod n)
+
 let suite =
   ( "predictors",
     [
@@ -124,4 +135,5 @@ let suite =
       Alcotest.test_case "copy predictor" `Quick test_copy;
       Alcotest.test_case "bundle" `Quick test_bundle;
       QCheck_alcotest.to_alcotest prop_stable_stream_converges;
+      QCheck_alcotest.to_alcotest prop_pc_index;
     ] )

@@ -58,6 +58,38 @@ let test_malformed () =
        [ "helper-cluster-trace v1 x 1";
          "0 400000 frobnicate dst=- srcs= res=0 addr=0 taken=0 misp=0 dl0=0 ul1=0" ])
 
+(* a malformed number names its line and its field *)
+let test_bad_number_named () =
+  let expect name line msg =
+    let path = temp "hc_bad_number.trace" in
+    let oc = open_out path in
+    output_string oc ("helper-cluster-trace v1 x 1\n" ^ line ^ "\n");
+    close_out oc;
+    match Trace_io.load path with
+    | _ -> Alcotest.failf "%s: expected a failure" name
+    | exception Failure got -> Alcotest.(check string) name msg got
+  in
+  let line ~id ~pc ~srcs ~res ~addr =
+    Printf.sprintf
+      "%s %s add dst=eax srcs=%s res=%s addr=%s taken=0 misp=0 dl0=0 ul1=0" id
+      pc srcs res addr
+  in
+  expect "result"
+    (line ~id:"0" ~pc:"400000" ~srcs:"i:1" ~res:"zz" ~addr:"0")
+    "line 2: res: expected a hex number, got \"zz\"";
+  expect "address"
+    (line ~id:"0" ~pc:"400000" ~srcs:"i:1" ~res:"2" ~addr:"")
+    "line 2: addr: expected a hex number, got \"\"";
+  expect "pc"
+    (line ~id:"0" ~pc:"4g" ~srcs:"i:1" ~res:"2" ~addr:"0")
+    "line 2: pc: expected a hex number, got \"4g\"";
+  expect "operand"
+    (line ~id:"0" ~pc:"400000" ~srcs:"r:eax:-1" ~res:"2" ~addr:"0")
+    "line 2: operand: expected a hex number, got \"-1\"";
+  expect "id"
+    (line ~id:"x1" ~pc:"400000" ~srcs:"i:1" ~res:"2" ~addr:"0")
+    "line 2: id: expected a decimal number, got \"x1\""
+
 (* the header count must not size an allocation the file cannot fill:
    a two-line trace claiming 4e12 uops is refused, not Out_of_memory *)
 let test_header_count_bounded () =
@@ -92,6 +124,8 @@ let suite =
       Alcotest.test_case "roundtrip simulates identically" `Quick
         test_roundtrip_simulates_identically;
       Alcotest.test_case "malformed inputs" `Quick test_malformed;
+      Alcotest.test_case "malformed numbers name their field" `Quick
+        test_bad_number_named;
       Alcotest.test_case "header count bounded by the file" `Quick
         test_header_count_bounded;
       Alcotest.test_case "empty trace" `Quick test_empty_trace;
