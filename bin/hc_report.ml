@@ -3,13 +3,15 @@
      hc_report report runs/*/metrics.json --intervals intervals.csv
      hc_report attrib m_888.json m_cr.json m_ir.json
      hc_report diff m_base.json m_new.json --tol counters.=0.01
+     hc_report diff --all before.prom after.prom   # registry dumps
      hc_report baseline smoke.json        # vs baselines/gcc_smoke.json
      hc_report validate --jsonl spans.jsonl
 
    Everything is read from disk through lib/report's dependency-free
-   JSON/CSV loaders — this binary never runs a simulation. diff/baseline
-   exit 1 on any regression and 2 on baseline metrics missing from the
-   candidate, so CI can gate on the result. *)
+   JSON/CSV loaders and Hc_obs.Prom's exposition parser — this binary
+   never runs a simulation. diff/baseline exit 1 on any regression and 2
+   on baseline metrics missing from the candidate, so CI can gate on the
+   result. *)
 
 module Json = Root.Hc_report.Json
 module Loader = Root.Hc_report.Loader
@@ -22,6 +24,19 @@ open Cmdliner
 let load_or_die path =
   match Loader.load_json path with
   | Ok j -> j
+  | Error e -> Cli.die "hc_report: %s" e
+
+(* A registry dump as one flat object, series key -> value; %.17g reads
+   back as the exact float, so Diff compares dumps like metrics files. *)
+let load_prom_or_die path =
+  match Prom.of_file path with
+  | Ok entries ->
+    Json.Object
+      (List.map
+         (fun (e : Prom.entry) ->
+           ( Prom.series_key e,
+             Json.Number (Printf.sprintf "%.17g" e.Prom.e_value) ))
+         entries)
   | Error e -> Cli.die "hc_report: %s" e
 
 let load_runs paths =
@@ -345,8 +360,18 @@ let all_arg =
     & info [ "all" ] ~doc:"List every compared metric, not just failures.")
 
 let run_diff ~base_path ~cand_path tols default_tol all =
-  let base = load_or_die base_path in
-  let cand = load_or_die cand_path in
+  let is_prom path = Filename.check_suffix path ".prom" in
+  let load =
+    match (is_prom base_path, is_prom cand_path) with
+    | true, true -> load_prom_or_die
+    | false, false -> load_or_die
+    | prom_base, _ ->
+      Cli.die "hc_report: %s: a registry dump (.prom) diffs only against \
+               another dump"
+        (if prom_base then base_path else cand_path)
+  in
+  let base = load base_path in
+  let cand = load cand_path in
   let r = Diff.run ~tols ~default_tol ~base ~cand () in
   Printf.printf "base: %s\nnew:  %s\n" base_path cand_path;
   print_string (Render.diff_table ~all r);
@@ -358,13 +383,15 @@ let diff_cmd =
     run_diff ~base_path:base ~cand_path:cand tols default_tol all
   in
   let base =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"BASE.json")
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"BASE")
   in
   let cand =
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"NEW.json")
+    Arg.(required & pos 1 (some string) None & info [] ~docv:"NEW")
   in
   let doc =
-    "compare two runs; exit 1 on regression, 2 on missing metrics"
+    "compare two metrics JSON files, or two registry dumps (both ending in \
+     .prom, one row per series); exit 1 on regression, 2 on missing \
+     metrics, 3 on a malformed file or a dump paired with JSON"
   in
   Cmd.v (Cmd.info "diff" ~doc)
     Term.(const run $ base $ cand $ tols_arg $ default_tol_arg $ all_arg)

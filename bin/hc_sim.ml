@@ -15,7 +15,7 @@ module Metrics = Root.Hc_sim.Metrics
 module Accounting = Root.Hc_sim.Accounting
 module Model = Hc_power.Model
 module Domain_pool = Hc_core.Domain_pool
-module Export = Hc_core.Export
+module Telemetry = Hc_core.Telemetry
 module Artifact_cache = Hc_core.Artifact_cache
 module Sink = Hc_obs.Sink
 module Sample = Hc_obs.Sample
@@ -119,7 +119,7 @@ let run obs_t () cache benchmark trace_file length scheme power
   ( match metrics_out with
   | Some path ->
     Format.printf "metrics: wrote %s@."
-      (Export.write_metrics_json ~path m)
+      (Telemetry.write_metrics_json ~path m)
   | None -> () );
   ( match runs with
   | [ _; base ] ->
@@ -153,7 +153,7 @@ let run obs_t () cache benchmark trace_file length scheme power
         | None, None -> "intervals.csv"
       in
       let samples = Sink.samples sink in
-      let written = Export.write_intervals_csv ~path samples in
+      let written = Telemetry.write_intervals_csv ~path samples in
       Format.printf
         "intervals: wrote %s (%d samples of %d ticks; aggregate %s final \
          metrics)@."
@@ -182,7 +182,7 @@ let run obs_t () cache benchmark trace_file length scheme power
     ( match stall_out with
     | Some path ->
       let written =
-        Hc_core.Telemetry.write_file path
+        Telemetry.write_file path
           (Accounting.csv_header
           :: List.map
                (fun (t_start, t_end, v) -> Accounting.csv_row ~t_start ~t_end v)
@@ -191,12 +191,6 @@ let run obs_t () cache benchmark trace_file length scheme power
       Format.printf "stall intervals: wrote %s (%d intervals)@." written
         (List.length rows)
     | None -> () ) );
-  ( match sink with
-  | Some sink ->
-    (* same per-interval NREADY distributions Runs records in campaigns;
-       with_ambient is a no-op unless --obs/--prom-out enabled it *)
-    Hc_core.Runs.obs_nready (Sink.samples sink)
-  | None -> () );
   if power then begin
     let report = Model.estimate ~narrow_bits:cfg.Config.narrow_bits m in
     Format.printf "@.energy: %.0f units@." report.Model.total;

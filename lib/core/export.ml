@@ -11,10 +11,6 @@ let csv_line fields =
 
 let write_file = Telemetry.write_file
 
-let write_intervals_csv = Telemetry.write_intervals_csv
-let write_intervals_json = Telemetry.write_intervals_json
-let write_metrics_json = Telemetry.write_metrics_json
-
 let f2 = Printf.sprintf "%.2f"
 
 let schemes = [ "8_8_8"; "+BR"; "+LR"; "+CR"; "+CP"; "+IR"; "+IR(nodest)" ]

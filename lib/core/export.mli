@@ -16,11 +16,3 @@ val write_all : Runs.t -> dir:string -> string list
 val csv_line : string list -> string
 (** One CSV record: fields joined with commas, quoted when they contain a
     comma or quote. Exposed for tests. *)
-
-val write_intervals_csv : path:string -> Hc_obs.Sample.t list -> string
-(** Interval metrics time series as CSV ({!Telemetry.write_intervals_csv}). *)
-
-val write_intervals_json : path:string -> Hc_obs.Sample.t list -> string
-
-val write_metrics_json : path:string -> Hc_sim.Metrics.t -> string
-(** One run's full metrics as JSON ({!Hc_sim.Metrics.to_json}). *)

@@ -4,7 +4,6 @@ module Trace = Hc_trace.Trace
 module Config = Hc_sim.Config
 module Pipeline = Hc_sim.Pipeline
 module Metrics = Hc_sim.Metrics
-module Registry = Hc_obs.Registry
 module Span = Hc_obs.Span
 
 type t = {
@@ -90,42 +89,6 @@ let resolve_policy ~(static : Hc_analysis.Static.bidir) ~scheme =
     ( Config.with_scheme Config.default (Config.find_scheme scheme),
       Hc_steering.Policy.decide )
 
-(* Registry counters for one finished simulation; no-op unless the
-   ambient registry is on. *)
-let obs_run (m : Metrics.t) =
-  Registry.with_ambient (fun r ->
-      Registry.inc
-        (Registry.counter r ~help:"Completed pipeline simulations"
-           "hc_sim_runs_total");
-      Registry.add
-        (Registry.counter r ~help:"Uops retired across all simulations"
-           "hc_uops_retired_total")
-        m.Metrics.committed;
-      Registry.observe
-        (Registry.histogram r ~help:"Ticks to completion per simulation"
-           "hc_sim_run_ticks")
-        m.Metrics.ticks)
-
-(* Per-interval NREADY imbalance histograms: one observation per sampled
-   interval, so a scrape (hc_metrics show / --prom-out) carries the
-   distribution of the paper's §3.7 imbalance signal, not just its total. *)
-let obs_nready samples =
-  Registry.with_ambient (fun r ->
-      let w2n =
-        Registry.histogram r
-          ~help:"Per-interval NREADY wide-to-narrow imbalance samples"
-          "hc_nready_w2n_per_interval"
-      and n2w =
-        Registry.histogram r
-          ~help:"Per-interval NREADY narrow-to-wide imbalance samples"
-          "hc_nready_n2w_per_interval"
-      in
-      List.iter
-        (fun (s : Hc_obs.Sample.t) ->
-          Registry.observe w2n s.Hc_obs.Sample.d.(Hc_obs.Counts.nready_w2n);
-          Registry.observe n2w s.Hc_obs.Sample.d.(Hc_obs.Counts.nready_n2w))
-        samples)
-
 (* One simulation of one (scheme, trace) cell. Every run — oracle or not —
    carries the trace's static steering bound in its metrics, so exported
    JSON and the attribution tables can show predictor results next to the
@@ -153,29 +116,23 @@ let simulate ?telemetry ~(static : Hc_analysis.Static.bidir) ~scheme tr =
         Some static.Hc_analysis.Static.bidir_steerable_count;
     }
   in
-  let m =
-    match telemetry with
-    | None ->
-      attach (Pipeline.run ~accounting:true ~cfg ~decide ~scheme_name:scheme tr)
-    | Some { Telemetry.dir; interval } ->
-      let sink = Hc_obs.Sink.create ~interval ~tracing:false () in
-      let m =
-        attach
-          (Pipeline.run ~sink ~accounting:true ~cfg ~decide ~scheme_name:scheme tr)
-      in
-      let base =
-        Filename.concat dir
-          (Telemetry.run_basename ~scheme ~name:tr.Trace.name)
-      in
-      ignore
-        (Telemetry.write_intervals_csv ~path:(base ^ ".intervals.csv")
-           (Hc_obs.Sink.samples sink));
-      ignore (Telemetry.write_metrics_json ~path:(base ^ ".metrics.json") m);
-      obs_nready (Hc_obs.Sink.samples sink);
-      m
-  in
-  obs_run m;
-  m
+  match telemetry with
+  | None ->
+    attach (Pipeline.run ~accounting:true ~cfg ~decide ~scheme_name:scheme tr)
+  | Some { Telemetry.dir; interval } ->
+    let sink = Hc_obs.Sink.create ~interval ~tracing:false () in
+    let m =
+      attach
+        (Pipeline.run ~sink ~accounting:true ~cfg ~decide ~scheme_name:scheme tr)
+    in
+    let base =
+      Filename.concat dir (Telemetry.run_basename ~scheme ~name:tr.Trace.name)
+    in
+    ignore
+      (Telemetry.write_intervals_csv ~path:(base ^ ".intervals.csv")
+         (Hc_obs.Sink.samples sink));
+    ignore (Telemetry.write_metrics_json ~path:(base ^ ".metrics.json") m);
+    m
 
 (* Run-metrics caching. Telemetry runs bypass the metrics cache (their
    side artifacts — interval CSVs, metrics JSON in the telemetry dir —

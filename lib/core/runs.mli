@@ -105,11 +105,5 @@ val resolve_policy :
     {!Hc_sim.Pipeline.run} directly, outside the memo and the cache.
     @raise Not_found for an unknown scheme name. *)
 
-val obs_nready : Hc_obs.Sample.t list -> unit
-(** Record one observation per sampled interval of the NREADY
-    wide-to-narrow and narrow-to-wide counts in the ambient registry's
-    [hc_nready_*_per_interval] histograms; a no-op unless observability
-    is on. *)
-
 val spec_profiles : Hc_trace.Profile.t list
 (** The 12 SPEC Int 2000 profiles, in paper order. *)

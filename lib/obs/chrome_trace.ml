@@ -4,20 +4,6 @@ let tid_cluster c = c (* 0 wide, 1 narrow *)
 let tid_iq c = 2 + c
 let tid_retire = 4
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 type emitter = { buf : Buffer.t; mutable first : bool }
 
 let event em fmt =
@@ -28,7 +14,7 @@ let meta_thread em ~tid ~name ~sort =
   event em
     "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\
      \"args\":{\"name\":\"%s\"}}"
-    pid tid (escape name);
+    pid tid (Log.escape name);
   event em
     "{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\
      \"args\":{\"sort_index\":%d}}"
@@ -38,13 +24,13 @@ let complete em ~tid ~ts ~dur ~name ~id ~trace_idx ~kind =
   event em
     "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":%d,\
      \"tid\":%d,\"args\":{\"uop\":%d,\"trace_idx\":%d,\"kind\":\"%s\"}}"
-    (escape name) ts dur pid tid id trace_idx kind
+    (Log.escape name) ts dur pid tid id trace_idx kind
 
 let instant em ~tid ~ts ~name ~id =
   event em
     "{\"name\":\"%s\",\"ph\":\"i\",\"ts\":%d,\"pid\":%d,\"tid\":%d,\
      \"s\":\"t\",\"args\":{\"uop\":%d}}"
-    (escape name) ts pid tid id
+    (Log.escape name) ts pid tid id
 
 let counter em ~ts ~name ~pairs =
   let args =
@@ -121,13 +107,13 @@ let put_spans em spans =
                sp.Span.sp_major_collections
           :: List.map
                (fun (k, v) ->
-                 Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v))
+                 Printf.sprintf "\"%s\":\"%s\"" (Log.escape k) (Log.escape v))
                sp.Span.sp_meta)
       in
       event em
         "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":%d,\
          \"tid\":%d,\"args\":{%s}}"
-        (escape sp.Span.sp_name)
+        (Log.escape sp.Span.sp_name)
         (sp.Span.sp_start_ns / 1000)
         (max 1 (sp.Span.sp_dur_ns / 1000))
         pid tid args)

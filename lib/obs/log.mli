@@ -8,6 +8,12 @@
 
 val schema : int
 
+val escape : string -> string
+(** The body of a JSON string literal: quote, backslash and newline
+    backslash-escaped, other control bytes as [\u00XX], every other
+    byte verbatim. Shared by this log, {!Chrome_trace} and the metrics
+    JSON. *)
+
 val span_to_json : Span.span -> string
 (** One minified JSON object, no trailing newline. *)
 

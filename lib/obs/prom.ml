@@ -1,7 +1,7 @@
 (* Prometheus text exposition (version 0.0.4) for Registry scrapes, plus
-   the parser hc_metrics uses to diff two dumps. Histograms expose the
-   standard cumulative _bucket/_sum/_count triple with power-of-two "le"
-   edges (the registry's log2 buckets). *)
+   the strict parser hc_report uses to validate and diff dumps. Histograms
+   expose the standard cumulative _bucket/_sum/_count triple with
+   power-of-two "le" edges (the registry's log2 buckets). *)
 
 let escape_label_value s =
   let b = Buffer.create (String.length s + 8) in
@@ -92,7 +92,7 @@ let write ~path samples =
     (fun () -> output_string oc (to_string samples));
   path
 
-(* ----- parser (for hc_metrics show/diff and the smoke checker) ----- *)
+(* ----- parser (for hc_report validate --prom and diff) ----- *)
 
 type entry = {
   e_name : string;
@@ -221,6 +221,11 @@ let parse text =
     Ok (List.rev !entries)
   with Parse_error (lineno, msg) ->
     Error (Printf.sprintf "line %d: %s" lineno msg)
+
+let series_key e =
+  match List.sort compare e.e_labels with
+  | [] -> e.e_name
+  | labels -> e.e_name ^ label_string labels
 
 let of_file path =
   match open_in_bin path with

@@ -10,7 +10,7 @@ val to_string : Registry.sample list -> string
 val write : path:string -> Registry.sample list -> string
 (** Returns [path]. *)
 
-(** {2 Parsing} (for [hc_metrics show]/[diff] and validation) *)
+(** {2 Parsing} (for [hc_report validate --prom] and [hc_report diff]) *)
 
 type entry = {
   e_name : string;  (** includes histogram suffixes like [_bucket] *)
@@ -24,4 +24,11 @@ val parse : string -> (entry list, string) result
     [timestamp]]); [# HELP]/[# TYPE] lines are validated structurally.
     The error message names the offending 1-based line. *)
 
+val series_key : entry -> string
+(** A sample's series identity, spelled as in the exposition:
+    [name{k="v",...}] with the labels sorted by name and their values
+    escaped, or the bare name for a label-free sample. Distinct samples
+    of one scrape have distinct keys. *)
+
 val of_file : string -> (entry list, string) result
+(** {!parse} on a file's contents; the error names the file and line. *)

@@ -26,7 +26,8 @@ val ring_info : Json.t -> (int * int) option
     the writer recorded ring statistics. [hc_report] uses this to warn
     that a trace is a truncated window rather than the whole run. *)
 
-(** Interval CSVs ([Export.write_intervals_csv]), parsed column-major. *)
+(** Interval CSVs ([Hc_core.Telemetry.write_intervals_csv]), parsed
+    column-major. *)
 type csv = {
   csv_path : string;
   header : string list;

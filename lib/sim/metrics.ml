@@ -111,20 +111,6 @@ let attrib_consistent t = Counts.attrib_consistent t.counts
 let stall_consistent t =
   match t.stall with None -> true | Some w -> Accounting.consistent w t.counts
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let schema = 5
 
 let to_json t =
@@ -132,8 +118,8 @@ let to_json t =
   let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   p "{";
   p "\"schema\":%d," schema;
-  p "\"name\":\"%s\"," (json_escape t.name);
-  p "\"scheme\":\"%s\"," (json_escape t.scheme_name);
+  p "\"name\":\"%s\"," (Hc_obs.Log.escape t.name);
+  p "\"scheme\":\"%s\"," (Hc_obs.Log.escape t.scheme_name);
   p "\"committed\":%d," t.committed;
   p "\"ticks\":%d," t.ticks;
   p "\"cycles\":%.1f," (cycles t);

@@ -28,6 +28,8 @@ module Copy_predictor = Hc_predictors.Copy_predictor
 module Sink = Hc_obs.Sink
 module Event = Hc_obs.Event
 module Counts = Hc_obs.Counts
+module Registry = Hc_obs.Registry
+module Sample = Hc_obs.Sample
 
 type decide = Steer.decide
 
@@ -2421,6 +2423,42 @@ let jump st ~sample_every =
 
 (* ----- main loop ----- *)
 
+(* The ambient registry's per-run series, recorded where every run ends,
+   whoever drove it; one atomic load when observability is off. The
+   NREADY histograms take one observation per sampled interval, so a
+   scrape carries the distribution of the §3.7 imbalance signal, not
+   just its total. *)
+let observe_run st =
+  Registry.with_ambient (fun r ->
+      Registry.inc
+        (Registry.counter r ~help:"Completed pipeline simulations"
+           "hc_sim_runs_total");
+      Registry.add
+        (Registry.counter r ~help:"Uops retired across all simulations"
+           "hc_uops_retired_total")
+        st.counts.(Counts.committed);
+      Registry.observe
+        (Registry.histogram r ~help:"Ticks to completion per simulation"
+           "hc_sim_run_ticks")
+        st.counts.(Counts.tick);
+      match st.sink with
+      | Some sink when Sink.sample_count sink > 0 ->
+        let w2n =
+          Registry.histogram r
+            ~help:"Per-interval NREADY wide-to-narrow imbalance samples"
+            "hc_nready_w2n_per_interval"
+        and n2w =
+          Registry.histogram r
+            ~help:"Per-interval NREADY narrow-to-wide imbalance samples"
+            "hc_nready_n2w_per_interval"
+        in
+        List.iter
+          (fun (s : Sample.t) ->
+            Registry.observe w2n s.Sample.d.(Counts.nready_w2n);
+            Registry.observe n2w s.Sample.d.(Counts.nready_n2w))
+          (Sink.samples sink)
+      | _ -> ())
+
 let finished st = st.fetch_idx >= st.trace_len && st.rob_count = 0
 
 let run_gen ~census_check ?(poison = false) ~skip ?(drop_idx = -2)
@@ -2500,6 +2538,7 @@ let run_gen ~census_check ?(poison = false) ~skip ?(drop_idx = -2)
     ( match st.sink with
     | Some sink -> take_sample st sink
     | None -> () );
+  observe_run st;
   let stall =
     if accounting then
       Some

@@ -103,6 +103,12 @@ val run :
     other count. [Accounting.consistent] holds exactly on both, with
     the lane widths taken from [cfg] and returned in [Metrics.stall].
     The other counts are bit-identical with or without accounting.
+
+    When the ambient {!Hc_obs.Registry} is on, a finished run adds
+    itself to [hc_sim_runs_total], [hc_uops_retired_total] and the
+    [hc_sim_run_ticks] histogram, and each of its [sink] intervals to
+    the [hc_nready_w2n_per_interval]/[hc_nready_n2w_per_interval]
+    histograms; with it off, this costs one atomic load per run.
     @raise Invalid_argument on an invalid [cfg].
     @raise Deadlock if the machine wedges. *)
 

@@ -344,7 +344,7 @@ echo "== observability gate =="
 # A traced run with the full observability surface on: --obs stage-span
 # stderr table, --span-log structured JSONL, --prom-out registry dump.
 # Both sidecars must pass hc_report validate's strict checks AND the
-# real readers (hc_report spans re-parses every line; hc_metrics show
+# real readers (hc_report spans re-parses every line; hc_report diff
 # re-parses the exposition) — then both checkers must provably trip on
 # a corrupted file.
 dune exec bin/hc_sim.exe -- --benchmark gzip --scheme 8_8_8 --length 4000 \
@@ -353,16 +353,29 @@ dune exec bin/hc_sim.exe -- --benchmark gzip --scheme 8_8_8 --length 4000 \
 dune exec bin/hc_report.exe -- validate --jsonl "$SMOKE_DIR/obs_spans.jsonl"
 dune exec bin/hc_report.exe -- validate --prom "$SMOKE_DIR/obs_sim.prom"
 dune exec bin/hc_report.exe -- spans "$SMOKE_DIR/obs_spans.jsonl"
-dune exec bin/hc_metrics.exe -- show "$SMOKE_DIR/obs_sim.prom" > /dev/null
+# the run counts itself: Pipeline.run records its registry series
+if ! grep -q '^hc_sim_runs_total 1$' "$SMOKE_DIR/obs_sim.prom"; then
+  echo "FAIL: obs_sim.prom has no hc_sim_runs_total 1 line"
+  exit 1
+fi
+# a registry diff is a gate: a dump against itself exits 0
+dune exec bin/hc_report.exe -- diff "$SMOKE_DIR/obs_sim.prom" \
+  "$SMOKE_DIR/obs_sim.prom" > /dev/null
 # a traced sweep with the live progress line, then a per-series diff of
-# the two registry dumps (also re-validates both expositions)
+# the two registry dumps (also re-validates both expositions), which
+# must exit 1: the sweep's run and cache counts are not the single run's
 dune exec bin/hc_experiments.exe -- fig6 --length 3000 --progress \
   --span-log "$SMOKE_DIR/obs_fig6.jsonl" \
   --prom-out "$SMOKE_DIR/obs_fig6.prom" > /dev/null
 dune exec bin/hc_report.exe -- validate --jsonl "$SMOKE_DIR/obs_fig6.jsonl"
 dune exec bin/hc_report.exe -- validate --prom "$SMOKE_DIR/obs_fig6.prom"
-dune exec bin/hc_metrics.exe -- diff "$SMOKE_DIR/obs_sim.prom" \
-  "$SMOKE_DIR/obs_fig6.prom"
+status=0
+dune exec bin/hc_report.exe -- diff "$SMOKE_DIR/obs_sim.prom" \
+  "$SMOKE_DIR/obs_fig6.prom" || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "FAIL: hc_report diff of two different dumps exited $status, expected 1"
+  exit 1
+fi
 # ...and prove both gates can fail: a span line truncated mid-object and
 # an exposition sample with an illegal metric name must be rejected
 head -c 40 "$SMOKE_DIR/obs_spans.jsonl" > "$SMOKE_DIR/obs_bad.jsonl"
@@ -376,6 +389,13 @@ fi
 if dune exec bin/hc_report.exe -- validate --prom "$SMOKE_DIR/obs_bad.prom" \
     > /dev/null 2>&1; then
   echo "FAIL: --prom accepted a malformed exposition line"
+  exit 1
+fi
+status=0
+dune exec bin/hc_report.exe -- diff "$SMOKE_DIR/obs_sim.prom" \
+  "$SMOKE_DIR/obs_bad.prom" > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 3 ]; then
+  echo "FAIL: hc_report diff of a malformed dump exited $status, expected 3"
   exit 1
 fi
 echo "observability gate OK"

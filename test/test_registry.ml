@@ -21,6 +21,8 @@ module Telemetry = Hc_core.Telemetry
 module Runs = Hc_core.Runs
 module Profile = Hc_trace.Profile
 module Metrics = Hc_sim.Metrics
+module Config = Hc_sim.Config
+module Pipeline = Hc_sim.Pipeline
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -316,6 +318,52 @@ let test_aggregates_match_ground_truth () =
         check_int "simulate spans == cold cells" (List.length sweep)
           (match sim with Some s -> s.Span.st_count | None -> 0))
 
+(* ----- per-run series come from Pipeline.run itself ----- *)
+
+(* No Runs in between: a direct run is counted, once, at its exit, and a
+   sampled run adds one NREADY observation per interval whose sum is the
+   run's total. *)
+let test_pipeline_records_run_series () =
+  let trace =
+    Hc_trace.Generator.generate_sliced ~length:3_000
+      (Profile.find_spec_int "gcc")
+  in
+  let cfg = Config.with_scheme Config.default (Config.find_scheme "+IR") in
+  let run ?sink () =
+    Pipeline.run ?sink ~cfg ~decide:Hc_steering.Policy.decide
+      ~scheme_name:"+IR" trace
+  in
+  let hist samples name =
+    match Registry.find_value samples name [] with
+    | Some (Registry.Histogram_v hv) -> (hv.Registry.h_count, hv.Registry.h_sum)
+    | _ -> (0, 0)
+  in
+  Registry.disable ();
+  let r = Registry.enable () in
+  Fun.protect ~finally:Registry.disable (fun () ->
+      let m = run () in
+      let s1 = Registry.scrape r in
+      check_int "one run" 1 (Registry.counter_value s1 "hc_sim_runs_total");
+      check_int "uops retired == committed" m.Metrics.committed
+        (Registry.counter_value s1 "hc_uops_retired_total");
+      check "ticks observed once" true
+        (hist s1 "hc_sim_run_ticks" = (1, m.Metrics.ticks));
+      check "no sink, no NREADY samples" true
+        (hist s1 "hc_nready_w2n_per_interval" = (0, 0));
+      let sink = Sink.create ~interval:500 ~tracing:false () in
+      let m2 = run ~sink () in
+      let n = Sink.sample_count sink in
+      check "several intervals" true (n > 1);
+      let s2 = Registry.scrape r in
+      check_int "two runs" 2 (Registry.counter_value s2 "hc_sim_runs_total");
+      check_int "uops retired == both runs"
+        (m.Metrics.committed + m2.Metrics.committed)
+        (Registry.counter_value s2 "hc_uops_retired_total");
+      check "w2n: one observation per sample" true
+        (hist s2 "hc_nready_w2n_per_interval" = (n, m2.Metrics.nready_w2n));
+      check "n2w: one observation per sample" true
+        (hist s2 "hc_nready_n2w_per_interval" = (n, m2.Metrics.nready_n2w)))
+
 (* ----- observation leaves results bit-identical ----- *)
 
 let test_observation_is_free () =
@@ -448,6 +496,24 @@ let test_prom_roundtrip () =
     in
     let values = List.map (fun (e : Prom.entry) -> e.Prom.e_value) buckets in
     check "cumulative" true (List.sort compare values = values);
+    (* series keys: exposition spelling, labels sorted, one per sample *)
+    let key name labels =
+      Prom.series_key { Prom.e_name = name; e_labels = labels; e_value = 0. }
+    in
+    check_str "label-free key" "p_depth" (key "p_depth" []);
+    check_str "labels sorted by name" "m{a=\"2\",z=\"1\"}"
+      (key "m" [ ("z", "1"); ("a", "2") ]);
+    check_str "values escaped" "m{k=\"q\\\"b\\\\s\\nl\"}"
+      (key "m" [ ("k", "q\"b\\s\nl") ]);
+    check_str "escaped label read back" "p_ops_total{kind=\"tr\\\\ace\"}"
+      (Option.fold ~none:"" ~some:Prom.series_key
+         (find "p_ops_total" [ ("kind", "tr\\ace") ]));
+    check_str "bucket suffix" "p_lat_bucket{le=\"+Inf\"}"
+      (Option.fold ~none:"" ~some:Prom.series_key
+         (find "p_lat_bucket" [ ("le", "+Inf") ]));
+    let keys = List.map Prom.series_key entries in
+    check_int "keys unique across the scrape" (List.length entries)
+      (List.length (List.sort_uniq compare keys));
     (* malformed dumps are rejected with the offending line *)
     ( match Prom.parse "ok_total 1\n!bad name 2\n" with
     | Error msg ->
@@ -525,6 +591,8 @@ let suite =
       Alcotest.test_case "ambient discipline" `Quick test_ambient_discipline;
       Alcotest.test_case "aggregates == ground truth (12 workloads)" `Slow
         test_aggregates_match_ground_truth;
+      Alcotest.test_case "Pipeline.run records its own series" `Quick
+        test_pipeline_records_run_series;
       Alcotest.test_case "observation is free" `Slow test_observation_is_free;
       Alcotest.test_case "span log JSONL round-trip" `Quick
         test_span_log_roundtrip;

@@ -10,7 +10,7 @@ module Config = Hc_sim.Config
 module Pipeline = Hc_sim.Pipeline
 module Metrics = Hc_sim.Metrics
 module Meta = Hc_core.Meta
-module Export = Hc_core.Export
+module Telemetry = Hc_core.Telemetry
 module Sink = Hc_obs.Sink
 module Sample = Hc_obs.Sample
 module Chrome_trace = Hc_obs.Chrome_trace
@@ -72,7 +72,17 @@ let test_roundtrip_metrics_json () =
   let j = Json.parse_exn js in
   Alcotest.(check (option int)) "schema 5" (Some 5) (Loader.schema j);
   Alcotest.(check (option string)) "scheme field" (Some "+IR")
-    (Option.bind (Json.member "scheme" j) Json.string_value)
+    (Option.bind (Json.member "scheme" j) Json.string_value);
+  (* a name that needs every kind of escape: quote, backslash, newline
+     and a control byte *)
+  let name = "q\"b\\s\nl\x01c" in
+  let js = Metrics.to_json { m with Metrics.name } in
+  ( match Json.parse js with
+  | Error at -> Alcotest.failf "escaped name rejected at byte %d" at
+  | Ok j ->
+    Alcotest.(check string) "escaped metrics bit-for-bit" js (Json.to_string j);
+    Alcotest.(check (option string)) "name survives" (Some name)
+      (Option.bind (Json.member "name" j) Json.string_value) )
 
 let test_roundtrip_meta_json () =
   (* same single-line minified shape Export.write_all puts in meta.json *)
@@ -183,7 +193,7 @@ let test_csv_roundtrip () =
   let sink = Sink.create ~interval:250 ~tracing:false () in
   let m = run ~sink "+IR" (Config.find_scheme "+IR") in
   let path = tmp "hc_test_intervals.csv" in
-  let _ = Export.write_intervals_csv ~path (Sink.samples sink) in
+  let _ = Telemetry.write_intervals_csv ~path (Sink.samples sink) in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
