@@ -9,8 +9,12 @@
    runs without the write barrier. The pools recycle: a node goes back
    on its free list when it commits or, for a copy, when it completes or
    dies, and a value when its last holder lets go, so in-flight storage
-   is bounded by the machine's window, not by the trace. Event-sink
-   paths may allocate; they are guarded off the untraced run. Nodes name
+   is bounded by the machine's window, not by the trace. Issue is
+   wakeup-driven: a queued node joins its queue's ready list when the
+   last value it waits on turns readable, and an issue round reads only
+   that list, never the blocked occupants (see "Wakeup and census").
+   Event-sink paths may allocate; they are guarded off the untraced
+   run. Nodes name
    their uop by trace index; no uop record exists on this path.
    test/test_alloc.ml checks the marginal minor-words-per-uop of an
    untraced run stays zero, both warm and as the first run on a freshly
@@ -84,7 +88,8 @@ type vstate = {
       (* index in the value pool: every link to the value stores it, an
          int store needing no write barrier *)
   mutable v_cons : int;
-      (* census only: newest consumer edge (see [add_consumer]), -1 none *)
+      (* newest consumer edge (see [add_consumer]), -1 none *)
+  mutable v_cons_last : int;  (* oldest consumer edge, when [v_cons] >= 0 *)
   mutable v_refs : int;  (* holders: see above *)
 }
 
@@ -96,7 +101,7 @@ let new_vstate v_slot =
     v_demand_copied = false; v_prefetched0 = false; v_prefetched1 = false;
     v_prefetch_used0 = false; v_prefetch_used1 = false; v_lr = false;
     v_cluster = Config.Wide; v_from_load = false; v_slot; v_cons = -1;
-    v_refs = 0;
+    v_cons_last = -1; v_refs = 0;
   }
 
 let v_avail v i = if i = 0 then v.v_avail0 else v.v_avail1
@@ -166,41 +171,65 @@ let reason_code = function
   | Steer.Rir -> r_ir
   | Steer.Rlive -> r_live
 
+(* Fields are grouped by the paths that read them, hottest first: a
+   wakeup, then the issue round, then the rest. *)
 type node = {
-  mutable n_id : int;
-      (* dispatch order, unique within a run: the due batch's sort, the
-         flush's younger-than test and telemetry event ids read it *)
   n_slot : int;
       (* index in the node pool: the issue queues, the ROB, the event
-         wheel and the census edges store it *)
+         wheel and the consumer edges store it *)
+  mutable n_queued : bool;  (* in an issue queue *)
+  mutable n_ready : bool;
+      (* queued with every dependence readable: in the queue's ready list *)
+  mutable n_cap : int;
+      (* listed: 1 when the helper's units could host it, see [capable] *)
+  mutable n_lstamp : int;
+      (* the stamp its consumer edges carry while it waits; 0 = none *)
+  mutable n_nwait : int;
+      (* queued, not ready: its edges not yet consumed, one per
+         dependence it cannot read *)
+  mutable n_kind : int;  (* k_normal / k_copy / k_slice *)
+  mutable n_cluster : Config.cluster;
+  mutable n_remote_reads : bool;
+      (* CR (§3.5): the 8-bit AGU consumes only source low bytes; the wide
+         source's upper 24 bits stay behind the rename tag in the wide
+         register file, so sources need no inter-cluster copy and are
+         readable as soon as they exist anywhere *)
+  (* dependences: parallel (value slot, epoch-at-dispatch) arrays with
+     an explicit length, so re-dispatching reuses the same storage *)
+  mutable n_ndeps : int;
+  mutable n_dep_v : int array;
+  (* copy payload (valid when n_kind = k_copy) *)
+  mutable n_cv : int;  (* the value being copied; -1 = not a copy *)
+  mutable n_copy_epoch : int;  (* cv's epoch when the copy was made *)
+  mutable n_qpos : int;
+      (* its position in the queue's [iq_slots]: queue order (see [iq]) *)
+  mutable n_census : int;
+      (* census only: the count this queued node is in, 3 * lane + class *)
   mutable n_trace_idx : int;
       (* position in the trace, the key to every uop column; -1 for copies *)
   mutable n_op : Opcode.t;
       (* decoded once at dispatch: latency, unit class and the width check
          all key on it; [Nop] for copies *)
-  mutable n_kind : int;  (* k_normal / k_copy / k_slice *)
-  (* copy payload (valid when n_kind = k_copy) *)
-  mutable n_cv : int;  (* the value being copied; -1 = not a copy *)
+  mutable n_issued : bool;
+  mutable n_gen : int;
+      (* incremented when the node is squashed-and-resteered, and when its
+         record is reused, so completion events scheduled for a previous
+         incarnation are ignored *)
+  mutable n_complete : int;
+  mutable n_disp_tick : int;  (* telemetry: tick of issue-queue insertion *)
+  mutable n_issue_tick : int;  (* telemetry: tick the uop won an issue slot *)
+  mutable n_id : int;
+      (* dispatch order, unique within a run: the due batch's sort, the
+         flush's younger-than test and telemetry event ids read it *)
+  mutable n_dep_e : int array;
   mutable n_copy_target : int;  (* destination cluster-index *)
-  mutable n_copy_epoch : int;  (* cv's epoch when the copy was made *)
   mutable n_copy_publishes : bool;
       (* IR splits send a burst of four byte copies; only the last one
          publishes the value in the target register file *)
   (* slice payload (valid when n_kind = k_slice) *)
   mutable n_slice_final : bool;
       (* one 8-bit lane of an IR-split uop; final completes the value *)
-  mutable n_cluster : Config.cluster;
   mutable n_done : bool;
-  mutable n_issued : bool;
-  mutable n_gen : int;
-      (* incremented when the node is squashed-and-resteered, and when its
-         record is reused, so completion events scheduled for a previous
-         incarnation are ignored *)
-  (* dependences: parallel (value slot, epoch-at-dispatch) arrays with
-     an explicit length, so re-dispatching reuses the same storage *)
-  mutable n_dep_v : int array;
-  mutable n_dep_e : int array;
-  mutable n_ndeps : int;
   mutable n_dest : int;  (* value slot; -1 = no destination *)
   mutable n_reason : int;  (* r_none / r_888 / ... *)
   mutable n_is_mem : bool;
@@ -212,18 +241,7 @@ type node = {
   mutable n_alloc : int;
       (* cluster-index of the physical register allocated for the
          destination, to return at commit; -1 = none *)
-  mutable n_remote_reads : bool;
-      (* CR (§3.5): the 8-bit AGU consumes only source low bytes; the wide
-         source's upper 24 bits stay behind the rename tag in the wide
-         register file, so sources need no inter-cluster copy and are
-         readable as soon as they exist anywhere *)
-  mutable n_complete : int;
-  mutable n_disp_tick : int;  (* telemetry: tick of issue-queue insertion *)
-  mutable n_issue_tick : int;  (* telemetry: tick the uop won an issue slot *)
-  mutable n_queued : bool;  (* in an issue queue *)
   mutable n_mark : bool;  (* transient, used by flush_from's queue purge *)
-  mutable n_census : int;
-      (* census only: the count this queued node is in, 3 * lane + class *)
 }
 
 let new_node n_slot =
@@ -238,6 +256,7 @@ let new_node n_slot =
     n_is_mem = false; n_lr_replicate = false; n_br_mispredicted = false;
     n_alloc = -1; n_remote_reads = false; n_complete = never;
     n_disp_tick = 0; n_issue_tick = 0; n_queued = false;
+    n_qpos = -1; n_ready = false; n_cap = 0; n_lstamp = 0; n_nwait = 0;
     n_mark = false; n_census = 0;
   }
 
@@ -254,23 +273,97 @@ let ensure_node_dep_cap (node : node) cap =
 
 (* ----- issue queues -----
 
-   The node slots of the occupants, oldest first. The walks that take
-   nodes out ([issue_walk], [flush_purge]) visit every occupant anyway,
-   so they compact the array in place as they go. The array grows when
-   a flush's resteer overfills the queue. *)
+   [iq_slots] holds the occupants' node slots in queue order, with -1
+   where a node has left: issue and a dead copy's removal take a node
+   out by its [n_qpos] without moving the others, so a round costs what
+   it issues, not the occupancy. An append that finds the array full
+   first squeezes the holes out (and doubles the array when that frees
+   less than half), so the squeezes stay rare; the flush's purge and
+   [relist] squeeze too. A position is stamped by [iq_append] and only
+   grows with the append order, and a squeeze keeps the order, so
+   position order is queue order. (It cannot be [n_id]'s order, because
+   [replay] re-appends an old node at the back.) [iq_bits] marks the
+   positions of the occupants that can issue now, the queue's ready
+   list, so an issue round finds them oldest first without a walk.
+   Readiness is kept by wakeup, see "Wakeup and census" below. *)
 
-type iq = { mutable iq_slots : int array; mutable iq_len : int }
+type iq = {
+  mutable iq_slots : int array;
+  mutable iq_end : int;  (* used prefix of [iq_slots], holes included *)
+  mutable iq_len : int;  (* occupants: what dispatch and the samples read *)
+  mutable iq_bits : int array;
+      (* bit [p land 31] of word [p lsr 5]: the occupant at position [p]
+         is listed ready; clear past [iq_end] *)
+  mutable iq_nready : int;  (* listed occupants *)
+  mutable iq_ncap : int;  (* listed nodes the helper's units could host *)
+  mutable iq_ndead : int;  (* listed dead copies, see [relist] *)
+}
 
-let iq_append q (n : node) =
-  let len = q.iq_len in
-  if len = Array.length q.iq_slots then begin
-    let arr = Array.make (2 * len) 0 in
-    Array.blit q.iq_slots 0 arr 0 len;
-    q.iq_slots <- arr
+let fresh_iq () =
+  { iq_slots = Array.make 32 0; iq_end = 0; iq_len = 0;
+    iq_bits = Array.make 1 0; iq_nready = 0; iq_ncap = 0; iq_ndead = 0 }
+
+(* The index of the lowest set bit of a nonzero 32-bit word: the bit
+   isolated, times a de Bruijn constant, indexes this table *)
+let debruijn32 =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8; 31; 27; 13;
+     23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let[@inline] low_bit w =
+  debruijn32.((((w land (-w)) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
+
+let[@inline] set_bit bits p =
+  bits.(p lsr 5) <- bits.(p lsr 5) lor (1 lsl (p land 31))
+
+let[@inline] clear_bit bits p =
+  bits.(p lsr 5) <- bits.(p lsr 5) land lnot (1 lsl (p land 31))
+
+(* Squeeze the holes out of [iq_slots], keeping the order; the listed
+   occupants keep their marks at their new positions. *)
+let iq_compact (nodes : node array) q =
+  let slots = q.iq_slots and bits = q.iq_bits in
+  Array.fill bits 0 (Array.length bits) 0;
+  let w = ref 0 in
+  for k = 0 to q.iq_end - 1 do
+    let s = slots.(k) in
+    if s >= 0 then begin
+      let n = nodes.(s) in
+      slots.(!w) <- s;
+      n.n_qpos <- !w;
+      if n.n_ready then set_bit bits !w;
+      incr w
+    end
+  done;
+  q.iq_end <- !w
+
+(* [nodes] is the node pool as it stands after [n]'s allocation *)
+let iq_append nodes q (n : node) =
+  if q.iq_end = Array.length q.iq_slots then begin
+    iq_compact nodes q;
+    let cap = Array.length q.iq_slots in
+    if 2 * q.iq_end > cap then begin
+      let arr = Array.make (2 * cap) 0 in
+      Array.blit q.iq_slots 0 arr 0 q.iq_end;
+      q.iq_slots <- arr;
+      let bits = Array.make (2 * cap / 32) 0 in
+      Array.blit q.iq_bits 0 bits 0 (Array.length q.iq_bits);
+      q.iq_bits <- bits
+    end
   end;
-  q.iq_slots.(len) <- n.n_slot;
-  q.iq_len <- len + 1;
-  n.n_queued <- true
+  q.iq_slots.(q.iq_end) <- n.n_slot;
+  n.n_qpos <- q.iq_end;
+  q.iq_end <- q.iq_end + 1;
+  q.iq_len <- q.iq_len + 1;
+  n.n_queued <- true;
+  n.n_ready <- false
+
+(* [n] leaves its queue (issued, or a dead copy taken out) *)
+let[@inline] iq_leave q (n : node) =
+  q.iq_slots.(n.n_qpos) <- -1;
+  clear_bit q.iq_bits n.n_qpos;
+  q.iq_len <- q.iq_len - 1;
+  n.n_queued <- false;
+  n.n_ready <- false
 
 (* ----- event wheel slots -----
 
@@ -337,16 +430,17 @@ type scratch = {
   rename : int array;  (* arch reg -> live value's slot; -1 = none *)
   iqs : iq array;  (* the wide and the narrow issue queue *)
   mutable e_node : int array;
-      (* census only: consumer edges, by edge index: the consumer's
-         [n_slot] and the value's next-older edge (-1 ends the list) *)
+      (* consumer edges, by edge index: the consumer's [n_slot] and the
+         value's next-older edge (-1 ends the list) *)
   mutable e_next : int array;
+  mutable e_stamp : int array;
+      (* the consumer's listing stamp when linked, -1 once consumed *)
   mutable e_len : int;
   mutable e_free : int;
-      (* census only: the free edges, a stack threaded through [e_next]
-         (-1 empty); a value's edges go on it when the value is freed *)
+      (* the free edges, a stack threaded through [e_next] (-1 empty); a
+         value's edges go on it when the value is freed *)
   recheck : int array array;
-      (* census only: value slots whose consumers to reclassify, by tick
-         mod 4 *)
+      (* value slots whose consumers to wake, by tick mod 4 *)
   recheck_n : int array;
 }
 
@@ -374,10 +468,10 @@ let fresh_scratch () =
     dp_need = Array.make 8 false;
     dp_n = 0;
     rename = Array.make Reg.count (-1);
-    iqs =
-      Array.init 2 (fun _ -> { iq_slots = Array.make 1 0; iq_len = 0 });
+    iqs = Array.init 2 (fun _ -> fresh_iq ());
     e_node = Array.make 4096 0;
     e_next = Array.make 4096 0;
+    e_stamp = Array.make 4096 0;
     e_len = 0;
     e_free = -1;
     recheck = Array.init 4 (fun _ -> Array.make 8 0);
@@ -467,9 +561,19 @@ let reset_scratch ~tiny_pools sc cfg =
   if Array.length sc.rob_buf < rob_size then sc.rob_buf <- Array.make rob_size 0;
   for lane = 0 to 1 do
     let q = sc.iqs.(lane) in
+    q.iq_end <- 0;
     q.iq_len <- 0;
-    if Array.length q.iq_slots < cfg.Config.iq_size then
-      q.iq_slots <- Array.make cfg.Config.iq_size 0
+    q.iq_nready <- 0;
+    q.iq_ncap <- 0;
+    q.iq_ndead <- 0;
+    (* four times the queue, so a full queue squeezes its holes out at
+       most once per three [iq_size] appends *)
+    let cap = 32 * ((cfg.Config.iq_size + 7) / 8) in
+    if Array.length q.iq_slots < cap then begin
+      q.iq_slots <- Array.make cap 0;
+      q.iq_bits <- Array.make (cap / 32) 0
+    end
+    else Array.fill q.iq_bits 0 (Array.length q.iq_bits) 0
   done;
   sc.e_len <- 0;
   sc.e_free <- -1;
@@ -497,7 +601,9 @@ type state = {
       (* cycle accounting into the [Stall] rows of [counts], with the
          blocked-occupant census it reads; off keeps the attribution
          behind one field test per issue round *)
-  census_check : bool;  (* tests only: check the census against a walk *)
+  check : bool;
+      (* tests only: check the ready lists, and under accounting the
+         census, against full walks of the queues *)
   poison : bool;
       (* tests only: scribble over each record as it is freed, so a read
          of a freed record changes the run (see [poison_node]) *)
@@ -547,6 +653,11 @@ type state = {
   mutable iss_capable : int;
       (* the NREADY leftover the helper's 8-bit units could host *)
   mutable iss_removed : int;  (* issued and dead-copy nodes taken out *)
+  mutable wait_class : int;  (* [wait_state]'s census index *)
+  mutable lstamp : int;  (* the latest [n_lstamp] handed out *)
+  (* work counters, recorded at run exit (see [observe_run]) *)
+  mutable issue_visits : int;  (* ready-list entries the issue walks read *)
+  mutable wakeup_touches : int;  (* waiting consumers a wakeup reached *)
   mutable dis_demand_w : int;  (* copy slot demand of the current dispatch *)
   mutable dis_demand_n : int;
   mutable rsteer_n : int;  (* live prefix of sc.resteer *)
@@ -644,6 +755,7 @@ let alloc_node st =
   n.n_disp_tick <- 0;
   n.n_issue_tick <- 0;
   n.n_queued <- false;
+  n.n_ready <- false;
   n.n_mark <- false;
   n
 
@@ -654,13 +766,13 @@ let alloc_node st =
    freed when its last holder lets go: a rename-table overwrite, a node
    freed, or a dependence the flush drops. What may still reach a freed
    record is harmless: a stale wheel entry carries an older generation,
-   a census edge or re-check slot only reclassifies a node that is
-   queued, and a freed node is not. *)
+   a consumer edge acts only on a node queued under the edge's listing
+   stamp, and a freed node is not queued. *)
 
 let[@inline] hold (v : vstate) = v.v_refs <- v.v_refs + 1
 
 (* Scribble over a freed value's fields (all but its slot, holder count
-   and census edges, which [release] hands back), so any read of it
+   and consumer edges, which [release] hands back), so any read of it
    changes the run. *)
 let poison_vstate v =
   v.v_pc <- lnot v.v_pc;
@@ -681,13 +793,6 @@ let poison_vstate v =
   v.v_cluster <- (if v.v_cluster = Config.Wide then Config.Narrow else Config.Wide);
   v.v_from_load <- not v.v_from_load
 
-(* Push the consumer edge chain from [e] onto the arena's free edges. *)
-let rec free_edges sc e =
-  let next = sc.e_next.(e) in
-  sc.e_next.(e) <- sc.e_free;
-  sc.e_free <- e;
-  if next >= 0 then free_edges sc next
-
 (* let go of the value in slot [s], if any *)
 let release st s =
   if s >= 0 then begin
@@ -698,7 +803,9 @@ let release st s =
       if st.poison then poison_vstate v;
       let sc = st.sc in
       if v.v_cons >= 0 then begin
-        free_edges sc v.v_cons;
+        (* its consumer edges go onto the free edges, chain and all *)
+        sc.e_next.(v.v_cons_last) <- sc.e_free;
+        sc.e_free <- v.v_cons;
         v.v_cons <- -1
       end;
       sc.v_free.(sc.v_nfree) <- v.v_slot;
@@ -707,7 +814,7 @@ let release st s =
   end
 
 (* Scribble over a freed node's fields, keeping what stale references
-   read: its generation, which only grows, and its queue flag. Trace
+   read: its generation, which only grows, and its queue flags. Trace
    indices stay in range, so a stray read misbehaves without crashing. *)
 let poison_node st n =
   n.n_id <- -1;
@@ -732,6 +839,8 @@ let poison_node st n =
   n.n_complete <- -1;
   n.n_disp_tick <- -1;
   n.n_issue_tick <- -1;
+  n.n_qpos <- -1;
+  n.n_cap <- 1 - n.n_cap;
   n.n_census <- (n.n_census + 1) mod 6
 
 (* [node] is neither queued nor in the ROB nor due on the wheel *)
@@ -933,7 +1042,7 @@ let get_ctx st =
 
 (* ----- creation ----- *)
 
-let create ?sink ~accounting ~census_check ~poison ~skip ~drop_idx ~tiny_pools
+let create ?sink ~accounting ~check ~poison ~skip ~drop_idx ~tiny_pools
     cfg decide trace =
   ( match Config.validate cfg with
   | Ok () -> ()
@@ -946,7 +1055,7 @@ let create ?sink ~accounting ~census_check ~poison ~skip ~drop_idx ~tiny_pools
       cfg; decide; sink; soa;
       trace_len = Uop_soa.length soa;
       accounting;
-      census_check;
+      check;
       poison;
       skip;
       drop_idx;
@@ -979,6 +1088,7 @@ let create ?sink ~accounting ~census_check ~poison ~skip ~drop_idx ~tiny_pools
       quiet_since = 0;
       avail_soon = 0;
       iss_issued = 0; iss_ready = 0; iss_capable = 0; iss_removed = 0;
+      wait_class = 0; lstamp = 0; issue_visits = 0; wakeup_touches = 0;
       dis_demand_w = 0; dis_demand_n = 0;
       rsteer_n = 0;
       split_prev = -1;
@@ -1001,30 +1111,49 @@ let create ?sink ~accounting ~census_check ~poison ~skip ~drop_idx ~tiny_pools
       };
   st
 
-(* ----- blocked-occupant census -----
+(* ----- wakeup and census -----
+
+   A queued node can issue once every dependence is readable in its
+   cluster (or, under CR's remote reads, in either), and between
+   rebuilds readability only grows. So each queue keeps its ready
+   occupants in a list, and a node joins it when the last value it
+   waits on turns readable, as a wakeup/select issue queue does; an
+   issue round reads only that list:
+   - a node is checked in one pass over its dependences when it enters
+     a queue ([enqueue_iq]); if it must wait, it is linked to each
+     dependence it cannot read, under a fresh listing stamp, and counts
+     those links ([n_nwait]);
+   - a write that makes a value readable ([complete_normal],
+     [complete_slice], [complete_copy]) wakes the value's edges: an edge
+     whose consumer now reads the value is consumed, once, and the
+     consumer's last one puts it in the ready list. Waking rescans no
+     node's dependences;
+   - the three writes that make a value readable in the other cluster at
+     [now + 2] (replicated register file, LR, replicated slice finals)
+     wake them again at that tick ([publish_later], [wake_due]);
+   - a flush or replay resets values and moves nodes, so both queues
+     are relisted, relinked and recounted after them ([relist]). A copy
+     whose value [replay] reset is dead: the relist lists it and counts
+     it in [iq_ndead], so the queue's next round visits its whole list
+     and takes it out and frees it in queue order, where the full walk
+     this replaces did.
+   An edge acts only while its stamp is its consumer's current one and
+   the consumer is queued and waiting, so the edges of an older listing,
+   and those reaching a recycled slot, change nothing.
 
    Cycle accounting gives each idle issue slot to a blocked queue
    occupant, memory before copy before operands. The class a node counts
    under is a function of its dependences' state, so with accounting on
-   each queue keeps its three counts current instead of rescanning every
-   occupant in every idle round:
-   - a node is classified and counted when it enters a queue
-     ([enqueue_iq]) and uncounted when it leaves ([issue_walk]: issue,
-     dead copy);
-   - entering, it is linked to each dependence it cannot read yet, and
-     a write to such a value's [v_done], [v_avail*] or
-     [v_copy_inflight*] ([complete_normal], [complete_slice],
-     [complete_copy], [make_copy]) reclassifies its linked nodes still
-     queued;
-   - the three writes that make a value readable in the other cluster at
-     [now + 2] (replicated register file, LR, replicated slice finals)
-     reclassify its linked nodes again at that tick;
-   - a dependence readable now stays readable until a flush or replay
-     resets its value; those rewrite nodes wholesale, so both queues are
-     recounted and relinked after them.
-   Invariant: after an issue walk, [census] holds what a
-   [blocked_reason] walk over each queue would count (For_testing checks
-   this). Without accounting none of it runs. *)
+   the pass that checks a node classifies it, a wakeup reclassifies the
+   waiting consumers it reaches, and each queue keeps its three counts
+   current instead of rescanning every occupant in every idle round. A
+   value's [v_copy_inflight*] moves a node's class but not its
+   readiness, so [make_copy] wakes its consumers only under accounting.
+   Invariants: at every issue round each queue's ready list is what a
+   full [deps_ready] walk of the queue finds, and each waiting node
+   counts the dependences it cannot read; after the round the census
+   holds what a [blocked_reason] walk would count (For_testing checks
+   all three). *)
 
 (* Link [node] to [v]. The links live in two int arrays of the arena,
    threaded newest first from each value's [v_cons]: no pointer store,
@@ -1043,51 +1172,108 @@ let add_consumer sc (v : vstate) (node : node) =
       if e = Array.length sc.e_node then begin
         let grow a = Array.init (2 * e) (fun i -> if i < e then a.(i) else 0) in
         sc.e_node <- grow sc.e_node;
-        sc.e_next <- grow sc.e_next
+        sc.e_next <- grow sc.e_next;
+        sc.e_stamp <- grow sc.e_stamp
       end;
       sc.e_len <- e + 1;
       e
     end
   in
   sc.e_node.(e) <- node.n_slot;
+  sc.e_stamp.(e) <- node.n_lstamp;
   sc.e_next.(e) <- v.v_cons;
+  if v.v_cons < 0 then v.v_cons_last <- e;
   v.v_cons <- e
 
 (* [a] when [lane] is 0, [b] when it is 1 *)
 let[@inline] pick lane a b = a lxor ((a lxor b) land (-lane))
 
-(* The census index of a queued node, 3 * lane + class (0 memory, 1
-   copy, 2 operands): [blocked_reason]'s rule, computed with bit
-   operations instead of branches on each dependence's state, since it
-   runs at every dispatch and every write to a value a node waits on.
-   With [link], link the node to each dependence it cannot read. *)
-let census_class st ~link (node : node) =
-  let lane = cluster_index node.n_cluster in
-  if node.n_kind = k_copy then (3 * lane) + 1
+(* 1 when [v] is unreadable now in [lane], or under remote reads
+   ([remote] = 1) in both lanes: [deps_ready]'s rule, with bit
+   operations instead of branches, since it runs at every dispatch and
+   every wakeup *)
+let[@inline] unavail now remote lane (v : vstate) =
+  let u0 = Bool.to_int (v.v_avail0 > now) and u1 = Bool.to_int (v.v_avail1 > now) in
+  (remote land u0 land u1) lor ((1 - remote) land pick lane u0 u1)
+
+(* The bit of dependence [k] in a wait mask. Dependences past the 61st
+   share the last bit, and [link] reads those afresh. *)
+let[@inline] dep_bit k = 1 lsl (if k < 61 then k else 61)
+
+(* The mask of [node]'s unreadable dependences from [k] on. It calls
+   nothing, so the loop stays in registers. *)
+let rec waits_from vp now remote lane (node : node) k m =
+  if k >= node.n_ndeps then m
   else begin
-    let now = st.now in
-    let remote = Bool.to_int node.n_remote_reads in
-    let mem = ref 0 and cop = ref 0 in
-    for k = 0 to node.n_ndeps - 1 do
-      let v = value_at st node.n_dep_v.(k) in
-      let u0 = Bool.to_int (v.v_avail0 > now)
-      and u1 = Bool.to_int (v.v_avail1 > now) in
-      let unavail =
-        (remote land u0 land u1) lor ((1 - remote) land pick lane u0 u1)
-      in
-      if link && unavail = 1 then add_consumer st.sc v node;
-      let done_ = Bool.to_int v.v_done in
-      let mem_dep = Bool.to_int v.v_from_load land (1 - done_) in
-      let inflight =
-        pick lane
-          (Bool.to_int v.v_copy_inflight0)
-          (Bool.to_int v.v_copy_inflight1)
-      in
-      mem := !mem lor (unavail land mem_dep);
-      cop := !cop lor (unavail land (1 - mem_dep) land (done_ lor inflight))
-    done;
-    (3 * lane) + 2 - (!cop lor !mem) - !mem
+    let u = unavail now remote lane vp.(node.n_dep_v.(k)) in
+    waits_from vp now remote lane node (k + 1) (m lor (u * dep_bit k))
   end
+
+(* [waits_from] over every dependence, also classifying the node for the
+   census ([blocked_reason]'s rule) into [st.wait_class]: 3 * lane +
+   class (0 memory, 1 copy, 2 operands). *)
+let classify st vp lane (node : node) =
+  let now = st.now in
+  let remote = Bool.to_int node.n_remote_reads in
+  let mem = ref 0 and cop = ref 0 and m = ref 0 in
+  for k = 0 to node.n_ndeps - 1 do
+    let v = vp.(node.n_dep_v.(k)) in
+    let u = unavail now remote lane v in
+    let done_ = Bool.to_int v.v_done in
+    let mem_dep = Bool.to_int v.v_from_load land (1 - done_) in
+    let inflight =
+      pick lane (Bool.to_int v.v_copy_inflight0) (Bool.to_int v.v_copy_inflight1)
+    in
+    m := !m lor (u * dep_bit k);
+    mem := !mem lor (u land mem_dep);
+    cop := !cop lor (u land (1 - mem_dep) land (done_ lor inflight))
+  done;
+  st.wait_class <- (3 * lane) + 2 - (!cop lor !mem) - !mem;
+  !m
+
+(* The lane a queued node reads its dependences in: a copy reads its
+   value in the value's cluster, any other node in its own. (Under CR's
+   remote reads, either lane will do; copies never read remotely.) *)
+let[@inline] read_lane st (node : node) =
+  if node.n_kind = k_copy then cluster_index (value_at st node.n_cv).v_cluster
+  else cluster_index node.n_cluster
+
+(* A queued node's state in one pass over its dependences: the mask of
+   those it cannot read, 0 when it can issue; under accounting the pass
+   also leaves its census index in [st.wait_class]. A copy counts as
+   waiting on a copy; a dead copy (its value was reset) counts as ready,
+   so that its queue's next round takes it out. *)
+let[@inline] wait_state st (node : node) =
+  let vp = st.sc.p_vstates in
+  let lane = cluster_index node.n_cluster in
+  if node.n_kind = k_copy then begin
+    st.wait_class <- (3 * lane) + 1;
+    let cv = vp.(node.n_cv) in
+    if cv.v_epoch <> node.n_copy_epoch then 0
+    else waits_from vp st.now 0 (cluster_index cv.v_cluster) node 0 0
+  end
+  else if st.accounting then classify st vp lane node
+  else waits_from vp st.now (Bool.to_int node.n_remote_reads) lane node 0 0
+
+(* Link [node], under a fresh listing stamp, to each dependence [m]
+   marks (past the 61st, to each it cannot read), and count them as the
+   dependences it waits on. *)
+let link st (node : node) m =
+  st.lstamp <- st.lstamp + 1;
+  node.n_lstamp <- st.lstamp;
+  let remote = Bool.to_int node.n_remote_reads and lane = read_lane st node in
+  let n = ref 0 in
+  for k = 0 to node.n_ndeps - 1 do
+    let v = value_at st node.n_dep_v.(k) in
+    if
+      if k < 61 then m land dep_bit k <> 0
+      else unavail st.now remote lane v = 1
+    then begin
+      add_consumer st.sc v node;
+      incr n
+    end
+  done;
+  node.n_nwait <- !n
 
 let census_count st (node : node) c =
   node.n_census <- c;
@@ -1096,62 +1282,131 @@ let census_count st (node : node) c =
 let census_leave st (node : node) =
   st.census.(node.n_census) <- st.census.(node.n_census) - 1
 
-let census_enter st (node : node) =
-  census_count st node (census_class st ~link:true node)
+(* a copy whose value [replay] reset: it can never issue *)
+let[@inline] dead_copy vp (node : node) =
+  node.n_kind = k_copy && vp.(node.n_cv).v_epoch <> node.n_copy_epoch
 
-(* reclassify the nodes linked from edge [e] that are still queued *)
-let rec census_touch_from st sc e =
+(* 1 for a node the helper's 8-bit units could host: a copy, or an op
+   they execute *)
+let[@inline] capable (node : node) =
+  Bool.to_int (node.n_trace_idx < 0 || Opcode.helper_capable node.n_op)
+
+(* Put a queued node that can issue, or a dead copy, into its queue's
+   ready list, and count it as capable or dead. *)
+let ready_insert st (node : node) =
+  let q = st.iq.(cluster_index node.n_cluster) in
+  if dead_copy st.sc.p_vstates node then begin
+    node.n_cap <- 0;
+    q.iq_ndead <- q.iq_ndead + 1
+  end
+  else begin
+    node.n_cap <- capable node;
+    q.iq_ncap <- q.iq_ncap + node.n_cap
+  end;
+  set_bit q.iq_bits node.n_qpos;
+  q.iq_nready <- q.iq_nready + 1;
+  node.n_ready <- true
+
+(* empty a queue's ready list, before it is rebuilt *)
+let unlist_all st (q : iq) =
+  for k = 0 to q.iq_end - 1 do
+    let s = q.iq_slots.(k) in
+    if s >= 0 then (node_at st s).n_ready <- false
+  done;
+  Array.fill q.iq_bits 0 (Array.length q.iq_bits) 0;
+  q.iq_nready <- 0;
+  q.iq_ncap <- 0;
+  q.iq_ndead <- 0
+
+(* A node that just joined a queue: checked, counted, and listed or
+   linked. A listed node holds no stamp (0), so no edge acts on it. *)
+let enlist st (node : node) =
+  let m = wait_state st node in
+  if st.accounting then census_count st node st.wait_class;
+  if m = 0 then begin
+    node.n_lstamp <- 0;
+    ready_insert st node
+  end
+  else link st node m
+
+(* under accounting, reclassify a node a wakeup reached *)
+let recount st (node : node) =
+  ignore (wait_state st node);
+  let cls = st.wait_class in
+  if cls <> node.n_census then begin
+    census_leave st node;
+    census_count st node cls
+  end
+
+(* [v] changed: the edges from [e] on whose consumer is still queued
+   under the listing that made them ([n_lstamp]) and not yet ready. An
+   edge whose value the consumer can now read is consumed, once, and
+   the consumer's last one makes it ready. Under accounting each such
+   consumer is reclassified too. An edge of an older listing, or of a
+   recycled slot, carries another stamp, so it changes nothing. *)
+let rec wake_from st sc (v : vstate) e =
   if e >= 0 then begin
-    let c = sc.p_nodes.(sc.e_node.(e)) in
-    if c.n_queued then begin
-      let cls = census_class st ~link:false c in
-      if cls <> c.n_census then begin
-        census_leave st c;
-        census_count st c cls
+    let stamp = sc.e_stamp.(e) in
+    if stamp >= 0 then begin
+      let c = sc.p_nodes.(sc.e_node.(e)) in
+      if c.n_lstamp = stamp && c.n_queued && not c.n_ready then begin
+        st.wakeup_touches <- st.wakeup_touches + 1;
+        if
+          unavail st.now (Bool.to_int c.n_remote_reads) (read_lane st c) v = 0
+        then begin
+          sc.e_stamp.(e) <- -1;
+          c.n_nwait <- c.n_nwait - 1;
+          if c.n_nwait = 0 then ready_insert st c
+        end;
+        if st.accounting then recount st c
       end
     end;
-    census_touch_from st sc sc.e_next.(e)
+    wake_from st sc v sc.e_next.(e)
   end
 
-(* [v] changed: reclassify its linked nodes still queued *)
-let census_touch st (v : vstate) =
-  if st.accounting then census_touch_from st st.sc v.v_cons
+(* [v] changed: wake its linked nodes *)
+let wake_consumers st (v : vstate) = wake_from st st.sc v v.v_cons
 
 (* [v] becomes readable in the other cluster at [now + 2]: the event
-   horizon stops there, and the census reclassifies its consumers then *)
+   horizon stops there, and [wake_due] wakes its consumers then *)
 let publish_later st (v : vstate) =
   st.avail_soon <- st.now + 2;
-  if st.accounting then begin
-    let sc = st.sc in
-    let slot = (st.now + 2) land 3 in
-    let n = sc.recheck_n.(slot) in
-    let arr = sc.recheck.(slot) in
-    if n = Array.length arr then
-      sc.recheck.(slot) <- Array.init (2 * n) (fun i -> if i < n then arr.(i) else 0);
-    sc.recheck.(slot).(n) <- v.v_slot;
-    sc.recheck_n.(slot) <- n + 1
-  end
-
-(* the start of a tick: the touches [publish_later] set for it *)
-let census_due st =
   let sc = st.sc in
-  let slot = st.now land 3 in
+  let slot = (st.now + 2) land 3 in
+  let n = sc.recheck_n.(slot) in
   let arr = sc.recheck.(slot) in
-  for k = 0 to sc.recheck_n.(slot) - 1 do
-    census_touch st sc.p_vstates.(arr.(k))
+  if n = Array.length arr then
+    sc.recheck.(slot) <- Array.init (2 * n) (fun i -> if i < n then arr.(i) else 0);
+  sc.recheck.(slot).(n) <- v.v_slot;
+  sc.recheck_n.(slot) <- n + 1
+
+let wake_slot st sc slot n =
+  let arr = sc.recheck.(slot) in
+  for k = 0 to n - 1 do
+    wake_consumers st sc.p_vstates.(arr.(k))
   done;
   sc.recheck_n.(slot) <- 0
 
-let census_rebuild st =
-  if st.accounting then begin
-    Array.fill st.census 0 (Array.length st.census) 0;
-    for lane = 0 to 1 do
-      let q = st.iq.(lane) in
-      for k = 0 to q.iq_len - 1 do
-        census_enter st (node_at st q.iq_slots.(k))
-      done
+(* the start of a tick: the wakeups [publish_later] set for it *)
+let[@inline] wake_due st =
+  let sc = st.sc in
+  let slot = st.now land 3 in
+  let n = sc.recheck_n.(slot) in
+  if n > 0 then wake_slot st sc slot n
+
+(* After a flush or replay: squeeze both queues, then check, link and
+   count every occupant afresh, in queue order, so each ready list is
+   rebuilt in order. *)
+let relist st =
+  if st.accounting then Array.fill st.census 0 (Array.length st.census) 0;
+  for lane = 0 to 1 do
+    let q = st.iq.(lane) in
+    unlist_all st q;
+    iq_compact st.sc.p_nodes q;
+    for k = 0 to q.iq_end - 1 do
+      enlist st (node_at st q.iq_slots.(k))
     done
-  end
+  done
 
 (* ----- dispatch helpers ----- *)
 
@@ -1178,8 +1433,8 @@ let collect_reg_deps st trace_idx =
 
 let enqueue_iq st cluster node =
   node.n_disp_tick <- st.now;
-  iq_append st.iq.(cluster_index cluster) node;
-  if st.accounting then census_enter st node;
+  iq_append st.sc.p_nodes st.iq.(cluster_index cluster) node;
+  enlist st node;
   emit st Event.Dispatch node ~a:0 ~b:0
 
 let iq_free st cluster =
@@ -1229,7 +1484,7 @@ let make_copy st ~(cv : vstate) ~target ~prefetch ~publishes =
   node.n_dep_e.(0) <- cv.v_epoch;
   node.n_ndeps <- 1;
   set_v_copy_inflight cv ti true;
-  census_touch st cv;
+  if st.accounting then wake_consumers st cv;
   if prefetch then begin
     set_v_prefetched cv ti true;
     bump st Counts.prefetch_copies
@@ -1547,9 +1802,9 @@ let frontend st =
 (* Readiness is availability alone. A squashed-and-resteered producer
    resets its value (epoch bump kills in-flight copies, avail returns to
    never), and every consumer - resteered or not - then waits for the
-   re-execution to publish the value again. *)
-(* [vp] is the value pool, read once per walk: nothing in a walk over an
-   issue queue allocates *)
+   re-execution to publish the value again. [deps_ready] is the rule the
+   ready lists keep (see "Wakeup and census"); only For_testing's full
+   walk ([ready_verify]) evaluates it. *)
 let rec deps_avail_from st vp i (node : node) k =
   k >= node.n_ndeps
   || (v_avail vp.(node.n_dep_v.(k)) i <= st.now
@@ -1561,7 +1816,7 @@ let rec deps_avail_remote_from st vp (node : node) k =
        v.v_avail0 <= st.now || v.v_avail1 <= st.now)
      && deps_avail_remote_from st vp node (k + 1))
 
-let[@inline] deps_ready st vp cluster (node : node) =
+let deps_ready st vp cluster (node : node) =
   if node.n_remote_reads then deps_avail_remote_from st vp node 0
   else begin
     let i =
@@ -1571,57 +1826,160 @@ let[@inline] deps_ready st vp cluster (node : node) =
     deps_avail_from st vp i node 0
   end
 
-let[@inline] dead_copy vp (node : node) =
-  node.n_kind = k_copy && vp.(node.n_cv).v_epoch <> node.n_copy_epoch
+(* The ready lists' reference: walk each queue in order and list the
+   occupants a round must see, the dead copies and those [deps_ready]
+   passes. Reached only from For_testing, before every issue round; it
+   fails at the first difference from the ready list. *)
+let ready_verify st =
+  let vp = st.sc.p_vstates in
+  for lane = 0 to 1 do
+    let q = st.iq.(lane) in
+    let cluster = if lane = 0 then Config.Wide else Config.Narrow in
+    let fail what (node : node) =
+      failwith
+        (Printf.sprintf
+           "ready list mismatch at tick %d, %s lane: node %d (trace index \
+            %d, %s) %s"
+           st.now (Accounting.lane_name lane) node.n_id node.n_trace_idx
+           (node_event_name node) what)
+    in
+    let counts what kept walk =
+      if kept <> walk then
+        failwith
+          (Printf.sprintf "%s mismatch at tick %d, %s lane: %d, walk %d" what
+             st.now (Accounting.lane_name lane) kept walk)
+    in
+    let listed = ref 0 and live = ref 0 and cap = ref 0 and dead = ref 0 in
+    for k = 0 to q.iq_end - 1 do
+      let s = q.iq_slots.(k) in
+      if s >= 0 then begin
+        let node = node_at st s in
+        incr live;
+        if node.n_qpos <> k || not node.n_queued then
+          fail "is out of place in the queue" node;
+        let marked = q.iq_bits.(k lsr 5) land (1 lsl (k land 31)) <> 0 in
+        if dead_copy vp node || deps_ready st vp cluster node then begin
+          if not (marked && node.n_ready) then
+            fail "can issue but is not in the ready list" node;
+          if dead_copy vp node then incr dead else cap := !cap + capable node;
+          incr listed
+        end
+        else if marked || node.n_ready then
+          fail "is in the ready list but cannot issue" node
+        else begin
+          (* waiting: one unconsumed edge per dependence it cannot read *)
+          let i =
+            if node.n_kind = k_copy then cluster_index vp.(node.n_cv).v_cluster
+            else lane
+          in
+          let blocked = ref 0 in
+          for d = 0 to node.n_ndeps - 1 do
+            let v = vp.(node.n_dep_v.(d)) in
+            if
+              if node.n_remote_reads then v.v_avail0 > st.now && v.v_avail1 > st.now
+              else v_avail v i > st.now
+            then incr blocked
+          done;
+          if node.n_nwait <> !blocked then
+            fail
+              (Printf.sprintf "waits on %d dependences but counts %d" !blocked
+                 node.n_nwait)
+              node
+        end
+      end
+      else if q.iq_bits.(k lsr 5) land (1 lsl (k land 31)) <> 0 then
+        failwith
+          (Printf.sprintf "ready mark on a hole at tick %d, %s lane, position %d"
+             st.now (Accounting.lane_name lane) k)
+    done;
+    for k = q.iq_end to (32 * Array.length q.iq_bits) - 1 do
+      if q.iq_bits.(k lsr 5) land (1 lsl (k land 31)) <> 0 then
+        failwith
+          (Printf.sprintf "ready mark past the end at tick %d, %s lane, position %d"
+             st.now (Accounting.lane_name lane) k)
+    done;
+    counts "ready count" q.iq_nready !listed;
+    counts "queue length" q.iq_len !live;
+    counts "capable count" q.iq_ncap !cap;
+    counts "dead copy count" q.iq_ndead !dead
+  done
 
-(* The queue's oldest-first walk: issue ready nodes into free slots,
-   take out and free dead copies, and count the ready nodes left without
-   a slot, [capable] of them helper-capable (a copy, or an op the 8-bit
-   units execute). The nodes that stay are compacted toward the front in
-   order. *)
+(* [node] wins an issue slot and leaves its queue *)
+let issue_node st cluster (q : iq) ~regread_id ~issue_id (node : node) =
+  node.n_issued <- true;
+  node.n_issue_tick <- st.now;
+  emit st Event.Issue node ~a:node.n_disp_tick ~b:0;
+  bump_by st regread_id node.n_ndeps;
+  bump st issue_id;
+  if st.accounting then census_leave st node;
+  q.iq_ncap <- q.iq_ncap - node.n_cap;
+  iq_leave q node;
+  schedule st node (st.now + exec_ticks st cluster node)
+
+(* One issue round over the queue's ready list, oldest first: issue the
+   first [issue_width] nodes, and report the ready nodes left without a
+   slot, the list's [capable] count of them (NREADY). The nodes left
+   stay listed; blocked occupants are not visited, and the nodes left
+   are not visited either. After a replay the list may hold dead copies
+   ([iq_ndead]); that round visits the whole list instead, takes them
+   out and frees them in queue order, and recounts. *)
 let issue_walk st cluster (q : iq) =
+  if st.check then ready_verify st;
   let i = cluster_index cluster in
   let width = st.cfg.Config.issue_width in
   let regread_id = c_regread.(i) and issue_id = c_issue.(i) in
   (* nothing in the walk allocates a record or grows the queue *)
-  let nodes = st.sc.p_nodes and vp = st.sc.p_vstates and slots = q.iq_slots in
-  let issued = ref 0 and ready = ref 0 and capable = ref 0 and kept = ref 0 in
-  for k = 0 to q.iq_len - 1 do
-    let s = slots.(k) in
-    let node = nodes.(s) in
-    if dead_copy vp node then begin
-      if st.accounting then census_leave st node;
-      node.n_queued <- false;
-      free_node st node
-    end
-    else begin
-      let ready_now = deps_ready st vp cluster node in
-      if ready_now && !issued < width then begin
-        node.n_issued <- true;
-        node.n_issue_tick <- st.now;
-        emit st Event.Issue node ~a:node.n_disp_tick ~b:0;
-        bump_by st regread_id node.n_ndeps;
-        bump st issue_id;
-        if st.accounting then census_leave st node;
-        node.n_queued <- false;
-        schedule st node (st.now + exec_ticks st cluster node);
-        incr issued
-      end
+  let nodes = st.sc.p_nodes in
+  let bits = q.iq_bits and slots = q.iq_slots in
+  let n = q.iq_nready in
+  if q.iq_ndead = 0 then begin
+    (* [iq_leave] clears each issued node's mark *)
+    let m = min n width in
+    let left = ref m and w = ref 0 in
+    while !left > 0 do
+      let word = bits.(!w) in
+      if word = 0 then incr w
       else begin
-        if ready_now then begin
-          incr ready;
-          if node.n_trace_idx < 0 || Opcode.helper_capable node.n_op then
-            incr capable
-        end;
-        slots.(!kept) <- s;
-        incr kept
+        issue_node st cluster q ~regread_id ~issue_id
+          nodes.(slots.((!w lsl 5) + low_bit word));
+        decr left
       end
-    end
-  done;
-  q.iq_len <- !kept;
-  st.iss_issued <- !issued;
-  st.iss_ready <- !ready;
-  st.iss_capable <- !capable
+    done;
+    q.iq_nready <- n - m;
+    st.issue_visits <- st.issue_visits + m;
+    st.iss_issued <- m;
+    st.iss_removed <- m
+  end
+  else begin
+    let vp = st.sc.p_vstates in
+    let issued = ref 0 and dead = ref 0 and cap = ref 0 in
+    for w = 0 to ((q.iq_end + 31) lsr 5) - 1 do
+      let word = ref bits.(w) in
+      while !word <> 0 do
+        let node = nodes.(slots.((w lsl 5) + low_bit !word)) in
+        word := !word land (!word - 1);
+        if dead_copy vp node then begin
+          if st.accounting then census_leave st node;
+          iq_leave q node;
+          free_node st node;
+          incr dead
+        end
+        else if !issued < width then begin
+          issue_node st cluster q ~regread_id ~issue_id node;
+          incr issued
+        end
+        else cap := !cap + node.n_cap
+      done
+    done;
+    q.iq_nready <- n - !issued - !dead;
+    q.iq_ncap <- !cap;
+    q.iq_ndead <- 0;
+    st.issue_visits <- st.issue_visits + n;
+    st.iss_issued <- !issued;
+    st.iss_removed <- !issued + !dead
+  end;
+  st.iss_ready <- q.iq_nready;
+  st.iss_capable <- q.iq_ncap
 
 (* one issue round's update of the smoothed ready backlog *)
 let[@inline] ewma_step e ready = (0.9 *. e) +. (0.1 *. float_of_int ready)
@@ -1630,10 +1988,7 @@ let[@inline] ewma_step e ready = (0.9 *. e) +. (0.1 *. float_of_int ready)
    [iss_ready] (the NREADY leftover), [iss_capable] and [iss_removed]. *)
 let issue_cluster st cluster =
   let i = cluster_index cluster in
-  let q = st.iq.(i) in
-  let len = q.iq_len in
-  issue_walk st cluster q;
-  st.iss_removed <- len - q.iq_len;
+  issue_walk st cluster st.iq.(i);
   st.backlog.(i) <- st.iss_ready;
   st.backlog_ewma.(i) <- ewma_step st.backlog_ewma.(i) st.iss_ready
 
@@ -1687,11 +2042,13 @@ let empty_reason st ~narrow =
 let census_verify st cluster ~mem ~cop ~opr =
   let wmem = ref 0 and wcop = ref 0 and wopr = ref 0 in
   let q = st.iq.(cluster_index cluster) in
-  for k = 0 to q.iq_len - 1 do
-    match blocked_reason st cluster (node_at st q.iq_slots.(k)) with
-    | Accounting.Memory -> incr wmem
-    | Accounting.Wait_copy -> incr wcop
-    | _ -> incr wopr
+  for k = 0 to q.iq_end - 1 do
+    let s = q.iq_slots.(k) in
+    if s >= 0 then
+      match blocked_reason st cluster (node_at st s) with
+      | Accounting.Memory -> incr wmem
+      | Accounting.Wait_copy -> incr wcop
+      | _ -> incr wopr
   done;
   if mem <> !wmem || cop <> !wcop || opr <> !wopr then
     failwith
@@ -1728,7 +2085,7 @@ let account_issue_rounds st cluster ~rounds ~issued =
     let mem = st.census.(base)
     and cop = st.census.(base + 1)
     and opr = st.census.(base + 2) in
-    if st.census_check then census_verify st cluster ~mem ~cop ~opr;
+    if st.check then census_verify st cluster ~mem ~cop ~opr;
     let left = take st ~lane ~rounds Accounting.Memory mem idle in
     let left = take st ~lane ~rounds Accounting.Wait_copy cop left in
     let left = take st ~lane ~rounds Accounting.Wait_operands opr left in
@@ -1765,25 +2122,31 @@ let account_commit_rounds st ~rounds ~committed =
 
 (* Purge a queue, oldest first, of the squashed incarnations (marked)
    and of the copies whose value died; the copies are freed, and the
-   nodes that stay are compacted toward the front in order. The census
-   is rebuilt after the flush. *)
+   nodes that stay are compacted toward the front in order. The ready
+   list empties, and the census and the ready lists are rebuilt after
+   the flush ([relist]). *)
 let flush_purge st (q : iq) =
+  unlist_all st q;
   (* nothing here allocates a record or grows the queue *)
   let vp = st.sc.p_vstates and slots = q.iq_slots in
   let kept = ref 0 in
-  for k = 0 to q.iq_len - 1 do
+  for k = 0 to q.iq_end - 1 do
     let s = slots.(k) in
-    let node = node_at st s in
-    if node.n_mark then node.n_queued <- false
-    else if dead_copy vp node then begin
-      node.n_queued <- false;
-      free_node st node
-    end
-    else begin
-      slots.(!kept) <- s;
-      incr kept
+    if s >= 0 then begin
+      let node = node_at st s in
+      if node.n_mark then node.n_queued <- false
+      else if dead_copy vp node then begin
+        node.n_queued <- false;
+        free_node st node
+      end
+      else begin
+        slots.(!kept) <- s;
+        node.n_qpos <- !kept;
+        incr kept
+      end
     end
   done;
+  q.iq_end <- !kept;
   q.iq_len <- !kept
 
 (* drop dependences on values that no longer exist, in place, letting go
@@ -1903,12 +2266,12 @@ let flush_from st (offender : node) =
               ~publishes:true
         done;
       node.n_disp_tick <- st.now;
-      iq_append st.iq.(0) node
+      iq_append st.sc.p_nodes st.iq.(0) node
     end
   done;
   st.fetch_resume <- max st.fetch_resume (st.now + (2 * cfg.Config.width_flush_penalty));
   st.wflush_until <- max st.wflush_until (st.now + (2 * cfg.Config.width_flush_penalty));
-  census_rebuild st;
+  relist st;
   emit st Event.Flush offender ~a:n_rest ~b:0;
   bump st Counts.width_flush
 
@@ -1947,14 +2310,14 @@ let replay st (node : node) =
       then make_copy st ~cv:v ~target:Config.Wide ~prefetch:false ~publishes:true
     done;
   node.n_disp_tick <- st.now;
-  iq_append st.iq.(0) node;
+  iq_append st.sc.p_nodes st.iq.(0) node;
   (* without a replicated register file the re-produced value lands in the
      wide file only, but narrow consumers dispatched before the replay were
      wired copy-free (the value used to live beside them) - send it back *)
   if dest >= 0 && not st.cfg.Config.replicated_regfile then
     make_copy st ~cv:(value_at st dest) ~target:Config.Narrow ~prefetch:false
       ~publishes:true;
-  census_rebuild st;
+  relist st;
   bump st Counts.replay
 
 (* Did this narrow-steered uop actually need the wide datapath? The
@@ -2019,7 +2382,7 @@ let complete_copy st (node : node) =
     let i = node.n_copy_target in
     if node.n_copy_publishes then begin
       set_v_avail cv i (min (v_avail cv i) st.now);
-      census_touch st cv
+      wake_consumers st cv
     end;
     bump st Counts.copy_completed;
     bump st c_regwrite.(i)
@@ -2035,7 +2398,7 @@ let complete_slice st (node : node) =
       publish_later st v;
       bump st c_regwrite.(0)
     end;
-    census_touch st v
+    wake_consumers st v
   end;
   if node.n_slice_final then begin
     classify_prediction st node ~fatal:false;
@@ -2087,7 +2450,7 @@ let complete_normal st (node : node) =
       end;
       if st.cfg.Config.replicated_regfile || node.n_lr_replicate then
         publish_later st v;
-      census_touch st v
+      wake_consumers st v
     end;
     bump st c_regwrite.(own);
     ( match Opcode.exec_class node.n_op with
@@ -2263,7 +2626,7 @@ let commit st =
      accounting of an empty stage reads;
    - the next issue round after a value published to the other cluster
      at [now + 2] becomes readable, when the last wide round did not see
-     it; the census's re-check ring holds exactly those values, so this
+     it; the wakeup ring holds exactly those values, so this
      covers its next slot too;
    - the next occupied event-wheel slot.
    A stall end or a value the last wide round already saw changes
@@ -2427,7 +2790,8 @@ let jump st ~sample_every =
    whoever drove it; one atomic load when observability is off. The
    NREADY histograms take one observation per sampled interval, so a
    scrape carries the distribution of the §3.7 imbalance signal, not
-   just its total. *)
+   just its total. The two work counters count what the issue stage and
+   the wakeups did, which code placement cannot move. *)
 let observe_run st =
   Registry.with_ambient (fun r ->
       Registry.inc
@@ -2441,6 +2805,16 @@ let observe_run st =
         (Registry.histogram r ~help:"Ticks to completion per simulation"
            "hc_sim_run_ticks")
         st.counts.(Counts.tick);
+      Registry.add
+        (Registry.counter r
+           ~help:"Ready-list entries the issue stage examined"
+           "hc_issue_visits_total")
+        st.issue_visits;
+      Registry.add
+        (Registry.counter r
+           ~help:"Waiting consumers a wakeup reached"
+           "hc_wakeup_touches_total")
+        st.wakeup_touches;
       match st.sink with
       | Some sink when Sink.sample_count sink > 0 ->
         let w2n =
@@ -2461,10 +2835,10 @@ let observe_run st =
 
 let finished st = st.fetch_idx >= st.trace_len && st.rob_count = 0
 
-let run_gen ~census_check ?(poison = false) ~skip ?(drop_idx = -2)
+let run_gen ~check ?(poison = false) ~skip ?(drop_idx = -2)
     ?(tiny_pools = false) ?sink ~accounting ~cfg ~decide ~scheme_name trace =
   let st =
-    create ?sink ~accounting ~census_check ~poison ~skip ~drop_idx ~tiny_pools
+    create ?sink ~accounting ~check ~poison ~skip ~drop_idx ~tiny_pools
       cfg decide trace
   in
   let helper = cfg.Config.scheme.Config.helper in
@@ -2473,7 +2847,7 @@ let run_gen ~census_check ?(poison = false) ~skip ?(drop_idx = -2)
   in
   while not (finished st) do
     let fetched = st.fetch_idx in
-    if st.accounting then census_due st;
+    wake_due st;
     process_completions st;
     let quiet = st.sc.due_len = 0 in
     let even = st.now mod 2 = 0 in
@@ -2549,31 +2923,32 @@ let run_gen ~census_check ?(poison = false) ~skip ?(drop_idx = -2)
   Metrics.of_counts ~name:trace.Trace.name ~scheme_name ?stall st.counts
 
 let run ?sink ?(accounting = false) ~cfg ~decide ~scheme_name trace =
-  run_gen ~census_check:false ~skip:true ?sink ~accounting ~cfg ~decide
+  run_gen ~check:false ~skip:true ?sink ~accounting ~cfg ~decide
     ~scheme_name trace
 
 module For_testing = struct
-  let run_census_checked ?sink ~cfg ~decide ~scheme_name trace =
-    run_gen ~census_check:true ~skip:true ?sink ~accounting:true ~cfg ~decide
-      ~scheme_name trace
+  let run_ready_checked ?sink ?(accounting = false) ~cfg ~decide ~scheme_name
+      trace =
+    run_gen ~check:true ~skip:true ?sink ~accounting ~cfg ~decide ~scheme_name
+      trace
 
   let run_unskipped ?sink ?(accounting = false) ~cfg ~decide ~scheme_name
       trace =
-    run_gen ~census_check:false ~skip:false ?sink ~accounting ~cfg ~decide
+    run_gen ~check:false ~skip:false ?sink ~accounting ~cfg ~decide
       ~scheme_name trace
 
   let run_dropping_completion ~trace_idx ~cfg ~decide ~scheme_name trace =
-    run_gen ~census_check:false ~skip:true ~drop_idx:trace_idx ~accounting:false
+    run_gen ~check:false ~skip:true ~drop_idx:trace_idx ~accounting:false
       ~cfg ~decide ~scheme_name trace
 
   let run_poisoned ?sink ?(accounting = false) ~cfg ~decide ~scheme_name trace
       =
-    run_gen ~census_check:false ~poison:true ~skip:true ?sink ~accounting ~cfg
+    run_gen ~check:false ~poison:true ~skip:true ?sink ~accounting ~cfg
       ~decide ~scheme_name trace
 
   let run_growing_pools ?sink ?(accounting = false) ~cfg ~decide ~scheme_name
       trace =
-    run_gen ~census_check:false ~skip:true ~tiny_pools:true ?sink ~accounting
+    run_gen ~check:false ~skip:true ~tiny_pools:true ?sink ~accounting
       ~cfg ~decide ~scheme_name trace
 
   let arena_high_water () =

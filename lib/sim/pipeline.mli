@@ -106,25 +106,34 @@ val run :
 
     When the ambient {!Hc_obs.Registry} is on, a finished run adds
     itself to [hc_sim_runs_total], [hc_uops_retired_total] and the
-    [hc_sim_run_ticks] histogram, and each of its [sink] intervals to
+    [hc_sim_run_ticks] histogram, its two work counts to
+    [hc_issue_visits_total] (ready-list entries the issue rounds read)
+    and [hc_wakeup_touches_total] (waiting consumers a wakeup reached),
+    and each of its [sink] intervals to
     the [hc_nready_w2n_per_interval]/[hc_nready_n2w_per_interval]
     histograms; with it off, this costs one atomic load per run.
     @raise Invalid_argument on an invalid [cfg].
     @raise Deadlock if the machine wedges. *)
 
 module For_testing : sig
-  val run_census_checked :
+  val run_ready_checked :
     ?sink:Hc_obs.Sink.t ->
+    ?accounting:bool ->
     cfg:Config.t ->
     decide:decide ->
     scheme_name:string ->
     Hc_trace.Trace.t ->
     Metrics.t
-  (** [run ~accounting:true], also checking in every issue round with an idle
-      slot that the incrementally kept blocked-occupant counts equal a
-      full walk of that issue queue.
+  (** {!run}, also checking before every issue round that each issue
+      queue's ready list holds exactly the occupants a full walk of the
+      queue finds ready (or dead copies to take out), that each waiting
+      node counts the dependences it cannot read, and that the queue's
+      occupant, ready, capable and dead-copy counts are the walk's; with
+      [accounting], also checking in every issue round with
+      an idle slot that the incrementally kept blocked-occupant counts
+      equal a full walk of that issue queue.
       @raise Failure at the first difference, naming the tick, the lane
-      and both sets of counts. *)
+      and the node or both sets of counts. *)
 
   val run_unskipped :
     ?sink:Hc_obs.Sink.t ->
@@ -174,8 +183,7 @@ module For_testing : sig
       them back to their usual size. *)
 
   val arena_high_water : unit -> int * int * int
-  (** The (node, value, census edge) records the calling domain's last
+  (** The (node, value, consumer edge) records the calling domain's last
       run handed out: each pool's high-water, since freed records are
-      reused before new ones. Edges are handed out only under
-      accounting. *)
+      reused before new ones. *)
 end

@@ -346,9 +346,11 @@ echo "== observability gate =="
 # Both sidecars must pass hc_report validate's strict checks AND the
 # real readers (hc_report spans re-parses every line; hc_report diff
 # re-parses the exposition) — then both checkers must provably trip on
-# a corrupted file.
+# a corrupted file. Each run gets a fresh artifact cache, so what the
+# dumps hold does not depend on what earlier runs left in _hc_cache.
 dune exec bin/hc_sim.exe -- --benchmark gzip --scheme 8_8_8 --length 4000 \
-  --compare false --obs --span-log "$SMOKE_DIR/obs_spans.jsonl" \
+  --compare false --cache-dir "$SMOKE_DIR/obs_sim_cache" --obs \
+  --span-log "$SMOKE_DIR/obs_spans.jsonl" \
   --prom-out "$SMOKE_DIR/obs_sim.prom" > /dev/null
 dune exec bin/hc_report.exe -- validate --jsonl "$SMOKE_DIR/obs_spans.jsonl"
 dune exec bin/hc_report.exe -- validate --prom "$SMOKE_DIR/obs_sim.prom"
@@ -358,6 +360,12 @@ if ! grep -q '^hc_sim_runs_total 1$' "$SMOKE_DIR/obs_sim.prom"; then
   echo "FAIL: obs_sim.prom has no hc_sim_runs_total 1 line"
   exit 1
 fi
+# ...and the work its issue stage did
+if ! grep -Eq '^hc_issue_visits_total [1-9][0-9]*$' "$SMOKE_DIR/obs_sim.prom"
+then
+  echo "FAIL: obs_sim.prom has no non-zero hc_issue_visits_total line"
+  exit 1
+fi
 # a registry diff is a gate: a dump against itself exits 0
 dune exec bin/hc_report.exe -- diff "$SMOKE_DIR/obs_sim.prom" \
   "$SMOKE_DIR/obs_sim.prom" > /dev/null
@@ -365,10 +373,17 @@ dune exec bin/hc_report.exe -- diff "$SMOKE_DIR/obs_sim.prom" \
 # the two registry dumps (also re-validates both expositions), which
 # must exit 1: the sweep's run and cache counts are not the single run's
 dune exec bin/hc_experiments.exe -- fig6 --length 3000 --progress \
+  --cache-dir "$SMOKE_DIR/obs_fig6_cache" \
   --span-log "$SMOKE_DIR/obs_fig6.jsonl" \
   --prom-out "$SMOKE_DIR/obs_fig6.prom" > /dev/null
 dune exec bin/hc_report.exe -- validate --jsonl "$SMOKE_DIR/obs_fig6.jsonl"
 dune exec bin/hc_report.exe -- validate --prom "$SMOKE_DIR/obs_fig6.prom"
+# on a fresh cache the sweep simulates its cells, so its dump counts runs
+if ! grep -Eq '^hc_sim_runs_total [1-9][0-9]*$' "$SMOKE_DIR/obs_fig6.prom"
+then
+  echo "FAIL: obs_fig6.prom has no non-zero hc_sim_runs_total line"
+  exit 1
+fi
 status=0
 dune exec bin/hc_report.exe -- diff "$SMOKE_DIR/obs_sim.prom" \
   "$SMOKE_DIR/obs_fig6.prom" || status=$?

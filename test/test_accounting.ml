@@ -166,13 +166,49 @@ let test_census_matches_walk () =
                   Config.replicated_regfile; helper_fast_clock; issue_width }
               in
               match
-                Pipeline.For_testing.run_census_checked ~cfg
+                Pipeline.For_testing.run_ready_checked ~accounting:true ~cfg
                   ~decide:Hc_steering.Policy.decide ~scheme_name:scheme tr
               with
               | _ -> ()
               | exception Failure msg ->
                 Alcotest.failf "%s/%s repl=%b fast=%b width=%d: %s" name scheme
                   replicated_regfile helper_fast_clock issue_width msg)
+            [ (true, true, 1); (true, false, 4); (false, true, 4);
+              (false, false, 1) ])
+        Config.scheme_stack)
+    [ "gcc"; "mcf"; "vpr"; "vortex" ]
+
+(* the issue queues' ready lists against their reference walk, before
+   every issue round, without accounting (the census check above runs
+   the same comparison with it): the same grid, with flush and with
+   replay recovery. Replay leaves dead copies for the next round to take
+   out, and the replicated file and LR wake consumers two ticks after
+   writeback. *)
+let test_ready_lists_match_walk () =
+  List.iter
+    (fun name ->
+      let tr = Generator.generate_sliced ~length:3_000 (Profile.find_spec_int name) in
+      List.iter
+        (fun (scheme, s) ->
+          List.iter
+            (fun (replicated_regfile, helper_fast_clock, issue_width) ->
+              List.iter
+                (fun replay_recovery ->
+                  let cfg =
+                    { (Config.with_scheme Config.default s) with
+                      Config.replicated_regfile; helper_fast_clock; issue_width;
+                      replay_recovery }
+                  in
+                  match
+                    Pipeline.For_testing.run_ready_checked ~cfg
+                      ~decide:Hc_steering.Policy.decide ~scheme_name:scheme tr
+                  with
+                  | _ -> ()
+                  | exception Failure msg ->
+                    Alcotest.failf "%s/%s repl=%b fast=%b width=%d replay=%b: %s"
+                      name scheme replicated_regfile helper_fast_clock
+                      issue_width replay_recovery msg)
+                [ false; true ])
             [ (true, true, 1); (true, false, 4); (false, true, 4);
               (false, false, 1) ])
         Config.scheme_stack)
@@ -217,4 +253,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_partition;
       Alcotest.test_case "census equals the queue walk" `Quick
         test_census_matches_walk;
+      Alcotest.test_case "ready lists equal the queue walk" `Quick
+        test_ready_lists_match_walk;
     ] )

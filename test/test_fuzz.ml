@@ -101,11 +101,11 @@ let prop_simulator_total =
       && m.Metrics.ticks > 0)
 
 (* A run with cycle accounting attached, through the entry point that
-   also checks the blocked-occupant census against a full walk of the
-   issue queue in every round with an idle slot. *)
+   also checks the ready lists and the blocked-occupant census against
+   full walks of the issue queues. *)
 let run_accounted ?sink cfg trace =
   match
-    Pipeline.For_testing.run_census_checked ?sink ~cfg
+    Pipeline.For_testing.run_ready_checked ?sink ~accounting:true ~cfg
       ~decide:Hc_steering.Policy.decide ~scheme_name:"fuzz" trace
   with
   | m -> m
@@ -308,6 +308,38 @@ let prop_pool_growth_changes_nothing =
       equals_plain_run ~what:"growing-pools" ~cfg ~decide trace (fun ~sink ->
           Pipeline.For_testing.run_growing_pools ~sink ~accounting:true ~cfg
             ~decide ~scheme_name:"fuzz" trace))
+
+(* Wakeup-driven issue against the full walk it replaced: on random
+   machines, with flush and with replay recovery, with and without cycle
+   accounting, each issue queue's ready list must hold, before every
+   issue round, exactly the occupants a full walk finds ready (dead
+   copies included) in queue order, and the run must equal a plain one
+   (its [stall] aside). *)
+let prop_ready_lists_match_walk =
+  QCheck.Test.make ~name:"ready lists equal the queue walk" ~count:30
+    arb_with_policy (fun ((cfg, bench), library) ->
+      let decide = policy library and trace = trace_of bench in
+      List.iter
+        (fun (replay_recovery, accounting) ->
+          let cfg = { cfg with Config.replay_recovery } in
+          let plain = Pipeline.run ~cfg ~decide ~scheme_name:"fuzz" trace in
+          match
+            Pipeline.For_testing.run_ready_checked ~accounting ~cfg ~decide
+              ~scheme_name:"fuzz" trace
+          with
+          | m ->
+            if
+              Metrics.to_json { m with Metrics.stall = None }
+              <> Metrics.to_json plain
+            then
+              QCheck.Test.fail_reportf
+                "replay=%b accounting=%b: the checked run's metrics differ"
+                replay_recovery accounting
+          | exception Failure msg ->
+            QCheck.Test.fail_reportf "replay=%b accounting=%b: %s"
+              replay_recovery accounting msg)
+        [ (false, false); (false, true); (true, false); (true, true) ];
+      true)
 
 (* Obs-on bit-identity off the seeds: with a tracing, sampling sink
    attached the metrics JSON equals the untraced run's, a second traced
@@ -666,6 +698,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_skip_equals_stepping;
       QCheck_alcotest.to_alcotest prop_poison_changes_nothing;
       QCheck_alcotest.to_alcotest prop_pool_growth_changes_nothing;
+      QCheck_alcotest.to_alcotest prop_ready_lists_match_walk;
       QCheck_alcotest.to_alcotest prop_tracing_bit_identical;
       QCheck_alcotest.to_alcotest prop_bidir_contains_forward;
       QCheck_alcotest.to_alcotest prop_monolithic_ignores_helper_knobs;

@@ -259,26 +259,28 @@ let test_arena_window_bounded () =
         [ "baseline"; "+IR"; "+CP" ])
     [ "mcf"; "bzip2" ]
 
-(* Under accounting the census links each queued node to the values it
-   waits on, and a value's links go back to the arena when the value is
+(* Each queued node is linked to the values it waits on, in every run
+   (the links drive issue wakeup; under accounting the census reads them
+   too), and a value's links go back to the arena when the value is
    freed. So the links in use follow the window too: about two per node
-   it holds (244 at 30k uops and 266 at 60k on mcf +IR). Links never
-   reused number one per link ever made, 29 180 at 30k here, and grow
-   with the trace. *)
+   it holds (283 at 30k uops and 321 at 60k on mcf +IR, with or without
+   accounting). Links never reused number one per link ever made, tens
+   of thousands here, and grow with the trace. *)
 let test_census_edges_window_bounded () =
   let cfg = Config.with_scheme Config.default (Config.find_scheme "+IR") in
   let bound = 2 * (cfg.Config.rob_size + (2 * cfg.Config.iq_size)) in
   List.iter
-    (fun length ->
+    (fun (length, accounting) ->
       let t = trace_of ~length "mcf" in
       ignore
-        (Pipeline.run ~accounting:true ~cfg ~decide:Hc_steering.Policy.decide
+        (Pipeline.run ~accounting ~cfg ~decide:Hc_steering.Policy.decide
            ~scheme_name:"+IR" t);
       let _, _, edges = Pipeline.For_testing.arena_high_water () in
       Alcotest.(check bool)
-        (Printf.sprintf "mcf +IR at %d uops: %d edges <= %d" length edges bound)
+        (Printf.sprintf "mcf +IR at %d uops, accounting %b: %d edges <= %d"
+           length accounting edges bound)
         true (edges <= bound))
-    [ 30_000; 60_000 ]
+    [ (30_000, true); (60_000, true); (30_000, false); (60_000, false) ]
 
 let suite =
   ( "pipeline",

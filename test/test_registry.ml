@@ -350,6 +350,16 @@ let test_pipeline_records_run_series () =
         (hist s1 "hc_sim_run_ticks" = (1, m.Metrics.ticks));
       check "no sink, no NREADY samples" true
         (hist s1 "hc_nready_w2n_per_interval" = (0, 0));
+      (* the work counters: every issued node is read from a ready list
+         at least once, and wakeups re-check queued nodes *)
+      let visits1 = Registry.counter_value s1 "hc_issue_visits_total"
+      and touches1 = Registry.counter_value s1 "hc_wakeup_touches_total" in
+      let issued =
+        m.Metrics.counts.(Hc_obs.Counts.issue_wide)
+        + m.Metrics.counts.(Hc_obs.Counts.issue_narrow)
+      in
+      check "issue visits >= issued nodes" true (issued > 0 && visits1 >= issued);
+      check "wakeup touches recorded" true (touches1 > 0);
       let sink = Sink.create ~interval:500 ~tracing:false () in
       let m2 = run ~sink () in
       let n = Sink.sample_count sink in
@@ -362,7 +372,12 @@ let test_pipeline_records_run_series () =
       check "w2n: one observation per sample" true
         (hist s2 "hc_nready_w2n_per_interval" = (n, m2.Metrics.nready_w2n));
       check "n2w: one observation per sample" true
-        (hist s2 "hc_nready_n2w_per_interval" = (n, m2.Metrics.nready_n2w)))
+        (hist s2 "hc_nready_n2w_per_interval" = (n, m2.Metrics.nready_n2w));
+      (* the same run again: the work counters are deterministic *)
+      check_int "visits: the same run does the same work" (2 * visits1)
+        (Registry.counter_value s2 "hc_issue_visits_total");
+      check_int "touches: the same run does the same work" (2 * touches1)
+        (Registry.counter_value s2 "hc_wakeup_touches_total"))
 
 (* ----- observation leaves results bit-identical ----- *)
 
