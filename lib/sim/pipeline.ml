@@ -434,7 +434,8 @@ type scratch = {
          value's next-older edge (-1 ends the list) *)
   mutable e_next : int array;
   mutable e_stamp : int array;
-      (* the consumer's listing stamp when linked, -1 once consumed *)
+      (* the consumer's listing stamp when linked; a consumed edge leaves
+         its value's chain ([wake_from]) *)
   mutable e_len : int;
   mutable e_free : int;
       (* the free edges, a stack threaded through [e_next] (-1 empty); a
@@ -1139,7 +1140,8 @@ let create ?sink ~accounting ~check ~poison ~skip ~drop_idx ~tiny_pools
      this replaces did.
    An edge acts only while its stamp is its consumer's current one and
    the consumer is queued and waiting, so the edges of an older listing,
-   and those reaching a recycled slot, change nothing.
+   and those reaching a recycled slot, change nothing; the next wakeup
+   of their value unlinks them, as it does the edges it consumes.
 
    Cycle accounting gives each idle issue slot to a blocked queue
    occupant, memory before copy before operands. The class a node counts
@@ -1338,34 +1340,52 @@ let recount st (node : node) =
     census_count st node cls
   end
 
-(* [v] changed: the edges from [e] on whose consumer is still queued
-   under the listing that made them ([n_lstamp]) and not yet ready. An
-   edge whose value the consumer can now read is consumed, once, and
-   the consumer's last one makes it ready. Under accounting each such
-   consumer is reclassified too. An edge of an older listing, or of a
-   recycled slot, carries another stamp, so it changes nothing. *)
-let rec wake_from st sc (v : vstate) e =
+(* Unlink edge [e] from [v]'s chain onto the free edges. [prev] is the
+   next-newer edge (-1 when [e] is the newest) and [next] the next-older
+   one (-1 when [e] is the oldest). *)
+let unlink_edge sc (v : vstate) prev e next =
+  if prev < 0 then v.v_cons <- next else sc.e_next.(prev) <- next;
+  if next < 0 then v.v_cons_last <- prev;
+  sc.e_next.(e) <- sc.e_free;
+  sc.e_free <- e
+
+(* [v] changed: walk its edges from [e] on, [prev] the one before [e].
+   An edge acts while its consumer is queued under the listing that made
+   it ([n_lstamp]) and not yet ready. An edge whose value the consumer
+   can now read is consumed: the consumer's last one makes it ready.
+   Under accounting each consumer reached is reclassified too. Any other
+   edge is dead (of an older listing, of a recycled slot, or of a
+   consumer that issued or is ready) and can never act again. The walk
+   unlinks consumed and dead edges onto the free edges, so a value
+   waited on for long keeps only the edges that can still act. *)
+let rec wake_from st sc (v : vstate) prev e =
   if e >= 0 then begin
-    let stamp = sc.e_stamp.(e) in
-    if stamp >= 0 then begin
-      let c = sc.p_nodes.(sc.e_node.(e)) in
-      if c.n_lstamp = stamp && c.n_queued && not c.n_ready then begin
-        st.wakeup_touches <- st.wakeup_touches + 1;
-        if
-          unavail st.now (Bool.to_int c.n_remote_reads) (read_lane st c) v = 0
-        then begin
-          sc.e_stamp.(e) <- -1;
-          c.n_nwait <- c.n_nwait - 1;
-          if c.n_nwait = 0 then ready_insert st c
-        end;
-        if st.accounting then recount st c
+    let next = sc.e_next.(e) in
+    let c = sc.p_nodes.(sc.e_node.(e)) in
+    if c.n_lstamp = sc.e_stamp.(e) && c.n_queued && not c.n_ready then begin
+      st.wakeup_touches <- st.wakeup_touches + 1;
+      let consumed =
+        unavail st.now (Bool.to_int c.n_remote_reads) (read_lane st c) v = 0
+      in
+      if consumed then begin
+        c.n_nwait <- c.n_nwait - 1;
+        if c.n_nwait = 0 then ready_insert st c
+      end;
+      if st.accounting then recount st c;
+      if consumed then begin
+        unlink_edge sc v prev e next;
+        wake_from st sc v prev next
       end
-    end;
-    wake_from st sc v sc.e_next.(e)
+      else wake_from st sc v e next
+    end
+    else begin
+      unlink_edge sc v prev e next;
+      wake_from st sc v prev next
+    end
   end
 
 (* [v] changed: wake its linked nodes *)
-let wake_consumers st (v : vstate) = wake_from st st.sc v v.v_cons
+let wake_consumers st (v : vstate) = wake_from st st.sc v (-1) v.v_cons
 
 (* [v] becomes readable in the other cluster at [now + 2]: the event
    horizon stops there, and [wake_due] wakes its consumers then *)

@@ -114,19 +114,19 @@ let push_line b line =
     Uop_soa.close_uop b ~id ~pc ~op ~dst ~result ~mem_addr ~flags
   | _ -> failwith "wrong field count"
 
+(* Every failure names the line it is on, the header being line 1. *)
 let load_text ~profile content =
   (* trailing newline yields one final "" entry; lines past the declared
      count are ignored, exactly as the old line-reader did *)
   let lines = Array.of_list (String.split_on_char '\n' content) in
-  if Array.length lines = 0 then failwith "bad header (empty file)";
-  let header = lines.(0) in
   let name, count =
-    match String.split_on_char ' ' header with
+    match String.split_on_char ' ' lines.(0) with
     | [ "helper-cluster-trace"; "v1"; name; count ] -> (
       match int_of_string_opt count with
       | Some n when n >= 0 -> (name, n)
-      | Some _ | None -> failwith "bad header count")
-    | _ -> failwith "bad header (expected helper-cluster-trace v1 ...)"
+      | Some _ | None ->
+        failwith (Printf.sprintf "line 1: bad header count %S" count))
+    | _ -> failwith "line 1: bad header (expected helper-cluster-trace v1 ...)"
   in
   (* one line per uop: a count the file cannot hold is refused before
      it sizes an allocation *)
@@ -138,9 +138,10 @@ let load_text ~profile content =
          count more);
   let b = Uop_soa.builder count in
   for i = 0 to count - 1 do
-    if i + 1 >= Array.length lines || lines.(i + 1) = "" then
-      failwith (Printf.sprintf "truncated at uop %d" i);
-    try push_line b lines.(i + 1)
+    let line = lines.(i + 1) in
+    if line = "" then
+      failwith (Printf.sprintf "line %d: empty line at uop %d" (i + 2) i);
+    try push_line b line
     with Failure msg -> failwith (Printf.sprintf "line %d: %s" (i + 2) msg)
   done;
   Trace.of_soa ~name ~profile (Uop_soa.build b)

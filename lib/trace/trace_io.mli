@@ -33,7 +33,8 @@ val load : ?profile:Profile.t -> string -> Trace.t
     produced by an external converter), dispatching on the magic bytes.
     The attached profile defaults to the first SPEC personality and only
     matters for regeneration metadata.
-    @raise Failure with a line number on malformed text input.
+    @raise Failure on malformed text input, with a message that starts
+    [line N:], the header being line 1.
     @raise Codec.Corrupt on truncated/CRC-bad binary input. *)
 
 val roundtrip_equal : Trace.t -> Trace.t -> bool

@@ -12,8 +12,10 @@ dune build @all
 
 echo "== build profile gate =="
 # dune-workspace makes release the default profile, so no library
-# compiles -opaque and small accessors inline across modules. Its flags
-# must stay dev's exact warning set (the lint is never loosened), and no
+# compiles -opaque and small functions inline across modules. Its flags
+# must stay dev's exact warning set (the lint is never loosened), its
+# ocamlopt_flags must raise the inline threshold (-inline N: without
+# flambda, ocamlopt inlines only bodies under its default of 10), and no
 # object of the simulator (hc_sim), of the uop columns (hc_isa) or of
 # anything they link may compile -opaque.
 DEV_FLAGS='(flags
@@ -29,6 +31,24 @@ if [ "$FLAGS" != "$DEV_FLAGS" ]; then
   echo "$FLAGS"
   exit 1
 fi
+# the -inline N in a profile's ocamlopt_flags (dune printenv's
+# "(ocamlopt_flags\n (...))"), empty when there is none
+inline_flag() {
+  dune printenv "$@" . | tr '\n' ' ' \
+    | sed -n 's/.*(ocamlopt_flags *(\([^)]*\)).*/\1/p' \
+    | grep -Eo -- '-inline [0-9]+' || true
+}
+INLINE=$(inline_flag)
+if [ -z "$INLINE" ]; then
+  echo "FAIL: the default profile's ocamlopt_flags have no -inline N:"
+  dune printenv . | sed -n '/^(ocamlopt_flags/,/)$/p'
+  exit 1
+fi
+# ...and prove the -inline check can fail: dev's profile lacks the flag
+if [ -n "$(inline_flag --profile dev)" ]; then
+  echo "FAIL: the -inline check found a threshold under --profile dev"
+  exit 1
+fi
 SIM_LIBS="lib/sim/hc_sim.cmxa lib/isa/hc_isa.cmxa"
 # shellcheck disable=SC2086
 if dune rules -r $SIM_LIBS | grep -q -- '-opaque'; then
@@ -41,7 +61,7 @@ if ! dune rules --profile dev -r $SIM_LIBS | grep -q -- '-opaque'; then
   echo "FAIL: the -opaque check found nothing under --profile dev"
   exit 1
 fi
-echo "build profile gate OK"
+echo "build profile gate OK ($INLINE)"
 
 echo "== dune runtest =="
 # includes the per-uop allocation gates (test/test_alloc.ml): a warm

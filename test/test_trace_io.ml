@@ -117,6 +117,152 @@ let test_empty_trace () =
   let t' = Trace_io.load path in
   Alcotest.(check int) "zero uops" 0 (Trace.length t')
 
+(* Header and blank-line failures name their line like every uop-line
+   failure: the text fuzz property below found them unlocated *)
+let test_header_failures_located () =
+  let expect name content msg =
+    let path = temp "hc_located.trace" in
+    let oc = open_out_bin path in
+    output_string oc content;
+    close_out oc;
+    match Trace_io.load path with
+    | _ -> Alcotest.failf "%s: expected a failure" name
+    | exception Failure got -> Alcotest.(check string) name msg got
+  in
+  let uop = "0 400000 nop dst=- srcs= res=0 addr=0 taken=0 misp=0 dl0=0 ul1=0" in
+  expect "empty file" ""
+    "line 1: bad header (expected helper-cluster-trace v1 ...)";
+  expect "negative count" "helper-cluster-trace v1 x -3\n"
+    "line 1: bad header count \"-3\"";
+  expect "blank uop line"
+    ("helper-cluster-trace v1 x 2\n\n" ^ uop ^ "\n")
+    "line 2: empty line at uop 0"
+
+(* ----- text loader fuzzing ----- *)
+
+type text_fuzz =
+  | Raw of string  (* the file's whole content *)
+  | Byte_edits of (int * int * int) list
+      (* (edit, position, byte) on a saved trace: 0 set, 1 insert, 2 delete *)
+  | Line_edits of (int * int * int) list
+      (* (edit, line, other) on a saved trace's lines: 0 delete,
+         1 duplicate, 2 swap with [other], 3 cut [other] bytes into it *)
+
+let saved_text =
+  lazy
+    (let t = Generator.generate_sliced ~length:40 (Profile.find_spec_int "gcc") in
+     let path = temp "hc_fuzz_base.trace" in
+     Trace_io.save t path;
+     In_channel.with_open_bin path In_channel.input_all)
+
+let byte_edit s (edit, pos, byte) =
+  let n = String.length s in
+  let at = if n = 0 then 0 else pos mod n in
+  let c = String.make 1 (Char.chr byte) in
+  match edit with
+  | 0 when n > 0 -> String.sub s 0 at ^ c ^ String.sub s (at + 1) (n - at - 1)
+  | 2 when n > 0 -> String.sub s 0 at ^ String.sub s (at + 1) (n - at - 1)
+  | _ -> String.sub s 0 at ^ c ^ String.sub s at (n - at)
+
+let line_edit lines (edit, line, other) =
+  let n = Array.length lines in
+  if n = 0 then lines
+  else begin
+    let i = line mod n in
+    match edit with
+    | 0 ->
+      Array.append (Array.sub lines 0 i) (Array.sub lines (i + 1) (n - i - 1))
+    | 1 -> Array.concat [ Array.sub lines 0 (i + 1); Array.sub lines i (n - i) ]
+    | 2 ->
+      let j = other mod n in
+      let a = Array.copy lines in
+      a.(i) <- lines.(j);
+      a.(j) <- lines.(i);
+      a
+    | _ ->
+      let a = Array.copy lines in
+      a.(i) <- String.sub lines.(i) 0 (other mod (String.length lines.(i) + 1));
+      a
+  end
+
+let fuzz_content = function
+  | Raw s -> s
+  | Byte_edits edits -> List.fold_left byte_edit (Lazy.force saved_text) edits
+  | Line_edits edits ->
+    let lines =
+      Array.of_list (String.split_on_char '\n' (Lazy.force saved_text))
+    in
+    String.concat "\n" (Array.to_list (List.fold_left line_edit lines edits))
+
+let text_fuzz_gen =
+  let open QCheck.Gen in
+  let edits k =
+    list_size (int_range 1 4)
+      (triple (int_bound k) (int_bound 100_000) (int_bound 255))
+  in
+  frequency
+    [
+      (1, map (fun s -> Raw s) (string_size ~gen:char (int_bound 300)));
+      ( 1,
+        map
+          (fun s -> Raw ("helper-cluster-trace v1 x 3\n" ^ s))
+          (string_size ~gen:char (int_bound 300)) );
+      ( 1,
+        map
+          (fun s -> Raw (Hc_trace.Codec.magic ^ s))
+          (string_size ~gen:char (int_bound 60)) );
+      (4, map (fun e -> Byte_edits e) (edits 2));
+      (4, map (fun e -> Line_edits e) (edits 3));
+    ]
+
+let print_text_fuzz input =
+  let edits l =
+    String.concat "; "
+      (List.map (fun (e, p, b) -> Printf.sprintf "%d@%d/%d" e p b) l)
+  in
+  match input with
+  | Raw s -> Printf.sprintf "raw %S" s
+  | Byte_edits l -> Printf.sprintf "byte edits [%s]" (edits l)
+  | Line_edits l -> Printf.sprintf "line edits [%s]" (edits l)
+
+(* "line N: <reason>", N >= 1, with the reason not located again *)
+let located msg =
+  let n = String.length msg in
+  let rec digits i =
+    if i < n && msg.[i] >= '0' && msg.[i] <= '9' then digits (i + 1) else i
+  in
+  n > 5
+  && String.sub msg 0 5 = "line "
+  &&
+  let j = digits 5 in
+  j > 5 && msg.[5] <> '0' && j + 1 < n && msg.[j] = ':' && msg.[j + 1] = ' '
+  && not (String.starts_with ~prefix:"line " (String.sub msg (j + 2) (n - j - 2)))
+
+let prop_load_total =
+  QCheck.Test.make ~name:"text load returns a trace or one located failure"
+    ~count:1000
+    (QCheck.make ~print:print_text_fuzz text_fuzz_gen)
+    (fun input ->
+      let content = fuzz_content input in
+      let path = Filename.temp_file "hc_fuzz" ".trace" in
+      Out_channel.with_open_bin path (fun oc -> output_string oc content);
+      let binary = String.starts_with ~prefix:Hc_trace.Codec.magic content in
+      let t0 = Unix.gettimeofday () in
+      let outcome =
+        match Trace_io.load path with
+        | _ -> Ok ()
+        | exception Hc_trace.Codec.Corrupt _ when binary -> Ok ()
+        | exception Failure msg when (not binary) && located msg -> Ok ()
+        | exception e -> Error (Printexc.to_string e)
+      in
+      let dt = Unix.gettimeofday () -. t0 in
+      Sys.remove path;
+      ( match outcome with
+      | Ok () -> ()
+      | Error e -> QCheck.Test.fail_reportf "escaped %s" e );
+      if dt > 2.0 then QCheck.Test.fail_reportf "load took %.1f s" dt;
+      true)
+
 let suite =
   ( "trace_io",
     [
@@ -129,4 +275,7 @@ let suite =
       Alcotest.test_case "header count bounded by the file" `Quick
         test_header_count_bounded;
       Alcotest.test_case "empty trace" `Quick test_empty_trace;
+      Alcotest.test_case "header failures name their line" `Quick
+        test_header_failures_located;
+      QCheck_alcotest.to_alcotest prop_load_total;
     ] )
