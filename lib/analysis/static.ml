@@ -71,12 +71,17 @@ let timed f =
    provable/steerable verdicts, optionally record per-uop facts the
    bidirectional pass consumes: narrowness of every abstract source
    (flattened, aligned with the SoA operand columns), narrowness of the
-   abstract result, and forward-proven constant shift amounts. *)
+   abstract result, and forward-proven constant shift amounts. The two
+   narrowness columns hold one byte a flag ('\001' narrow), not the
+   word a [bool array] spends. *)
 type forward_facts = {
-  src_narrow : bool array;  (* by flattened operand index (Uop_soa.src_base) *)
-  result_narrow : bool array;
+  src_narrow : Bytes.t;  (* by flattened operand index (Uop_soa.src_base) *)
+  result_narrow : Bytes.t;
   shift_amount : int array;  (* -1 unless a constant shift amount is proven *)
 }
+
+let set_flag col i b = Bytes.set col i (if b then '\001' else '\000')
+let get_flag col i = Bytes.get col i <> '\000'
 
 let analyze_fwd ?(bits = 8) ~facts (tr : Trace.t) =
   let soa = Trace.soa tr in
@@ -89,8 +94,8 @@ let analyze_fwd ?(bits = 8) ~facts (tr : Trace.t) =
   let ff =
     if facts then
       Some
-        { src_narrow = Array.make (Uop_soa.src_base soa n) false;
-          result_narrow = Array.make n false;
+        { src_narrow = Bytes.make (Uop_soa.src_base soa n) '\000';
+          result_narrow = Bytes.make n '\000';
           shift_amount = Array.make n (-1) }
     else None
   in
@@ -120,7 +125,7 @@ let analyze_fwd ?(bits = 8) ~facts (tr : Trace.t) =
       let a = if j = lo then a0 else if j = lo + 1 then a1 else abs_at j in
       let narrow = Absval.is_narrow ~bits a in
       if not narrow then srcs_narrow := false;
-      match ff with Some f -> f.src_narrow.(j) <- narrow | None -> ()
+      match ff with Some f -> set_flag f.src_narrow j narrow | None -> ()
     done;
     let d = Uop_soa.dst_index soa i in
     let wf = Opcode.writes_flags op in
@@ -136,7 +141,7 @@ let analyze_fwd ?(bits = 8) ~facts (tr : Trace.t) =
     end;
     ( match ff with
     | Some f ->
-      f.result_narrow.(i) <- Absval.is_narrow ~bits result;
+      set_flag f.result_narrow i (Absval.is_narrow ~bits result);
       ( match op with
       | (Opcode.Shl | Opcode.Shr) when ns >= 2 ->
         f.shift_amount.(i) <- Absval.shift_amount a1
@@ -253,12 +258,13 @@ let analyze_bidir ?(bits = 8) (tr : Trace.t) =
           let demands = !scratch in
           let srcs_safe = ref true in
           for j = 0 to ns - 1 do
-            if not (ff.src_narrow.(lo + j) || demands.(j) land hi = 0) then
+            if not (get_flag ff.src_narrow (lo + j) || demands.(j) land hi = 0)
+            then
               srcs_safe := false
           done;
           let result_safe =
             (Uop_soa.dst_index soa i < 0 && not (Opcode.writes_flags op))
-            || ff.result_narrow.(i)
+            || get_flag ff.result_narrow i
             || live land hi = 0
           in
           let safe = !srcs_safe && result_safe in

@@ -205,8 +205,14 @@ type builder = {
   mutable b_next : int;  (* next uop index to close *)
 }
 
+(* Generated traces carry about two operands a uop and never more than
+   three, so three a uop is the starting capacity: it holds every trace
+   the generator writes without regrowth, and [build] trims it once. *)
+let initial_srcs = 3
+
 let builder len =
   if len < 0 then invalid_arg "Uop_soa.builder";
+  let cap = Int.max 16 (initial_srcs * len) in
   {
     b_len = len;
     b_ids = Array.make len 0;
@@ -217,21 +223,30 @@ let builder len =
     b_mem_addrs = Array.make len 0;
     b_flags = Bytes.make len '\000';
     b_src_off = Array.make (len + 1) 0;
-    b_src_regs = Array.make (max 16 (2 * len)) (-1);
-    b_src_vals = Array.make (max 16 (2 * len)) 0;
+    b_src_regs = Array.make cap (-1);
+    b_src_vals = Array.make cap 0;
     b_nsrcs = 0;
     b_next = 0;
   }
 
-let push_src b ~reg ~v =
+(* The first [n] ints of [a] in a fresh array of [len] >= [n]. A typed
+   loop: [Array.sub] and [Array.blit] into a major-heap array store each
+   field through the runtime's initialization or write barrier, which an
+   [int array] does not need. *)
+let copy_ints (a : int array) n len =
+  let r = Array.make len 0 in
+  for k = 0 to n - 1 do
+    Array.unsafe_set r k (Array.unsafe_get a k)
+  done;
+  r
+
+let grow b =
   let cap = Array.length b.b_src_regs in
-  if b.b_nsrcs = cap then begin
-    let regs = Array.make (2 * cap) (-1) and vals = Array.make (2 * cap) 0 in
-    Array.blit b.b_src_regs 0 regs 0 cap;
-    Array.blit b.b_src_vals 0 vals 0 cap;
-    b.b_src_regs <- regs;
-    b.b_src_vals <- vals
-  end;
+  b.b_src_regs <- copy_ints b.b_src_regs cap (2 * cap);
+  b.b_src_vals <- copy_ints b.b_src_vals cap (2 * cap)
+
+let push_src b ~reg ~v =
+  if b.b_nsrcs = Array.length b.b_src_regs then grow b;
   b.b_src_regs.(b.b_nsrcs) <- reg;
   b.b_src_vals.(b.b_nsrcs) <- v;
   b.b_nsrcs <- b.b_nsrcs + 1
@@ -260,7 +275,8 @@ let close_uop b ~id ~pc ~op ~dst ~result ~mem_addr ~flags =
 let build b =
   if b.b_next <> b.b_len then
     invalid_arg "Uop_soa.build: builder not fully populated";
-  let shrink a = if Array.length a = b.b_nsrcs then a else Array.sub a 0 b.b_nsrcs in
+  let n = b.b_nsrcs in
+  let shrink a = if Array.length a = n then a else copy_ints a n n in
   {
     len = b.b_len;
     ids = b.b_ids;

@@ -118,6 +118,9 @@ val sub : t -> pos:int -> len:int -> t
 type builder
 
 val builder : int -> builder
+(** [builder len] fills [len] uops. The operand columns start at three
+    operands a uop (at least 16) and double if they fill.
+    @raise Invalid_argument if [len] is negative. *)
 
 val push_src : builder -> reg:int -> v:int -> unit
 (** [reg] is a {!Reg.to_index} or [-1] for an immediate. *)

@@ -54,7 +54,8 @@ val load : ?profile:Profile.t -> string -> Trace.t
 (** Read and {!decode} a file. @raise Corrupt on malformed content. *)
 
 val crc32 : string -> pos:int -> len:int -> int
-(** The trailer checksum (IEEE 802.3 polynomial), exposed for tests. *)
+(** The trailer checksum (IEEE 802.3 polynomial, slicing-by-8; [encode]
+    and [decode] share its table), exposed for tests. *)
 
 (** {2 Name tables}
 

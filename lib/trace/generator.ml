@@ -182,7 +182,7 @@ let source_reg b ~narrow =
   if pool.count = 0 then Rng.choice b.b_rng data_regs
   else begin
     let d = Rng.geometric b.b_rng b.b_profile.dep_distance_mean in
-    nth_recent pool (min (d - 1) (pool.count - 1))
+    nth_recent pool (Int.min (d - 1) (pool.count - 1))
   end
 
 let narrow_source_reg b =
@@ -334,7 +334,7 @@ let create (p : Profile.t) =
       { id = 0; pc = 0; op = Opcode.Nop; dst = no_reg; result = 0; mem_addr = 0;
         flags = 0; nsrcs = 0; src_regs = Array.make 3 no_reg;
         src_vals = Array.make 3 0 };
-    sp = 0; region_start = 0; region_len = min 128 p.static_size;
+    sp = 0; region_start = 0; region_len = Int.min 128 p.static_size;
     loop_floor = 0; next_id = 0; pending_branch = -1 }
 
 (* ----- dynamic value machinery ----- *)
@@ -381,7 +381,7 @@ let local_now st ~site_local =
 
 let local_offset st ~site_local partial_sum =
   let low = partial_sum land 0xFF in
-  if local_now st ~site_local then Rng.int st.rng (max 1 (0x100 - low))
+  if local_now st ~site_local then Rng.int st.rng (Int.max 1 (0x100 - low))
   else begin
     let need = 0x100 - low in
     if need <= 0xFF then need + Rng.int st.rng (0x100 - need)
@@ -422,12 +422,12 @@ let writeback st =
 let new_region st =
   let n = Array.length st.statics in
   st.region_start <- Rng.int st.rng n;
-  st.region_len <- min n (48 + Rng.int st.rng 160);
+  st.region_len <- Int.min n (48 + Rng.int st.rng 160);
   st.sp <- st.region_start;
   st.loop_floor <- st.region_start
 
 let region_end st =
-  min (Array.length st.statics) (st.region_start + st.region_len)
+  Int.min (Array.length st.statics) (st.region_start + st.region_len)
 
 (* Sequential flow within the current region; at the region's end either
    run it again (an outer loop) or move to a fresh region (a call or a new
@@ -541,7 +541,7 @@ let gen_uop st (s : static) =
     in
     let mispred = Rng.bool st.rng p.p_mispredict in
     ( if backward then begin
-        let body_start = max st.loop_floor (st.sp - back) in
+        let body_start = Int.max st.loop_floor (st.sp - back) in
         if taken && st.sp - body_start >= 4 then st.sp <- body_start
         else begin
           (* the loop exits - or its body would be degenerate (a one-uop

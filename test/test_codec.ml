@@ -276,6 +276,110 @@ let test_crc_stability () =
   Alcotest.(check int) "crc32 of known vector" 0xCBF43926
     (Codec.crc32 "123456789" ~pos:0 ~len:9)
 
+(* ----- the stored bytes: pinned, and equal to the Buffer encoder's ----- *)
+
+(* MD5 of [encode] of every SPEC profile's 2k-uop sliced trace, taken
+   from the Buffer encoder [Ref_codec] keeps. The artifact cache keys
+   its files by schema version, not by content, so any change to these
+   bytes must come with a schema bump. *)
+let golden_digests =
+  [
+    ("bzip2", "b603eb963840f32e983b4fe750bb36fb");
+    ("crafty", "fd82a1ddbe0bb5c0342c9f8efea057e8");
+    ("eon", "62d6b5b05aacd20ad4bed457478df4e8");
+    ("gap", "8ece06b6618f4e06251935335d11a0cd");
+    ("gcc", "d2031b8262fd263b9a1b4389fdee879c");
+    ("gzip", "57404d840576fa6f2deb5be61918dfa6");
+    ("mcf", "55654e2f354a44236ff3fb989b03fa5c");
+    ("parser", "72d9d3531b9c14a4cc9142c614e967ba");
+    ("perlbmk", "6e3a8f67177124d8c2f199643763b023");
+    ("twolf", "2f406212c69211ecf23e66ec625af9e7");
+    ("vortex", "8e9114b48cd802d2cf3d5c7bb0e87af4");
+    ("vpr", "5cec43a3fd2fe3c45aa89f338265d701");
+  ]
+
+let test_golden_bytes () =
+  Alcotest.(check (list string)) "one digest per SPEC profile"
+    (List.map (fun p -> p.Profile.name) Profile.spec_int)
+    (List.map fst golden_digests);
+  List.iter
+    (fun (name, digest) ->
+      Alcotest.(check string) name digest
+        (Digest.to_hex (Digest.string (Codec.encode (gen_trace 2_000 name)))))
+    golden_digests
+
+(* [uop_gen]'s uops, moved to where the codec's arithmetic is hardest:
+   ids that jump backwards and forwards by up to 2^40 (the generator's
+   ids are dense, so their deltas are all 0), pcs as large, and up to
+   [extra] more operands a uop, 16 in all at most (the decoder's limit,
+   which also makes the decoder's operand columns grow). *)
+let extreme_trace_gen =
+  let open QCheck.Gen in
+  let big = int_range (-(1 lsl 40)) (1 lsl 40) in
+  let operand =
+    let* v = oneof [ int_bound 0xFF; int_bound 0xFFFF_FFFF ] in
+    oneof
+      [ return (Uop.Imm v, v);
+        map (fun r -> (Uop.Reg (Reg.of_index r), v)) (int_bound (Reg.count - 1)) ]
+  in
+  let uop =
+    let* u = uop_gen in
+    let* id = oneof [ int_range (-3) 3; big ] in
+    let* pc = oneof [ return u.Uop.pc; big ] in
+    let* extra = list_size (int_bound (16 - List.length u.Uop.srcs)) operand in
+    return
+      { u with
+        Uop.id;
+        pc;
+        srcs = u.Uop.srcs @ List.map fst extra;
+        src_vals = u.Uop.src_vals @ List.map snd extra }
+  in
+  let* uops = list_size (int_bound 60) uop in
+  return
+    (Trace.of_soa ~name:"extreme" ~profile:gcc
+       (Hc_isa.Uop_soa.of_uops (Array.of_list uops)))
+
+let prop_encode_matches_reference =
+  QCheck.Test.make
+    ~name:"encode = Buffer reference encoder, byte for byte, and decodes back"
+    ~count:200
+    (QCheck.make
+       ~print:(fun t -> Printf.sprintf "<%d random uops>" (Trace.length t))
+       (QCheck.Gen.oneof [ trace_gen; extreme_trace_gen ]))
+    (fun t ->
+      let enc = Codec.encode t in
+      enc = Ref_codec.encode t
+      && Trace_io.roundtrip_equal t (Codec.decode ~profile:gcc enc))
+
+(* ----- the slicing-by-8 CRC against the bytewise one ----- *)
+
+(* Every start offset modulo 8 and every length up to 64: the 8-byte
+   loop runs 0 to 8 times and its tail 0 to 7 bytes. *)
+let prop_crc_matches_bytewise =
+  QCheck.Test.make ~name:"crc32 = bytewise CRC-32 at every pos 0..7, len 0..64"
+    ~count:100
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(string_size ~gen:char (return 72)))
+    (fun s ->
+      let ok = ref true in
+      for pos = 0 to 7 do
+        for len = 0 to 64 do
+          if Codec.crc32 s ~pos ~len <> Ref_codec.crc32 s ~pos ~len then
+            ok := false
+        done
+      done;
+      !ok)
+
+let test_crc_unaligned () =
+  List.iter
+    (fun pad ->
+      let s = String.make pad 'x' ^ "123456789" ^ "yz" in
+      Alcotest.(check int)
+        (Printf.sprintf "crc32 of known vector at offset %d" pad)
+        0xCBF43926
+        (Codec.crc32 s ~pos:pad ~len:9))
+    [ 1; 2; 3; 5; 7 ]
+
 let suite =
   ( "codec",
     [
@@ -294,4 +398,9 @@ let suite =
       Alcotest.test_case "crc32 known vector" `Quick test_crc_stability;
       Alcotest.test_case "oversized counts rejected" `Quick test_oversized_counts;
       QCheck_alcotest.to_alcotest prop_decode_total;
+      Alcotest.test_case "stored bytes pinned by MD5" `Quick test_golden_bytes;
+      QCheck_alcotest.to_alcotest prop_encode_matches_reference;
+      QCheck_alcotest.to_alcotest prop_crc_matches_bytewise;
+      Alcotest.test_case "crc32 known vector at unaligned offsets" `Quick
+        test_crc_unaligned;
     ] )
